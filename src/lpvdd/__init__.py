@@ -85,7 +85,6 @@ from .signals import (
     Trajectory,
     concat,
     hankel,
-    hankel_max,
     kron_extend,
     kron_signal,
     read_trajectory_csv,

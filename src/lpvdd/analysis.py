@@ -41,14 +41,34 @@ __all__ = [
 ]
 
 
+def _cut(s: np.ndarray, tol: float) -> int:
+    """Count of singular values above ``tol * s[0]``; 0 when none is positive."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _rank_factor(matrix: np.ndarray, tol: float):
+    """SVD ``(U, s, Vt, rank)`` with the numeric rank of ``matrix``.
+
+    ``U`` is a complete left basis, so ``U[:, rank:]`` spans the left null
+    space; ``Vt`` has at most ``min(rows, cols)`` rows, so no factor grows
+    with the square of the longer side.
+    """
+    rows, cols = matrix.shape
+    U, s, Vt = np.linalg.svd(matrix, full_matrices=rows > cols)
+    return U, s, Vt, _cut(s, tol)
+
+
+def _min_norm_solve(U, s, Vt, rank: int, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution on the leading ``rank`` SVD triplets."""
+    return Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+
+
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> tuple[int, np.ndarray]:
     """Rank from singular values above ``tol * sigma_max``; returns (rank, svals)."""
     if matrix.size == 0:
         return 0, np.zeros(0)
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > tol * s[0])), s
+    return _cut(s, tol), s
 
 
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
@@ -190,10 +210,9 @@ class PeReport:
 
     ``extended_input_rank`` is the rank of the Hankel matrix of
     ``col(u, p (x) u)`` at depth ``order_L``; the verdict compares it to the
-    full row count ``required = (1 + n_p) n_u L``.  When outputs and a model
-    order hypothesis are supplied, ``hankel_rank`` additionally reports the
-    rank of the Hankel matrix of the extended full signal
-    ``col(w, p (x) w)``, ``w = col(u, y)``.
+    full row count ``required = (1 + n_p) n_u L``.  When outputs are
+    supplied, ``hankel_rank`` additionally reports the rank of the Hankel
+    matrix of the extended full signal ``col(w, p (x) w)``, ``w = col(u, y)``.
     """
 
     order_L: int
@@ -211,7 +230,6 @@ def check_pe(
     u: Trajectory,
     p: Trajectory,
     L: int,
-    n_x_hypothesis: int | None = None,
     y: Trajectory | None = None,
     tol: float = 1e-9,
 ) -> PeReport:

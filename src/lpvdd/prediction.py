@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import check_pe
+from .analysis import _min_norm_solve, _rank_factor, check_pe, numeric_rank
 from .coeffs import CoeffMatrix, PolyCoeff
 from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
 from .models import KernelRep
@@ -201,8 +201,7 @@ class RowPartition:
 
     def known_rows(self, T_ini: int) -> np.ndarray:
         """All row indices except the future output rows."""
-        future = set(self.y_future_rows(T_ini).tolist())
-        return np.array([i for i in range(self.total_rows) if i not in future])
+        return np.delete(np.arange(self.total_rows), self.y_future_rows(T_ini))
 
 
 @dataclass(frozen=True)
@@ -271,14 +270,6 @@ class PredictionResult:
         }
 
 
-def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[1])
-    keep = s > rtol * s[0]
-    return Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
-
-
 def predict(
     data: DataRecord,
     u_ini: Trajectory,
@@ -331,7 +322,7 @@ def predict(
     b[part.y_initial_rows(T_ini)] = vec(y_ini)
     b = b[known]
 
-    g = _min_norm_lstsq(A, b, rank_rtol)
+    g = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
     residual = float(np.linalg.norm(A @ g - b))
     y_r_values = (Y @ g).reshape(T_r, data.n_y)
 
@@ -340,16 +331,9 @@ def predict(
     # equations nor the future outputs, so they are quotiented away; a zero
     # margin means some direction moves the future outputs while being
     # invisible to every known row.
-    _, s_full, Vt = np.linalg.svd(system.matrix)
-    if s_full.size == 0 or s_full[0] == 0.0:
-        full_rank = 0
-    else:
-        full_rank = int(np.sum(s_full > rank_rtol * s_full[0]))
-    V = Vt[:full_rank].T
-    if V.shape[1] == 0:
-        margin = 0.0
-    else:
-        margin = float(np.linalg.svd(A @ V, compute_uv=False)[-1])
+    _, _, Vt, full_rank = _rank_factor(system.matrix, rank_rtol)
+    _, s_known = numeric_rank(A @ Vt[:full_rank].T)
+    margin = float(s_known[-1]) if s_known.size else 0.0
 
     pe = check_pe(data.u, data.p, L)
     warnings: list[str] = []
@@ -385,7 +369,7 @@ def predict(
         "L": L,
         "col_count": system.col_count,
         "known_row_count": int(A.shape[0]),
-        "full_stack_rank": int(full_rank),
+        "full_stack_rank": full_rank,
         "extended_input_rank": pe.extended_input_rank,
         "required_input_rank": pe.required,
         "warnings": warnings,
@@ -433,7 +417,7 @@ def span_membership(
     Pw = sched_block_diag(p_test, w_test.dim)
     A = np.vstack([Hw, Hpw - Pw @ Hw])
     b = np.concatenate([vec(w_test), np.zeros(Hpw.shape[0])])
-    g = _min_norm_lstsq(A, b, rank_rtol)
+    g = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
     residual = float(np.linalg.norm(A @ g - b))
     return MembershipResult(member=residual <= tol, residual=residual)
 
@@ -483,8 +467,7 @@ def left_nullspace(data: DataRecord, L: int, tol: float = 1e-9) -> LeftNullspace
     if data.T < L:
         raise InvalidShape(f"data length {data.T} shorter than window L={L}")
     H = hankel(data.extended(), L).data
-    U, s, _ = np.linalg.svd(H)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    U, s, _, rank = _rank_factor(H, tol)
     basis = U[:, rank:].T
     return LeftNullspace(
         basis=basis,

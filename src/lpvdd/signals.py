@@ -32,7 +32,6 @@ __all__ = [
     "vec",
     "concat",
     "hankel",
-    "hankel_max",
     "kron_extend",
     "kron_signal",
     "sched_block_diag",
@@ -163,16 +162,12 @@ def hankel(w: Trajectory, t1: int, t2: int | None = None) -> HankelMatrix:
         t2 = max_cols
     if t2 < 1 or t2 > max_cols:
         raise InvalidShape(f"t2={t2} outside [1, {max_cols}] for T={T}, t1={t1}")
+    # One slice copy per block row: t1 steps, each vectorised over the columns.
     d = w.dim
-    data = np.empty((t1 * d, t2))
-    for j in range(t2):
-        data[:, j] = w.samples[j : j + t1].reshape(-1)
-    return HankelMatrix(data, block_rows=t1, cols=t2, block_dim=d)
-
-
-def hankel_max(w: Trajectory, t1: int) -> HankelMatrix:
-    """Hankel matrix with the maximal number of columns ``T - t1 + 1``."""
-    return hankel(w, t1)
+    data = np.empty((t1, d, t2))
+    for i in range(t1):
+        data[i] = w.samples[i : i + t2].T
+    return HankelMatrix(data.reshape(t1 * d, t2), block_rows=t1, cols=t2, block_dim=d)
 
 
 def kron_signal(w: Trajectory, p: Trajectory) -> Trajectory:

@@ -64,6 +64,8 @@ def test_predictor_row_count_and_partition():
     assert list(part.y_initial_rows(3)) == [3 * L, 3 * L + 1, 3 * L + 2]
     assert len(part.y_future_rows(3)) == L - 3
     assert len(part.known_rows(3)) == 6 * L - (L - 3)
+    future = set(part.y_future_rows(3).tolist())
+    assert part.known_rows(3).tolist() == [i for i in range(6 * L) if i not in future]
 
 
 def test_constraint_rows_vanish_on_matching_column():
@@ -420,3 +422,51 @@ def test_predict_excitation_order_warnings():
 def test_left_nullspace_requires_enough_data():
     with pytest.raises(InvalidShape):
         left_nullspace(_record(5), 7)
+
+
+def test_left_nullspace_of_tall_hankel_is_complete():
+    # T = 20, L = 7: 42 rows, 14 columns, so the null space needs the full U
+    rec = _record(20)
+    ns = left_nullspace(rec, 7)
+    H = hankel(kron_extend(rec.w, rec.p), 7).data
+    assert H.shape == (42, 14)
+    assert ns.dimension == H.shape[0] - ns.rank
+    assert np.allclose(ns.basis @ ns.basis.T, np.eye(ns.dimension), atol=1e-12)
+    assert np.max(np.abs(ns.basis @ H)) <= 1e-9
+
+
+def test_margin_is_sigma_min_of_known_rows_on_full_row_space():
+    rec = _record(70)
+    for seed in range(5):
+        q = _query(seed=seed + 900)
+        res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(q.u_ini.length + 1))
+        system = build_predictor(rec, p_bar, p_bar.length)
+        M = system.matrix
+        _, s, Vt = np.linalg.svd(M, full_matrices=True)
+        V = Vt[: int(np.sum(s > 1e-9 * s[0]))].T
+        A = M[system.row_partition.known_rows(q.u_ini.length)]
+        oracle = np.linalg.svd(A @ V, compute_uv=False)[-1]
+        assert oracle > 0
+        assert abs(res.output_uniqueness_margin - oracle) <= 1e-12 * oracle
+
+
+def test_predict_svd_outputs_do_not_grow_with_column_count_squared(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def recording_svd(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        arrays = out if isinstance(out, tuple) else (out,)
+        calls.append((a.size, max(x.size for x in arrays)))
+        return out
+
+    rec = _record(400)
+    q = _query(seed=3)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    monkeypatch.undo()
+    assert res.verdict == "ok"
+    assert calls
+    for in_size, largest_out in calls:
+        assert largest_out <= in_size

@@ -12,7 +12,6 @@ from lpvdd import (
     Trajectory,
     concat,
     hankel,
-    hankel_max,
     kron_extend,
     kron_signal,
     sched_block_diag,
@@ -59,7 +58,7 @@ def test_vec_concat_property():
 
 def test_hankel_forced_by_definition():
     w = Trajectory.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
-    H = hankel_max(w, 2)
+    H = hankel(w, 2)
     assert np.array_equal(H.data, [[1, 2, 3, 4], [2, 3, 4, 5]])
 
 
@@ -70,11 +69,19 @@ def test_hankel_single_column_is_vec():
     assert np.array_equal(H.data[:, 0], vec(w))
 
 
+def test_hankel_returns_a_fresh_writable_array():
+    for dim, t1 in ((1, 1), (3, 4)):
+        w = rand_traj(np.random.default_rng(7), dim, 9)
+        H = hankel(w, t1)
+        assert H.data.flags.writeable
+        assert not np.shares_memory(H.data, w.samples)
+
+
 def test_hankel_columns_are_windows():
     rng = np.random.default_rng(2)
     w = rand_traj(rng, 3, 12)
     L = 4
-    H = hankel_max(w, L)
+    H = hankel(w, L)
     for j in range(H.cols):
         window = w.restrict(w.t_start + j, w.t_start + j + L - 1)
         assert np.array_equal(H.data[:, j], vec(window))
@@ -82,7 +89,7 @@ def test_hankel_columns_are_windows():
 
 def test_hankel_shift_structure():
     w = rand_traj(np.random.default_rng(3), 2, 10)
-    H = hankel_max(w, 4)
+    H = hankel(w, 4)
     for i in range(3):
         for j in range(H.cols - 1):
             assert np.array_equal(
@@ -130,17 +137,17 @@ def test_hankel_of_extended_signal_regroups_to_plain_hankel():
     rng = np.random.default_rng(6)
     w, p = rand_traj(rng, 2, 9), rand_traj(rng, 2, 9)
     L = 3
-    H_ext = hankel_max(kron_extend(w, p), L)
+    H_ext = hankel(kron_extend(w, p), L)
     # rows of each time block split as [w, p x w]; regroup the w rows
     n_ext = (1 + p.dim) * w.dim
     w_rows = np.concatenate(
         [np.arange(i * n_ext, i * n_ext + w.dim) for i in range(L)]
     )
-    assert np.array_equal(H_ext.data[w_rows], hankel_max(w, L).data)
+    assert np.array_equal(H_ext.data[w_rows], hankel(w, L).data)
     pw_rows = np.concatenate(
         [np.arange(i * n_ext + w.dim, (i + 1) * n_ext) for i in range(L)]
     )
-    assert np.array_equal(H_ext.data[pw_rows], hankel_max(kron_signal(w, p), L).data)
+    assert np.array_equal(H_ext.data[pw_rows], hankel(kron_signal(w, p), L).data)
 
 
 def test_sched_block_diag_single_block():
