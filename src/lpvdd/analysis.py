@@ -46,21 +46,48 @@ def _cut(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
-def _rank_factor(matrix: np.ndarray, tol: float):
+def _rank_factor(matrix: np.ndarray, tol: float, complete: bool = False):
     """SVD ``(U, s, Vt, rank)`` with the numeric rank of ``matrix``.
 
-    ``U`` is a complete left basis, so ``U[:, rank:]`` spans the left null
-    space; ``Vt`` has at most ``min(rows, cols)`` rows, so no factor grows
-    with the square of the longer side.
+    With ``complete``, ``U`` is a complete left basis, so ``U[:, rank:]``
+    spans the left null space.  ``Vt`` has at most ``min(rows, cols)`` rows,
+    so no factor grows with the square of the longer side.
     """
     rows, cols = matrix.shape
-    U, s, Vt = np.linalg.svd(matrix, full_matrices=rows > cols)
+    U, s, Vt = np.linalg.svd(matrix, full_matrices=complete and rows > cols)
     return U, s, Vt, _cut(s, tol)
 
 
 def _min_norm_solve(U, s, Vt, rank: int, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution on the leading ``rank`` SVD triplets."""
     return Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+
+
+def _lifted_factor(w: Trajectory, p: Trajectory, L: int, tol: float):
+    """``(H, U, s, Vt, rank)`` of ``H = H_L(col(w, p (x) w))`` by :func:`_rank_factor`.
+
+    ``H`` is returned as ``(L, 1 + n_p, n_w, N)`` blocks, the row layout of
+    :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w``
+    (``1 + j``), then the channel of ``w``.
+    """
+    if w.length < L:
+        raise InvalidShape(f"data length {w.length} shorter than window L={L}")
+    H = hankel(kron_extend(w, p), L).data
+    return (H.reshape(L, 1 + p.dim, w.dim, -1), *_rank_factor(H, tol, complete=True))
+
+
+def _kron_consistent(H, U, s, rank: int, p: Trajectory) -> np.ndarray:
+    """``M(p) U_r S_r`` in the blocks of ``H``: each ``p (x) w`` row minus
+    ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
+    K = (U[:, :rank] * s[:rank]).reshape(H.shape[:3] + (rank,))
+    K[:, 1:] -= p.samples[:, :, None, None] * K[:, :1]
+    return K
+
+
+def _input_rows(H: np.ndarray, Vt: np.ndarray, n_u: int) -> np.ndarray:
+    """Rows ``u``, ``p (x) u`` of ``H V``: the singular values of the input
+    Hankel matrix.  Those rows of ``U S`` would turn zero inputs into rounding."""
+    return H[:, :, :n_u].reshape(-1, H.shape[-1]) @ Vt.T
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> tuple[int, np.ndarray]:
@@ -233,25 +260,28 @@ def check_pe(
     y: Trajectory | None = None,
     tol: float = 1e-9,
 ) -> PeReport:
-    """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``."""
+    """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
+
+    With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks."""
     if u.interval != p.interval:
         raise InvalidShape(f"u and p intervals differ: {u.interval} vs {p.interval}")
     if u.length < L:
         raise InvalidShape(f"data length {u.length} shorter than order L={L}")
-    ext_in = kron_extend(u, p)
-    rank_in, svals = numeric_rank(hankel(ext_in, L).data, tol)
-    required = (1 + p.dim) * u.dim * L
     hankel_rank = None
-    if y is not None:
+    if y is None:
+        inputs = hankel(kron_extend(u, p), L).data
+    else:
         if y.interval != u.interval:
             raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
         w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-        hankel_rank, _ = numeric_rank(hankel(kron_extend(w, p), L).data, tol)
+        H, _, _, Vt, hankel_rank = _lifted_factor(w, p, L, tol)
+        inputs = _input_rows(H, Vt, u.dim)
+    rank_in, svals = numeric_rank(inputs, tol)
     return PeReport(
         order_L=L,
         extended_input_rank=rank_in,
-        required=required,
+        required=inputs.shape[0],
         hankel_rank=hankel_rank,
-        verdict=rank_in == required,
+        verdict=rank_in == inputs.shape[0],
         singular_values=tuple(float(s) for s in svals),
     )

@@ -25,13 +25,11 @@ report goes to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +40,7 @@ from .errors import LpvError
 from .experiments import generate_record
 from .models import LpvIoModel, LpvSsModel, example_verhoek, load_model
 from .prediction import DataRecord, predict
-from .signals import read_trajectory_csv, trajectory_to_csv
+from .signals import Trajectory, read_trajectory_csv, trajectory_to_csv
 from .simulation import simulate_ss
 
 EXIT_OK = 0
@@ -54,6 +52,16 @@ EXIT_INFEASIBLE = 5
 
 class ConfigError(Exception):
     pass
+
+
+def _is_box(b) -> bool:
+    """A ``[lo, hi]`` pair of numbers with ``lo <= hi``."""
+    return (
+        isinstance(b, (list, tuple))
+        and len(b) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in b)
+        and b[0] <= b[1]
+    )
 
 
 @dataclass
@@ -69,7 +77,6 @@ class ExperimentConfig:
     tol: float = 1e-7
     margin_tol: float = 1e-7
     format: str = "csv"
-    extra: dict = field(default_factory=dict)
 
     def window_L(self) -> int:
         return self.L if self.L is not None else self.T_ini + self.T_r
@@ -83,17 +90,24 @@ class ExperimentConfig:
             raise ConfigError(
                 f"T={self.T} shorter than T_ini + T_r = {self.T_ini + self.T_r}"
             )
-        if self.input_box[0] > self.input_box[1]:
-            raise ConfigError(f"empty input box {self.input_box}")
-        if self.scheduling_box is not None:
-            boxes = self.scheduling_box
-            if boxes and np.isscalar(boxes[0]):
-                boxes = [boxes]
-            for b in boxes:
-                if len(b) != 2 or b[0] > b[1]:
-                    raise ConfigError(f"bad scheduling box {b}")
+        if not _is_box(self.input_box):
+            raise ConfigError(f"bad input_box {self.input_box}")
+        boxes = self.scheduling_box or []
+        if boxes and np.isscalar(boxes[0]):
+            boxes = [boxes]
+        for b in boxes:
+            if not _is_box(b):
+                raise ConfigError(f"bad scheduling_box entry {b}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+
+
+# JSON types accepted per config key; ``bool`` is rejected everywhere.
+_CONFIG_TYPES = {
+    "model": str, "T": int, "T_ini": int, "T_r": int, "L": (int, type(None)),
+    "seed": int, "input_box": list, "scheduling_box": (list, type(None)),
+    "tol": (int, float), "margin_tol": (int, float), "format": str,
+}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -104,21 +118,18 @@ def _load_config(args) -> ExperimentConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config}: expected a JSON object")
         for key, value in data.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
-                cfg.extra[key] = value
-    for key in ("model", "T", "T_ini", "T_r", "L", "seed", "tol", "format"):
+            if key not in _CONFIG_TYPES:
+                raise ConfigError(f"config {args.config}: unknown key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+                raise ConfigError(f"config {args.config}: {key} has wrong type: {value!r}")
+            setattr(cfg, key, value)
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "margin_tol", None) is not None:
-        cfg.margin_tol = args.margin_tol
-    if getattr(args, "input_box", None) is not None:
-        cfg.input_box = tuple(args.input_box)
-    if getattr(args, "scheduling_box", None) is not None:
-        cfg.scheduling_box = list(args.scheduling_box)
     cfg.validate()
     return cfg
 
@@ -237,20 +248,11 @@ def _load_query(args) -> dict:
 
 
 def _plot_data_csv(truth, predicted) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    both = Trajectory(predicted.t_start, np.hstack([truth.samples, predicted.samples]))
     n = truth.dim
-    header = ["t"]
-    header += [f"truth{i + 1}" for i in range(n)]
+    header = ["t"] + [f"truth{i + 1}" for i in range(n)]
     header += [f"predicted{i + 1}" for i in range(n)]
-    writer.writerow(header)
-    for k in range(truth.length):
-        t = predicted.t_start + k
-        row = [t]
-        row += [repr(float(v)) for v in truth.samples[k]]
-        row += [repr(float(v)) for v in predicted.samples[k]]
-        writer.writerow(row)
-    return buf.getvalue()
+    return ",".join(header) + "\n" + trajectory_to_csv(both).split("\n", 1)[1]
 
 
 def cmd_predict(args) -> int:
@@ -258,19 +260,16 @@ def cmd_predict(args) -> int:
     record = _load_record(args)
     query = _load_query(args)
     out_dir = Path(args.out_dir)
-    try:
-        result = predict(
-            record,
-            query["u_ini"],
-            query["p_ini"],
-            query["y_ini"],
-            query["u_r"],
-            query["p_r"],
-            tol=cfg.tol,
-            margin_tol=cfg.margin_tol,
-        )
-    except LpvError as exc:
-        raise ConfigError(f"inconsistent prediction inputs: {exc}") from exc
+    result = predict(
+        record,
+        query["u_ini"],
+        query["p_ini"],
+        query["y_ini"],
+        query["u_r"],
+        query["p_r"],
+        tol=cfg.tol,
+        margin_tol=cfg.margin_tol,
+    )
 
     max_err = None
     truth = query["y_r_truth"]
@@ -320,10 +319,7 @@ def cmd_check(args) -> int:
     cfg = _load_config(args)
     record = _load_record(args)
     L = cfg.window_L()
-    try:
-        pe = check_pe(record.u, record.p, L, y=record.y)
-    except LpvError as exc:
-        raise ConfigError(f"cannot run excitation check: {exc}") from exc
+    pe = check_pe(record.u, record.p, L, y=record.y)
 
     payload: dict = {"pe": json.loads(pe.to_json())}
     summary: dict = {

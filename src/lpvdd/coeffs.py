@@ -149,10 +149,6 @@ class PolyCoeff:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return all(mono == () for _, mono in self.terms)
-
-    @property
     def constant_value(self) -> float:
         for coeff, mono in self.terms:
             if mono == ():

@@ -6,23 +6,24 @@ trajectory can be read off a stacked Hankel system: the measured signals and
 their Kronecker extensions ``p (x) u``, ``p (x) y`` supply the columns, and
 block-diagonal matrices built from the *query* scheduling impose that any
 column combination is Kronecker-consistent with the query.  The stacked
-system is
+system (:func:`build_predictor`, the specification) is
 
     [ H_L(u)                          ]       [ vec(u_query) ]
     [ H_L(p (x) u) - P_u H_L(u)       ]  g =  [ 0            ]
     [ H_L(y)                          ]       [ vec(y_query) ]
     [ H_L(p (x) y) - P_y H_L(y)       ]       [ 0             ]
 
-where only the initial portion of ``vec(y_query)`` is known.  The unknown
-future output rows are removed, the remaining (known-row) system is solved
-by minimum-norm least squares, and the future outputs are recovered by
-applying the removed rows to the solution.
+where only the initial portion of ``vec(y_query)`` is known.  Up to a row
+permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
+``r``) comes from the record alone and ``M(p)`` is unit lower
+block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
+minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
+future output rows applied to ``z`` give the prediction.
 
 Uniqueness of the recovered outputs is certified by a margin: the smallest
-singular value of the known-row block restricted to the row space of the
-full stack.  The margin vanishes exactly when some column combination
-changes the future output rows without touching any known row, i.e. when
-the future outputs are not determined by the data.
+singular value of the known rows of ``K``.  It vanishes exactly when some
+column combination changes the future output rows without touching any
+known row, i.e. when the future outputs are not determined by the data.
 """
 
 from __future__ import annotations
@@ -33,8 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _min_norm_solve, _rank_factor, check_pe, numeric_rank
-from .coeffs import CoeffMatrix, PolyCoeff
+from .analysis import (
+    _input_rows,
+    _kron_consistent,
+    _lifted_factor,
+    _min_norm_solve,
+    _rank_factor,
+    numeric_rank,
+)
+from .coeffs import CoeffMatrix
 from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
 from .models import KernelRep
 from .signals import (
@@ -45,7 +53,6 @@ from .signals import (
     kron_signal,
     read_trajectory_csv,
     sched_block_diag,
-    vec,
     write_trajectory_csv,
 )
 
@@ -99,10 +106,6 @@ class DataRecord:
     def w(self) -> Trajectory:
         """Stacked signal ``col(u, y)``."""
         return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
-
-    def extended(self) -> Trajectory:
-        """Kronecker-extended stacked signal ``col(w, p (x) w)``."""
-        return kron_extend(self.w, self.p)
 
     # -- interchange ----------------------------------------------------------
 
@@ -173,18 +176,16 @@ class RowPartition:
 
     @property
     def u_constraint_rows(self) -> slice:
-        start = self.n_u * self.L
-        return slice(start, start + self.n_p * self.n_u * self.L)
+        return slice(self.u_rows.stop, (1 + self.n_p) * self.n_u * self.L)
 
     @property
     def y_rows(self) -> slice:
-        start = (1 + self.n_p) * self.n_u * self.L
+        start = self.u_constraint_rows.stop
         return slice(start, start + self.n_y * self.L)
 
     @property
     def y_constraint_rows(self) -> slice:
-        start = (1 + self.n_p) * self.n_u * self.L + self.n_y * self.L
-        return slice(start, start + self.n_p * self.n_y * self.L)
+        return slice(self.y_rows.stop, self.total_rows)
 
     @property
     def total_rows(self) -> int:
@@ -280,7 +281,6 @@ def predict(
     tol: float = 1e-7,
     margin_tol: float = 1e-7,
     rank_rtol: float = 1e-9,
-    n_x_hypothesis: int | None = None,
 ) -> PredictionResult:
     """Predict the future outputs of a query trajectory from recorded data.
 
@@ -306,57 +306,38 @@ def predict(
     T_ini, T_r = u_ini.length, u_r.length
     if y_ini.length != T_ini or p_ini.length != T_ini or p_r.length != T_r:
         raise InvalidShape("query window lengths are inconsistent")
-    L = T_ini + T_r
+    L, n_u = T_ini + T_r, data.n_u
 
-    u_bar = concat(u_ini.rebase(1), u_r.rebase(T_ini + 1))
+    H, U_H, s_H, Vt_H, rank_H = _lifted_factor(data.w, data.p, L, rank_rtol)
     p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
-    system = build_predictor(data, p_bar, L)
-    part = system.row_partition
+    K = _kron_consistent(H, U_H, s_H, rank_H, p_bar)
+    # Every row is known but the outputs after T_ini; targets are zero on the
+    # Kronecker-consistency rows.
+    known = np.ones(K.shape[:3], dtype=bool)
+    known[T_ini:, 0, n_u:] = False
+    b = np.zeros(K.shape[:3])
+    b[:, 0, :n_u] = np.vstack([u_ini.samples, u_r.samples])
+    b[:T_ini, 0, n_u:] = y_ini.samples
+    A, b = K[known], b[known]
 
-    known = part.known_rows(T_ini)
-    future = part.y_future_rows(T_ini)
-    A = system.matrix[known]
-    Y = system.matrix[future]
-    b = np.zeros(part.total_rows)
-    b[part.u_rows] = vec(u_bar)
-    b[part.y_initial_rows(T_ini)] = vec(y_ini)
-    b = b[known]
+    # The known rows of the stack are A V_r^T: one SVD of A gives the solve,
+    # the residual and the margin.
+    U, s, Vt, rank = _rank_factor(A, rank_rtol)
+    z = _min_norm_solve(U, s, Vt, rank, b)
+    residual = float(np.linalg.norm(A @ z - b))
+    margin = float(s[-1]) if s.size else 0.0
 
-    g = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
-    residual = float(np.linalg.norm(A @ g - b))
-    y_r_values = (Y @ g).reshape(T_r, data.n_y)
-
-    # Margin: sigma_min of the known rows restricted to the row space of the
-    # full stack.  Directions outside that row space affect neither the
-    # equations nor the future outputs, so they are quotiented away; a zero
-    # margin means some direction moves the future outputs while being
-    # invisible to every known row.
-    _, _, Vt, full_rank = _rank_factor(system.matrix, rank_rtol)
-    _, s_known = numeric_rank(A @ Vt[:full_rank].T)
-    margin = float(s_known[-1]) if s_known.size else 0.0
-
-    pe = check_pe(data.u, data.p, L)
+    inputs = _input_rows(H, Vt_H, n_u)
+    input_rank, _ = numeric_rank(inputs)  # check_pe's tolerance
+    required = inputs.shape[0]
     warnings: list[str] = []
-    if not pe.verdict:
+    if input_rank < required:
         warnings.append(
             f"data not persistently exciting at order {L}: "
-            f"extended input rank {pe.extended_input_rank} < {pe.required}"
+            f"extended input rank {input_rank} < {required}"
         )
-    if n_x_hypothesis is not None:
-        order = L + n_x_hypothesis
-        if data.T >= order:
-            pe_hi = check_pe(data.u, data.p, order)
-            if not pe_hi.verdict:
-                warnings.append(
-                    f"excitation order {order} not reached: rank "
-                    f"{pe_hi.extended_input_rank} < {pe_hi.required}"
-                )
-        else:
-            warnings.append(
-                f"cannot verify excitation at order {order}: data length {data.T} too short"
-            )
 
-    if margin <= margin_tol or not pe.verdict:
+    if margin <= margin_tol or input_rank < required:
         verdict = "ambiguous"
     elif residual > tol:
         verdict = "infeasible"
@@ -367,16 +348,16 @@ def predict(
         "T_ini": T_ini,
         "T_r": T_r,
         "L": L,
-        "col_count": system.col_count,
+        "col_count": Vt_H.shape[1],
         "known_row_count": int(A.shape[0]),
-        "full_stack_rank": full_rank,
-        "extended_input_rank": pe.extended_input_rank,
-        "required_input_rank": pe.required,
+        "full_stack_rank": rank_H,
+        "extended_input_rank": input_rank,
+        "required_input_rank": required,
         "warnings": warnings,
     }
     return PredictionResult(
-        y_r=Trajectory(T_ini + 1, y_r_values),
-        g=g,
+        y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
+        g=Vt_H[:rank_H].T @ z,
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
@@ -409,16 +390,18 @@ def span_membership(
         raise DimensionMismatch(
             f"w_test has dim {w_test.dim}, expected {data.n_u + data.n_y}"
         )
+    if p_test.dim != data.n_p:
+        raise DimensionMismatch(f"p_test has dim {p_test.dim}, expected {data.n_p}")
     L = w_test.length
     if p_test.length != L:
         raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
-    Hw = hankel(data.w, L).data
-    Hpw = hankel(kron_signal(data.w, data.p), L).data
-    Pw = sched_block_diag(p_test, w_test.dim)
-    A = np.vstack([Hw, Hpw - Pw @ Hw])
-    b = np.concatenate([vec(w_test), np.zeros(Hpw.shape[0])])
-    g = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
-    residual = float(np.linalg.norm(A @ g - b))
+    H, U, s, _, rank = _lifted_factor(data.w, data.p, L, rank_rtol)
+    b = np.zeros(H.shape[:3])
+    b[:, 0] = w_test.samples
+    A = _kron_consistent(H, U, s, rank, p_test).reshape(b.size, rank)
+    b = b.reshape(-1)
+    z = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
+    residual = float(np.linalg.norm(A @ z - b))
     return MembershipResult(member=residual <= tol, residual=residual)
 
 
@@ -441,18 +424,10 @@ class LeftNullspace:
 
     def annihilator(self, i: int) -> KernelRep:
         """Basis row ``i`` as a polynomial-in-shift kernel row over ``w``."""
-        row = self.basis[i]
-        step = (1 + self.n_p) * self.n_w
-        coeffs = []
-        for s in range(self.L):
-            block = row[s * step : (s + 1) * step]
-            entries = []
-            for j in range(self.n_w):
-                const = block[j]
-                linear = [block[self.n_w + jp * self.n_w + j] for jp in range(self.n_p)]
-                entries.append(PolyCoeff.affine(const, linear, n_p=self.n_p, offset=s))
-            coeffs.append(CoeffMatrix([entries]))
-        return KernelRep(tuple(coeffs))
+        blocks = self.basis[i].reshape(self.L, 1 + self.n_p, 1, self.n_w)
+        return KernelRep(
+            tuple(CoeffMatrix.affine(b[0], b[1:], offset=s) for s, b in enumerate(blocks))
+        )
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
         """Largest violation of any basis row on all windows of ``(w, p)``."""
@@ -464,10 +439,7 @@ class LeftNullspace:
 
 def left_nullspace(data: DataRecord, L: int, tol: float = 1e-9) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
-    if data.T < L:
-        raise InvalidShape(f"data length {data.T} shorter than window L={L}")
-    H = hankel(data.extended(), L).data
-    U, s, _, rank = _rank_factor(H, tol)
+    _, U, s, _, rank = _lifted_factor(data.w, data.p, L, tol)
     basis = U[:, rank:].T
     return LeftNullspace(
         basis=basis,

@@ -248,6 +248,9 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if b != a + 1:
             raise InvalidShape(f"non-consecutive time steps {a} -> {b}")
     samples = np.array(rows, dtype=float).reshape(len(times), dim)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise InvalidShape(f"non-finite sample at time step {times[bad[0]]}")
     return Trajectory(times[0], samples)
 
 
@@ -257,5 +260,8 @@ def write_trajectory_csv(path, w: Trajectory) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return trajectory_from_csv(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return trajectory_from_csv(fh.read())
+    except InvalidShape as exc:
+        raise InvalidShape(f"{path}: {exc}") from None

@@ -171,6 +171,11 @@ def test_check_pe_zero_input_fails():
     rep = check_pe(u, p, 2)
     assert not rep.verdict
     assert rep.extended_input_rank == 0
+    # read from the factor of the full lifted Hankel matrix, zero inputs must
+    # still give rank 0, not rounding noise that passes the relative cut
+    with_y = check_pe(u, p, 2, y=rand_traj(rng, 1, 10))
+    assert not with_y.verdict
+    assert with_y.extended_input_rank == 0
 
 
 def test_check_pe_lti_degenerate():
@@ -191,6 +196,9 @@ def test_check_pe_example_data_at_order_seven():
     assert rep.verdict
     assert rep.hankel_rank is not None and rep.hankel_rank >= 21
     json.loads(rep.to_json())  # serializable
+    # the input singular values come from the full factor when y is given
+    alone = np.array(check_pe(rec.u, rec.p, 7).singular_values)
+    assert np.allclose(rep.singular_values, alone, rtol=0, atol=1e-13 * alone[0])
 
 
 def test_check_pe_monotone_in_order():

@@ -249,6 +249,51 @@ def test_config_file_with_flag_override(tmp_path):
     assert read_trajectory_csv(tmp_path / "c2" / "u.csv").length == 30
 
 
+def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
+    _simulate(tmp_path, T=70)
+    y = tmp_path / "data" / "y.csv"
+    lines = y.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    y.write_text("\n".join(lines) + "\n")
+    _write_query(tmp_path / "query")
+    out = tmp_path / "out"
+    code = main([
+        "predict", "--data-dir", str(tmp_path / "data"),
+        "--query-dir", str(tmp_path / "query"), "--out-dir", str(out),
+    ])
+    assert code == 2
+    assert "y.csv" in capsys.readouterr().err
+    assert not (out / "prediction.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ([1], ("cfg.json",)),
+        ({"Tt": 40}, ("cfg.json", "Tt")),
+        ({"T": "40"}, ("cfg.json", "T")),
+        ({"seed": True}, ("cfg.json", "seed")),
+        ({"tol": "1e-7"}, ("cfg.json", "tol")),
+        ({"input_box": [-1, "1"]}, ("input_box",)),
+        ({"scheduling_box": [[0, 1], 2]}, ("scheduling_box",)),
+    ],
+)
+def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named), err
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_tol_accepts_an_integer(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 25, "tol": 0, "margin_tol": 1}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+
+
 def test_json_format_bundle(tmp_path):
     assert _simulate(tmp_path, out="jb", T=30, extra=("--format", "json")) == 0
     bundle = tmp_path / "jb" / "record.json"

@@ -12,6 +12,8 @@ T = 61; several tests below pin it.
 import numpy as np
 import pytest
 from conftest import rand_traj
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvdd import (
     CoeffMatrix,
@@ -21,6 +23,7 @@ from lpvdd import (
     LpvIoModel,
     Trajectory,
     build_predictor,
+    check_pe,
     concat,
     example_verhoek,
     generate_query,
@@ -28,8 +31,10 @@ from lpvdd import (
     hankel,
     io_to_kernel,
     kron_extend,
+    kron_signal,
     left_nullspace,
     predict,
+    sched_block_diag,
     simulate_io,
     span_membership,
 )
@@ -406,19 +411,6 @@ def test_data_record_rejects_interval_mismatch():
         DataRecord(u=rec.u, p=rec.p, y=rec.y.rebase(2))
 
 
-def test_predict_excitation_order_warnings():
-    q = _query(seed=71)
-    # long record, hypothesis verifiable and satisfied: no warnings
-    res = predict(_record(80), q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r,
-                  n_x_hypothesis=2)
-    assert res.diagnostics["warnings"] == []
-    # record long enough to predict but too short to check order L + n_x
-    rec = _record(11)
-    res2 = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r,
-                   n_x_hypothesis=2)
-    assert any("cannot verify" in w for w in res2.diagnostics["warnings"])
-
-
 def test_left_nullspace_requires_enough_data():
     with pytest.raises(InvalidShape):
         left_nullspace(_record(5), 7)
@@ -470,3 +462,126 @@ def test_predict_svd_outputs_do_not_grow_with_column_count_squared(monkeypatch):
     assert calls
     for in_size, largest_out in calls:
         assert largest_out <= in_size
+
+
+def test_membership_rejects_scheduling_of_wrong_dim():
+    rec = _record(30)
+    w = rec.w.restrict(1, 5)
+    with pytest.raises(DimensionMismatch):
+        span_membership(rec, w, Trajectory(1, np.zeros((5, 1))))
+
+
+# -- factor against the dense stacked system ------------------------------------
+
+
+def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
+    """``predict`` on the literal :func:`build_predictor` stack."""
+    T_ini, T_r = q.u_ini.length, q.u_r.length
+    L = T_ini + T_r
+    p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(T_ini + 1))
+    system = build_predictor(rec, p_bar, L)
+    M, part = system.matrix, system.row_partition
+    b = np.zeros(part.total_rows)
+    b[part.u_rows] = np.concatenate([q.u_ini.samples.ravel(), q.u_r.samples.ravel()])
+    b[part.y_initial_rows(T_ini)] = q.y_ini.samples.ravel()
+    known = part.known_rows(T_ini)
+    A, b = M[known], b[known]
+    g = np.linalg.pinv(A, rcond=rtol) @ b
+    residual = float(np.linalg.norm(A @ g - b))
+    _, s, Vt = np.linalg.svd(M)
+    rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+    s_known = np.linalg.svd(A @ Vt[:rank].T, compute_uv=False)
+    margin = float(s_known[-1]) if s_known.size else 0.0
+    pe = check_pe(rec.u, rec.p, L)
+    if margin <= margin_tol or not pe.verdict:
+        verdict = "ambiguous"
+    elif residual > tol:
+        verdict = "infeasible"
+    else:
+        verdict = "ok"
+    y_r = (M[part.y_future_rows(T_ini)] @ g).reshape(T_r, rec.n_y)
+    return y_r, residual, margin, verdict, float(np.linalg.norm(M, 2))
+
+
+def _dense_membership_residual(rec, w, p, rtol=1e-9):
+    L = w.length
+    Hw = hankel(rec.w, L).data
+    Hpw = hankel(kron_signal(rec.w, rec.p), L).data
+    A = np.vstack([Hw, Hpw - sched_block_diag(p, w.dim) @ Hw])
+    b = np.concatenate([w.samples.ravel(), np.zeros(Hpw.shape[0])])
+    return float(np.linalg.norm(A @ (np.linalg.pinv(A, rcond=rtol) @ b) - b))
+
+
+_LTI = LpvIoModel(
+    a_coeffs=(CoeffMatrix.constant([[-0.4]], 0),),
+    b_coeffs=(CoeffMatrix.constant([[0.8]], 0),),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["verhoek", "lti", "zero"]),
+    seed=st.integers(0, 2**16),
+    T_ini=st.integers(1, 4),
+    T_r=st.integers(1, 6),
+    extra=st.integers(0, 70),
+)
+def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
+    # extra spans tall records (T - L + 1 below the 6 L stacked rows of the
+    # built-in model) and saturated wide ones
+    L = T_ini + T_r
+    T = L + extra
+    if kind == "lti":
+        rec = generate_record(_LTI, T, seed)
+        q = generate_query(_LTI, T_ini, T_r, seed + 1)
+    else:
+        rec = _record(T, seed=seed)
+        if kind == "zero":
+            zeros = Trajectory(1, np.zeros((T, 1)))
+            rec = DataRecord(u=zeros, p=rec.p, y=zeros)
+        q = _query(seed=seed + 1, T_ini=T_ini, T_r=T_r)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    y_r, residual, margin, verdict, scale = _dense_oracle(rec, q)
+    assert res.verdict == verdict
+    assert abs(res.residual - residual) <= 1e-9 * (1 + residual)
+    assert abs(res.output_uniqueness_margin - margin) <= 1e-12 * (1 + scale)
+    if verdict == "ok":
+        assert np.max(np.abs(res.y_r.samples - y_r)) <= 1e-9 * (1 + np.max(np.abs(y_r)))
+    if kind == "zero":
+        assert res.diagnostics["full_stack_rank"] == 0
+        assert res.output_uniqueness_margin == 0.0
+        assert res.residual == pytest.approx(
+            np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
+        )
+
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p = concat(q.p_ini, q.p_r)
+    dense = _dense_membership_residual(rec, w, p)
+    assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+
+
+def _wide_svd_calls(monkeypatch, fn, cols):
+    """Number of ``np.linalg.svd`` calls on a matrix with ``cols`` columns."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    fn()
+    monkeypatch.undo()
+    return sum(1 for shape in shapes if shape[-1] == cols)
+
+
+def test_one_wide_svd_per_predict_and_per_check_pe(monkeypatch):
+    rec = _record(400)
+    q = _query(seed=3)
+    L = q.u_ini.length + q.u_r.length
+    cols = rec.T - L + 1
+    calls = _wide_svd_calls(
+        monkeypatch, lambda: predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r), cols
+    )
+    assert calls == 1
+    assert _wide_svd_calls(monkeypatch, lambda: check_pe(rec.u, rec.p, L, y=rec.y), cols) == 1

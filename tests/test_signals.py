@@ -216,6 +216,21 @@ def test_csv_rejects_malformed():
         trajectory_from_csv("t,ch1\n")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_csv_rejects_non_finite_samples(bad):
+    with pytest.raises(InvalidShape, match="time step 3"):
+        trajectory_from_csv(f"t,ch1,ch2\n2,1.0,2.0\n3,0.5,{bad}\n")
+
+
+def test_read_csv_error_names_the_file(tmp_path):
+    from lpvdd import read_trajectory_csv
+
+    path = tmp_path / "y.csv"
+    path.write_text("t,ch1\n1,nan\n")
+    with pytest.raises(InvalidShape, match="y.csv"):
+        read_trajectory_csv(path)
+
+
 def test_csv_file_round_trip(tmp_path):
     from lpvdd import read_trajectory_csv, write_trajectory_csv
 
