@@ -25,7 +25,9 @@ from .analysis import (
     is_struct_observable,
     is_struct_reachable,
     minimality_report,
+    obsv_eval,
     obsv_matrix,
+    reach_eval,
     reach_matrix,
     structural_rank,
 )
@@ -99,7 +101,6 @@ from .simulation import (
     SimResult,
     estimate_initial_state,
     impulse_coeff,
-    obsv_eval,
     propagate_state,
     response_map,
     simulate_io,

@@ -8,6 +8,13 @@ generic full-rank property fails only on a measure-zero set of draws, so the
 verdict demands success on every trial; a single structured failure is worth
 surfacing rather than averaging away.
 
+The symbolic observability and reachability matrices (:func:`obsv_matrix`,
+:func:`reach_matrix`) are the specification; their entries have up to
+``(1 + n_p)^(n - 1)`` terms.  Observability and reachability tests evaluate
+the same maps by their numeric recursions (:func:`obsv_eval`,
+:func:`reach_eval`) at the same drawn windows, since shifting a coefficient
+commutes with evaluating it.
+
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
 Hankel matrix of full row rank ``(1 + n_p) n_u L``.
@@ -32,6 +39,8 @@ __all__ = [
     "MinimalityReport",
     "obsv_matrix",
     "reach_matrix",
+    "obsv_eval",
+    "reach_eval",
     "structural_rank",
     "is_struct_observable",
     "is_struct_reachable",
@@ -127,6 +136,53 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
+def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
+    """Evaluated ``n``-step observability map at time ``k``.
+
+    Block row ``i`` equals ``C(k+i-1) A(k+i-2) ... A(k)``; computed by the
+    recursion directly, which agrees with evaluating :func:`obsv_matrix`
+    because shifts commute with evaluation.
+    """
+    C = model.C.eval_range(p, k, k + n - 1)
+    A = model.A.eval_range(p, k, k + n - 2)
+    out = np.empty((n, model.n_y, model.n_x))
+    prod = np.eye(model.n_x)
+    for i in range(n):
+        out[i] = C[i] @ prod
+        if i < n - 1:
+            prod = A[i] @ prod
+    return out.reshape(n * model.n_y, model.n_x)
+
+
+def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
+    """Evaluated ``n``-step reachability map at time ``k``.
+
+    Block column ``i`` equals ``A(k) ... A(k-i+2) B(k-i+1)``, the evaluation
+    of :func:`reach_matrix`, computed by the recursion.
+    """
+    B = model.B.eval_range(p, k - n + 1, k)[::-1]  # B[i] is B(k - i)
+    A = model.A.eval_range(p, k - n + 2, k)[::-1]
+    out = np.empty((n, model.n_x, model.n_u))
+    prod = np.eye(model.n_x)
+    for i in range(n):
+        out[i] = prod @ B[i]
+        if i < n - 1:
+            prod = prod @ A[i]
+    return out.transpose(1, 0, 2).reshape(model.n_x, n * model.n_u)
+
+
+def _shifted_hull(*parts) -> tuple[int, int]:
+    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
+    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
+
+    This is the window of a product of shifted copies of the ``M``s unless
+    terms cancel exactly."""
+    spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
+    if not spans:
+        return (0, 0)
+    return (min(s[0] for s in spans), max(s[1] for s in spans))
+
+
 @dataclass(frozen=True)
 class StructuralRankReport:
     """Outcome of a randomized functional-rank test."""
@@ -140,6 +196,31 @@ class StructuralRankReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
+
+
+def _sampled_rank(evaluate, window, n_p, required, trials, tol, seed, box=(-1.0, 1.0)):
+    """The trial loop of :func:`structural_rank`: ``evaluate(p)`` at ``trials``
+    scheduling windows ``p`` on ``window`` drawn from ``stream(seed, "trials")``."""
+    if trials < 1:
+        raise InvalidShape(f"trials must be >= 1, got {trials}")
+    lo, hi = window
+    rng = stream(seed, "trials")
+    passes = 0
+    best = 0
+    for _ in range(trials):
+        p = Trajectory(lo, rng.uniform(box[0], box[1], (hi - lo + 1, n_p)))
+        rank, _ = numeric_rank(evaluate(p), tol)
+        best = max(best, rank)
+        if rank >= required:
+            passes += 1
+    return StructuralRankReport(
+        tested_rank=best,
+        required_rank=required,
+        num_trials=trials,
+        pass_count=passes,
+        tolerance=tol,
+        verdict=passes == trials,
+    )
 
 
 def structural_rank(
@@ -156,44 +237,34 @@ def structural_rank(
     i.i.d. uniform on ``box`` (per component, per needed offset).  The
     verdict requires the numeric rank to reach ``required`` on every trial.
     """
-    if trials < 1:
-        raise InvalidShape(f"trials must be >= 1, got {trials}")
-    lo, hi = M.window if M.window is not None else (0, 0)
-    rng = stream(seed, "trials")
-    passes = 0
-    best = 0
-    for _ in range(trials):
-        p = Trajectory(lo, rng.uniform(box[0], box[1], (hi - lo + 1, M.n_p)))
-        rank, _ = numeric_rank(M.eval(p, 0), tol)
-        best = max(best, rank)
-        if rank >= required:
-            passes += 1
-    return StructuralRankReport(
-        tested_rank=best,
-        required_rank=required,
-        num_trials=trials,
-        pass_count=passes,
-        tolerance=tol,
-        verdict=passes == trials,
-    )
+    return _sampled_rank(lambda p: M.eval(p, 0), M.window or (0, 0), M.n_p,
+                         required, trials, tol, seed, box)
 
 
 def is_struct_observable(
     model: LpvSsModel, trials: int = 20, tol: float = 1e-9, seed: int = 0
 ) -> StructuralRankReport:
-    """Full column rank of the ``n_x``-step observability matrix, generically."""
-    return structural_rank(
-        obsv_matrix(model, model.n_x), model.n_x, trials=trials, tol=tol, seed=seed
-    )
+    """Full column rank of the ``n_x``-step observability matrix, generically.
+
+    Same draws and verdict as ``structural_rank(obsv_matrix(model, n_x), n_x)``,
+    evaluated by :func:`obsv_eval`."""
+    n = model.n_x
+    window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
+    return _sampled_rank(lambda p: obsv_eval(model, n, p, 0), window, model.n_p,
+                         n, trials, tol, seed)
 
 
 def is_struct_reachable(
     model: LpvSsModel, trials: int = 20, tol: float = 1e-9, seed: int = 0
 ) -> StructuralRankReport:
-    """Full row rank of the ``n_x``-step reachability matrix, generically."""
-    return structural_rank(
-        reach_matrix(model, model.n_x), model.n_x, trials=trials, tol=tol, seed=seed
-    )
+    """Full row rank of the ``n_x``-step reachability matrix, generically.
+
+    Same draws and verdict as ``structural_rank(reach_matrix(model, n_x), n_x)``,
+    evaluated by :func:`reach_eval`."""
+    n = model.n_x
+    window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
+    return _sampled_rank(lambda p: reach_eval(model, n, p, 0), window, model.n_p,
+                         n, trials, tol, seed)
 
 
 @dataclass(frozen=True)

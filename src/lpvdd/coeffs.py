@@ -18,11 +18,23 @@ as it must be for scheduling-dependent coefficients.
 
 :class:`CoeffMatrix` lifts the scalar calculus entrywise to matrices, with
 matrix products combining entry products and sums.
+
+The symbolic algebra is the specification; numeric code does not run it.
+Each :class:`CoeffMatrix` is lowered once, on first evaluation, to a
+compiled form: the sorted table of the distinct monomials of its entries
+and a coefficient tensor ``C`` of shape ``(n_mono, rows * cols)``, with
+``C[m, i * cols + j]`` the coefficient of monomial ``m`` in entry ``(i, j)``.
+Evaluating along ``p`` at every ``k`` in ``k1..k2`` is then one product
+``Phi(p) @ C``, where ``Phi[k, m]`` is the value of monomial ``m`` at time
+``k`` (:meth:`CoeffMatrix.eval_range`); :meth:`CoeffMatrix.eval` is its
+one-step case.  The compiled form is cached on the instance, whose entries
+are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -323,12 +335,25 @@ class CoeffMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @cached_property
+    def _compiled(self):
+        """``(monomials, C, window)``: the sorted distinct monomials of the
+        entries, the coefficient tensor ``C`` of shape ``(n_mono, rows * cols)``
+        and the hull of their offsets (None if constant)."""
+        flat = [e for row in self.entries for e in row]
+        monos = sorted({mono for e in flat for _, mono in e.terms})
+        index = {mono: m for m, mono in enumerate(monos)}
+        coeffs = np.zeros((len(monos), len(flat)))
+        for j, e in enumerate(flat):
+            for c, mono in e.terms:
+                coeffs[index[mono], j] = c
+        offsets = [off for mono in monos for _, off, _ in mono]
+        window = (min(offsets), max(offsets)) if offsets else None
+        return monos, coeffs, window
+
     @property
     def window(self) -> tuple[int, int] | None:
-        wins = [e.window for row in self.entries for e in row if e.window]
-        if not wins:
-            return None
-        return (min(w[0] for w in wins), max(w[1] for w in wins))
+        return self._compiled[2]
 
     @property
     def is_zero(self) -> bool:
@@ -396,11 +421,31 @@ class CoeffMatrix:
 
     def eval(self, p: Trajectory, k: int) -> np.ndarray:
         """Real matrix obtained by evaluating every entry along ``p`` at ``k``."""
-        out = np.empty((self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.eval(p, k)
-        return out
+        return self.eval_range(p, k, k)[0]
+
+    def eval_range(self, p: Trajectory, k1: int, k2: int) -> np.ndarray:
+        """Evaluations along ``p`` at ``k = k1, ..., k2``, shape ``(k2 - k1 + 1, rows, cols)``.
+
+        One product ``Phi @ C`` of the monomial values ``Phi[k, m]`` with the
+        compiled coefficient tensor; empty when ``k2 < k1``.
+        """
+        if p.dim != self.n_p:
+            raise DimensionMismatch(
+                f"scheduling dim {p.dim} does not match coefficient n_p {self.n_p}"
+            )
+        monos, coeffs, win = self._compiled
+        n = max(k2 - k1 + 1, 0)
+        if n and win is not None and not p.covers(k1 + win[0], k2 + win[1]):
+            raise WindowOutOfRange(
+                f"evaluation at k={k1}..{k2} needs p on [{k1 + win[0]}, {k2 + win[1]}], "
+                f"have [{p.t_start}, {p.t_end}]"
+            )
+        phi = np.ones((n, len(monos)))
+        for m, mono in enumerate(monos):
+            for comp, off, pw in mono:
+                start = k1 + off - p.t_start
+                phi[:, m] *= p.samples[start : start + n, comp - 1] ** pw
+        return (phi @ coeffs).reshape(n, self.rows, self.cols)
 
     @staticmethod
     def vstack(blocks) -> "CoeffMatrix":

@@ -175,11 +175,9 @@ class KernelRep:
         if k_hi < k_lo:
             raise WindowOutOfRange("no admissible evaluation times for kernel residual")
         out = np.zeros((k_hi - k_lo + 1, self.n_r))
-        for idx, k in enumerate(range(k_lo, k_hi + 1)):
-            acc = np.zeros(self.n_r)
-            for s, r in enumerate(self.coeffs):
-                acc += r.eval(p, k) @ w.value(k + s)
-            out[idx] = acc
+        for s, r in enumerate(self.coeffs):
+            out += np.einsum("kij,kj->ki", r.eval_range(p, k_lo, k_hi),
+                             w.restrict(k_lo + s, k_hi + s).samples)
         return out
 
 
@@ -342,14 +340,17 @@ def _poly_to_entry(c: PolyCoeff) -> list:
     ]
 
 
-def _entry_to_poly(entry, n_p: int) -> PolyCoeff:
+def _entry_to_poly(entry, n_p: int, where: str) -> PolyCoeff:
     terms = []
     for term in entry:
         mono = tuple(
             (int(v["comp"]), int(v["offset"]), int(v["power"]))
             for v in term.get("vars", [])
         )
-        terms.append((float(term["coeff"]), mono))
+        coeff = float(term["coeff"])
+        if not np.isfinite(coeff):
+            raise InvalidModel(f"{where}: non-finite coefficient {coeff}")
+        terms.append((coeff, mono))
     return PolyCoeff(n_p, tuple(terms))
 
 
@@ -357,8 +358,11 @@ def _matrix_to_lists(m: CoeffMatrix) -> list:
     return [[_poly_to_entry(e) for e in row] for row in m.entries]
 
 
-def _matrix_from_lists(data, n_p: int) -> CoeffMatrix:
-    return CoeffMatrix([[_entry_to_poly(e, n_p) for e in row] for row in data])
+def _matrix_from_lists(data, n_p: int, name: str) -> CoeffMatrix:
+    return CoeffMatrix(
+        [[_entry_to_poly(e, n_p, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
+         for i, row in enumerate(data)]
+    )
 
 
 def model_to_dict(model) -> dict:
@@ -393,15 +397,13 @@ def model_from_dict(data: dict):
     n_p = int(data["n_p"])
     if kind == "ss":
         return LpvSsModel(
-            A=_matrix_from_lists(data["A"], n_p),
-            B=_matrix_from_lists(data["B"], n_p),
-            C=_matrix_from_lists(data["C"], n_p),
-            D=_matrix_from_lists(data["D"], n_p),
+            **{name: _matrix_from_lists(data[name], n_p, name) for name in "ABCD"}
         )
     if kind == "io":
         return LpvIoModel(
-            a_coeffs=tuple(_matrix_from_lists(m, n_p) for m in data["a_coeffs"]),
-            b_coeffs=tuple(_matrix_from_lists(m, n_p) for m in data["b_coeffs"]),
+            **{key: tuple(_matrix_from_lists(m, n_p, f"{key}[{i}]")
+                          for i, m in enumerate(data[key]))
+               for key in ("a_coeffs", "b_coeffs")}
         )
     raise InvalidModel(f"unknown model kind {kind!r}")
 

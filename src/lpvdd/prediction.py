@@ -47,6 +47,7 @@ from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
 from .models import KernelRep
 from .signals import (
     Trajectory,
+    _check_finite,
     concat,
     hankel,
     kron_extend,
@@ -122,20 +123,30 @@ class DataRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DataRecord":
-        def traj(d: dict) -> Trajectory:
-            return Trajectory(int(d["t_start"]), np.asarray(d["samples"], dtype=float))
+        def traj(name: str) -> Trajectory:
+            d = data[name]
+            try:
+                return _check_finite(
+                    Trajectory(int(d["t_start"]), np.asarray(d["samples"], dtype=float))
+                )
+            except InvalidShape as exc:
+                raise InvalidShape(f"{name}: {exc}") from None
 
         return cls(
-            u=traj(data["u"]),
-            p=traj(data["p"]),
-            y=traj(data["y"]),
+            u=traj("u"),
+            p=traj("p"),
+            y=traj("y"),
             provenance=str(data.get("provenance", "")),
         )
 
     @classmethod
     def from_json_bundle(cls, path) -> "DataRecord":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls.from_dict(data)
+        except InvalidShape as exc:
+            raise InvalidShape(f"{path}: {exc}") from None
 
     @classmethod
     def from_csv_dir(cls, directory, provenance: str = "") -> "DataRecord":

@@ -248,10 +248,16 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if b != a + 1:
             raise InvalidShape(f"non-consecutive time steps {a} -> {b}")
     samples = np.array(rows, dtype=float).reshape(len(times), dim)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    return _check_finite(Trajectory(times[0], samples))
+
+
+def _check_finite(w: Trajectory) -> Trajectory:
+    """``w`` itself; :class:`InvalidShape` naming the first time step that
+    holds a NaN or infinite sample."""
+    bad = np.flatnonzero(~np.isfinite(w.samples).all(axis=1))
     if bad.size:
-        raise InvalidShape(f"non-finite sample at time step {times[bad[0]]}")
-    return Trajectory(times[0], samples)
+        raise InvalidShape(f"non-finite sample at time step {w.t_start + bad[0]}")
+    return w
 
 
 def write_trajectory_csv(path, w: Trajectory) -> None:

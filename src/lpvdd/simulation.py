@@ -7,12 +7,16 @@ affine map
 
 where ``O_T`` stacks the step-wise output maps of the free response and
 ``T_T`` is the lower block-triangular matrix of impulse-response
-coefficients.  Both objects exist twice here: as symbolic
-:class:`~lpvdd.coeffs.CoeffMatrix` constructions (:func:`impulse_coeff`,
-:func:`toeplitz`, and the observability matrix from :mod:`lpvdd.analysis`)
-and as fast numeric evaluations along a concrete scheduling trajectory
-(:func:`obsv_eval`, :func:`toeplitz_eval`).  The two routes agree exactly
-because shifting a coefficient commutes with evaluation.
+coefficients.  The symbolic :class:`~lpvdd.coeffs.CoeffMatrix`
+constructions (:func:`impulse_coeff`, :func:`toeplitz`, and the
+observability matrix from :mod:`lpvdd.analysis`) are their specification.
+Numeric code evaluates them along a concrete scheduling trajectory
+(:func:`~lpvdd.analysis.obsv_eval`, :func:`toeplitz_eval`) by recursions on
+the model's coefficients, each read once over the whole time range through
+the one evaluator :meth:`~lpvdd.coeffs.CoeffMatrix.eval_range`.  The two
+routes agree because shifting a coefficient commutes with evaluation.  The
+simulators read their coefficients the same way, so only the state or
+output recursion itself is a loop over time.
 
 Initial-state estimation solves the window equation above for ``x1`` by a
 singular-value least squares solve, reporting the smallest singular value of
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _min_norm_solve, _rank_factor
+from .analysis import _min_norm_solve, _rank_factor, obsv_eval
 from .coeffs import CoeffMatrix
 from .errors import (
     DimensionMismatch,
@@ -42,7 +46,6 @@ __all__ = [
     "simulate_io",
     "impulse_coeff",
     "toeplitz",
-    "obsv_eval",
     "toeplitz_eval",
     "response_map",
     "InitialStateEstimate",
@@ -83,18 +86,13 @@ def simulate_ss(
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {model.n_x}")
     _check_ss_windows(model, u, p)
     t1, t2 = u.interval
-    T = u.length
-    xs = np.zeros((T + 1, model.n_x))
-    ys = np.zeros((T, model.n_y))
+    A, B, C, D = (M.eval_range(p, t1, t2) for M in (model.A, model.B, model.C, model.D))
+    Bu = np.einsum("kij,kj->ki", B, u.samples)
+    xs = np.empty((u.length + 1, model.n_x))
     xs[0] = x0
-    for i, k in enumerate(range(t1, t2 + 1)):
-        Ak = model.A.eval(p, k)
-        Bk = model.B.eval(p, k)
-        Ck = model.C.eval(p, k)
-        Dk = model.D.eval(p, k)
-        uk = u.value(k)
-        ys[i] = Ck @ xs[i] + Dk @ uk
-        xs[i + 1] = Ak @ xs[i] + Bk @ uk
+    for i in range(u.length):
+        xs[i + 1] = A[i] @ xs[i] + Bu[i]
+    ys = np.einsum("kij,kj->ki", C, xs[:-1]) + np.einsum("kij,kj->ki", D, u.samples)
     return SimResult(
         y=Trajectory(t1, ys), x=Trajectory(t1, xs), domain=(t1, t2)
     )
@@ -117,23 +115,28 @@ def simulate_io(model: LpvIoModel, u: Trajectory, p: Trajectory, y_init) -> Traj
             f"y_init has {y_init.shape[0]} samples, expected n_a={model.n_a}"
         )
     t1, t2 = u.interval
-    T = u.length
-    if T < model.n_a:
-        raise WindowOutOfRange(f"interval of length {T} shorter than n_a={model.n_a}")
-    if T > model.n_a and not p.covers(t1, t2 - 1):
+    T, n_a = u.length, model.n_a
+    if T < n_a:
+        raise WindowOutOfRange(f"interval of length {T} shorter than n_a={n_a}")
+    ys = np.empty((T, model.n_y))
+    ys[:n_a] = y_init
+    if T == n_a:
+        return Trajectory(t1, ys)
+    if not p.covers(t1, t2 - 1):
         # a_i/b_i at step k only read p(k - i), i >= 1
         raise WindowOutOfRange(
             f"recursion needs p on [{t1}, {t2 - 1}], have [{p.t_start}, {p.t_end}]"
         )
-    ys = np.zeros((T, model.n_y))
-    ys[: model.n_a] = y_init
-    for i, k in enumerate(range(t1 + model.n_a, t2 + 1), start=model.n_a):
-        acc = np.zeros(model.n_y)
-        for lag, a in enumerate(model.a_coeffs, start=1):
-            acc -= a.eval(p, k) @ ys[i - lag]
-        for lag, b in enumerate(model.b_coeffs, start=1):
-            acc += b.eval(p, k) @ u.value(k - lag)
-        ys[i] = acc
+    k1 = t1 + n_a
+    # row i of a is [a_1 | ... | a_{n_a}] at time k1 + i, acting on
+    # col(y(k-1), ..., y(k-n_a)); acc holds the input terms
+    a = np.concatenate([m.eval_range(p, k1, t2) for m in model.a_coeffs], axis=2)
+    acc = np.zeros((T - n_a, model.n_y))
+    for lag, b in enumerate(model.b_coeffs, start=1):
+        acc += np.einsum("kij,kj->ki", b.eval_range(p, k1, t2),
+                         u.restrict(k1 - lag, t2 - lag).samples)
+    for i in range(n_a, T):
+        ys[i] = acc[i - n_a] - a[i - n_a] @ ys[i - n_a : i][::-1].reshape(-1)
     return Trajectory(t1, ys)
 
 
@@ -172,37 +175,24 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     return CoeffMatrix.vstack(rows)
 
 
-def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
-    """Evaluated ``n``-step observability map at time ``k``.
-
-    Block row ``i`` equals ``C(k+i-1) A(k+i-2) ... A(k)``; computed by the
-    recursion directly, which agrees exactly with evaluating the symbolic
-    observability matrix because shifts commute with evaluation.
-    """
-    out = np.zeros((n * model.n_y, model.n_x))
-    prod = np.eye(model.n_x)
-    for i in range(n):
-        out[i * model.n_y : (i + 1) * model.n_y] = model.C.eval(p, k + i) @ prod
-        if i < n - 1:
-            prod = model.A.eval(p, k + i) @ prod
-    return out
-
-
 def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated impulse-response Toeplitz matrix at window start ``k``."""
     n_y, n_u = model.n_y, model.n_u
+    A = model.A.eval_range(p, k + 1, k + t1 - 2)  # A[i - 1] is A(k + i)
+    B = model.B.eval_range(p, k, k + t1 - 1)
+    C = model.C.eval_range(p, k + 1, k + t1 - 1)  # C[i - 1] is C(k + i)
+    D = model.D.eval_range(p, k, k + t1 - 1)
     out = np.zeros((t1 * n_y, t1 * n_u))
-    for j in range(1, t1 + 1):
-        t = k + j - 1  # injection instant of column block j
-        out[(j - 1) * n_y : j * n_y, (j - 1) * n_u : j * n_u] = model.D.eval(p, t)
-        carry = model.B.eval(p, t)
-        for i in range(j + 1, t1 + 1):
-            # carry holds A(t+i-j-1) ... A(t+1) B(t)
-            out[(i - 1) * n_y : i * n_y, (j - 1) * n_u : j * n_u] = (
-                model.C.eval(p, t + i - j) @ carry
-            )
-            if i < t1:
-                carry = model.A.eval(p, t + i - j) @ carry
+    # carry holds the block columns A(k+i-1) ... A(k+j+1) B(k+j), j < i
+    carry = np.zeros((model.n_x, 0))
+    for i in range(t1):
+        rows = slice(i * n_y, (i + 1) * n_y)
+        if i:
+            out[rows, : i * n_u] = C[i - 1] @ carry
+            if i < t1 - 1:
+                carry = A[i - 1] @ carry
+        out[rows, i * n_u : (i + 1) * n_u] = D[i]
+        carry = np.hstack([carry, B[i]])
     return out
 
 
@@ -296,10 +286,12 @@ def propagate_state(
         raise DimensionMismatch(f"x1 has length {x1.shape[0]}, expected {model.n_x}")
     _check_ss_windows(model, u_ini, p_ini)
     t1, t2 = u_ini.interval
-    # suffix[j] = A(t2) A(t2-1) ... A(t1+j)  built backwards
+    A = model.A.eval_range(p_ini, t1, t2)
+    Bu = np.einsum("kij,kj->ki", model.B.eval_range(p_ini, t1, t2), u_ini.samples)
+    # prod = A(t2) A(t2-1) ... A(k+1)  built backwards
     acc = np.zeros(model.n_x)
     prod = np.eye(model.n_x)
-    for k in range(t2, t1 - 1, -1):
-        acc += prod @ model.B.eval(p_ini, k) @ u_ini.value(k)
-        prod = prod @ model.A.eval(p_ini, k)
+    for i in range(u_ini.length - 1, -1, -1):
+        acc += prod @ Bu[i]
+        prod = prod @ A[i]
     return prod @ x1 + acc

@@ -10,7 +10,9 @@ from lpvdd import (
     CoeffMatrix,
     InvalidShape,
     LpvSsModel,
+    PolyCoeff,
     Trajectory,
+    analysis,
     check_pe,
     example_verhoek,
     generate_record,
@@ -19,6 +21,7 @@ from lpvdd import (
     minimality_report,
     obsv_matrix,
     random_affine_ss,
+    reach_eval,
     reach_matrix,
     simulate_ss,
     structural_rank,
@@ -240,3 +243,59 @@ def test_pe_report_json_field_names():
         "order_L", "extended_input_rank", "required",
         "hankel_rank", "verdict", "singular_values",
     }
+
+
+def _shifted_affine_ss(rng, n_x, n_p):
+    """Random affine model whose four matrices read p at offsets in -2..2."""
+    m = random_affine_ss(rng, n_x, int(rng.integers(1, 3)), int(rng.integers(1, 3)), n_p)
+    A, B, C, D = (M.shift(int(rng.integers(-2, 3))) for M in (m.A, m.B, m.C, m.D))
+    return LpvSsModel(A=A, B=B, C=C, D=D)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
+    rng = np.random.default_rng(200 + case)
+    n_x, n_p = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    m = _shifted_affine_ss(rng, n_x, n_p) if case % 2 else random_affine_ss(
+        rng, n_x, int(rng.integers(1, 3)), int(rng.integers(1, 3)), n_p)
+    seed = int(rng.integers(1000))
+    drawn = {}
+    for name in ("obsv_eval", "reach_eval"):
+        def recording(model, n, p, k, real=getattr(analysis, name), name=name):
+            drawn.setdefault(name, set()).add(p.interval)
+            return real(model, n, p, k)
+
+        monkeypatch.setattr(analysis, name, recording)
+
+    O, R = obsv_matrix(m, n_x), reach_matrix(m, n_x)
+    assert is_struct_observable(m, trials=6, seed=seed) == structural_rank(
+        O, n_x, trials=6, seed=seed)
+    assert is_struct_reachable(m, trials=6, seed=seed) == structural_rank(
+        R, n_x, trials=6, seed=seed)
+    assert drawn == {"obsv_eval": {O.window or (0, 0)}, "reach_eval": {R.window or (0, 0)}}
+
+
+def test_reach_eval_matches_symbolic():
+    rng = np.random.default_rng(16)
+    m = _shifted_affine_ss(rng, 3, 2)
+    R = reach_matrix(m, 4)
+    p = rand_traj(rng, 2, 20, t_start=-10)
+    assert np.allclose(reach_eval(m, 4, p, 3), R.eval(p, 3), rtol=0, atol=1e-13)
+
+
+def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):
+    calls = []
+    for cls, name in ((CoeffMatrix, "__matmul__"), (PolyCoeff, "eval")):
+        def counting(*args, real=getattr(cls, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    rng = np.random.default_rng(17)
+    m = random_affine_ss(rng, n_x=4, n_u=2, n_y=2, n_p=2)
+    obsv_matrix(m, 2).entry(0, 0).eval(rand_traj(rng, 2, 3, t_start=-1), 0)
+    assert calls == ["__matmul__", "eval"]  # the counters see the symbolic route
+    calls.clear()
+    assert minimality_report(m, trials=4).minimal
+    simulate_ss(m, np.zeros(4), rand_traj(rng, 2, 50), rand_traj(rng, 2, 50))
+    assert calls == []

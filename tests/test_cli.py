@@ -230,6 +230,51 @@ def test_check_ss_model_reports_structural(tmp_path):
     assert payload["structural"]["observable"]["num_trials"] == 20
 
 
+def test_check_large_ss_model_is_minimal(tmp_path, capsys):
+    _simulate(tmp_path, T=40)
+    model_path = tmp_path / "m.json"
+    save_model(model_path, random_affine_ss(np.random.default_rng(6), 6, 1, 1, 3))
+    code = main([
+        "check", "--data-dir", str(tmp_path / "data"), "--L", "5",
+        "--model", str(model_path),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["minimal"] is True
+
+
+def test_check_rejects_nan_in_data_bundle(tmp_path, capsys):
+    _simulate(tmp_path, out="jb", T=30, extra=("--format", "json"))
+    bundle = tmp_path / "jb" / "record.json"
+    data = json.loads(bundle.read_text())
+    data["y"]["samples"][5][0] = float("nan")
+    bundle.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "chk"
+    code = main(["check", "--data-bundle", str(bundle), "--L", "7", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "record.json" in err and "y:" in err, err
+    assert not out.exists()
+
+
+def test_check_rejects_nan_coefficient_in_model(tmp_path, capsys):
+    _simulate(tmp_path, T=40)
+    model_path = tmp_path / "m.json"
+    save_model(model_path, random_affine_ss(np.random.default_rng(1), 2, 1, 1, 2))
+    data = json.loads(model_path.read_text())
+    data["A"][0][1][0]["coeff"] = float("nan")
+    model_path.write_text(json.dumps(data))
+    out = tmp_path / "chk"
+    code = main([
+        "check", "--data-dir", str(tmp_path / "data"), "--L", "5",
+        "--model", str(model_path), "--out-dir", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m.json" in err and "A[0][1]" in err, err
+    assert not out.exists()
+
+
 def test_check_missing_data_exit_config(tmp_path):
     assert main(["check", "--data-dir", str(tmp_path / "void"), "--L", "5"]) == 2
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import rand_coeff_matrix, rand_poly, rand_traj, traj_covering
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpvdd import (
     CoeffMatrix,
@@ -201,3 +203,72 @@ def test_matrix_dimension_errors():
         mat_mul(A, B)
     with pytest.raises(DimensionMismatch):
         CoeffMatrix.zeros(2, 2, 1) @ CoeffMatrix.zeros(2, 2, 2)
+
+
+# -- compiled evaluation -------------------------------------------------------
+
+
+@st.composite
+def coeff_matrices(draw):
+    """Polynomial, all-zero and constant matrices over n_p = 0..3; monomials
+    with powers up to 3, repeated variables and offsets in -3..3."""
+    n_p = draw(st.integers(0, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["poly", "zero", "constant"]))
+    if kind == "zero":
+        return CoeffMatrix.zeros(rows, cols, n_p)
+    coeff = st.floats(-2, 2, allow_nan=False)
+    if kind == "constant" or n_p == 0:
+        values = draw(st.lists(coeff, min_size=rows * cols, max_size=rows * cols))
+        return CoeffMatrix.constant(np.reshape(values, (rows, cols)), n_p)
+    var = st.tuples(st.integers(1, n_p), st.integers(-3, 3), st.integers(1, 3))
+    term = st.tuples(coeff, st.lists(var, max_size=3).map(tuple))
+    entry = st.lists(term, max_size=4).map(lambda terms: PolyCoeff(n_p, tuple(terms)))
+    return CoeffMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+_SQUARED_REPEATED = CoeffMatrix([
+    [PolyCoeff(2, ((1.5, ((1, -2, 2), (2, 3, 1))), (-0.5, ((2, 1, 1), (2, 1, 1))))),
+     PolyCoeff(2, ((2.0, ((1, 0, 3),)), (0.25, ())))],
+])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(M=coeff_matrices(), k1=st.integers(-4, 4), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+@example(M=_SQUARED_REPEATED, k1=0, n=5, seed=0)
+@example(M=CoeffMatrix.zeros(2, 3, 2), k1=1, n=3, seed=0)
+@example(M=CoeffMatrix.constant([[1.0, -2.0], [0.5, 3.0]], 1), k1=-1, n=4, seed=0)
+@example(M=CoeffMatrix.constant([[1.0, -2.0]], 0), k1=2, n=2, seed=0)
+def test_eval_range_matches_entrywise_eval(M, k1, n, seed):
+    rng = np.random.default_rng(seed)
+    k2 = k1 + n - 1
+    p = traj_covering(rng, M, M.n_p, k1, k2)
+    got = M.eval_range(p, k1, k2)
+    want = np.array([[[e.eval(p, k) for e in row] for row in M.entries]
+                     for k in range(k1, k2 + 1)])
+    assert got.shape == (n, M.rows, M.cols)
+    scale = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= scale
+    assert np.max(np.abs(M.eval(p, k2) - want[-1])) <= scale
+
+    # the same error class as PolyCoeff.eval on a short p and a wrong p.dim
+    if M.window is not None:
+        late = Trajectory(p.t_start + 1, p.samples)
+        first = next(e for row in M.entries for e in row
+                     if e.window and e.window[0] == M.window[0])
+        with pytest.raises(WindowOutOfRange):
+            first.eval(late, k1)
+        with pytest.raises(WindowOutOfRange):
+            M.eval_range(late, k1, k2)
+    wrong = Trajectory(p.t_start, np.ones((p.length, M.n_p + 1)))
+    with pytest.raises(DimensionMismatch):
+        M.entry(0, 0).eval(wrong, k1)
+    with pytest.raises(DimensionMismatch):
+        M.eval_range(wrong, k1, k2)
+
+
+def test_eval_range_of_no_times_is_empty():
+    M = CoeffMatrix.affine([[1.0, 2.0]], ([[0.5, -1.0]],), offset=-1)
+    p = Trajectory(1, np.ones((3, 1)))
+    assert M.eval_range(p, 5, 4).shape == (0, 1, 2)
