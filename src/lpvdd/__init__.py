@@ -35,14 +35,7 @@ from .coeffs import (
     CoeffMatrix,
     PolyCoeff,
     SchedVar,
-    add,
     eval_diamond,
-    mat_eval,
-    mat_mul,
-    mat_shift_bwd,
-    mat_shift_fwd,
-    mul,
-    shift_bwd,
     shift_fwd,
 )
 from .errors import (

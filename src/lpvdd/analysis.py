@@ -85,10 +85,10 @@ def _lifted_factor(w: Trajectory, p: Trajectory, L: int, tol: float):
     return (H.reshape(L, 1 + p.dim, w.dim, -1), *_rank_factor(H, tol, complete=True))
 
 
-def _kron_consistent(H, U, s, rank: int, p: Trajectory) -> np.ndarray:
-    """``M(p) U_r S_r`` in the blocks of ``H``: each ``p (x) w`` row minus
-    ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
-    K = (U[:, :rank] * s[:rank]).reshape(H.shape[:3] + (rank,))
+def _kron_consistent(shape, U, s, rank: int, p: Trajectory) -> np.ndarray:
+    """``M(p) U_r S_r`` in the ``shape`` blocks of ``H``: each ``p (x) w`` row
+    minus ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
+    K = (U[:, :rank] * s[:rank]).reshape(shape[:3] + (rank,))
     K[:, 1:] -= p.samples[:, :, None, None] * K[:, :1]
     return K
 

@@ -86,10 +86,6 @@ class ExperimentConfig:
             raise ConfigError(f"T must be >= 1, got {self.T}")
         if self.T_ini < 1 or self.T_r < 1:
             raise ConfigError("T_ini and T_r must be >= 1")
-        if self.T < self.T_ini + self.T_r:
-            raise ConfigError(
-                f"T={self.T} shorter than T_ini + T_r = {self.T_ini + self.T_r}"
-            )
         if not _is_box(self.input_box):
             raise ConfigError(f"bad input_box {self.input_box}")
         boxes = self.scheduling_box or []

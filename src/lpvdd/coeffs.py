@@ -47,13 +47,6 @@ __all__ = [
     "CoeffMatrix",
     "eval_diamond",
     "shift_fwd",
-    "shift_bwd",
-    "add",
-    "mul",
-    "mat_mul",
-    "mat_shift_fwd",
-    "mat_shift_bwd",
-    "mat_eval",
 ]
 
 # A monomial is a sorted tuple of (component, offset, power) triples with
@@ -466,7 +459,7 @@ class CoeffMatrix:
         )
 
 
-# -- operation-style aliases -------------------------------------------------
+# -- function forms --------------------------------------------------------
 
 
 def eval_diamond(c: PolyCoeff, p: Trajectory, k: int) -> float:
@@ -477,32 +470,3 @@ def eval_diamond(c: PolyCoeff, p: Trajectory, k: int) -> float:
 def shift_fwd(c, n: int = 1):
     """Increment every scheduling offset by ``n`` (coefficient one step ahead)."""
     return c.shift(n)
-
-
-def shift_bwd(c, n: int = 1):
-    """Decrement every scheduling offset by ``n`` (coefficient one step back)."""
-    return c.shift(-n)
-
-
-def add(c1: PolyCoeff, c2: PolyCoeff) -> PolyCoeff:
-    return c1 + c2
-
-
-def mul(c1: PolyCoeff, c2: PolyCoeff) -> PolyCoeff:
-    return c1 * c2
-
-
-def mat_mul(m1: CoeffMatrix, m2: CoeffMatrix) -> CoeffMatrix:
-    return m1 @ m2
-
-
-def mat_shift_fwd(m: CoeffMatrix, n: int = 1) -> CoeffMatrix:
-    return m.shift(n)
-
-
-def mat_shift_bwd(m: CoeffMatrix, n: int = 1) -> CoeffMatrix:
-    return m.shift(-n)
-
-
-def mat_eval(m: CoeffMatrix, p: Trajectory, k: int) -> np.ndarray:
-    return m.eval(p, k)

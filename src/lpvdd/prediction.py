@@ -18,12 +18,16 @@ permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
 ``r``) comes from the record alone and ``M(p)`` is unit lower
 block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
 minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
-future output rows applied to ``z`` give the prediction.
+future output rows applied to ``z`` give the prediction.  The SVD of ``H``
+is taken once per record and depth (:meth:`DataRecord.lifted`); a query
+costs work on the ``R x r`` matrix ``K`` and one product with ``H^T``.
 
-Uniqueness of the recovered outputs is certified by a margin: the smallest
-singular value of the known rows of ``K``.  It vanishes exactly when some
-column combination changes the future output rows without touching any
-known row, i.e. when the future outputs are not determined by the data.
+Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
+singular value of the known rows of ``K``, and 0 when there are fewer than
+``r`` known rows.  ``K`` has full column rank ``r``, so a column
+combination that changes no known row changes the future output rows; the
+future outputs are determined by the data exactly when the margin is
+positive.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _cut,
     _input_rows,
     _kron_consistent,
     _lifted_factor,
@@ -79,6 +84,7 @@ class DataRecord:
     p: Trajectory
     y: Trajectory
     provenance: str = ""
+    _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
     def __post_init__(self):
         if not (self.u.interval == self.p.interval == self.y.interval):
@@ -107,6 +113,23 @@ class DataRecord:
     def w(self) -> Trajectory:
         """Stacked signal ``col(u, y)``."""
         return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
+
+    def lifted(self, L: int):
+        """``(shape, U, s, pe)`` of ``H = H_L(col(w, p (x) w))``, factored once per ``L``.
+
+        ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, ``U``
+        its complete left basis (``R x R``), ``s`` its singular values and
+        ``pe`` the ``(rank, singular values)`` of its ``u``, ``p (x) u`` rows
+        at :func:`check_pe`'s cut.  No rank is cut on ``s``, so one factor
+        serves every tolerance, and nothing kept has an axis of length ``N``.
+        """
+        if L not in self._lifted:
+            H, U, s, Vt, _ = _lifted_factor(self.w, self.p, L, 0.0)
+            U.setflags(write=False)
+            s.setflags(write=False)
+            pe = numeric_rank(_input_rows(H, Vt, self.n_u))
+            self._lifted[L] = (H.shape, U, s, pe)
+        return self._lifted[L]
 
     # -- interchange ----------------------------------------------------------
 
@@ -319,9 +342,10 @@ def predict(
         raise InvalidShape("query window lengths are inconsistent")
     L, n_u = T_ini + T_r, data.n_u
 
-    H, U_H, s_H, Vt_H, rank_H = _lifted_factor(data.w, data.p, L, rank_rtol)
+    shape, U_H, s_H, (input_rank, _) = data.lifted(L)
+    rank_H = _cut(s_H, rank_rtol)
     p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
-    K = _kron_consistent(H, U_H, s_H, rank_H, p_bar)
+    K = _kron_consistent(shape, U_H, s_H, rank_H, p_bar)
     # Every row is known but the outputs after T_ini; targets are zero on the
     # Kronecker-consistency rows.
     known = np.ones(K.shape[:3], dtype=bool)
@@ -332,15 +356,13 @@ def predict(
     A, b = K[known], b[known]
 
     # The known rows of the stack are A V_r^T: one SVD of A gives the solve,
-    # the residual and the margin.
+    # the residual and the margin, sigma_r of A (0 when A has fewer than r rows).
     U, s, Vt, rank = _rank_factor(A, rank_rtol)
     z = _min_norm_solve(U, s, Vt, rank, b)
     residual = float(np.linalg.norm(A @ z - b))
-    margin = float(s[-1]) if s.size else 0.0
+    margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
 
-    inputs = _input_rows(H, Vt_H, n_u)
-    input_rank, _ = numeric_rank(inputs)  # check_pe's tolerance
-    required = inputs.shape[0]
+    required = L * shape[1] * n_u
     warnings: list[str] = []
     if input_rank < required:
         warnings.append(
@@ -359,16 +381,18 @@ def predict(
         "T_ini": T_ini,
         "T_r": T_r,
         "L": L,
-        "col_count": Vt_H.shape[1],
+        "col_count": shape[-1],
         "known_row_count": int(A.shape[0]),
         "full_stack_rank": rank_H,
         "extended_input_rank": input_rank,
         "required_input_rank": required,
         "warnings": warnings,
     }
+    # g = V_r z with V_r = H^T U_r S_r^-1, from H rebuilt rather than kept
+    H = hankel(kron_extend(data.w, data.p), L).data
     return PredictionResult(
         y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
-        g=Vt_H[:rank_H].T @ z,
+        g=H.T @ (U_H[:, :rank_H] @ (z / s_H[:rank_H])),
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
@@ -406,10 +430,11 @@ def span_membership(
     L = w_test.length
     if p_test.length != L:
         raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
-    H, U, s, _, rank = _lifted_factor(data.w, data.p, L, rank_rtol)
-    b = np.zeros(H.shape[:3])
+    shape, U, s, _ = data.lifted(L)
+    rank = _cut(s, rank_rtol)
+    b = np.zeros(shape[:3])
     b[:, 0] = w_test.samples
-    A = _kron_consistent(H, U, s, rank, p_test).reshape(b.size, rank)
+    A = _kron_consistent(shape, U, s, rank, p_test).reshape(b.size, rank)
     b = b.reshape(-1)
     z = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
     residual = float(np.linalg.norm(A @ z - b))
@@ -450,7 +475,8 @@ class LeftNullspace:
 
 def left_nullspace(data: DataRecord, L: int, tol: float = 1e-9) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
-    _, U, s, _, rank = _lifted_factor(data.w, data.p, L, tol)
+    _, U, s, _ = data.lifted(L)
+    rank = _cut(s, tol)
     basis = U[:, rank:].T
     return LeftNullspace(
         basis=basis,

@@ -66,6 +66,16 @@ def test_simulate_rejects_bad_horizon(tmp_path):
     assert _simulate(tmp_path, T=0) == 2
 
 
+def test_simulate_shorter_than_default_window(tmp_path, capsys):
+    # simulate reads no T_ini or T_r; a record shorter than their defaults is
+    # written, and the data-length check belongs to the command that uses L
+    assert _simulate(tmp_path, T=5) == 0
+    assert read_trajectory_csv(tmp_path / "data" / "y.csv").interval == (1, 5)
+    capsys.readouterr()
+    assert main(["check", "--data-dir", str(tmp_path / "data"), "--L", "10"]) == 2
+    assert "data length 5 shorter than order L=10" in capsys.readouterr().err
+
+
 def test_simulate_zero_input_box_gives_zero_output(tmp_path):
     code = _simulate(tmp_path, out="z", extra=("--input-box", "0", "0"))
     assert code == 0

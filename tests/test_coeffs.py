@@ -12,13 +12,7 @@ from lpvdd import (
     PolyCoeff,
     Trajectory,
     WindowOutOfRange,
-    add,
     eval_diamond,
-    mat_eval,
-    mat_mul,
-    mat_shift_fwd,
-    mul,
-    shift_bwd,
     shift_fwd,
 )
 
@@ -73,7 +67,7 @@ def test_eval_errors():
 def test_shift_of_constant_is_identity():
     c = PolyCoeff.constant(3.5, n_p=1)
     assert shift_fwd(c) == c
-    assert shift_bwd(c) == c
+    assert c.shift(-1) == c
 
 
 def test_shift_eval_commutation_is_exact():
@@ -87,7 +81,7 @@ def test_shift_eval_commutation_is_exact():
         k = 0
         # identical float operations on identical samples: bitwise equality
         assert eval_diamond(sc, p, k) == eval_diamond(c, p, k + 1)
-        assert shift_bwd(shift_fwd(c)) == c
+        assert shift_fwd(c).shift(-1) == c
         assert (win[0] + 1, win[1] + 1) == (sc.window or (1, 1))
 
 
@@ -101,13 +95,13 @@ def test_noncommutativity_witness():
 def test_mul_by_zero_annihilates():
     rng = np.random.default_rng(4)
     c = rand_poly(rng, 2)
-    assert mul(c, PolyCoeff.zero(2)).is_zero
+    assert (c * PolyCoeff.zero(2)).is_zero
 
 
 def test_add_negate_gives_zero():
     rng = np.random.default_rng(5)
     c = rand_poly(rng, 2)
-    assert add(c, -c).is_zero
+    assert (c + -c).is_zero
 
 
 def test_mul_add_evaluation_oracle():
@@ -118,8 +112,8 @@ def test_mul_add_evaluation_oracle():
         both = c1 * c2 + c1
         p = traj_covering(rng, both, n_p, k_lo=0, k_hi=0)
         v1, v2 = eval_diamond(c1, p, 0), eval_diamond(c2, p, 0)
-        assert eval_diamond(mul(c1, c2), p, 0) == pytest.approx(v1 * v2, rel=1e-12, abs=1e-12)
-        assert eval_diamond(add(c1, c2), p, 0) == pytest.approx(v1 + v2, rel=1e-12, abs=1e-12)
+        assert eval_diamond(c1 * c2, p, 0) == pytest.approx(v1 * v2, rel=1e-12, abs=1e-12)
+        assert eval_diamond(c1 + c2, p, 0) == pytest.approx(v1 + v2, rel=1e-12, abs=1e-12)
 
 
 def test_ring_laws_under_evaluation():
@@ -164,7 +158,7 @@ def test_window_is_tight_hull():
 def test_identity_matrix_evaluates_to_identity():
     I = CoeffMatrix.identity(3, n_p=2)
     p = rand_traj(np.random.default_rng(8), 2, 3)
-    assert np.array_equal(mat_eval(I, p, 2), np.eye(3))
+    assert np.array_equal(I.eval(p, 2), np.eye(3))
 
 
 def test_constant_matrices_multiply_like_reals():
@@ -172,7 +166,7 @@ def test_constant_matrices_multiply_like_reals():
     A, B = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     MA, MB = CoeffMatrix.constant(A, 1), CoeffMatrix.constant(B, 1)
     p = rand_traj(rng, 1, 1)
-    assert np.allclose(mat_eval(mat_mul(MA, MB), p, 1), A @ B, atol=1e-14)
+    assert np.allclose((MA @ MB).eval(p, 1), A @ B, atol=1e-14)
 
 
 def test_matrix_product_evaluation_oracle():
@@ -182,15 +176,15 @@ def test_matrix_product_evaluation_oracle():
         M2 = rand_coeff_matrix(rng, 3, 3, 2)
         prod = M1 @ M2
         p = traj_covering(rng, prod, 2, k_lo=0, k_hi=0)
-        direct = mat_eval(prod, p, 0)
-        factored = mat_eval(M1, p, 0) @ mat_eval(M2, p, 0)
+        direct = prod.eval(p, 0)
+        factored = M1.eval(p, 0) @ M2.eval(p, 0)
         assert np.max(np.abs(direct - factored)) < 1e-12
 
 
 def test_matrix_shift_distributes_entrywise():
     rng = np.random.default_rng(11)
     M = rand_coeff_matrix(rng, 2, 3, 2)
-    S = mat_shift_fwd(M)
+    S = M.shift(1)
     for i in range(2):
         for j in range(3):
             assert S.entry(i, j) == shift_fwd(M.entry(i, j))
@@ -200,7 +194,7 @@ def test_matrix_dimension_errors():
     A = CoeffMatrix.zeros(2, 3, 1)
     B = CoeffMatrix.zeros(2, 3, 1)
     with pytest.raises(DimensionMismatch):
-        mat_mul(A, B)
+        A @ B
     with pytest.raises(DimensionMismatch):
         CoeffMatrix.zeros(2, 2, 1) @ CoeffMatrix.zeros(2, 2, 2)
 

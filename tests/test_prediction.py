@@ -9,6 +9,8 @@ when T - L + 1 >= 5L + 2, i.e. T >= 6L + 1.  For L = 10 that threshold is
 T = 61; several tests below pin it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import rand_traj
@@ -34,6 +36,7 @@ from lpvdd import (
     kron_signal,
     left_nullspace,
     predict,
+    random_affine_ss,
     sched_block_diag,
     simulate_io,
     span_membership,
@@ -490,8 +493,9 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
     residual = float(np.linalg.norm(A @ g - b))
     _, s, Vt = np.linalg.svd(M)
     rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+    # sigma_r of the known rows: they pin the r coordinates only at rank r
     s_known = np.linalg.svd(A @ Vt[:rank].T, compute_uv=False)
-    margin = float(s_known[-1]) if s_known.size else 0.0
+    margin = float(s_known[rank - 1]) if 0 < rank <= s_known.size else 0.0
     pe = check_pe(rec.u, rec.p, L)
     if margin <= margin_tol or not pe.verdict:
         verdict = "ambiguous"
@@ -585,3 +589,91 @@ def test_one_wide_svd_per_predict_and_per_check_pe(monkeypatch):
     )
     assert calls == 1
     assert _wide_svd_calls(monkeypatch, lambda: check_pe(rec.u, rec.p, L, y=rec.y), cols) == 1
+
+
+# -- one factor per record and depth ------------------------------------------
+
+
+def test_second_predict_on_a_record_makes_no_wide_svd(monkeypatch):
+    rec = _record(400)
+    q = _query(seed=3)
+    cols = rec.T - (q.u_ini.length + q.u_r.length) + 1
+    results = []
+
+    def run():
+        results.append(predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r))
+
+    assert _wide_svd_calls(monkeypatch, run, cols) == 1
+    assert _wide_svd_calls(monkeypatch, run, cols) == 0
+    first, second = results
+    assert np.array_equal(first.y_r.samples, second.y_r.samples)
+    assert first.verdict == second.verdict == "ok"
+    assert first.diagnostics == second.diagnostics
+    assert first.output_uniqueness_margin == second.output_uniqueness_margin
+
+
+def test_nullspace_and_membership_share_one_factor(monkeypatch):
+    rec = _record(70)
+    q = _query(seed=61, T_ini=3, T_r=4)
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p = concat(q.p_ini, q.p_r)
+
+    def run():
+        assert left_nullspace(rec, 7).dimension == 5
+        assert span_membership(rec, w, p).member
+
+    assert _wide_svd_calls(monkeypatch, run, rec.T - 7 + 1) == 1
+
+
+def test_factor_is_not_shared_between_records(monkeypatch):
+    rec, other = _record(70, seed=1), _record(70, seed=2)
+    ns = left_nullspace(rec, 7)
+    copy = DataRecord(u=rec.u, p=rec.p, y=rec.y, provenance=rec.provenance)
+    assert _wide_svd_calls(monkeypatch, lambda: left_nullspace(copy, 7), 64) == 1
+    assert left_nullspace(copy, 7).singular_values == ns.singular_values
+
+    mixed = dataclasses.replace(rec, y=other.y)
+    fresh = DataRecord(u=rec.u, p=rec.p, y=other.y)
+    assert left_nullspace(mixed, 7).singular_values == left_nullspace(fresh, 7).singular_values
+    assert left_nullspace(mixed, 7).singular_values != ns.singular_values
+    assert "_lifted" not in repr(rec)
+
+
+def test_factor_memo_holds_no_array_of_record_length():
+    def memo_nbytes(T):
+        rec = _record(T)
+        memo = [rec.lifted(L) for L in (7, 10)]
+        assert [shape[-1] for shape, *_ in memo] == [T - 6, T - 9]
+        return sum(U.nbytes + s.nbytes + sv.nbytes for _, U, s, (_, sv) in memo)
+
+    assert memo_nbytes(500) == memo_nbytes(4000)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    T_ini=st.sampled_from([1, 2, 3]),
+    T_r=st.sampled_from([1, 3, 7]),
+    extra=st.sampled_from([5, 11, 30, 100]),
+)
+def test_ok_verdict_predicts_exactly(seed, T_ini, T_r, extra):
+    # T_ini = 1 is below the lag 2: the outputs are then not determined,
+    # and the margin must not certify them
+    rec = _record(T_ini + T_r + extra, seed=seed)
+    q = _query(seed=seed + 1, T_ini=T_ini, T_r=T_r)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    if res.verdict == "ok":
+        assert np.max(np.abs(res.y_r.samples - q.y_r_truth.samples)) <= 1e-8
+
+
+def test_affine_state_space_record_is_not_certified():
+    # affine A(p), C(p) give an IO form with dynamic dependence, outside the
+    # shifted-affine class: the lifted Hankel has full row rank (160), more
+    # than the 146 known rows, so the future outputs are not pinned
+    model = random_affine_ss(np.random.default_rng(0), 6, n_u=2, n_y=2, n_p=3)
+    rec = generate_record(model, 1000, 0)
+    q = generate_query(model, 3, 7, 1)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert res.diagnostics["full_stack_rank"] > res.diagnostics["known_row_count"]
+    assert res.output_uniqueness_margin == 0.0
+    assert res.verdict != "ok"
