@@ -6,14 +6,18 @@ the coefficient matrix function is evaluated at a batch of independently
 drawn scheduling windows and the numeric rank is inspected at each draw.  A
 generic full-rank property fails only on a measure-zero set of draws, so the
 verdict demands success on every trial; a single structured failure is worth
-surfacing rather than averaging away.
+surfacing rather than averaging away.  All trials run as one stack: one
+draw, one evaluation with a leading trial axis, one SVD.
 
 The symbolic observability and reachability matrices (:func:`obsv_matrix`,
 :func:`reach_matrix`) are the specification; their entries have up to
 ``(1 + n_p)^(n - 1)`` terms.  Observability and reachability tests evaluate
 the same maps by their numeric recursions (:func:`obsv_eval`,
 :func:`reach_eval`) at the same drawn windows, since shifting a coefficient
-commutes with evaluating it.
+commutes with evaluating it.  They scale each block row (observability) or
+block column (reachability) to unit norm before the cut, which keeps the rank
+and stops the decay of ``A(k)`` products in stable models of order >= 24
+from reading as rank loss (Paige, IEEE TAC 1981).
 
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
@@ -24,12 +28,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .coeffs import CoeffMatrix
 from .errors import InvalidShape
-from .models import LpvSsModel
+from .models import LpvSsModel, _shifted_hull
 from .rng import stream
 from .signals import Trajectory, hankel, kron_extend
 
@@ -136,22 +141,28 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
+def _obsv_blocks(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis -3
+    (leading axes broadcast); of transposed ``B``, ``A``: transposed reachability blocks."""
+    blocks, prod = [C[..., 0, :, :]], np.eye(C.shape[-1])
+    for i in range(A.shape[-3]):
+        prod = A[..., i, :, :] @ prod
+        blocks.append(C[..., i + 1, :, :] @ prod)
+    return np.stack(blocks, axis=-3)
+
+
 def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated ``n``-step observability map at time ``k``.
 
     Block row ``i`` equals ``C(k+i-1) A(k+i-2) ... A(k)``; computed by the
     recursion directly, which agrees with evaluating :func:`obsv_matrix`
-    because shifts commute with evaluation.
+    because shifts commute with evaluation.  Unscaled, unlike the structural
+    test's copy: ``estimate_initial_state`` solves least squares on this map,
+    and scaling its block rows would change the weighting.
     """
     C = model.C.eval_range(p, k, k + n - 1)
     A = model.A.eval_range(p, k, k + n - 2)
-    out = np.empty((n, model.n_y, model.n_x))
-    prod = np.eye(model.n_x)
-    for i in range(n):
-        out[i] = C[i] @ prod
-        if i < n - 1:
-            prod = A[i] @ prod
-    return out.reshape(n * model.n_y, model.n_x)
+    return _obsv_blocks(C, A).reshape(n * model.n_y, model.n_x)
 
 
 def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
@@ -162,25 +173,28 @@ def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """
     B = model.B.eval_range(p, k - n + 1, k)[::-1]  # B[i] is B(k - i)
     A = model.A.eval_range(p, k - n + 2, k)[::-1]
-    out = np.empty((n, model.n_x, model.n_u))
-    prod = np.eye(model.n_x)
-    for i in range(n):
-        out[i] = prod @ B[i]
-        if i < n - 1:
-            prod = prod @ A[i]
-    return out.transpose(1, 0, 2).reshape(model.n_x, n * model.n_u)
+    return _obsv_blocks(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(-1, model.n_x).T
 
 
-def _shifted_hull(*parts) -> tuple[int, int]:
-    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
-    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
+def _unit_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Each block (last two axes) at unit Frobenius norm, zero blocks kept: rank-neutral."""
+    norm = np.linalg.norm(blocks, axis=(-2, -1), keepdims=True)
+    return blocks / np.where(norm > 0, norm, 1.0)
 
-    This is the window of a product of shifted copies of the ``M``s unless
-    terms cancel exactly."""
-    spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
-    if not spans:
-        return (0, 0)
-    return (min(s[0] for s in spans), max(s[1] for s in spans))
+
+def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
+    """Observability maps at ``k = 0``, block rows at unit norm, of windows ``P``."""
+    n = model.n_x
+    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1))
+    return _unit_blocks(O).reshape(len(P), -1, n)
+
+
+def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
+    """Transposed reachability maps, as :func:`_obsv_trials`: same singular values."""
+    n = model.n_x
+    B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
+    A = model.A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
+    return _unit_blocks(_obsv_blocks(B, A)).reshape(len(P), -1, n)
 
 
 @dataclass(frozen=True)
@@ -199,28 +213,18 @@ class StructuralRankReport:
 
 
 def _sampled_rank(evaluate, window, n_p, required, trials, tol, seed, box=(-1.0, 1.0)):
-    """The trial loop of :func:`structural_rank`: ``evaluate(p)`` at ``trials``
-    scheduling windows ``p`` on ``window`` drawn from ``stream(seed, "trials")``."""
+    """Every trial of :func:`structural_rank` at once: ``P`` holds all windows, drawn in
+    one call (the values of one draw per trial); ``evaluate(P, i)`` stacks the maps at
+    ``k = 0`` (row ``i`` of ``P``), with blocks at unit norm on the model route; one SVD."""
     if trials < 1:
         raise InvalidShape(f"trials must be >= 1, got {trials}")
     lo, hi = window
-    rng = stream(seed, "trials")
-    passes = 0
-    best = 0
-    for _ in range(trials):
-        p = Trajectory(lo, rng.uniform(box[0], box[1], (hi - lo + 1, n_p)))
-        rank, _ = numeric_rank(evaluate(p), tol)
-        best = max(best, rank)
-        if rank >= required:
-            passes += 1
+    P = stream(seed, "trials").uniform(box[0], box[1], (trials, hi - lo + 1, n_p))
+    ranks = [_cut(s, tol) for s in np.linalg.svd(evaluate(P, -lo), compute_uv=False)]
+    passes = sum(rank >= required for rank in ranks)
     return StructuralRankReport(
-        tested_rank=best,
-        required_rank=required,
-        num_trials=trials,
-        pass_count=passes,
-        tolerance=tol,
-        verdict=passes == trials,
-    )
+        tested_rank=max(ranks), required_rank=required, num_trials=trials,
+        pass_count=passes, tolerance=tol, verdict=passes == trials)
 
 
 def structural_rank(
@@ -237,8 +241,8 @@ def structural_rank(
     i.i.d. uniform on ``box`` (per component, per needed offset).  The
     verdict requires the numeric rank to reach ``required`` on every trial.
     """
-    return _sampled_rank(lambda p: M.eval(p, 0), M.window or (0, 0), M.n_p,
-                         required, trials, tol, seed, box)
+    return _sampled_rank(lambda P, i: M._eval_rows(P, i, 1)[:, 0], M.window or (0, 0),
+                         M.n_p, required, trials, tol, seed, box)
 
 
 def is_struct_observable(
@@ -246,11 +250,11 @@ def is_struct_observable(
 ) -> StructuralRankReport:
     """Full column rank of the ``n_x``-step observability matrix, generically.
 
-    Same draws and verdict as ``structural_rank(obsv_matrix(model, n_x), n_x)``,
-    evaluated by :func:`obsv_eval`."""
+    Same draws as ``structural_rank(obsv_matrix(model, n_x), n_x)``, evaluated
+    by the recursion of :func:`obsv_eval` with each block row scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
-    return _sampled_rank(lambda p: obsv_eval(model, n, p, 0), window, model.n_p,
+    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p,
                          n, trials, tol, seed)
 
 
@@ -259,11 +263,11 @@ def is_struct_reachable(
 ) -> StructuralRankReport:
     """Full row rank of the ``n_x``-step reachability matrix, generically.
 
-    Same draws and verdict as ``structural_rank(reach_matrix(model, n_x), n_x)``,
-    evaluated by :func:`reach_eval`."""
+    Same draws as ``structural_rank(reach_matrix(model, n_x), n_x)``, evaluated
+    by the recursion of :func:`reach_eval` with each block column scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
-    return _sampled_rank(lambda p: reach_eval(model, n, p, 0), window, model.n_p,
+    return _sampled_rank(partial(_reach_trials, model), window, model.n_p,
                          n, trials, tol, seed)
 
 

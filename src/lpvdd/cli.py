@@ -78,9 +78,6 @@ class ExperimentConfig:
     margin_tol: float = 1e-7
     format: str = "csv"
 
-    def window_L(self) -> int:
-        return self.L if self.L is not None else self.T_ini + self.T_r
-
     def validate(self) -> None:
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
@@ -314,7 +311,7 @@ def cmd_predict(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load_config(args)
     record = _load_record(args)
-    L = cfg.window_L()
+    L = cfg.L if cfg.L is not None else cfg.T_ini + cfg.T_r
     pe = check_pe(record.u, record.p, L, y=record.y)
 
     payload: dict = {"pe": json.loads(pe.to_json())}
@@ -348,20 +345,20 @@ def cmd_check(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_FLAGS = {
+    "--model": dict(help='model JSON path or "builtin:verhoek"'),
+    "--seed": dict(type=int), "--T": dict(type=int), "--T-ini": dict(type=int),
+    "--T-r": dict(type=int), "--L": dict(type=int), "--tol": dict(type=float),
+    "--margin-tol": dict(type=float), "--format": dict(choices=("csv", "json")),
+    "--input-box": dict(type=float, nargs=2),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """``--config`` and the ``flags`` the subcommand reads; any other is a usage error."""
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--model", help='model JSON path or "builtin:verhoek"')
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--T", type=int, default=None, dest="T")
-    parser.add_argument("--T-ini", type=int, default=None, dest="T_ini")
-    parser.add_argument("--T-r", type=int, default=None, dest="T_r")
-    parser.add_argument("--L", type=int, default=None, dest="L")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--margin-tol", type=float, default=None, dest="margin_tol")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument(
-        "--input-box", type=float, nargs=2, default=None, dest="input_box"
-    )
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a seeded data record")
-    _add_common(sim)
+    _add_flags(sim, "--model", "--seed", "--T", "--format", "--input-box")
     sim.add_argument("--out-dir", required=True, dest="out_dir")
     sim.set_defaults(func=cmd_simulate)
 
     pred = sub.add_parser("predict", help="predict a query continuation from data")
-    _add_common(pred)
+    _add_flags(pred, "--tol", "--margin-tol")
     pred.add_argument("--data-dir", dest="data_dir")
     pred.add_argument("--data-bundle", dest="data_bundle")
     pred.add_argument("--query-dir", required=True, dest="query_dir")
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=cmd_predict)
 
     chk = sub.add_parser("check", help="excitation and structural checks")
-    _add_common(chk)
+    _add_flags(chk, "--model", "--seed", "--T-ini", "--T-r", "--L")
     chk.add_argument("--data-dir", dest="data_dir")
     chk.add_argument("--data-bundle", dest="data_bundle")
     chk.add_argument("--out-dir", dest="out_dir")

@@ -419,26 +419,31 @@ class CoeffMatrix:
     def eval_range(self, p: Trajectory, k1: int, k2: int) -> np.ndarray:
         """Evaluations along ``p`` at ``k = k1, ..., k2``, shape ``(k2 - k1 + 1, rows, cols)``.
 
-        One product ``Phi @ C`` of the monomial values ``Phi[k, m]`` with the
-        compiled coefficient tensor; empty when ``k2 < k1``.
+        Empty when ``k2 < k1``.
         """
         if p.dim != self.n_p:
             raise DimensionMismatch(
                 f"scheduling dim {p.dim} does not match coefficient n_p {self.n_p}"
             )
-        monos, coeffs, win = self._compiled
+        win = self.window
         n = max(k2 - k1 + 1, 0)
         if n and win is not None and not p.covers(k1 + win[0], k2 + win[1]):
             raise WindowOutOfRange(
                 f"evaluation at k={k1}..{k2} needs p on [{k1 + win[0]}, {k2 + win[1]}], "
                 f"have [{p.t_start}, {p.t_end}]"
             )
-        phi = np.ones((n, len(monos)))
+        return self._eval_rows(p.samples, k1 - p.t_start, n)
+
+    def _eval_rows(self, samples: np.ndarray, start: int, n: int) -> np.ndarray:
+        """Unchecked :meth:`eval_range` from row ``start`` of ``samples`` ``(..., W, n_p)``,
+        leading (trial) axes kept: one product ``Phi @ C`` of the monomial values
+        ``Phi[..., k, m]`` with the compiled coefficient tensor."""
+        monos, coeffs, _ = self._compiled
+        phi = np.ones(samples.shape[:-2] + (n, len(monos)))
         for m, mono in enumerate(monos):
             for comp, off, pw in mono:
-                start = k1 + off - p.t_start
-                phi[:, m] *= p.samples[start : start + n, comp - 1] ** pw
-        return (phi @ coeffs).reshape(n, self.rows, self.cols)
+                phi[..., m] *= samples[..., start + off : start + off + n, comp - 1] ** pw
+        return (phi @ coeffs).reshape(phi.shape[:-1] + (self.rows, self.cols))
 
     @staticmethod
     def vstack(blocks) -> "CoeffMatrix":

@@ -46,6 +46,18 @@ __all__ = [
 ]
 
 
+def _shifted_hull(*parts) -> tuple[int, int]:
+    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
+    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
+
+    This is the window of a product of shifted copies of the ``M``s unless
+    terms cancel exactly."""
+    spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
+    if not spans:
+        return (0, 0)
+    return (min(s[0] for s in spans), max(s[1] for s in spans))
+
+
 @dataclass(frozen=True)
 class LpvSsModel:
     """Discrete-time LPV state-space model ``(A, B, C, D)``."""
@@ -74,10 +86,7 @@ class LpvSsModel:
     @property
     def coeff_window(self) -> tuple[int, int]:
         """Hull of scheduling offsets used by any coefficient (0,0 if none)."""
-        wins = [m.window for m in (self.A, self.B, self.C, self.D) if m.window]
-        if not wins:
-            return (0, 0)
-        return (min(w[0] for w in wins), max(w[1] for w in wins))
+        return _shifted_hull(*((M, (0,)) for M in (self.A, self.B, self.C, self.D)))
 
 
 @dataclass(frozen=True)

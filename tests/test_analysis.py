@@ -1,10 +1,13 @@
 """Structural rank analysis and persistence-of-excitation checks."""
 
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from conftest import minimal_random_ss, rand_traj
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lpvdd import (
     CoeffMatrix,
@@ -26,6 +29,7 @@ from lpvdd import (
     simulate_ss,
     structural_rank,
 )
+from lpvdd.rng import stream
 
 
 def _constant_ss(A, B, C, D):
@@ -260,10 +264,11 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
         rng, n_x, int(rng.integers(1, 3)), int(rng.integers(1, 3)), n_p)
     seed = int(rng.integers(1000))
     drawn = {}
-    for name in ("obsv_eval", "reach_eval"):
-        def recording(model, n, p, k, real=getattr(analysis, name), name=name):
-            drawn.setdefault(name, set()).add(p.interval)
-            return real(model, n, p, k)
+    for name in ("_obsv_trials", "_reach_trials"):
+        def recording(model, P, i, real=getattr(analysis, name), name=name):
+            # row i of the stacked windows is time 0
+            drawn.setdefault(name, set()).add((-i, -i + P.shape[1] - 1))
+            return real(model, P, i)
 
         monkeypatch.setattr(analysis, name, recording)
 
@@ -272,7 +277,75 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
         O, n_x, trials=6, seed=seed)
     assert is_struct_reachable(m, trials=6, seed=seed) == structural_rank(
         R, n_x, trials=6, seed=seed)
-    assert drawn == {"obsv_eval": {O.window or (0, 0)}, "reach_eval": {R.window or (0, 0)}}
+    assert drawn == {"_obsv_trials": {O.window or (0, 0)},
+                     "_reach_trials": {R.window or (0, 0)}}
+
+
+@lru_cache(maxsize=None)
+def _oracle_case(n_x, n_p, shifted, model_seed):
+    """A model with its symbolic observability and reachability matrices."""
+    rng = np.random.default_rng(model_seed)
+    m = _shifted_affine_ss(rng, n_x, n_p) if shifted else random_affine_ss(
+        rng, n_x, int(rng.integers(1, 3)), int(rng.integers(1, 3)), n_p)
+    return m, obsv_matrix(m, n_x), reach_matrix(m, n_x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_x=st.integers(1, 6), n_p=st.integers(0, 3), shifted=st.booleans(),
+       model_seed=st.integers(0, 2), trials=st.sampled_from([1, 3, 20]),
+       seed=st.integers(0, 10**6))
+def test_stacked_trials_match_symbolic_oracle(n_x, n_p, shifted, model_seed, trials, seed):
+    # the symbolic entries have (1 + n_p)^(n_x - 1) terms: keep their build short
+    assume((1 + n_p) ** (n_x - 1) <= 64)
+    m, O, R = _oracle_case(n_x, n_p, shifted, model_seed)
+    assert is_struct_observable(m, trials, seed=seed) == structural_rank(
+        O, n_x, trials, seed=seed)
+    assert is_struct_reachable(m, trials, seed=seed) == structural_rank(
+        R, n_x, trials, seed=seed)
+
+
+def test_minimality_report_takes_one_svd_per_map(monkeypatch):
+    m = random_affine_ss(np.random.default_rng(21), n_x=5, n_u=2, n_y=2, n_p=2)
+    calls = []
+
+    def counting(*args, real=np.linalg.svd, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert minimality_report(m, trials=20).minimal
+    assert calls == [(20, 10, 5), (20, 10, 5)]  # reachability map is stacked transposed
+    calls.clear()
+    assert structural_rank(obsv_matrix(m, 2), 2, trials=20).verdict
+    assert calls == [(20, 4, 5)]
+
+
+def test_stacked_windows_equal_sequential_draws(monkeypatch):
+    m = random_affine_ss(np.random.default_rng(22), n_x=3, n_u=1, n_y=1, n_p=2)
+    m = LpvSsModel(A=m.A.shift(-1), B=m.B, C=m.C.shift(2), D=m.D)
+    seen = []
+
+    def recording(model, P, i, real=analysis._obsv_trials):
+        seen.append(P.copy())
+        return real(model, P, i)
+
+    monkeypatch.setattr(analysis, "_obsv_trials", recording)
+    is_struct_observable(m, trials=20, seed=5)
+    (P,) = seen
+    lo, hi = obsv_matrix(m, 3).window
+    rng = stream(5, "trials")
+    expected = [rng.uniform(-1.0, 1.0, (hi - lo + 1, 2)) for _ in range(20)]
+    assert np.array_equal(P, np.stack(expected))
+
+
+@pytest.mark.parametrize("n_x", [24, 32])
+def test_larger_stable_models_are_minimal(n_x):
+    # block rows of A(k) products decay geometrically; unscaled, the relative
+    # cut read that decay as rank loss from n_x = 24 on
+    m = random_affine_ss(np.random.default_rng(0), n_x=n_x, n_u=2, n_y=2, n_p=4)
+    rep = minimality_report(m)
+    assert rep.minimal
+    assert rep.observable.pass_count == rep.reachable.pass_count == 20
 
 
 def test_reach_eval_matches_symbolic():

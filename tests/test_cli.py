@@ -362,3 +362,37 @@ def test_json_format_bundle(tmp_path):
 def test_invalid_format_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--format", "xml", "--out-dir", str(tmp_path / "x")])
+
+_IGNORED_FLAGS = {
+    "simulate": ("--T-ini", "--T-r", "--L", "--tol", "--margin-tol"),
+    "check": ("--T", "--tol", "--margin-tol", "--format", "--input-box"),
+    "predict": ("--model", "--seed", "--T", "--T-ini", "--T-r", "--L", "--format",
+                "--input-box"),
+}
+_FLAG_VALUES = {"--model": ("builtin:verhoek",), "--format": ("csv",),
+                "--input-box": ("-1", "1"), "--tol": ("1e-7",), "--margin-tol": ("1e-7",)}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in _IGNORED_FLAGS.items() for flag in flags])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    # valid data and query, so the flag is the only fault
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--out-dir", str(out)],
+        "check": ["check", "--data-dir", str(tmp_path / "data"), "--out-dir", str(out)],
+        "predict": ["predict", "--data-dir", str(tmp_path / "data"),
+                    "--query-dir", str(tmp_path / "query"), "--out-dir", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, *_FLAG_VALUES.get(flag, ("3",))])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # check --T reads as an ambiguous prefix of --T-ini and --T-r
+    assert any(f"{why}: {flag}" in captured.err
+               for why in ("unrecognized arguments", "ambiguous option"))
+    assert not out.exists()
