@@ -14,10 +14,12 @@ The symbolic observability and reachability matrices (:func:`obsv_matrix`,
 ``(1 + n_p)^(n - 1)`` terms.  Observability and reachability tests evaluate
 the same maps by their numeric recursions (:func:`obsv_eval`,
 :func:`reach_eval`) at the same drawn windows, since shifting a coefficient
-commutes with evaluating it.  They scale each block row (observability) or
-block column (reachability) to unit norm before the cut, which keeps the rank
-and stops the decay of ``A(k)`` products in stable models of order >= 24
-from reading as rank loss (Paige, IEEE TAC 1981).
+commutes with evaluating it.  They put the running ``A(k)`` product, then each
+block row (observability) or block column (reachability), at unit norm before
+the cut.  That keeps the rank and stops the decay of the products in stable
+models of order >= 24 from reading as rank loss (Paige, IEEE TAC 1981).  A
+product that cancels to below the cut, relative to its factors, is set to
+zero instead: its remainder is rounding, and scaled up it would read as rank.
 
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
@@ -141,14 +143,15 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-def _obsv_blocks(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _obsv_blocks(C: np.ndarray, A: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis -3
     (leading axes broadcast); of transposed ``B``, ``A``: transposed reachability blocks."""
+    unit = (lambda X, F: X) if tol is None else partial(_unit, tol=tol)
     blocks, prod = [C[..., 0, :, :]], np.eye(C.shape[-1])
     for i in range(A.shape[-3]):
-        prod = A[..., i, :, :] @ prod
+        prod = unit(A[..., i, :, :] @ prod, A[..., i, :, :])
         blocks.append(C[..., i + 1, :, :] @ prod)
-    return np.stack(blocks, axis=-3)
+    return unit(np.stack(blocks, axis=-3), C)
 
 
 def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
@@ -176,25 +179,27 @@ def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     return _obsv_blocks(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(-1, model.n_x).T
 
 
-def _unit_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Each block (last two axes) at unit Frobenius norm, zero blocks kept: rank-neutral."""
-    norm = np.linalg.norm(blocks, axis=(-2, -1), keepdims=True)
-    return blocks / np.where(norm > 0, norm, 1.0)
+def _unit(X: np.ndarray, F: np.ndarray, tol: float) -> np.ndarray:
+    """Each matrix of ``X = F G``, ``|G|_2 <= 1``, at unit Frobenius norm, or zero where
+    its norm is at most ``tol |F|``: a product that cancels below the cut is rounding."""
+    norm = np.sqrt(np.einsum("...ij,...ij->...", X, X))[..., None, None]
+    scale = np.sqrt(np.einsum("...ij,...ij->...", F, F))[..., None, None]
+    return X * ((norm > tol * scale) / np.where(norm > 0, norm, 1.0))
 
 
-def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
+def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int, tol: float) -> np.ndarray:
     """Observability maps at ``k = 0``, block rows at unit norm, of windows ``P``."""
     n = model.n_x
-    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1))
-    return _unit_blocks(O).reshape(len(P), -1, n)
+    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1), tol)
+    return O.reshape(len(P), -1, n)
 
 
-def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
+def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int, tol: float) -> np.ndarray:
     """Transposed reachability maps, as :func:`_obsv_trials`: same singular values."""
     n = model.n_x
     B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
     A = model.A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
-    return _unit_blocks(_obsv_blocks(B, A)).reshape(len(P), -1, n)
+    return _obsv_blocks(B, A, tol).reshape(len(P), -1, n)
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ def is_struct_observable(
     by the recursion of :func:`obsv_eval` with each block row scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
-    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p,
+    return _sampled_rank(partial(_obsv_trials, model, tol=tol), window, model.n_p,
                          n, trials, tol, seed)
 
 
@@ -267,7 +272,7 @@ def is_struct_reachable(
     by the recursion of :func:`reach_eval` with each block column scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
-    return _sampled_rank(partial(_reach_trials, model), window, model.n_p,
+    return _sampled_rank(partial(_reach_trials, model, tol=tol), window, model.n_p,
                          n, trials, tol, seed)
 
 

@@ -265,10 +265,10 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
     seed = int(rng.integers(1000))
     drawn = {}
     for name in ("_obsv_trials", "_reach_trials"):
-        def recording(model, P, i, real=getattr(analysis, name), name=name):
+        def recording(model, P, i, tol, real=getattr(analysis, name), name=name):
             # row i of the stacked windows is time 0
             drawn.setdefault(name, set()).add((-i, -i + P.shape[1] - 1))
-            return real(model, P, i)
+            return real(model, P, i, tol)
 
         monkeypatch.setattr(analysis, name, recording)
 
@@ -325,9 +325,9 @@ def test_stacked_windows_equal_sequential_draws(monkeypatch):
     m = LpvSsModel(A=m.A.shift(-1), B=m.B, C=m.C.shift(2), D=m.D)
     seen = []
 
-    def recording(model, P, i, real=analysis._obsv_trials):
+    def recording(model, P, i, tol, real=analysis._obsv_trials):
         seen.append(P.copy())
-        return real(model, P, i)
+        return real(model, P, i, tol)
 
     monkeypatch.setattr(analysis, "_obsv_trials", recording)
     is_struct_observable(m, trials=20, seed=5)
@@ -346,6 +346,33 @@ def test_larger_stable_models_are_minimal(n_x):
     rep = minimality_report(m)
     assert rep.minimal
     assert rep.observable.pass_count == rep.reachable.pass_count == 20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_loss_to_rounding_is_not_minimal(seed):
+    # nothing is exactly zero: C A(p) and A(p) B vanish only to rounding, and the
+    # unit scaling of the structural test must not lift that rounding to full rank
+    rng = np.random.default_rng(seed)
+    v, w0, w1, u = rng.normal(size=(4, 2))
+    u -= (u @ v) / (v @ v) * v  # C = u^T annihilates A(p) = v (w0 + p w1)^T
+    m = LpvSsModel(A=CoeffMatrix.affine(np.outer(v, w0), [np.outer(v, w1)]),
+                   B=CoeffMatrix.constant(rng.normal(size=(2, 1)), 1),
+                   C=CoeffMatrix.constant(u[None], 1), D=CoeffMatrix.zeros(1, 1, 1))
+    rep = minimality_report(m)
+    assert rep.observable.tested_rank == 1 and rep.reachable.verdict
+    assert not rep.minimal
+
+    # deadbeat in other state coordinates: A(p) = T N(p) T^-1, N(p) strictly lower
+    # triangular, so A(p) B = 0 for B = T e_4
+    T = rng.normal(size=(4, 4))
+    N0, N1 = np.tril(rng.normal(size=(2, 4, 4)), -1)
+    m = LpvSsModel(A=CoeffMatrix.affine(T @ N0 @ np.linalg.inv(T), [T @ N1 @ np.linalg.inv(T)]),
+                   B=CoeffMatrix.constant(T[:, -1:], 1),
+                   C=CoeffMatrix.constant(rng.normal(size=(1, 4)), 1),
+                   D=CoeffMatrix.zeros(1, 1, 1))
+    rep = minimality_report(m)
+    assert rep.reachable.tested_rank == 1
+    assert not rep.minimal
 
 
 def test_reach_eval_matches_symbolic():
