@@ -66,7 +66,7 @@ def _is_box(b) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    model: str = "builtin:verhoek"
+    model: str | None = None  # simulate defaults to builtin:verhoek
     T: int = 40
     T_ini: int = 3
     T_r: int = 7
@@ -105,6 +105,9 @@ _CONFIG_TYPES = {
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    # a subcommand reads the keys of the flags it registers, and the
+    # config-only keys it sets as parser defaults
+    read = _CONFIG_TYPES.keys() & vars(args).keys()
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -114,8 +117,9 @@ def _load_config(args) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config}: expected a JSON object")
         for key, value in data.items():
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"config {args.config}: unknown key {key!r}")
+            if key not in read:
+                raise ConfigError(
+                    f"config {args.config}: {args.command} does not read key {key!r}")
             if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
                 raise ConfigError(f"config {args.config}: {key} has wrong type: {value!r}")
             setattr(cfg, key, value)
@@ -169,6 +173,7 @@ def _report(msg: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    cfg.model = cfg.model or "builtin:verhoek"
     model = _resolve_model(cfg.model)
     out_dir = Path(args.out_dir)
     record = generate_record(
@@ -321,8 +326,8 @@ def cmd_check(args) -> int:
         "extended_input_rank": pe.extended_input_rank,
         "required": pe.required,
     }
-    if getattr(args, "model", None):
-        model = _resolve_model(args.model)
+    if cfg.model:
+        model = _resolve_model(cfg.model)
         if isinstance(model, LpvSsModel):
             report = minimality_report(model, seed=cfg.seed)
             payload["structural"] = json.loads(report.to_json())
@@ -371,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a seeded data record")
     _add_flags(sim, "--model", "--seed", "--T", "--format", "--input-box")
     sim.add_argument("--out-dir", required=True, dest="out_dir")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, scheduling_box=None)
 
     pred = sub.add_parser("predict", help="predict a query continuation from data")
     _add_flags(pred, "--tol", "--margin-tol")

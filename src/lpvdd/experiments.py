@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .models import LpvIoModel, LpvSsModel
 from .prediction import DataRecord
 from .rng import stream
@@ -32,14 +33,14 @@ def _uniform_traj(rng, box_per_dim, T: int, t_start: int = 1) -> Trajectory:
     return Trajectory(t_start, lo + (hi - lo) * base)
 
 
-def _boxes(box, dim: int):
+def _boxes(box, dim: int, name: str):
     if box is None:
         return [(-1.0, 1.0)] * dim
     box = list(box)
     if box and np.isscalar(box[0]):
         return [tuple(box)] * dim
     if len(box) != dim:
-        raise ValueError(f"need {dim} boxes, got {len(box)}")
+        raise DimensionMismatch(f"{name}: need {dim} boxes, got {len(box)}")
     return [tuple(b) for b in box]
 
 
@@ -66,8 +67,9 @@ def generate_record(
     provenance: str = "",
 ) -> DataRecord:
     """Simulate one measured record from zero initial conditions."""
-    u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u), T)
-    p = _uniform_traj(stream(seed, "scheduling"), _boxes(scheduling_box, model.n_p), T)
+    u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
+    p = _uniform_traj(stream(seed, "scheduling"),
+                      _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
     y = _simulate(model, u, p, _zero_init(model))
     return DataRecord(u=u, p=p, y=y, provenance=provenance or f"seed={seed}, T={T}")
 
@@ -99,12 +101,12 @@ def generate_query(
     behaviour rather than the zero response.
     """
     L = T_ini + T_r
-    u = _uniform_traj(stream(seed, "query_input"), _boxes(input_box, model.n_u), L)
-    p = _uniform_traj(
-        stream(seed, "query_scheduling"), _boxes(scheduling_box, model.n_p), L
-    )
+    u = _uniform_traj(stream(seed, "query_input"),
+                      _boxes(input_box, model.n_u, "input_box"), L)
+    p = _uniform_traj(stream(seed, "query_scheduling"),
+                      _boxes(scheduling_box, model.n_p, "scheduling_box"), L)
     init_rng = stream(seed, "query_init")
-    lo, hi = _boxes(input_box, 1)[0]
+    lo, hi = _boxes(input_box, 1, "input_box")[0]
     init = init_rng.uniform(lo, hi, np.shape(_zero_init(model)))
     y = _simulate(model, u, p, init)
     return Query(

@@ -331,12 +331,21 @@ def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
         ({"tol": "1e-7"}, ("cfg.json", "tol")),
         ({"input_box": [-1, "1"]}, ("input_box",)),
         ({"scheduling_box": [[0, 1], 2]}, ("scheduling_box",)),
+        # the built-in model has n_p = 2
+        ({"scheduling_box": [[-1, 1], [-1, 1], [-1, 1]]}, ("scheduling_box",)),
     ],
 )
 def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
+    argv = ["simulate"]
+    if "tol" in config:  # read by predict only; valid data make the config the fault
+        assert _simulate(tmp_path, T=70) == 0
+        _write_query(tmp_path / "query")
+        capsys.readouterr()
+        argv = ["predict", "--data-dir", str(tmp_path / "data"),
+                "--query-dir", str(tmp_path / "query")]
+    code = main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
     assert code == 2
     err = capsys.readouterr().err
     assert all(word in err for word in named), err
@@ -344,9 +353,60 @@ def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
 
 
 def test_config_tol_accepts_an_integer(tmp_path):
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T": 25, "tol": 0, "margin_tol": 1}))
-    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+    cfg.write_text(json.dumps({"tol": 1, "margin_tol": 0}))
+    assert main([
+        "predict", "--config", str(cfg), "--data-dir", str(tmp_path / "data"),
+        "--query-dir", str(tmp_path / "query"), "--out-dir", str(tmp_path / "c"),
+    ]) == 0
+
+
+_UNREAD_KEYS = {
+    "simulate": {"T_ini": 3, "T_r": 7, "L": 10, "tol": 1e-7, "margin_tol": 1e-7},
+    "check": {"T": 9, "tol": 1e-3, "margin_tol": 5, "format": "csv",
+              "input_box": [-1, 1], "scheduling_box": None},
+    "predict": {"model": "builtin:verhoek", "seed": 1, "T": 9, "T_ini": 3, "T_r": 7,
+                "L": 10, "format": "csv", "input_box": [-1, 1], "scheduling_box": None},
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in _UNREAD_KEYS.items() for key in keys])
+def test_config_key_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, key):
+    # valid data and query, so the key is the only fault
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: _UNREAD_KEYS[command][key]}))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate"],
+        "check": ["check", "--data-dir", str(tmp_path / "data")],
+        "predict": ["predict", "--data-dir", str(tmp_path / "data"),
+                    "--query-dir", str(tmp_path / "query")],
+    }[command]
+    assert main([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cfg.json" in captured.err and repr(key) in captured.err, captured.err
+    assert not out.exists()
+
+
+def test_check_reads_model_from_config(tmp_path, capsys):
+    assert _simulate(tmp_path, T=70) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "builtin:verhoek"}))
+    capsys.readouterr()
+    assert main(["check", "--config", str(cfg), "--data-dir", str(tmp_path / "data"),
+                 "--L", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["lag"] == 2
+    cfg.write_text(json.dumps({"model": "nope.json"}))
+    assert main(["check", "--config", str(cfg), "--data-dir", str(tmp_path / "data"),
+                 "--L", "7"]) == 2
+    assert "nope.json" in capsys.readouterr().err
 
 
 def test_json_format_bundle(tmp_path):

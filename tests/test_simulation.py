@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 from conftest import minimal_random_ss, rand_traj
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvdd import (
     CoeffMatrix,
     DimensionMismatch,
     InconsistentTrajectory,
+    LpvIoModel,
     LpvSsModel,
     RankDeficientObservability,
     Trajectory,
@@ -316,3 +319,100 @@ def test_propagate_state_matches_simulator_terminal_state():
         sim = simulate_ss(m, x1, u, p)
         prop = propagate_state(m, x1, u, p)
         assert np.max(np.abs(prop - sim.x.value(T + 1))) <= 1e-12
+
+
+# -- per-step reference for the blocked state recursion ------------------------
+#
+# The simulators run their recursion in blocks of 16 states, and keep the plain
+# loop only for states above 24; the horizons and sizes below sit on both sides
+# of both limits.  Tolerance, fixed from float64 rounding over the longest
+# horizon: max|x - x_ref| <= 1e-12 max(1, max|x_ref|).
+
+
+def _close(x, ref):
+    return np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _loop_ss(model, x0, u, p):
+    """States and outputs of ``model`` by the plain per-step loop."""
+    t1, t2 = u.interval
+    A, B, C, D = (M.eval_range(p, t1, t2) for M in (model.A, model.B, model.C, model.D))
+    xs = np.empty((u.length + 1, model.n_x))
+    xs[0] = x0
+    for i in range(u.length):
+        xs[i + 1] = A[i] @ xs[i] + B[i] @ u.samples[i]
+    ys = np.array([C[i] @ xs[i] + D[i] @ u.samples[i] for i in range(u.length)])
+    return xs, ys
+
+
+def _loop_io(model, u, p, y_init):
+    """Outputs of ``model`` by the plain per-step IO recursion."""
+    t1, t2 = u.interval
+    n_a, T = model.n_a, u.length
+    ys = np.empty((T, model.n_y))
+    ys[:n_a] = y_init
+    if T == n_a:
+        return ys
+    a = [m.eval_range(p, t1 + n_a, t2) for m in model.a_coeffs]
+    b = [m.eval_range(p, t1 + n_a, t2) for m in model.b_coeffs]
+    for i in range(n_a, T):
+        k = t1 + i
+        ys[i] = sum(bj[i - n_a] @ u.value(k - j) for j, bj in enumerate(b, start=1))
+        ys[i] -= sum(aj[i - n_a] @ ys[i - j] for j, aj in enumerate(a, start=1))
+    return ys
+
+
+@pytest.mark.parametrize("n_x, T", [
+    (1, 1), (5, 15), (5, 16), (5, 17), (3, 97), (5, 1000), (2, 2000),
+    (24, 1000), (25, 1000), (32, 97), (32, 2000)])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(n_p=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_simulate_ss_matches_per_step_loop(n_x, T, n_p, seed):
+    rng = np.random.default_rng(seed)
+    m = random_affine_ss(rng, n_x, 2, 2, n_p)
+    u, p = rand_traj(rng, 2, T), rand_traj(rng, n_p, T)
+    x0 = rng.uniform(-1, 1, n_x)
+    sim = simulate_ss(m, x0, u, p)
+    xs, ys = _loop_ss(m, x0, u, p)
+    assert _close(sim.x.samples, xs) and _close(sim.y.samples, ys)
+    # the product form is an independent route to the last state
+    assert _close(propagate_state(m, x0, u, p), xs[-1])
+    # a shorter horizon is bit for bit a prefix of the longer one
+    T2 = T // 3 + 1
+    short = simulate_ss(m, x0, u.restrict(1, T2), p)
+    assert np.array_equal(short.x.samples, sim.x.samples[: T2 + 1])
+
+
+def _random_io(rng, n_y, n_a, n_b, n_u, n_p):
+    # sum of the a_i norms below 1, so long horizons stay bounded
+    scale = 0.9 / (n_a * n_y * (1 + n_p))
+
+    def coeff(rows, cols, lag, s):
+        return CoeffMatrix.affine(
+            rng.uniform(-s, s, (rows, cols)),
+            [rng.uniform(-s, s, (rows, cols)) for _ in range(n_p)],
+            offset=-lag,
+        )
+
+    return LpvIoModel(
+        a_coeffs=tuple(coeff(n_y, n_y, i, scale) for i in range(1, n_a + 1)),
+        b_coeffs=tuple(coeff(n_y, n_u, j, 1.0) for j in range(1, n_b + 1)),
+    )
+
+
+# T - n_a recursion steps on n_a n_y companion states
+@pytest.mark.parametrize("n_y, n_a, T", [
+    (1, 1, 1), (2, 3, 3), (2, 3, 4), (2, 3, 18), (2, 3, 19), (2, 3, 20), (1, 2, 70),
+    (2, 3, 97), (2, 3, 1000), (2, 3, 2000), (5, 5, 1000)])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(n_p=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_simulate_io_matches_per_step_loop(n_y, n_a, T, n_p, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
+    u, p = rand_traj(rng, 2, T), rand_traj(rng, n_p, T)
+    y_init = rng.uniform(-1, 1, (n_a, n_y))
+    y = simulate_io(m, u, p, y_init).samples
+    assert _close(y, _loop_io(m, u, p, y_init))
+    T2 = n_a + (T - n_a) // 3
+    short = simulate_io(m, u.restrict(1, T2), p, y_init).samples
+    assert np.array_equal(short, y[:T2])
