@@ -18,8 +18,7 @@ routes agree because shifting a coefficient commutes with evaluation.  The
 simulators read their coefficients the same way and share one affine state
 recursion, run in blocks of fixed length: the block transitions and the
 states inside the blocks are each one pass vectorised over the blocks, and
-only the block starts are chained step by step.  States too large for the
-block products to pay keep the plain per-step loop.
+only the block starts are chained step by step.
 
 Initial-state estimation solves the window equation above for ``x1`` by a
 singular-value least squares solve, reporting the smallest singular value of
@@ -84,9 +83,11 @@ def _check_ss_windows(model: LpvSsModel, u: Trajectory, p: Trajectory) -> None:
 # operations at any horizon: a record is bit for bit a prefix of a longer one
 # under the same seed.  Against the per-step loop (one BLAS thread, 2-core
 # x86-64 VM, n = 2 and 5) 16-step blocks take 0.5 of its time at T = 70 and
-# 0.12-0.2 at T = 1000-4000, but 1.4-1.7 times it at T = 16-20; at T = 1000
-# they take 0.83-0.88 of it at n = 24 and 0.92-1.08 at n = 26.
-_BLOCK, _BLOCK_MAX_N = 16, 24
+# 0.12-0.2 at T = 1000-4000, but 1.4-1.7 times it at T = 16-20; horizons
+# under a block run as one short block.  The block products cost O(n^3) a
+# step against the loop's O(n^2): at T = 1000 they take about 1.8 times its
+# time at n = 24 and 2.2 at n = 32.
+_BLOCK = 16
 
 
 def _affine_recursion(A, b, x0) -> np.ndarray:
@@ -95,17 +96,11 @@ def _affine_recursion(A, b, x0) -> np.ndarray:
     On the homogeneous state ``col(x, 1)``, in blocks of ``_BLOCK`` states:
     one pass vectorised over the blocks forms their transitions, a walk
     chains the block starts and a second pass fills the blocks, about
-    ``2 _BLOCK + T / _BLOCK`` Python steps in all.  Equals the plain loop,
-    kept above ``_BLOCK_MAX_N`` states, up to rounding.
+    ``2 _BLOCK + T / _BLOCK`` Python steps in all.  Equals the plain
+    per-step loop up to rounding.
     """
     T, n = b.shape
-    if n > _BLOCK_MAX_N:
-        xs = np.empty((T + 1, n))
-        xs[0] = x0
-        for k in range(T):
-            xs[k + 1] = A[k] @ xs[k] + b[k]
-        return xs
-    m = _BLOCK
+    m = min(_BLOCK, T + 1)
     nb = T // m + 1
     M = np.zeros((nb * m, n + 1, n + 1))  # steps past T are zero and unused
     M[:T, :n, :n] = A

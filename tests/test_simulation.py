@@ -323,10 +323,10 @@ def test_propagate_state_matches_simulator_terminal_state():
 
 # -- per-step reference for the blocked state recursion ------------------------
 #
-# The simulators run their recursion in blocks of 16 states, and keep the plain
-# loop only for states above 24; the horizons and sizes below sit on both sides
-# of both limits.  Tolerance, fixed from float64 rounding over the longest
-# horizon: max|x - x_ref| <= 1e-12 max(1, max|x_ref|).
+# The simulators run their recursion in blocks of 16 states; the horizons below
+# sit on both sides of a block, with states up to 32.  Tolerance, fixed from
+# float64 rounding over the longest horizon:
+# max|x - x_ref| <= 1e-12 max(1, max|x_ref|).
 
 
 def _close(x, ref):
