@@ -79,17 +79,33 @@ def _min_norm_solve(U, s, Vt, rank: int, b: np.ndarray) -> np.ndarray:
     return Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
 
 
-def _lifted_factor(w: Trajectory, p: Trajectory, L: int, tol: float):
-    """``(H, U, s, Vt, rank)`` of ``H = H_L(col(w, p (x) w))`` by :func:`_rank_factor`.
+def _trim(H: np.ndarray) -> np.ndarray:
+    """``H``, or ``R^T`` of ``H^T = Q R`` when ``H`` has at least four columns per row.
 
-    ``H`` is returned as ``(L, 1 + n_p, n_w, N)`` blocks, the row layout of
-    :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w``
-    (``1 + j``), then the channel of ``w``.
+    ``R^T = H Q`` has the singular values and left singular vectors of ``H``, keeps its
+    exactly-zero rows zero (Householder QR) and has no long axis, so no SVD forms the
+    long right factor (Chan's R-SVD, ACM TOMS 8(1), 1982).  On narrower ``H`` the QR
+    costs more than it saves, and the direct SVD is taken.
+    """
+    rows, cols = H.shape
+    return np.linalg.qr(H.T, mode="r").T if cols >= 4 * rows else H
+
+
+def _lifted_factor(w: Trajectory, p: Trajectory, L: int, tol: float):
+    """``(shape, F, U, s, rank)`` of ``H = H_L(col(w, p (x) w))``.
+
+    ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout
+    of :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w``
+    (``1 + j``), then the channel of ``w``.  ``F`` is :func:`_trim` of ``H`` in
+    the same row blocks, and ``U``, ``s``, ``rank`` its :func:`_rank_factor`:
+    those of ``H``, with ``U`` complete.
     """
     if w.length < L:
         raise InvalidShape(f"data length {w.length} shorter than window L={L}")
     H = hankel(kron_extend(w, p), L).data
-    return (H.reshape(L, 1 + p.dim, w.dim, -1), *_rank_factor(H, tol, complete=True))
+    F = _trim(H)
+    U, s, _, rank = _rank_factor(F, tol, complete=True)
+    return (L, 1 + p.dim, w.dim, H.shape[-1]), F.reshape(L, 1 + p.dim, w.dim, -1), U, s, rank
 
 
 def _kron_consistent(shape, U, s, rank: int, p: Trajectory) -> np.ndarray:
@@ -100,10 +116,11 @@ def _kron_consistent(shape, U, s, rank: int, p: Trajectory) -> np.ndarray:
     return K
 
 
-def _input_rows(H: np.ndarray, Vt: np.ndarray, n_u: int) -> np.ndarray:
-    """Rows ``u``, ``p (x) u`` of ``H V``: the singular values of the input
-    Hankel matrix.  Those rows of ``U S`` would turn zero inputs into rounding."""
-    return H[:, :, :n_u].reshape(-1, H.shape[-1]) @ Vt.T
+def _input_rows(F: np.ndarray, n_u: int) -> np.ndarray:
+    """Rows ``u``, ``p (x) u`` of the blocks ``F`` of :func:`_lifted_factor`: they have
+    the singular values of the input Hankel matrix, and exactly-zero inputs stay
+    exactly zero in them.  Those rows of ``U S`` would turn zero inputs into rounding."""
+    return F[:, :, :n_u].reshape(-1, F.shape[-1])
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> tuple[int, np.ndarray]:
@@ -342,20 +359,22 @@ def check_pe(
 ) -> PeReport:
     """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
 
-    With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks."""
+    With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks.  Either
+    Hankel matrix goes through :func:`_trim`, so a long record costs a QR and
+    small SVDs, none with an axis of length ``T - L + 1``."""
     if u.interval != p.interval:
         raise InvalidShape(f"u and p intervals differ: {u.interval} vs {p.interval}")
     if u.length < L:
         raise InvalidShape(f"data length {u.length} shorter than order L={L}")
     hankel_rank = None
     if y is None:
-        inputs = hankel(kron_extend(u, p), L).data
+        inputs = _trim(hankel(kron_extend(u, p), L).data)
     else:
         if y.interval != u.interval:
             raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
         w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-        H, _, _, Vt, hankel_rank = _lifted_factor(w, p, L, tol)
-        inputs = _input_rows(H, Vt, u.dim)
+        _, F, _, _, hankel_rank = _lifted_factor(w, p, L, tol)
+        inputs = _input_rows(F, u.dim)
     rank_in, svals = numeric_rank(inputs, tol)
     return PeReport(
         order_L=L,

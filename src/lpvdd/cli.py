@@ -37,11 +37,10 @@ import numpy as np
 from . import rng
 from .analysis import check_pe, minimality_report
 from .errors import LpvError
-from .experiments import generate_record
+from .experiments import _record_and_states
 from .models import LpvIoModel, LpvSsModel, example_verhoek, load_model
 from .prediction import DataRecord, predict
 from .signals import Trajectory, read_trajectory_csv, trajectory_to_csv
-from .simulation import simulate_ss
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,7 +175,7 @@ def cmd_simulate(args) -> int:
     cfg.model = cfg.model or "builtin:verhoek"
     model = _resolve_model(cfg.model)
     out_dir = Path(args.out_dir)
-    record = generate_record(
+    record, x = _record_and_states(
         model,
         cfg.T,
         cfg.seed,
@@ -192,9 +191,8 @@ def cmd_simulate(args) -> int:
         for name, traj in (("u", record.u), ("p", record.p), ("y", record.y)):
             _atomic_write(out_dir / f"{name}.csv", trajectory_to_csv(traj))
             outputs.append(f"{name}.csv")
-        if isinstance(model, LpvSsModel):
-            sim = simulate_ss(model, np.zeros(model.n_x), record.u, record.p)
-            _atomic_write(out_dir / "x.csv", trajectory_to_csv(sim.x))
+        if x is not None:
+            _atomic_write(out_dir / "x.csv", trajectory_to_csv(x))
             outputs.append("x.csv")
     meta = {
         "command": "simulate",

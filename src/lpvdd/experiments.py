@@ -44,11 +44,13 @@ def _boxes(box, dim: int, name: str):
     return [tuple(b) for b in box]
 
 
-def _simulate(model, u: Trajectory, p: Trajectory, init) -> Trajectory:
+def _simulate(model, u: Trajectory, p: Trajectory, init):
+    """Outputs and, of a state-space model, the states (``None`` for IO form)."""
     if isinstance(model, LpvIoModel):
-        return simulate_io(model, u, p, init)
+        return simulate_io(model, u, p, init), None
     if isinstance(model, LpvSsModel):
-        return simulate_ss(model, init, u, p).y
+        sim = simulate_ss(model, init, u, p)
+        return sim.y, sim.x
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -56,6 +58,17 @@ def _zero_init(model):
     if isinstance(model, LpvIoModel):
         return np.zeros((model.n_a, model.n_y))
     return np.zeros(model.n_x)
+
+
+def _record_and_states(model, T, seed, input_box=None, scheduling_box=None, provenance=""):
+    """:func:`generate_record` and the states of its one simulation run (``None`` for
+    IO form), which ``lpvdd simulate`` writes to ``x.csv``."""
+    u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
+    p = _uniform_traj(stream(seed, "scheduling"),
+                      _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
+    y, x = _simulate(model, u, p, _zero_init(model))
+    record = DataRecord(u=u, p=p, y=y, provenance=provenance or f"seed={seed}, T={T}")
+    return record, x
 
 
 def generate_record(
@@ -67,11 +80,7 @@ def generate_record(
     provenance: str = "",
 ) -> DataRecord:
     """Simulate one measured record from zero initial conditions."""
-    u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
-    p = _uniform_traj(stream(seed, "scheduling"),
-                      _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
-    y = _simulate(model, u, p, _zero_init(model))
-    return DataRecord(u=u, p=p, y=y, provenance=provenance or f"seed={seed}, T={T}")
+    return _record_and_states(model, T, seed, input_box, scheduling_box, provenance)[0]
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ def generate_query(
     init_rng = stream(seed, "query_init")
     lo, hi = _boxes(input_box, 1, "input_box")[0]
     init = init_rng.uniform(lo, hi, np.shape(_zero_init(model)))
-    y = _simulate(model, u, p, init)
+    y, _ = _simulate(model, u, p, init)
     return Query(
         u_ini=u.restrict(1, T_ini),
         p_ini=p.restrict(1, T_ini),

@@ -18,9 +18,11 @@ permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
 ``r``) comes from the record alone and ``M(p)`` is unit lower
 block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
 minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
-future output rows applied to ``z`` give the prediction.  The SVD of ``H``
-is taken once per record and depth (:meth:`DataRecord.lifted`); a query
-costs work on the ``R x r`` matrix ``K`` and one product with ``H^T``.
+future output rows applied to ``z`` give the prediction.  ``H`` is factored
+once per record and depth (:meth:`DataRecord.lifted`); only ``U`` and ``S``
+are read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR
+first and no factor has an axis of length ``N``.  A query costs work on the
+``R x r`` matrix ``K`` and one product with ``H^T``.
 
 Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
 singular value of the known rows of ``K``, and 0 when there are fewer than
@@ -85,6 +87,7 @@ class DataRecord:
     y: Trajectory
     provenance: str = ""
     _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
+    _input_ranks: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
     def __post_init__(self):
         if not (self.u.interval == self.p.interval == self.y.interval):
@@ -115,21 +118,29 @@ class DataRecord:
         return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
 
     def lifted(self, L: int):
-        """``(shape, U, s, pe)`` of ``H = H_L(col(w, p (x) w))``, factored once per ``L``.
+        """``(shape, U, s, inputs)`` of ``H = H_L(col(w, p (x) w))``, factored once per ``L``.
 
         ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, ``U``
         its complete left basis (``R x R``), ``s`` its singular values and
-        ``pe`` the ``(rank, singular values)`` of its ``u``, ``p (x) u`` rows
-        at :func:`check_pe`'s cut.  No rank is cut on ``s``, so one factor
-        serves every tolerance, and nothing kept has an axis of length ``N``.
+        ``inputs`` its ``u``, ``p (x) u`` rows after :func:`_trim`, which
+        :meth:`input_rank` reads.  No rank is cut on ``s``, so one factor
+        serves every tolerance.  ``H`` is kept in no form, and ``inputs`` has
+        ``R`` columns once ``N >= 4 R`` (fewer than ``4 R`` below that).
         """
         if L not in self._lifted:
-            H, U, s, Vt, _ = _lifted_factor(self.w, self.p, L, 0.0)
-            U.setflags(write=False)
-            s.setflags(write=False)
-            pe = numeric_rank(_input_rows(H, Vt, self.n_u))
-            self._lifted[L] = (H.shape, U, s, pe)
+            shape, F, U, s, _ = _lifted_factor(self.w, self.p, L, 0.0)
+            memo = (shape, U, s, _input_rows(F, self.n_u))
+            for a in memo[1:]:
+                a.setflags(write=False)
+            self._lifted[L] = memo
         return self._lifted[L]
+
+    def input_rank(self, L: int) -> int:
+        """Rank of the ``u``, ``p (x) u`` rows of ``H_L`` at :func:`check_pe`'s cut,
+        memoised per ``L``: only :func:`predict` reads it."""
+        if L not in self._input_ranks:
+            self._input_ranks[L] = numeric_rank(self.lifted(L)[3])[0]
+        return self._input_ranks[L]
 
     # -- interchange ----------------------------------------------------------
 
@@ -342,7 +353,8 @@ def predict(
         raise InvalidShape("query window lengths are inconsistent")
     L, n_u = T_ini + T_r, data.n_u
 
-    shape, U_H, s_H, (input_rank, _) = data.lifted(L)
+    shape, U_H, s_H, _ = data.lifted(L)
+    input_rank = data.input_rank(L)
     rank_H = _cut(s_H, rank_rtol)
     p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
     K = _kron_consistent(shape, U_H, s_H, rank_H, p_bar)
@@ -467,10 +479,9 @@ class LeftNullspace:
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
         """Largest violation of any basis row on all windows of ``(w, p)``."""
-        H = hankel(kron_extend(w, p), self.L).data
         if self.dimension == 0:
             return 0.0
-        return float(np.max(np.abs(self.basis @ H)))
+        return float(np.max(np.abs(self.basis @ hankel(kron_extend(w, p), self.L).data)))
 
 
 def left_nullspace(data: DataRecord, L: int, tol: float = 1e-9) -> LeftNullspace:

@@ -19,8 +19,10 @@ from lpvdd import (
     check_pe,
     example_verhoek,
     generate_record,
+    hankel,
     is_struct_observable,
     is_struct_reachable,
+    kron_extend,
     minimality_report,
     obsv_matrix,
     random_affine_ss,
@@ -183,6 +185,58 @@ def test_check_pe_zero_input_fails():
     with_y = check_pe(u, p, 2, y=rand_traj(rng, 1, 10))
     assert not with_y.verdict
     assert with_y.extended_input_rank == 0
+
+
+def _parity_record(kind, seed, T):
+    """``(u, p, y)``: exact verhoek data, zero inputs, an SS record with one zero
+    input channel, or an ``n_p = 0`` record."""
+    rng = np.random.default_rng(seed)
+    if kind == "lti":
+        return rand_traj(rng, 1, T), Trajectory(1, np.zeros((T, 0))), rand_traj(rng, 2, T)
+    if kind == "channel":
+        model = random_affine_ss(rng, 3, n_u=2, n_y=1, n_p=1)
+        rec = generate_record(model, T, seed)
+        u = Trajectory(1, rec.u.samples * [1.0, 0.0])
+        return u, rec.p, simulate_ss(model, np.zeros(3), u, rec.p).y
+    rec = generate_record(example_verhoek(), T, seed)
+    u = Trajectory(1, np.zeros((T, 1))) if kind == "zero" else rec.u
+    return u, rec.p, rec.y
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["verhoek", "zero", "channel", "lti"]),
+    seed=st.integers(0, 2**16),
+    L=st.integers(1, 8),
+    width=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.9, 4.0, 8.0, 30.0]),
+)
+def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
+    # width = columns per row of the lifted Hankel matrix: short records (N < R),
+    # near-square ones below the QR rule (N < 4 R) and wide ones above it
+    n_rows = {"lti": 3, "channel": 6}.get(kind, 6) * L
+    N = max(1, round(width * n_rows))
+    u, p, y = _parity_record(kind, seed, N + L - 1)
+    w = Trajectory(1, np.hstack([u.samples, y.samples]))
+    H = hankel(kron_extend(w, p), L).data
+    assert H.shape == (n_rows, N)
+    shape, F, U, s, rank = analysis._lifted_factor(w, p, L, 1e-9)
+    assert F.shape[-1] == (n_rows if N >= 4 * n_rows else N)
+
+    U_ref, s_ref, _ = np.linalg.svd(H)
+    assert s.shape == s_ref.shape
+    assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+    r = analysis._cut(s_ref, 1e-9)
+    assert rank == r
+    P, P_ref = U[:, :r] @ U[:, :r].T, U_ref[:, :r] @ U_ref[:, :r].T
+    assert np.max(np.abs(P - P_ref), initial=0.0) <= 1e-12
+
+    n_u = u.dim
+    rank_in = analysis.numeric_rank(H.reshape(shape[:3] + (N,))[:, :, :n_u].reshape(-1, N))[0]
+    assert analysis.numeric_rank(analysis._input_rows(F, n_u))[0] == rank_in
+    assert check_pe(u, p, L).extended_input_rank == rank_in
+    assert check_pe(u, p, L, y=y).extended_input_rank == rank_in
+    if kind == "zero":
+        assert rank_in == 0
 
 
 def test_check_pe_lti_degenerate():

@@ -7,12 +7,18 @@ import pytest
 
 from lpvdd import (
     example_verhoek,
+    experiments,
     generate_query,
+    generate_record,
+    load_model,
     random_affine_ss,
     read_trajectory_csv,
     save_model,
+    simulate_ss,
+    trajectory_to_csv,
     write_trajectory_csv,
 )
+from lpvdd import cli
 from lpvdd.cli import main
 
 QUERY_NAMES = ("u_ini", "p_ini", "y_ini", "u_r", "p_r")
@@ -83,16 +89,31 @@ def test_simulate_zero_input_box_gives_zero_output(tmp_path):
     assert not y.samples.any()
 
 
-def test_simulate_ss_model_writes_states(tmp_path):
+def test_simulate_ss_model_writes_states(tmp_path, monkeypatch):
     model_path = tmp_path / "model.json"
     save_model(model_path, random_affine_ss(np.random.default_rng(0), 2, 1, 1, 2))
+    calls = []
+
+    def counting(*args, real=experiments.simulate_ss, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (experiments, cli):  # every module that may hold the name
+        monkeypatch.setattr(module, "simulate_ss", counting, raising=False)
     code = main([
         "simulate", "--model", str(model_path), "--T", "12",
         "--seed", "3", "--out-dir", str(tmp_path / "ssrun"),
     ])
+    monkeypatch.undo()
     assert code == 0
+    assert len(calls) == 1  # the record's run also gives the states
     x = read_trajectory_csv(tmp_path / "ssrun" / "x.csv")
     assert x.length == 13  # includes the terminal state
+    model = load_model(model_path)
+    rec = generate_record(model, 12, 3)
+    sim = simulate_ss(model, np.zeros(2), rec.u, rec.p)
+    assert (tmp_path / "ssrun" / "x.csv").read_text() == trajectory_to_csv(sim.x)
+    assert (tmp_path / "ssrun" / "y.csv").read_text() == trajectory_to_csv(rec.y)
 
 
 def test_simulate_missing_model_file(tmp_path):

@@ -564,19 +564,29 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
 
 
-def _wide_svd_calls(monkeypatch, fn, cols):
-    """Number of ``np.linalg.svd`` calls on a matrix with ``cols`` columns."""
-    svd = np.linalg.svd
-    shapes = []
+def _factor_shapes(monkeypatch, fn):
+    """Operand shapes of the ``np.linalg.svd`` and ``np.linalg.qr`` calls of ``fn()``."""
+    shapes = {"svd": [], "qr": []}
 
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(name, real):
+        def call(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        return call
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     fn()
     monkeypatch.undo()
-    return sum(1 for shape in shapes if shape[-1] == cols)
+    return shapes
+
+
+def _wide_svd_calls(monkeypatch, fn, cols):
+    """Number of ``np.linalg.svd`` and ``np.linalg.qr`` calls on a matrix with an
+    axis of length ``cols``: the factorizations of a Hankel matrix of ``cols`` columns."""
+    shapes = _factor_shapes(monkeypatch, fn)
+    return sum(cols in shape for shape in shapes["svd"] + shapes["qr"])
 
 
 def test_one_wide_svd_per_predict_and_per_check_pe(monkeypatch):
@@ -644,9 +654,55 @@ def test_factor_memo_holds_no_array_of_record_length():
         rec = _record(T)
         memo = [rec.lifted(L) for L in (7, 10)]
         assert [shape[-1] for shape, *_ in memo] == [T - 6, T - 9]
-        return sum(U.nbytes + s.nbytes + sv.nbytes for _, U, s, (_, sv) in memo)
+        return sum(U.nbytes + s.nbytes + inputs.nbytes for _, U, s, inputs in memo)
 
     assert memo_nbytes(500) == memo_nbytes(4000)
+
+
+def test_no_svd_of_a_long_record_has_a_record_long_axis(monkeypatch):
+    # T = 400: every lifted Hankel matrix here has N >= 4 R columns, so each goes
+    # through one QR and no SVD operand has an axis longer than R = 6 L rows
+    rec = _record(400)
+    q = _query(seed=3)
+    L = q.u_ini.length + q.u_r.length
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p = concat(q.p_ini, q.p_r)
+
+    def run():
+        assert predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r).verdict == "ok"
+        assert check_pe(rec.u, rec.p, L).verdict
+        assert check_pe(rec.u, rec.p, L, y=rec.y).verdict
+        assert left_nullspace(rec, 7).dimension == 5
+        assert span_membership(rec, w, p).member
+
+    shapes = _factor_shapes(monkeypatch, run)
+    assert max(max(shape) for shape in shapes["svd"]) <= 6 * L
+    # predict and span_membership share one factor; left_nullspace has its own depth
+    assert sorted(shapes["qr"]) == sorted(
+        [(rec.T - L + 1, 6 * L), (rec.T - L + 1, 3 * L),
+         (rec.T - L + 1, 6 * L), (rec.T - 7 + 1, 6 * 7)])
+
+
+@pytest.mark.parametrize("T", [70, 400])
+def test_left_nullspace_on_a_fresh_record_makes_one_svd(monkeypatch, T):
+    # the input-row singular values are read only by predict
+    rec = _record(T)
+    shapes = _factor_shapes(monkeypatch, lambda: left_nullspace(rec, 7))
+    assert len(shapes["svd"]) == 1
+    assert len(shapes["qr"]) == (T - 6 >= 4 * 42)
+
+
+def test_max_residual_on_an_empty_basis_builds_no_hankel(monkeypatch):
+    model = random_affine_ss(np.random.default_rng(0), 6, n_u=2, n_y=2, n_p=3)
+    rec = generate_record(model, 400, 0)
+    ns = left_nullspace(rec, 3)
+    assert ns.dimension == 0
+
+    def no_hankel(*args, **kwargs):
+        raise AssertionError("hankel built for an empty basis")
+
+    monkeypatch.setattr("lpvdd.prediction.hankel", no_hankel)
+    assert ns.max_residual_on(rec.w, rec.p) == 0.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
