@@ -31,13 +31,7 @@ from .analysis import (
     reach_matrix,
     structural_rank,
 )
-from .coeffs import (
-    CoeffMatrix,
-    PolyCoeff,
-    SchedVar,
-    eval_diamond,
-    shift_fwd,
-)
+from .coeffs import CoeffMatrix, PolyCoeff, SchedVar
 from .errors import (
     DimensionMismatch,
     InconsistentTrajectory,
@@ -76,7 +70,6 @@ from .prediction import (
     span_membership,
 )
 from .signals import (
-    HankelMatrix,
     Trajectory,
     concat,
     hankel,

@@ -57,12 +57,17 @@ __all__ = [
 ]
 
 
-def _cut(s: np.ndarray, tol: float) -> int:
-    """Count of singular values above ``tol * s[0]``; 0 when none is positive."""
-    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+# The relative rank cut of every rank decision: a singular value counts when it
+# exceeds RANK_CUT times the largest.  Read at call time, never bound as a default.
+RANK_CUT = 1e-9
 
 
-def _rank_factor(matrix: np.ndarray, tol: float, complete: bool = False):
+def _cut(s: np.ndarray) -> int:
+    """Count of singular values above ``RANK_CUT * s[0]``; 0 when none is positive."""
+    return int(np.sum(s > RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _rank_factor(matrix: np.ndarray, complete: bool = False):
     """SVD ``(U, s, Vt, rank)`` with the numeric rank of ``matrix``.
 
     With ``complete``, ``U`` is a complete left basis, so ``U[:, rank:]``
@@ -71,7 +76,7 @@ def _rank_factor(matrix: np.ndarray, tol: float, complete: bool = False):
     """
     rows, cols = matrix.shape
     U, s, Vt = np.linalg.svd(matrix, full_matrices=complete and rows > cols)
-    return U, s, Vt, _cut(s, tol)
+    return U, s, Vt, _cut(s)
 
 
 def _min_norm_solve(U, s, Vt, rank: int, b: np.ndarray) -> np.ndarray:
@@ -91,21 +96,21 @@ def _trim(H: np.ndarray) -> np.ndarray:
     return np.linalg.qr(H.T, mode="r").T if cols >= 4 * rows else H
 
 
-def _lifted_factor(w: Trajectory, p: Trajectory, L: int, tol: float):
-    """``(shape, F, U, s, rank)`` of ``H = H_L(col(w, p (x) w))``.
+def _lifted_factor(w: Trajectory, p: Trajectory, L: int):
+    """``(shape, F, U, s)`` of ``H = H_L(col(w, p (x) w))``.
 
     ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout
     of :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w``
     (``1 + j``), then the channel of ``w``.  ``F`` is :func:`_trim` of ``H`` in
-    the same row blocks, and ``U``, ``s``, ``rank`` its :func:`_rank_factor`:
-    those of ``H``, with ``U`` complete.
+    the same row blocks, and ``U``, ``s`` its complete left basis and singular
+    values: those of ``H``.  No rank is cut; :func:`_cut` of ``s`` is the rank.
     """
     if w.length < L:
         raise InvalidShape(f"data length {w.length} shorter than window L={L}")
-    H = hankel(kron_extend(w, p), L).data
+    H = hankel(kron_extend(w, p), L)
     F = _trim(H)
-    U, s, _, rank = _rank_factor(F, tol, complete=True)
-    return (L, 1 + p.dim, w.dim, H.shape[-1]), F.reshape(L, 1 + p.dim, w.dim, -1), U, s, rank
+    U, s, _, _ = _rank_factor(F, complete=True)
+    return (L, 1 + p.dim, w.dim, H.shape[-1]), F.reshape(L, 1 + p.dim, w.dim, -1), U, s
 
 
 def _kron_consistent(shape, U, s, rank: int, p: Trajectory) -> np.ndarray:
@@ -123,12 +128,12 @@ def _input_rows(F: np.ndarray, n_u: int) -> np.ndarray:
     return F[:, :, :n_u].reshape(-1, F.shape[-1])
 
 
-def numeric_rank(matrix: np.ndarray, tol: float = 1e-9) -> tuple[int, np.ndarray]:
-    """Rank from singular values above ``tol * sigma_max``; returns (rank, svals)."""
+def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank from singular values above ``RANK_CUT * sigma_max``; returns (rank, svals)."""
     if matrix.size == 0:
         return 0, np.zeros(0)
     s = np.linalg.svd(matrix, compute_uv=False)
-    return _cut(s, tol), s
+    return _cut(s), s
 
 
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
@@ -160,10 +165,11 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-def _obsv_blocks(C: np.ndarray, A: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _obsv_blocks(C: np.ndarray, A: np.ndarray, scaled: bool = False) -> np.ndarray:
     """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis -3
-    (leading axes broadcast); of transposed ``B``, ``A``: transposed reachability blocks."""
-    unit = (lambda X, F: X) if tol is None else partial(_unit, tol=tol)
+    (leading axes broadcast); of transposed ``B``, ``A``: transposed reachability blocks.
+    ``scaled`` puts each product at unit norm (:func:`_unit`)."""
+    unit = _unit if scaled else (lambda X, F: X)
     blocks, prod = [C[..., 0, :, :]], np.eye(C.shape[-1])
     for i in range(A.shape[-3]):
         prod = unit(A[..., i, :, :] @ prod, A[..., i, :, :])
@@ -196,27 +202,28 @@ def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     return _obsv_blocks(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(-1, model.n_x).T
 
 
-def _unit(X: np.ndarray, F: np.ndarray, tol: float) -> np.ndarray:
+def _unit(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Each matrix of ``X = F G``, ``|G|_2 <= 1``, at unit Frobenius norm, or zero where
-    its norm is at most ``tol |F|``: a product that cancels below the cut is rounding."""
+    its norm is at most ``RANK_CUT |F|``: a product that cancels below the cut is rounding."""
     norm = np.sqrt(np.einsum("...ij,...ij->...", X, X))[..., None, None]
     scale = np.sqrt(np.einsum("...ij,...ij->...", F, F))[..., None, None]
-    return X * ((norm > tol * scale) / np.where(norm > 0, norm, 1.0))
+    return X * ((norm > RANK_CUT * scale) / np.where(norm > 0, norm, 1.0))
 
 
-def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int, tol: float) -> np.ndarray:
+def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
     """Observability maps at ``k = 0``, block rows at unit norm, of windows ``P``."""
     n = model.n_x
-    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1), tol)
+    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1),
+                     scaled=True)
     return O.reshape(len(P), -1, n)
 
 
-def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int, tol: float) -> np.ndarray:
+def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
     """Transposed reachability maps, as :func:`_obsv_trials`: same singular values."""
     n = model.n_x
     B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
     A = model.A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
-    return _obsv_blocks(B, A, tol).reshape(len(P), -1, n)
+    return _obsv_blocks(B, A, scaled=True).reshape(len(P), -1, n)
 
 
 @dataclass(frozen=True)
@@ -234,41 +241,36 @@ class StructuralRankReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _sampled_rank(evaluate, window, n_p, required, trials, tol, seed, box=(-1.0, 1.0)):
+def _sampled_rank(evaluate, window, n_p, required, trials, seed):
     """Every trial of :func:`structural_rank` at once: ``P`` holds all windows, drawn in
     one call (the values of one draw per trial); ``evaluate(P, i)`` stacks the maps at
     ``k = 0`` (row ``i`` of ``P``), with blocks at unit norm on the model route; one SVD."""
     if trials < 1:
         raise InvalidShape(f"trials must be >= 1, got {trials}")
     lo, hi = window
-    P = stream(seed, "trials").uniform(box[0], box[1], (trials, hi - lo + 1, n_p))
-    ranks = [_cut(s, tol) for s in np.linalg.svd(evaluate(P, -lo), compute_uv=False)]
+    P = stream(seed, "trials").uniform(-1.0, 1.0, (trials, hi - lo + 1, n_p))
+    ranks = [_cut(s) for s in np.linalg.svd(evaluate(P, -lo), compute_uv=False)]
     passes = sum(rank >= required for rank in ranks)
     return StructuralRankReport(
         tested_rank=max(ranks), required_rank=required, num_trials=trials,
-        pass_count=passes, tolerance=tol, verdict=passes == trials)
+        pass_count=passes, tolerance=RANK_CUT, verdict=passes == trials)
 
 
 def structural_rank(
-    M: CoeffMatrix,
-    required: int,
-    trials: int = 20,
-    tol: float = 1e-9,
-    seed: int = 0,
-    box: tuple[float, float] = (-1.0, 1.0),
+    M: CoeffMatrix, required: int, trials: int = 20, seed: int = 0
 ) -> StructuralRankReport:
     """Randomized check that ``M`` has rank >= ``required`` generically.
 
     Evaluates ``M`` at ``k = 0`` for ``trials`` scheduling windows drawn
-    i.i.d. uniform on ``box`` (per component, per needed offset).  The
+    i.i.d. uniform on ``[-1, 1]`` (per component, per needed offset).  The
     verdict requires the numeric rank to reach ``required`` on every trial.
     """
     return _sampled_rank(lambda P, i: M._eval_rows(P, i, 1)[:, 0], M.window or (0, 0),
-                         M.n_p, required, trials, tol, seed, box)
+                         M.n_p, required, trials, seed)
 
 
 def is_struct_observable(
-    model: LpvSsModel, trials: int = 20, tol: float = 1e-9, seed: int = 0
+    model: LpvSsModel, trials: int = 20, seed: int = 0
 ) -> StructuralRankReport:
     """Full column rank of the ``n_x``-step observability matrix, generically.
 
@@ -276,12 +278,11 @@ def is_struct_observable(
     by the recursion of :func:`obsv_eval` with each block row scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
-    return _sampled_rank(partial(_obsv_trials, model, tol=tol), window, model.n_p,
-                         n, trials, tol, seed)
+    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p, n, trials, seed)
 
 
 def is_struct_reachable(
-    model: LpvSsModel, trials: int = 20, tol: float = 1e-9, seed: int = 0
+    model: LpvSsModel, trials: int = 20, seed: int = 0
 ) -> StructuralRankReport:
     """Full row rank of the ``n_x``-step reachability matrix, generically.
 
@@ -289,8 +290,7 @@ def is_struct_reachable(
     by the recursion of :func:`reach_eval` with each block column scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
-    return _sampled_rank(partial(_reach_trials, model, tol=tol), window, model.n_p,
-                         n, trials, tol, seed)
+    return _sampled_rank(partial(_reach_trials, model), window, model.n_p, n, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -320,11 +320,11 @@ class MinimalityReport:
 
 
 def minimality_report(
-    model: LpvSsModel, trials: int = 20, tol: float = 1e-9, seed: int = 0
+    model: LpvSsModel, trials: int = 20, seed: int = 0
 ) -> MinimalityReport:
     return MinimalityReport(
-        observable=is_struct_observable(model, trials, tol, seed),
-        reachable=is_struct_reachable(model, trials, tol, seed),
+        observable=is_struct_observable(model, trials, seed),
+        reachable=is_struct_reachable(model, trials, seed),
     )
 
 
@@ -355,7 +355,6 @@ def check_pe(
     p: Trajectory,
     L: int,
     y: Trajectory | None = None,
-    tol: float = 1e-9,
 ) -> PeReport:
     """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
 
@@ -368,14 +367,15 @@ def check_pe(
         raise InvalidShape(f"data length {u.length} shorter than order L={L}")
     hankel_rank = None
     if y is None:
-        inputs = _trim(hankel(kron_extend(u, p), L).data)
+        inputs = _trim(hankel(kron_extend(u, p), L))
     else:
         if y.interval != u.interval:
             raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
         w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-        _, F, _, _, hankel_rank = _lifted_factor(w, p, L, tol)
+        _, F, _, s = _lifted_factor(w, p, L)
+        hankel_rank = _cut(s)
         inputs = _input_rows(F, u.dim)
-    rank_in, svals = numeric_rank(inputs, tol)
+    rank_in, svals = numeric_rank(inputs)
     return PeReport(
         order_L=L,
         extended_input_rank=rank_in,

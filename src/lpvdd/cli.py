@@ -38,7 +38,7 @@ from . import rng
 from .analysis import check_pe, minimality_report
 from .errors import LpvError
 from .experiments import _record_and_states
-from .models import LpvIoModel, LpvSsModel, example_verhoek, load_model
+from .models import LpvIoModel, LpvSsModel, _fatal_issues, example_verhoek, load_model
 from .prediction import DataRecord, predict
 from .signals import Trajectory, read_trajectory_csv, trajectory_to_csv
 
@@ -92,6 +92,10 @@ class ExperimentConfig:
                 raise ConfigError(f"bad scheduling_box entry {b}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        for key in ("tol", "margin_tol"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
 
 
 # JSON types accepted per config key; ``bool`` is rejected everywhere.
@@ -137,9 +141,13 @@ def _resolve_model(name: str):
     if not path.exists():
         raise ConfigError(f"model file not found: {name}")
     try:
-        return load_model(path)
+        model = load_model(path)
     except (LpvError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot load model {name}: {exc}") from exc
+    issues = _fatal_issues(model)
+    if issues:
+        raise ConfigError(f"invalid model {name}: {'; '.join(issues)}")
+    return model
 
 
 def _atomic_write(path: Path, text: str) -> None:

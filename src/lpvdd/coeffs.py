@@ -4,14 +4,14 @@ A :class:`PolyCoeff` is a multivariate polynomial in the variables
 ``p_j(k + d)``: component ``j`` of the scheduling signal read at a signed
 time offset ``d`` relative to the evaluation instant.  Evaluating such a
 coefficient along a concrete scheduling trajectory turns it into an ordinary
-time-varying real coefficient; that evaluation is :func:`eval_diamond`.
+time-varying real coefficient; that evaluation is :meth:`PolyCoeff.eval`.
 
 The algebra is deliberately exact: terms are kept in a canonical sorted
 form, coefficients are merged with plain float addition, and only exact
 zeros are dropped.  Time-shifting a coefficient re-indexes every offset,
 which gives the defining identity
 
-    eval_diamond(shift_fwd(c), p, k) == eval_diamond(c, p, k + 1)
+    c.shift(1).eval(p, k) == c.eval(p, k + 1)
 
 and makes multiplication with the signal shift operator non-commutative,
 as it must be for scheduling-dependent coefficients.
@@ -45,8 +45,6 @@ __all__ = [
     "SchedVar",
     "PolyCoeff",
     "CoeffMatrix",
-    "eval_diamond",
-    "shift_fwd",
 ]
 
 # A monomial is a sorted tuple of (component, offset, power) triples with
@@ -409,9 +407,6 @@ class CoeffMatrix:
             out.append(row)
         return CoeffMatrix(out)
 
-    def scale(self, a: float) -> "CoeffMatrix":
-        return CoeffMatrix([[e * a for e in row] for row in self.entries])
-
     def eval(self, p: Trajectory, k: int) -> np.ndarray:
         """Real matrix obtained by evaluating every entry along ``p`` at ``k``."""
         return self.eval_range(p, k, k)[0]
@@ -463,15 +458,3 @@ class CoeffMatrix:
             [sum((list(b.entries[i]) for b in blocks), []) for i in range(rows)]
         )
 
-
-# -- function forms --------------------------------------------------------
-
-
-def eval_diamond(c: PolyCoeff, p: Trajectory, k: int) -> float:
-    """Evaluate a coefficient function along a scheduling trajectory."""
-    return c.eval(p, k)
-
-
-def shift_fwd(c, n: int = 1):
-    """Increment every scheduling offset by ``n`` (coefficient one step ahead)."""
-    return c.shift(n)

@@ -258,6 +258,13 @@ def validate(model) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def _fatal_issues(model) -> list[str]:
+    """The issues of :func:`validate` but a zero leading ``a_i``/``b_i``: that only
+    degrades the nominal order, and the kernel is still well-defined through its
+    identity leading block."""
+    return [i for i in validate(model).issues if "leading coefficient" not in i]
+
+
 def example_verhoek() -> LpvIoModel:
     """Built-in SISO demonstration model with affine scheduling dependence.
 
@@ -279,10 +286,7 @@ def io_to_kernel(model: LpvIoModel) -> KernelRep:
     forward-shifted by ``n_a`` so that the kernel residual evaluated at ``k``
     reproduces the IO recursion at ``k + n_a``.
     """
-    report = validate(model)
-    # a zero leading a_i/b_i only degrades the nominal order, the kernel is
-    # still well-defined through its identity leading block
-    fatal = [i for i in report.issues if "leading coefficient" not in i]
+    fatal = _fatal_issues(model)
     if fatal:
         raise InvalidModel("invalid IO model: " + "; ".join(fatal))
     n_a, n_b = model.n_a, model.n_b
@@ -308,7 +312,6 @@ def random_affine_ss(
     n_u: int = 1,
     n_y: int = 1,
     n_p: int = 1,
-    spectral_scale: float = 0.7,
 ) -> LpvSsModel:
     """Random dense state-space model with affine offset-0 dependence.
 
@@ -321,7 +324,7 @@ def random_affine_ss(
         linear = [rng.uniform(-1, 1, (rows, cols)) * scale for _ in range(n_p)]
         return CoeffMatrix.affine(const, linear)
 
-    a_scale = spectral_scale / (n_x * (1 + n_p)) ** 0.5
+    a_scale = 0.7 / (n_x * (1 + n_p)) ** 0.5
     return LpvSsModel(
         A=affine_mat(n_x, n_x, a_scale),
         B=affine_mat(n_x, n_u),

@@ -123,12 +123,11 @@ class DataRecord:
         ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, ``U``
         its complete left basis (``R x R``), ``s`` its singular values and
         ``inputs`` its ``u``, ``p (x) u`` rows after :func:`_trim`, which
-        :meth:`input_rank` reads.  No rank is cut on ``s``, so one factor
-        serves every tolerance.  ``H`` is kept in no form, and ``inputs`` has
+        :meth:`input_rank` reads.  ``H`` is kept in no form, and ``inputs`` has
         ``R`` columns once ``N >= 4 R`` (fewer than ``4 R`` below that).
         """
         if L not in self._lifted:
-            shape, F, U, s, _ = _lifted_factor(self.w, self.p, L, 0.0)
+            shape, F, U, s = _lifted_factor(self.w, self.p, L)
             memo = (shape, U, s, _input_rows(F, self.n_u))
             for a in memo[1:]:
                 a.setflags(write=False)
@@ -175,11 +174,14 @@ class DataRecord:
 
     @classmethod
     def from_json_bundle(cls, path) -> "DataRecord":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """Read a record; :class:`InvalidShape` naming ``path`` when it is not a
+        JSON record (a missing key is named too)."""
         try:
-            return cls.from_dict(data)
-        except InvalidShape as exc:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except KeyError as exc:
+            raise InvalidShape(f"{path}: missing key {exc}") from None
+        except (InvalidShape, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise InvalidShape(f"{path}: {exc}") from None
 
     @classmethod
@@ -275,10 +277,10 @@ def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorS
         raise InvalidShape(f"query scheduling has length {p_query.length}, expected L={L}")
     if data.T < L:
         raise InvalidShape(f"data length {data.T} shorter than window L={L}")
-    Hu = hankel(data.u, L).data
-    Hy = hankel(data.y, L).data
-    Hpu = hankel(kron_signal(data.u, data.p), L).data
-    Hpy = hankel(kron_signal(data.y, data.p), L).data
+    Hu = hankel(data.u, L)
+    Hy = hankel(data.y, L)
+    Hpu = hankel(kron_signal(data.u, data.p), L)
+    Hpy = hankel(kron_signal(data.y, data.p), L)
     Pu = sched_block_diag(p_query, data.n_u)
     Py = sched_block_diag(p_query, data.n_y)
     matrix = np.vstack([Hu, Hpu - Pu @ Hu, Hy, Hpy - Py @ Hy])
@@ -325,7 +327,6 @@ def predict(
     p_r: Trajectory,
     tol: float = 1e-7,
     margin_tol: float = 1e-7,
-    rank_rtol: float = 1e-9,
 ) -> PredictionResult:
     """Predict the future outputs of a query trajectory from recorded data.
 
@@ -355,7 +356,7 @@ def predict(
 
     shape, U_H, s_H, _ = data.lifted(L)
     input_rank = data.input_rank(L)
-    rank_H = _cut(s_H, rank_rtol)
+    rank_H = _cut(s_H)
     p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
     K = _kron_consistent(shape, U_H, s_H, rank_H, p_bar)
     # Every row is known but the outputs after T_ini; targets are zero on the
@@ -369,7 +370,7 @@ def predict(
 
     # The known rows of the stack are A V_r^T: one SVD of A gives the solve,
     # the residual and the margin, sigma_r of A (0 when A has fewer than r rows).
-    U, s, Vt, rank = _rank_factor(A, rank_rtol)
+    U, s, Vt, rank = _rank_factor(A)
     z = _min_norm_solve(U, s, Vt, rank, b)
     residual = float(np.linalg.norm(A @ z - b))
     margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
@@ -401,7 +402,7 @@ def predict(
         "warnings": warnings,
     }
     # g = V_r z with V_r = H^T U_r S_r^-1, from H rebuilt rather than kept
-    H = hankel(kron_extend(data.w, data.p), L).data
+    H = hankel(kron_extend(data.w, data.p), L)
     return PredictionResult(
         y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
         g=H.T @ (U_H[:, :rank_H] @ (z / s_H[:rank_H])),
@@ -425,7 +426,6 @@ def span_membership(
     w_test: Trajectory,
     p_test: Trajectory,
     tol: float = 1e-7,
-    rank_rtol: float = 1e-9,
 ) -> MembershipResult:
     """Test whether a window lies in the data span at the test scheduling.
 
@@ -443,12 +443,12 @@ def span_membership(
     if p_test.length != L:
         raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
     shape, U, s, _ = data.lifted(L)
-    rank = _cut(s, rank_rtol)
+    rank = _cut(s)
     b = np.zeros(shape[:3])
     b[:, 0] = w_test.samples
     A = _kron_consistent(shape, U, s, rank, p_test).reshape(b.size, rank)
     b = b.reshape(-1)
-    z = _min_norm_solve(*_rank_factor(A, rank_rtol), b)
+    z = _min_norm_solve(*_rank_factor(A), b)
     residual = float(np.linalg.norm(A @ z - b))
     return MembershipResult(member=residual <= tol, residual=residual)
 
@@ -481,13 +481,13 @@ class LeftNullspace:
         """Largest violation of any basis row on all windows of ``(w, p)``."""
         if self.dimension == 0:
             return 0.0
-        return float(np.max(np.abs(self.basis @ hankel(kron_extend(w, p), self.L).data)))
+        return float(np.max(np.abs(self.basis @ hankel(kron_extend(w, p), self.L))))
 
 
-def left_nullspace(data: DataRecord, L: int, tol: float = 1e-9) -> LeftNullspace:
+def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
     _, U, s, _ = data.lifted(L)
-    rank = _cut(s, tol)
+    rank = _cut(s)
     basis = U[:, rank:].T
     return LeftNullspace(
         basis=basis,

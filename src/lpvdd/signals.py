@@ -28,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "Trajectory",
-    "HankelMatrix",
     "vec",
     "concat",
     "hankel",
@@ -110,25 +109,6 @@ class Trajectory:
         return Trajectory(t_start, self.samples)
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """Block Hankel matrix of a trajectory.
-
-    ``data`` has shape ``(block_rows * block_dim, cols)``; column ``j`` stacks
-    the samples ``j, j+1, ..., j+block_rows-1`` of the source (0-based from
-    the trajectory start).
-    """
-
-    data: np.ndarray
-    block_rows: int
-    cols: int
-    block_dim: int
-
-    def block_row(self, i: int) -> np.ndarray:
-        """Rows belonging to window position ``i`` (0-based)."""
-        return self.data[i * self.block_dim : (i + 1) * self.block_dim]
-
-
 def vec(w: Trajectory) -> np.ndarray:
     """Stacked column ``[w(t_start); ...; w(t_end)]`` of length ``dim * length``."""
     return w.samples.reshape(-1).copy()
@@ -145,29 +125,25 @@ def concat(w1: Trajectory, w2: Trajectory) -> Trajectory:
     return Trajectory(w1.t_start, np.vstack([w1.samples, w2.samples]))
 
 
-def hankel(w: Trajectory, t1: int, t2: int | None = None) -> HankelMatrix:
-    """Block Hankel matrix with ``t1`` block rows and ``t2`` columns.
+def hankel(w: Trajectory, t1: int) -> np.ndarray:
+    """Block Hankel matrix with ``t1`` block rows, shape ``(t1 * dim, T - t1 + 1)``.
 
     Entry block ``(i, j)`` (1-based) is the sample at window offset
-    ``i + j - 2`` from the trajectory start.  ``t2`` defaults to the maximal
-    number of columns ``T - t1 + 1``.
+    ``i + j - 2`` from the trajectory start, so column ``j`` stacks the
+    window of ``t1`` samples starting there.
     """
     T = w.length
     if t1 < 1:
         raise InvalidShape(f"t1 must be positive, got {t1}")
-    max_cols = T - t1 + 1
-    if max_cols < 1:
+    cols = T - t1 + 1
+    if cols < 1:
         raise InvalidShape(f"t1={t1} too large for trajectory of length {T}")
-    if t2 is None:
-        t2 = max_cols
-    if t2 < 1 or t2 > max_cols:
-        raise InvalidShape(f"t2={t2} outside [1, {max_cols}] for T={T}, t1={t1}")
     # One slice copy per block row: t1 steps, each vectorised over the columns.
     d = w.dim
-    data = np.empty((t1, d, t2))
+    data = np.empty((t1, d, cols))
     for i in range(t1):
-        data[i] = w.samples[i : i + t2].T
-    return HankelMatrix(data.reshape(t1 * d, t2), block_rows=t1, cols=t2, block_dim=d)
+        data[i] = w.samples[i : i + cols].T
+    return data.reshape(t1 * d, cols)
 
 
 def kron_signal(w: Trajectory, p: Trajectory) -> Trajectory:

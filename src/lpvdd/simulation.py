@@ -274,16 +274,13 @@ def estimate_initial_state(
     p_ini: Trajectory,
     y_ini: Trajectory,
     tol: float = 1e-7,
-    lag_bound: int | None = None,
-    rank_rtol: float = 1e-9,
 ) -> InitialStateEstimate:
     """Recover ``x(t_start)`` from an initial window of the trajectory.
 
     Solves the window response equation for the initial state by SVD least
     squares.  Raises :class:`RankDeficientObservability` when the window is
-    shorter than the lag bound (default ``n_x``, the safe sufficient choice;
-    pass a smaller known lag explicitly to override) or when the evaluated
-    observability map is numerically rank deficient, and
+    shorter than the lag bound ``n_x``, the safe sufficient choice, or when
+    the evaluated observability map is numerically rank deficient, and
     :class:`InconsistentTrajectory` when the residual exceeds ``tol``.
     """
     if u_ini.interval != y_ini.interval:
@@ -291,16 +288,15 @@ def estimate_initial_state(
             f"u_ini and y_ini intervals differ: {u_ini.interval} vs {y_ini.interval}"
         )
     T_ini = u_ini.length
-    bound = model.n_x if lag_bound is None else lag_bound
-    if T_ini < bound:
+    if T_ini < model.n_x:
         raise RankDeficientObservability(
-            f"window length {T_ini} below lag bound {bound}; "
+            f"window length {T_ini} below lag bound {model.n_x}; "
             "initial state not uniquely determined"
         )
     O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
     Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
     rhs = vec(y_ini) - Tm @ vec(u_ini)
-    U, s, Vt, rank = _rank_factor(O, rank_rtol)
+    U, s, Vt, rank = _rank_factor(O)
     sigma_min = float(s[-1]) if s.size else 0.0
     if rank < model.n_x:
         raise RankDeficientObservability(

@@ -26,7 +26,6 @@ from lpvdd import (
     RankDeficientObservability,
     Trajectory,
     check_pe,
-    eval_diamond,
     estimate_initial_state,
     example_verhoek,
     generate_query,
@@ -36,7 +35,6 @@ from lpvdd import (
     predict,
     propagate_state,
     response_map,
-    shift_fwd,
     simulate_ss,
     toeplitz_eval,
     vec,
@@ -235,12 +233,12 @@ def test_criterion_7_shift_calculus_property_suite():
         c2 = rand_poly(rng, n_p)
         probe = c1 * c2
         p = traj_covering(rng, probe, n_p, k_lo=-1, k_hi=1)
-        commutation_exact &= eval_diamond(shift_fwd(c1), p, 0) == eval_diamond(c1, p, 1)
-        v1 = eval_diamond(c1, p, 0)
-        v2 = eval_diamond(c2, p, 0)
+        commutation_exact &= c1.shift(1).eval(p, 0) == c1.eval(p, 1)
+        v1 = c1.eval(p, 0)
+        v2 = c2.eval(p, 0)
         for got, want in (
-            (eval_diamond(c1 * c2, p, 0), v1 * v2),
-            (eval_diamond(c1 + c2, p, 0), v1 + v2),
+            ((c1 * c2).eval(p, 0), v1 * v2),
+            ((c1 + c2).eval(p, 0), v1 + v2),
         ):
             worst_rel = max(worst_rel, abs(got - want) / max(1.0, abs(want)))
     _verdict(

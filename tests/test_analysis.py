@@ -18,13 +18,16 @@ from lpvdd import (
     analysis,
     check_pe,
     example_verhoek,
+    generate_query,
     generate_record,
     hankel,
     is_struct_observable,
     is_struct_reachable,
     kron_extend,
+    left_nullspace,
     minimality_report,
     obsv_matrix,
+    predict,
     random_affine_ss,
     reach_eval,
     reach_matrix,
@@ -217,16 +220,16 @@ def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
     N = max(1, round(width * n_rows))
     u, p, y = _parity_record(kind, seed, N + L - 1)
     w = Trajectory(1, np.hstack([u.samples, y.samples]))
-    H = hankel(kron_extend(w, p), L).data
+    H = hankel(kron_extend(w, p), L)
     assert H.shape == (n_rows, N)
-    shape, F, U, s, rank = analysis._lifted_factor(w, p, L, 1e-9)
+    shape, F, U, s = analysis._lifted_factor(w, p, L)
     assert F.shape[-1] == (n_rows if N >= 4 * n_rows else N)
 
     U_ref, s_ref, _ = np.linalg.svd(H)
     assert s.shape == s_ref.shape
     assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
-    r = analysis._cut(s_ref, 1e-9)
-    assert rank == r
+    r = analysis._cut(s_ref)
+    assert analysis._cut(s) == r
     P, P_ref = U[:, :r] @ U[:, :r].T, U_ref[:, :r] @ U_ref[:, :r].T
     assert np.max(np.abs(P - P_ref), initial=0.0) <= 1e-12
 
@@ -319,10 +322,10 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
     seed = int(rng.integers(1000))
     drawn = {}
     for name in ("_obsv_trials", "_reach_trials"):
-        def recording(model, P, i, tol, real=getattr(analysis, name), name=name):
+        def recording(model, P, i, real=getattr(analysis, name), name=name):
             # row i of the stacked windows is time 0
             drawn.setdefault(name, set()).add((-i, -i + P.shape[1] - 1))
-            return real(model, P, i, tol)
+            return real(model, P, i)
 
         monkeypatch.setattr(analysis, name, recording)
 
@@ -379,9 +382,9 @@ def test_stacked_windows_equal_sequential_draws(monkeypatch):
     m = LpvSsModel(A=m.A.shift(-1), B=m.B, C=m.C.shift(2), D=m.D)
     seen = []
 
-    def recording(model, P, i, tol, real=analysis._obsv_trials):
+    def recording(model, P, i, real=analysis._obsv_trials):
         seen.append(P.copy())
-        return real(model, P, i, tol)
+        return real(model, P, i)
 
     monkeypatch.setattr(analysis, "_obsv_trials", recording)
     is_struct_observable(m, trials=20, seed=5)
@@ -453,3 +456,33 @@ def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):
     assert minimality_report(m, trials=4).minimal
     simulate_ss(m, np.zeros(4), rand_traj(rng, 2, 50), rand_traj(rng, 2, 50))
     assert calls == []
+
+
+def test_every_rank_decision_reads_the_one_cut(monkeypatch):
+    # a coarser RANK_CUT lowers every rank on the same record and model, so no
+    # rank decision binds its own copy of the cut
+    model = example_verhoek()
+    rec = generate_record(model, 200, 0)
+    q = generate_query(model, 3, 7, 1)
+    ss = random_affine_ss(np.random.default_rng(3), 5, 2, 2, 2)
+    H = hankel(kron_extend(rec.w, rec.p), 10)
+
+    def ranks():
+        pe = check_pe(rec.u, rec.p, 10, y=rec.y)
+        res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        rep = minimality_report(ss)
+        assert rep.observable.tolerance == rep.reachable.tolerance == analysis.RANK_CUT
+        return {
+            "numeric_rank": analysis.numeric_rank(H)[0],
+            "check_pe input": pe.extended_input_rank,
+            "check_pe hankel": pe.hankel_rank,
+            "left_nullspace": left_nullspace(rec, 10).rank,
+            "predict": res.diagnostics["full_stack_rank"],
+            "observable": rep.observable.tested_rank,
+            "reachable": rep.reachable.tested_rank,
+        }
+
+    fine = ranks()
+    monkeypatch.setattr(analysis, "RANK_CUT", 0.5)
+    coarse = ranks()
+    assert all(coarse[k] < fine[k] for k in fine), (fine, coarse)

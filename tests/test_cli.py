@@ -306,6 +306,62 @@ def test_check_rejects_nan_coefficient_in_model(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,named", [
+    ("{not json", ()),
+    (json.dumps({"u": {"t_start": 1, "samples": [[0.0]]}}), ("'p'",)),
+    (json.dumps([1, 2]), ()),
+], ids=["not-json", "no-p-key", "not-an-object"])
+def test_malformed_data_bundle_exits_config(tmp_path, capsys, text, named):
+    bundle = tmp_path / "record.json"
+    bundle.write_text(text)
+    out = tmp_path / "chk"
+    code = main(["check", "--data-bundle", str(bundle), "--L", "2", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "record.json" in err and all(word in err for word in named), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _inconsistent_ss_model(path):
+    """An SS model file whose ``A`` is 1 x 2: numpy would broadcast its blocks."""
+    save_model(path, random_affine_ss(np.random.default_rng(1), 2, 1, 1, 2))
+    data = json.loads(path.read_text())
+    data["A"] = data["A"][:1]
+    path.write_text(json.dumps(data))
+
+
+def test_simulate_rejects_inconsistent_model(tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    _inconsistent_ss_model(model_path)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--model", str(model_path), "--T", "20", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m.json" in err and "A must be square" in err, err
+    assert not out.exists()
+
+
+def test_check_rejects_inconsistent_model(tmp_path, capsys):
+    _simulate(tmp_path, T=40)
+    model_path = tmp_path / "m.json"
+    _inconsistent_ss_model(model_path)
+    capsys.readouterr()
+    out = tmp_path / "chk"
+    code = main([
+        "check", "--data-dir", str(tmp_path / "data"), "--L", "5",
+        "--model", str(model_path), "--out-dir", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # every issue is named: A is not square, B and C do not match its one row
+    for issue in ("A must be square", "B has 2 rows", "C has 2 cols"):
+        assert issue in captured.err, captured.err
+    assert "m.json" in captured.err
+    assert not out.exists()
+
+
 def test_check_missing_data_exit_config(tmp_path):
     assert main(["check", "--data-dir", str(tmp_path / "void"), "--L", "5"]) == 2
 
@@ -350,6 +406,12 @@ def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
         ({"T": "40"}, ("cfg.json", "T")),
         ({"seed": True}, ("cfg.json", "seed")),
         ({"tol": "1e-7"}, ("cfg.json", "tol")),
+        # json.load reads NaN and Infinity; a NaN tol read every query "ok"
+        ({"tol": float("nan")}, ("tol", "nan")),
+        ({"tol": float("inf")}, ("tol", "inf")),
+        ({"tol": -1}, ("tol", "-1")),
+        ({"margin_tol": float("nan")}, ("margin_tol", "nan")),
+        ({"margin_tol": -1e-7}, ("margin_tol",)),
         ({"input_box": [-1, "1"]}, ("input_box",)),
         ({"scheduling_box": [[0, 1], 2]}, ("scheduling_box",)),
         # the built-in model has n_p = 2
@@ -360,7 +422,8 @@ def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     argv = ["simulate"]
-    if "tol" in config:  # read by predict only; valid data make the config the fault
+    if {"tol", "margin_tol"} & set(config):
+        # read by predict only; valid data make the config the fault
         assert _simulate(tmp_path, T=70) == 0
         _write_query(tmp_path / "query")
         capsys.readouterr()
@@ -371,6 +434,22 @@ def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
     err = capsys.readouterr().err
     assert all(word in err for word in named), err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--margin-tol", "-1")])
+def test_tolerance_flag_rejected_at_the_boundary(tmp_path, capsys, flag, value):
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([
+        "predict", "--data-dir", str(tmp_path / "data"), "--query-dir",
+        str(tmp_path / "query"), "--out-dir", str(out), flag, value,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag[2:].replace("-", "_") in captured.err, captured.err
+    assert not out.exists()
 
 
 def test_config_tol_accepts_an_integer(tmp_path):

@@ -12,8 +12,6 @@ from lpvdd import (
     PolyCoeff,
     Trajectory,
     WindowOutOfRange,
-    eval_diamond,
-    shift_fwd,
 )
 
 
@@ -21,13 +19,13 @@ def test_constant_ignores_scheduling():
     c = PolyCoeff.constant(3.5, n_p=2)
     p = rand_traj(np.random.default_rng(0), 2, 5)
     for k in range(1, 6):
-        assert eval_diamond(c, p, k) == 3.5
+        assert c.eval(p, k) == 3.5
 
 
 def test_single_variable_reads_off_sample():
     c = PolyCoeff.var(1, n_p=1)
     p = Trajectory.from_values([[1.0], [2.0], [3.0]])
-    assert eval_diamond(c, p, 2) == 2.0
+    assert c.eval(p, 2) == 2.0
 
 
 def test_schedvar_monomial_constructor():
@@ -35,7 +33,7 @@ def test_schedvar_monomial_constructor():
 
     c = PolyCoeff.monomial(2.0, [SchedVar(1), SchedVar(2, offset=-1)], n_p=2)
     p = Trajectory.from_values([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-    assert eval_diamond(c, p, 2) == 2.0 * 2.0 * 4.0
+    assert c.eval(p, 2) == 2.0 * 2.0 * 4.0
     # repeated variables collapse into powers
     sq = PolyCoeff.monomial(1.0, [SchedVar(1), SchedVar(1)], n_p=1)
     assert sq.degree == 2
@@ -47,26 +45,26 @@ def test_two_term_polynomial_hand_value():
     # p1(k) * p2(k-1) + 2 at k=2 with p1=(1,2,3), p2=(4,5,6)
     c = PolyCoeff.var(1, n_p=2) * PolyCoeff.var(2, n_p=2, offset=-1) + 2.0
     p = Trajectory.from_values([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-    assert eval_diamond(c, p, 2) == pytest.approx(2 * 4 + 2, abs=0)
+    assert c.eval(p, 2) == pytest.approx(2 * 4 + 2, abs=0)
 
     # direct substitution oracle over every admissible k
     for k in (2, 3):
         expected = p.value(k)[0] * p.value(k - 1)[1] + 2.0
-        assert eval_diamond(c, p, k) == pytest.approx(expected, rel=1e-15)
+        assert c.eval(p, k) == pytest.approx(expected, rel=1e-15)
 
 
 def test_eval_errors():
     c = PolyCoeff.var(1, n_p=2, offset=-1)
     p = rand_traj(np.random.default_rng(1), 2, 4)
     with pytest.raises(WindowOutOfRange):
-        eval_diamond(c, p, 1)  # needs p(0)
+        c.eval(p, 1)  # needs p(0)
     with pytest.raises(DimensionMismatch):
-        eval_diamond(c, rand_traj(np.random.default_rng(2), 3, 4), 2)
+        c.eval(rand_traj(np.random.default_rng(2), 3, 4), 2)
 
 
 def test_shift_of_constant_is_identity():
     c = PolyCoeff.constant(3.5, n_p=1)
-    assert shift_fwd(c) == c
+    assert c.shift(1) == c
     assert c.shift(-1) == c
 
 
@@ -75,13 +73,13 @@ def test_shift_eval_commutation_is_exact():
     for _ in range(200):
         n_p = int(rng.integers(1, 4))
         c = rand_poly(rng, n_p)
-        sc = shift_fwd(c)
+        sc = c.shift(1)
         win = (c.window or (0, 0))
         p = traj_covering(rng, c, n_p, k_lo=0, k_hi=2)
         k = 0
         # identical float operations on identical samples: bitwise equality
-        assert eval_diamond(sc, p, k) == eval_diamond(c, p, k + 1)
-        assert shift_fwd(c).shift(-1) == c
+        assert sc.eval(p, k) == c.eval(p, k + 1)
+        assert c.shift(1).shift(-1) == c
         assert (win[0] + 1, win[1] + 1) == (sc.window or (1, 1))
 
 
@@ -89,7 +87,7 @@ def test_noncommutativity_witness():
     # any non-constant coefficient over non-constant scheduling
     c = PolyCoeff.var(1, n_p=1)
     p = Trajectory.from_values([[1.0], [5.0]])
-    assert eval_diamond(shift_fwd(c), p, 1) != eval_diamond(c, p, 1)
+    assert c.shift(1).eval(p, 1) != c.eval(p, 1)
 
 
 def test_mul_by_zero_annihilates():
@@ -111,9 +109,9 @@ def test_mul_add_evaluation_oracle():
         c1, c2 = rand_poly(rng, n_p), rand_poly(rng, n_p)
         both = c1 * c2 + c1
         p = traj_covering(rng, both, n_p, k_lo=0, k_hi=0)
-        v1, v2 = eval_diamond(c1, p, 0), eval_diamond(c2, p, 0)
-        assert eval_diamond(c1 * c2, p, 0) == pytest.approx(v1 * v2, rel=1e-12, abs=1e-12)
-        assert eval_diamond(c1 + c2, p, 0) == pytest.approx(v1 + v2, rel=1e-12, abs=1e-12)
+        v1, v2 = c1.eval(p, 0), c2.eval(p, 0)
+        assert (c1 * c2).eval(p, 0) == pytest.approx(v1 * v2, rel=1e-12, abs=1e-12)
+        assert (c1 + c2).eval(p, 0) == pytest.approx(v1 + v2, rel=1e-12, abs=1e-12)
 
 
 def test_ring_laws_under_evaluation():
@@ -124,7 +122,7 @@ def test_ring_laws_under_evaluation():
         p = traj_covering(rng, probe, 2, k_lo=0, k_hi=0)
 
         def ev(x):
-            return eval_diamond(x, p, 0)
+            return x.eval(p, 0)
 
         assert ev((a * b) * c) == pytest.approx(ev(a * (b * c)), rel=1e-10, abs=1e-10)
         assert ev(a * b) == pytest.approx(ev(b * a), rel=1e-12, abs=1e-12)
@@ -187,7 +185,7 @@ def test_matrix_shift_distributes_entrywise():
     S = M.shift(1)
     for i in range(2):
         for j in range(3):
-            assert S.entry(i, j) == shift_fwd(M.entry(i, j))
+            assert S.entry(i, j) == M.entry(i, j).shift(1)
 
 
 def test_matrix_dimension_errors():

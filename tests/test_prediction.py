@@ -104,8 +104,8 @@ def test_predictor_lti_degenerate_has_empty_constraints():
     L = 4
     ps = build_predictor(rec, p.restrict(1, L), L)
     assert ps.matrix.shape[0] == 2 * L
-    assert np.array_equal(ps.matrix[:L], hankel(u, L, ps.col_count).data)
-    assert np.array_equal(ps.matrix[L:], hankel(y, L, ps.col_count).data)
+    assert np.array_equal(ps.matrix[:L], hankel(u, L))
+    assert np.array_equal(ps.matrix[L:], hankel(y, L))
 
 
 def test_build_predictor_shape_errors():
@@ -363,7 +363,7 @@ def test_left_nullspace_duality_with_column_span():
     rec = _record(70)
     L = 6
     ns = left_nullspace(rec, L)
-    H = hankel(kron_extend(rec.w, rec.p), L).data
+    H = hankel(kron_extend(rec.w, rec.p), L)
     assert ns.dimension + ns.rank == H.shape[0]
     if ns.dimension:
         assert np.max(np.abs(ns.basis @ H)) <= 1e-9
@@ -378,7 +378,7 @@ def test_annihilator_reconstruction_agrees_with_raw_functional():
     kr = ns.annihilator(0)
     assert kr.order <= ns.L - 1
     res = kr.residual(w, p)
-    H = hankel(kron_extend(w, p), ns.L).data
+    H = hankel(kron_extend(w, p), ns.L)
     raw = ns.basis[0] @ H
     assert np.max(np.abs(res.ravel() - raw)) <= 1e-12
 
@@ -423,7 +423,7 @@ def test_left_nullspace_of_tall_hankel_is_complete():
     # T = 20, L = 7: 42 rows, 14 columns, so the null space needs the full U
     rec = _record(20)
     ns = left_nullspace(rec, 7)
-    H = hankel(kron_extend(rec.w, rec.p), 7).data
+    H = hankel(kron_extend(rec.w, rec.p), 7)
     assert H.shape == (42, 14)
     assert ns.dimension == H.shape[0] - ns.rank
     assert np.allclose(ns.basis @ ns.basis.T, np.eye(ns.dimension), atol=1e-12)
@@ -509,8 +509,8 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
 
 def _dense_membership_residual(rec, w, p, rtol=1e-9):
     L = w.length
-    Hw = hankel(rec.w, L).data
-    Hpw = hankel(kron_signal(rec.w, rec.p), L).data
+    Hw = hankel(rec.w, L)
+    Hpw = hankel(kron_signal(rec.w, rec.p), L)
     A = np.vstack([Hw, Hpw - sched_block_diag(p, w.dim) @ Hw])
     b = np.concatenate([w.samples.ravel(), np.zeros(Hpw.shape[0])])
     return float(np.linalg.norm(A @ (np.linalg.pinv(A, rcond=rtol) @ b) - b))
