@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,93 +52,60 @@ class ConfigError(Exception):
     pass
 
 
-def _is_box(b) -> bool:
-    """A ``[lo, hi]`` pair of numbers with ``lo <= hi``."""
-    return (
-        isinstance(b, (list, tuple))
-        and len(b) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in b)
-        and b[0] <= b[1]
-    )
-
-
-@dataclass
-class ExperimentConfig:
-    model: str | None = None  # simulate defaults to builtin:verhoek
-    T: int = 40
-    T_ini: int = 3
-    T_r: int = 7
-    L: int | None = None
-    seed: int = 0
-    input_box: tuple[float, float] = (-1.0, 1.0)
-    scheduling_box: list | None = None
-    tol: float = 1e-7
-    margin_tol: float = 1e-7
-    format: str = "csv"
-
-    def validate(self) -> None:
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.T_ini < 1 or self.T_r < 1:
-            raise ConfigError("T_ini and T_r must be >= 1")
-        if not _is_box(self.input_box):
-            raise ConfigError(f"bad input_box {self.input_box}")
-        boxes = self.scheduling_box or []
-        if boxes and np.isscalar(boxes[0]):
-            boxes = [boxes]
-        for b in boxes:
-            if not _is_box(b):
-                raise ConfigError(f"bad scheduling_box entry {b}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        for key in ("tol", "margin_tol"):
-            value = getattr(self, key)
-            if not 0 <= value < np.inf:  # NaN fails too
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-
-
-# JSON types accepted per config key; ``bool`` is rejected everywhere.
-_CONFIG_TYPES = {
-    "model": str, "T": int, "T_ini": int, "T_r": int, "L": (int, type(None)),
-    "seed": int, "input_box": list, "scheduling_box": (list, type(None)),
-    "tol": (int, float), "margin_tol": (int, float), "format": str,
+# Every config key: the keywords of its flag (``None``: config file only), the
+# JSON types a config file may give it (``bool`` is rejected everywhere) and the
+# least value it may take. The flag's ``default`` is the key's default; only
+# ``simulate`` sets one of its own, the built-in model.
+_KEYS = {
+    "model": (dict(help='model JSON path or "builtin:verhoek"'), str, None),
+    "seed": (dict(type=int, default=0, help="seed of the random draws"), int, None),
+    "T": (dict(type=int, default=40, help="record length"), int, 1),
+    "L": (dict(type=int, default=10, help="Hankel depth"), int, 1),
+    "tol": (dict(type=float, default=1e-7, help="residual tolerance"), (int, float), 0),
+    "margin_tol": (dict(type=float, default=1e-7, help="output uniqueness margin"),
+                   (int, float), 0),
+    "format": (dict(choices=("csv", "json"), default="csv", help="record format"),
+               str, None),
+    "input_box": (dict(type=float, nargs=2, default=(-1.0, 1.0), metavar=("LO", "HI"),
+                       help="range of the input draws"), list, None),
+    "scheduling_box": (None, (list, type(None)), None),
 }
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    # a subcommand reads the keys of the flags it registers, and the
-    # config-only keys it sets as parser defaults
-    read = _CONFIG_TYPES.keys() & vars(args).keys()
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {args.config}: expected a JSON object")
-        for key, value in data.items():
-            if key not in read:
-                raise ConfigError(
-                    f"config {args.config}: {args.command} does not read key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
-                raise ConfigError(f"config {args.config}: {key} has wrong type: {value!r}")
-            setattr(cfg, key, value)
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+def _read_config(args) -> dict:
+    """The values of ``args.config``, each a key the subcommand reads, of its JSON type."""
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {args.config}: expected a JSON object")
+    read = _KEYS.keys() & vars(args).keys()
+    for key, value in data.items():
+        if key not in read:
+            raise ConfigError(f"config {args.config}: {args.command} does not read key {key!r}")
+        flag, types, _ = _KEYS[key]
+        choices = (flag or {}).get("choices")
+        if isinstance(value, bool) or not isinstance(value, types) or (
+                choices and value not in choices):
+            raise ConfigError(f"config {args.config}: bad value for {key}: {value!r}")
+    return data
+
+
+def _check_least(args) -> None:
+    for key in _KEYS.keys() & vars(args).keys():
+        least, value = _KEYS[key][2], getattr(args, key)
+        if least is not None and not least <= value < np.inf:  # NaN fails too
+            raise ConfigError(f"{key} must be finite and >= {least}, got {value}")
 
 
 def _resolve_model(name: str):
     if name == "builtin:verhoek":
         return example_verhoek()
     path = Path(name)
-    if not path.exists():
-        raise ConfigError(f"model file not found: {name}")
+    if not path.is_file():
+        raise ConfigError(f"not a model file: {name}")
     try:
         model = load_model(path)
     except (LpvError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -179,20 +145,18 @@ def _report(msg: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    cfg.model = cfg.model or "builtin:verhoek"
-    model = _resolve_model(cfg.model)
+    model = _resolve_model(args.model)
     out_dir = Path(args.out_dir)
     record, x = _record_and_states(
         model,
-        cfg.T,
-        cfg.seed,
-        input_box=cfg.input_box,
-        scheduling_box=cfg.scheduling_box,
-        provenance=f"model={cfg.model} seed={cfg.seed} T={cfg.T}",
+        args.T,
+        args.seed,
+        input_box=args.input_box,
+        scheduling_box=args.scheduling_box,
+        provenance=f"model={args.model} seed={args.seed} T={args.T}",
     )
     outputs = []
-    if cfg.format == "json":
+    if args.format == "json":
         _atomic_write(out_dir / "record.json", _json_text(record.to_dict()))
         outputs.append("record.json")
     else:
@@ -204,18 +168,18 @@ def cmd_simulate(args) -> int:
             outputs.append("x.csv")
     meta = {
         "command": "simulate",
-        "model": cfg.model,
-        "T": cfg.T,
-        "seed": cfg.seed,
-        "input_box": list(cfg.input_box),
-        "scheduling_box": cfg.scheduling_box,
-        "rng": rng.metadata(cfg.seed),
+        "model": args.model,
+        "T": args.T,
+        "seed": args.seed,
+        "input_box": list(args.input_box),
+        "scheduling_box": args.scheduling_box,
+        "rng": rng.metadata(args.seed),
         "outputs": outputs,
     }
     _atomic_write(out_dir / "metadata.json", _json_text(meta))
     outputs.append("metadata.json")
     _report(f"simulate: wrote {', '.join(outputs)} to {out_dir}")
-    _summary({"command": "simulate", "seed": cfg.seed, "T": cfg.T, "outputs": outputs})
+    _summary({"command": "simulate", "seed": args.seed, "T": args.T, "outputs": outputs})
     return EXIT_OK
 
 
@@ -225,14 +189,14 @@ def cmd_simulate(args) -> int:
 def _load_record(args) -> DataRecord:
     if getattr(args, "data_bundle", None):
         path = Path(args.data_bundle)
-        if not path.exists():
-            raise ConfigError(f"data bundle not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"not a data bundle file: {path}")
         return DataRecord.from_json_bundle(path)
     if not getattr(args, "data_dir", None):
         raise ConfigError("predict/check needs --data-dir or --data-bundle")
     d = Path(args.data_dir)
     for name in ("u.csv", "p.csv", "y.csv"):
-        if not (d / name).exists():
+        if not (d / name).is_file():
             raise ConfigError(f"missing data file: {d / name}")
     return DataRecord.from_csv_dir(d)
 
@@ -243,11 +207,11 @@ def _load_query(args) -> dict:
     out = {}
     for name in names:
         path = d / f"{name}.csv"
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"missing query file: {path}")
         out[name] = read_trajectory_csv(path)
     truth_path = d / "y_r_truth.csv"
-    out["y_r_truth"] = read_trajectory_csv(truth_path) if truth_path.exists() else None
+    out["y_r_truth"] = read_trajectory_csv(truth_path) if truth_path.is_file() else None
     return out
 
 
@@ -260,7 +224,6 @@ def _plot_data_csv(truth, predicted) -> str:
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config(args)
     record = _load_record(args)
     query = _load_query(args)
     out_dir = Path(args.out_dir)
@@ -271,8 +234,8 @@ def cmd_predict(args) -> int:
         query["y_ini"],
         query["u_r"],
         query["p_r"],
-        tol=cfg.tol,
-        margin_tol=cfg.margin_tol,
+        tol=args.tol,
+        margin_tol=args.margin_tol,
     )
 
     max_err = None
@@ -320,10 +283,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args)
     record = _load_record(args)
-    L = cfg.L if cfg.L is not None else cfg.T_ini + cfg.T_r
-    pe = check_pe(record.u, record.p, L, y=record.y)
+    pe = check_pe(record.u, record.p, args.L, y=record.y)
 
     payload: dict = {"pe": json.loads(pe.to_json())}
     summary: dict = {
@@ -332,10 +293,10 @@ def cmd_check(args) -> int:
         "extended_input_rank": pe.extended_input_rank,
         "required": pe.required,
     }
-    if cfg.model:
-        model = _resolve_model(cfg.model)
+    if args.model:
+        model = _resolve_model(args.model)
         if isinstance(model, LpvSsModel):
-            report = minimality_report(model, seed=cfg.seed)
+            report = minimality_report(model, seed=args.seed)
             payload["structural"] = json.loads(report.to_json())
             summary["minimal"] = report.minimal
         elif isinstance(model, LpvIoModel):
@@ -347,7 +308,7 @@ def cmd_check(args) -> int:
     if out_dir is not None:
         _atomic_write(out_dir / "check.json", _json_text(payload))
     _report(
-        f"check: pe={pe.verdict} rank={pe.extended_input_rank}/{pe.required} at L={L}"
+        f"check: pe={pe.verdict} rank={pe.extended_input_rank}/{pe.required} at L={args.L}"
     )
     _summary(summary)
     return EXIT_OK
@@ -356,56 +317,59 @@ def cmd_check(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-_FLAGS = {
-    "--model": dict(help='model JSON path or "builtin:verhoek"'),
-    "--seed": dict(type=int), "--T": dict(type=int), "--T-ini": dict(type=int),
-    "--T-r": dict(type=int), "--L": dict(type=int), "--tol": dict(type=float),
-    "--margin-tol": dict(type=float), "--format": dict(choices=("csv", "json")),
-    "--input-box": dict(type=float, nargs=2),
-}
-
-
-def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """``--config`` and the ``flags`` the subcommand reads; any other is a usage error."""
+def _subcommand(sub, name: str, func, keys, config: dict, help: str, **defaults):
+    """The parser of ``name``: ``--config`` and the flags of the config ``keys`` it
+    reads (any other flag is a usage error); ``config`` values act as its defaults."""
+    parser = sub.add_parser(name, help=help,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     parser.add_argument("--config", help="JSON config file; flags override it")
-    for flag in flags:
-        parser.add_argument(flag, **_FLAGS[flag])
+    for key in keys:
+        flag = _KEYS[key][0]
+        if flag is None:
+            defaults.setdefault(key, None)
+        else:
+            parser.add_argument("--" + key.replace("_", "-"), **flag)
+    parser.set_defaults(func=func, **defaults)
+    parser.set_defaults(**{key: value for key, value in config.items() if key in keys})
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="lpvdd",
         description="Data-driven simulation and prediction for LPV systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a seeded data record")
-    _add_flags(sim, "--model", "--seed", "--T", "--format", "--input-box")
+    sim = _subcommand(sub, "simulate", cmd_simulate,
+                      ("model", "seed", "T", "format", "input_box", "scheduling_box"),
+                      config, "generate a seeded data record", model="builtin:verhoek")
     sim.add_argument("--out-dir", required=True, dest="out_dir")
-    sim.set_defaults(func=cmd_simulate, scheduling_box=None)
 
-    pred = sub.add_parser("predict", help="predict a query continuation from data")
-    _add_flags(pred, "--tol", "--margin-tol")
+    pred = _subcommand(sub, "predict", cmd_predict, ("tol", "margin_tol"), config,
+                       "predict a query continuation from data")
     pred.add_argument("--data-dir", dest="data_dir")
     pred.add_argument("--data-bundle", dest="data_bundle")
     pred.add_argument("--query-dir", required=True, dest="query_dir")
     pred.add_argument("--out-dir", required=True, dest="out_dir")
-    pred.set_defaults(func=cmd_predict)
 
-    chk = sub.add_parser("check", help="excitation and structural checks")
-    _add_flags(chk, "--model", "--seed", "--T-ini", "--T-r", "--L")
+    chk = _subcommand(sub, "check", cmd_check, ("model", "seed", "L"), config,
+                      "excitation and structural checks")
     chk.add_argument("--data-dir", dest="data_dir")
     chk.add_argument("--data-bundle", dest="data_bundle")
     chk.add_argument("--out-dir", dest="out_dir")
-    chk.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            # the config's values become the subcommand's defaults, so flags override them
+            args = build_parser(_read_config(args)).parse_args(argv)
+        _check_least(args)
         return args.func(args)
     except ConfigError as exc:
         _report(f"error: {exc}")

@@ -10,10 +10,11 @@ initial condition, queries from a random one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidShape
 from .models import LpvIoModel, LpvSsModel
 from .prediction import DataRecord
 from .rng import stream
@@ -34,13 +35,21 @@ def _uniform_traj(rng, box_per_dim, T: int, t_start: int = 1) -> Trajectory:
 
 
 def _boxes(box, dim: int, name: str):
+    """``dim`` ``(lo, hi)`` pairs from one ``[lo, hi]`` box or one box per channel
+    (``None``: ``[-1, 1]``); :class:`InvalidShape` naming ``name`` for a box that is
+    not two finite numbers with ``lo <= hi``."""
     if box is None:
         return [(-1.0, 1.0)] * dim
     box = list(box)
     if box and np.isscalar(box[0]):
-        return [tuple(box)] * dim
+        box = [box] * dim
     if len(box) != dim:
         raise DimensionMismatch(f"{name}: need {dim} boxes, got {len(box)}")
+    for b in box:
+        if not (isinstance(b, (list, tuple, np.ndarray)) and len(b) == 2
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in b)
+                and -np.inf < b[0] <= b[1] < np.inf):
+            raise InvalidShape(f"{name}: bad box {b!r}, expected [lo, hi] with lo <= hi")
     return [tuple(b) for b in box]
 
 

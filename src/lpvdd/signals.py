@@ -216,8 +216,11 @@ def trajectory_from_csv(text: str) -> Trajectory:
             continue
         if len(row) != dim + 1:
             raise InvalidShape(f"row has {len(row)} fields, expected {dim + 1}")
-        times.append(int(row[0]))
-        rows.append([float(v) for v in row[1:]])
+        try:
+            times.append(int(row[0]))
+            rows.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise InvalidShape(f"non-numeric sample at time step {row[0]}") from None
     if not times:
         raise InvalidShape("CSV contains no samples")
     for a, b in zip(times, times[1:]):

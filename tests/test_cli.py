@@ -383,19 +383,23 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
     _simulate(tmp_path, T=70)
-    y = tmp_path / "data" / "y.csv"
-    lines = y.read_text().splitlines()
-    lines[5] = lines[5].split(",")[0] + ",nan"
-    y.write_text("\n".join(lines) + "\n")
     _write_query(tmp_path / "query")
-    out = tmp_path / "out"
-    code = main([
-        "predict", "--data-dir", str(tmp_path / "data"),
-        "--query-dir", str(tmp_path / "query"), "--out-dir", str(out),
-    ])
-    assert code == 2
-    assert "y.csv" in capsys.readouterr().err
-    assert not (out / "prediction.json").exists()
+    y = tmp_path / "data" / "y.csv"
+    good = y.read_text().splitlines()
+    for bad in ("nan", "abc"):
+        lines = list(good)
+        lines[5] = lines[5].split(",")[0] + "," + bad
+        y.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main([
+            "predict", "--data-dir", str(tmp_path / "data"),
+            "--query-dir", str(tmp_path / "query"), "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "y.csv" in err and "time step 5" in err and "Traceback" not in err, err
+        assert not (out / "prediction.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -465,7 +469,7 @@ def test_config_tol_accepts_an_integer(tmp_path):
 
 _UNREAD_KEYS = {
     "simulate": {"T_ini": 3, "T_r": 7, "L": 10, "tol": 1e-7, "margin_tol": 1e-7},
-    "check": {"T": 9, "tol": 1e-3, "margin_tol": 5, "format": "csv",
+    "check": {"T": 9, "T_ini": 3, "T_r": 7, "tol": 1e-3, "margin_tol": 5, "format": "csv",
               "input_box": [-1, 1], "scheduling_box": None},
     "predict": {"model": "builtin:verhoek", "seed": 1, "T": 9, "T_ini": 3, "T_r": 7,
                 "L": 10, "format": "csv", "input_box": [-1, 1], "scheduling_box": None},
@@ -525,7 +529,8 @@ def test_invalid_format_rejected(tmp_path):
 
 _IGNORED_FLAGS = {
     "simulate": ("--T-ini", "--T-r", "--L", "--tol", "--margin-tol"),
-    "check": ("--T", "--tol", "--margin-tol", "--format", "--input-box"),
+    "check": ("--T", "--T-ini", "--T-r", "--tol", "--margin-tol", "--format",
+              "--input-box"),
     "predict": ("--model", "--seed", "--T", "--T-ini", "--T-r", "--L", "--format",
                 "--input-box"),
 }
@@ -552,7 +557,84 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, comm
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # check --T reads as an ambiguous prefix of --T-ini and --T-r
-    assert any(f"{why}: {flag}" in captured.err
-               for why in ("unrecognized arguments", "ambiguous option"))
+    assert f"unrecognized arguments: {flag}" in captured.err, captured.err
     assert not out.exists()
+
+
+def _run(argv, capsys, out):
+    """Exit code, stdout and the bytes of every file written under ``out``."""
+    capsys.readouterr()
+    code = main([*argv, "--out-dir", str(out)])
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "model", "ss.json"), ("simulate", "seed", 3), ("simulate", "T", 25),
+    ("simulate", "format", "json"), ("simulate", "input_box", [-0.5, 2.0]),
+    ("check", "model", "ss.json"), ("check", "seed", 3), ("check", "L", 5),
+    ("predict", "tol", 0.0), ("predict", "margin_tol", 5.0),
+])
+def test_config_value_and_flag_write_the_same_artifacts(tmp_path, capsys, command, key,
+                                                        value):
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
+    model = tmp_path / "ss.json"
+    save_model(model, random_affine_ss(np.random.default_rng(2), 2, 1, 1, 2))
+    if value == "ss.json":
+        value = str(model)
+    argv = {
+        "simulate": ["simulate"],
+        # the seed draws the structural test of a model
+        "check": ["check", "--data-dir", str(tmp_path / "data")]
+        + (["--model", str(model)] if key == "seed" else []),
+        "predict": ["predict", "--data-dir", str(tmp_path / "data"),
+                    "--query-dir", str(tmp_path / "query")],
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = ["--" + key.replace("_", "-"), *map(str, np.atleast_1d(value))]
+    by_config = _run([*argv, "--config", str(cfg)], capsys, tmp_path / "by-config")
+    by_flag = _run([*argv, *flag], capsys, tmp_path / "by-flag")
+    assert by_config == by_flag
+    if (command, key) != ("check", "seed"):  # a minimal model's report shows no draw
+        assert by_config != _run(argv, capsys, tmp_path / "by-default")
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_check_depth_below_one_exits_config(tmp_path, capsys, how):
+    assert _simulate(tmp_path, T=70) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 0}))
+    extra = ["--L", "0"] if how == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "chk"
+    capsys.readouterr()
+    assert main(["check", "--data-dir", str(tmp_path / "data"), *extra,
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "L must be" in captured.err, captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--data-bundle", "--model"])
+def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
+    assert _simulate(tmp_path, T=70) == 0
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = (["check", "--data-bundle", str(folder), "--out-dir", str(out)]
+            if flag == "--data-bundle" else
+            ["simulate", "--model", str(folder), "--out-dir", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "folder.json" in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    out = capsys.readouterr().out
+    assert "Hankel depth (default: 10)" in out and "--T-ini" not in out

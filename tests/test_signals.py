@@ -212,7 +212,7 @@ def test_csv_rejects_malformed():
         trajectory_from_csv("t,ch1\n")
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "abc"])
 def test_csv_rejects_non_finite_samples(bad):
     with pytest.raises(InvalidShape, match="time step 3"):
         trajectory_from_csv(f"t,ch1,ch2\n2,1.0,2.0\n3,0.5,{bad}\n")

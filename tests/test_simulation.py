@@ -10,6 +10,7 @@ from lpvdd import (
     CoeffMatrix,
     DimensionMismatch,
     InconsistentTrajectory,
+    InvalidShape,
     LpvIoModel,
     LpvSsModel,
     RankDeficientObservability,
@@ -17,6 +18,7 @@ from lpvdd import (
     WindowOutOfRange,
     estimate_initial_state,
     example_verhoek,
+    generate_record,
     impulse_coeff,
     obsv_eval,
     obsv_matrix,
@@ -416,3 +418,18 @@ def test_simulate_io_matches_per_step_loop(n_y, n_a, T, n_p, seed):
     T2 = n_a + (T - n_a) // 3
     short = simulate_io(m, u.restrict(1, T2), p, y_init).samples
     assert np.array_equal(short, y[:T2])
+
+
+@pytest.mark.parametrize("key,box", [
+    ("input_box", [1.0, -1.0]),
+    ("input_box", [-1, "1"]),
+    ("input_box", [-1.0, 0.0, 1.0]),
+    ("input_box", [float("nan"), 1.0]),
+    ("scheduling_box", [[-1.0, 1.0], [0.5, 0.0]]),
+    ("scheduling_box", [[0, 1], 2]),
+    ("scheduling_box", [True, 1]),
+])
+def test_generate_record_rejects_bad_boxes(key, box):
+    # an inverted box used to draw from [hi, lo] without a word
+    with pytest.raises(InvalidShape, match=key):
+        generate_record(example_verhoek(), 10, 0, **{key: box})
