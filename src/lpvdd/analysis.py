@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .rng import stream
 from .signals import Trajectory, hankel, kron_extend
 
 __all__ = [
+    "Lifted",
     "StructuralRankReport",
     "PeReport",
     "MinimalityReport",
@@ -96,36 +97,54 @@ def _trim(H: np.ndarray) -> np.ndarray:
     return np.linalg.qr(H.T, mode="r").T if cols >= 4 * rows else H
 
 
-def _lifted_factor(w: Trajectory, p: Trajectory, L: int):
-    """``(shape, F, U, s)`` of ``H = H_L(col(w, p (x) w))``.
+@dataclass(frozen=True)
+class Lifted:
+    """Factor of ``H = H_L(col(w, p (x) w))``: all that is read of the lifted Hankel.
 
-    ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout
-    of :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w``
-    (``1 + j``), then the channel of ``w``.  ``F`` is :func:`_trim` of ``H`` in
-    the same row blocks, and ``U``, ``s`` its complete left basis and singular
-    values: those of ``H``.  No rank is cut; :func:`_cut` of ``s`` is the rank.
+    ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout of
+    :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w`` (``1 + j``), then
+    the channel of ``w``.  ``U`` (``R x R``) is its complete left basis and ``s`` its
+    singular values.  ``inputs`` are its ``u``, ``p (x) u`` rows after :func:`_trim`:
+    they have the singular values of the input Hankel matrix, and exactly-zero inputs
+    stay exactly zero in them, where those rows of ``U S`` would turn them into rounding.
     """
+
+    shape: tuple[int, int, int, int]
+    U: np.ndarray
+    s: np.ndarray
+    inputs: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        """:func:`_cut` of ``s``, at the ``RANK_CUT`` of each read."""
+        return _cut(self.s)
+
+    @cached_property
+    def pe(self) -> PeReport:
+        """Excitation report of the input rows, computed on first read."""
+        return _pe_report(self.shape[0], self.inputs, self.rank)
+
+    def consistent(self, p: Trajectory) -> np.ndarray:
+        """``M(p) U_r S_r`` in the row blocks of ``H``: each ``p (x) w`` row minus
+        ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
+        rank = self.rank
+        K = (self.U[:, :rank] * self.s[:rank]).reshape(self.shape[:3] + (rank,))
+        K[:, 1:] -= p.samples[:, :, None, None] * K[:, :1]
+        return K
+
+
+def _lifted_factor(w: Trajectory, p: Trajectory, L: int, n_u: int) -> Lifted:
+    """:class:`Lifted` of ``H_L(col(w, p (x) w))``, ``u`` the first ``n_u`` channels
+    of ``w``; its arrays are read-only."""
     if w.length < L:
         raise InvalidShape(f"data length {w.length} shorter than window L={L}")
     H = hankel(kron_extend(w, p), L)
     F = _trim(H)
     U, s, _, _ = _rank_factor(F, complete=True)
-    return (L, 1 + p.dim, w.dim, H.shape[-1]), F.reshape(L, 1 + p.dim, w.dim, -1), U, s
-
-
-def _kron_consistent(shape, U, s, rank: int, p: Trajectory) -> np.ndarray:
-    """``M(p) U_r S_r`` in the ``shape`` blocks of ``H``: each ``p (x) w`` row
-    minus ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
-    K = (U[:, :rank] * s[:rank]).reshape(shape[:3] + (rank,))
-    K[:, 1:] -= p.samples[:, :, None, None] * K[:, :1]
-    return K
-
-
-def _input_rows(F: np.ndarray, n_u: int) -> np.ndarray:
-    """Rows ``u``, ``p (x) u`` of the blocks ``F`` of :func:`_lifted_factor`: they have
-    the singular values of the input Hankel matrix, and exactly-zero inputs stay
-    exactly zero in them.  Those rows of ``U S`` would turn zero inputs into rounding."""
-    return F[:, :, :n_u].reshape(-1, F.shape[-1])
+    inputs = F.reshape(L, 1 + p.dim, w.dim, -1)[:, :, :n_u].reshape(-1, F.shape[-1])
+    for a in (U, s, inputs):
+        a.setflags(write=False)
+    return Lifted((L, 1 + p.dim, w.dim, H.shape[-1]), U, s, inputs)
 
 
 def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
@@ -365,22 +384,22 @@ def check_pe(
         raise InvalidShape(f"u and p intervals differ: {u.interval} vs {p.interval}")
     if u.length < L:
         raise InvalidShape(f"data length {u.length} shorter than order L={L}")
-    hankel_rank = None
     if y is None:
-        inputs = _trim(hankel(kron_extend(u, p), L))
-    else:
-        if y.interval != u.interval:
-            raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
-        w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-        _, F, _, s = _lifted_factor(w, p, L)
-        hankel_rank = _cut(s)
-        inputs = _input_rows(F, u.dim)
-    rank_in, svals = numeric_rank(inputs)
+        return _pe_report(L, _trim(hankel(kron_extend(u, p), L)))
+    if y.interval != u.interval:
+        raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
+    w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
+    return _lifted_factor(w, p, L, u.dim).pe
+
+
+def _pe_report(L: int, inputs: np.ndarray, hankel_rank: int | None = None) -> PeReport:
+    """:class:`PeReport` of the input rows ``inputs`` of a depth-``L`` Hankel matrix."""
+    rank, s = numeric_rank(inputs)
     return PeReport(
         order_L=L,
-        extended_input_rank=rank_in,
+        extended_input_rank=rank,
         required=inputs.shape[0],
         hankel_rank=hankel_rank,
-        verdict=rank_in == inputs.shape[0],
-        singular_values=tuple(float(s) for s in svals),
+        verdict=rank == inputs.shape[0],
+        singular_values=tuple(float(v) for v in s),
     )

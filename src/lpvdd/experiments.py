@@ -114,17 +114,17 @@ def generate_query(
 ) -> Query:
     """Simulate a fresh length ``T_ini + T_r`` trajectory and split it.
 
-    The initial condition is drawn uniformly from the input box through the
-    ``query_init`` stream, so the query exercises a generic point of the
-    behaviour rather than the zero response.
+    The initial condition is drawn uniformly from the hull of the input boxes
+    through the ``query_init`` stream, so the query exercises a generic point
+    of the behaviour rather than the zero response.
     """
     L = T_ini + T_r
-    u = _uniform_traj(stream(seed, "query_input"),
-                      _boxes(input_box, model.n_u, "input_box"), L)
+    boxes = _boxes(input_box, model.n_u, "input_box")
+    u = _uniform_traj(stream(seed, "query_input"), boxes, L)
     p = _uniform_traj(stream(seed, "query_scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), L)
     init_rng = stream(seed, "query_init")
-    lo, hi = _boxes(input_box, 1, "input_box")[0]
+    lo, hi = min(b[0] for b in boxes), max(b[1] for b in boxes)
     init = init_rng.uniform(lo, hi, np.shape(_zero_init(model)))
     y, _ = _simulate(model, u, p, init)
     return Query(

@@ -204,16 +204,6 @@ class ValidationReport:
         return self.ok
 
 
-def _offsets_used(m: CoeffMatrix) -> set[int]:
-    return {
-        off
-        for row in m.entries
-        for e in row
-        for _, mono in e.terms
-        for _, off, _ in mono
-    }
-
-
 def validate(model) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     issues: list[str] = []
@@ -244,11 +234,9 @@ def validate(model) -> ValidationReport:
                     )
                 if m.n_p != n_p:
                     issues.append(f"{name}_{i} has n_p={m.n_p}, expected {n_p}")
-                bad = _offsets_used(m) - {-i}
-                if bad:
-                    issues.append(
-                        f"{name}_{i} depends on offsets {sorted(bad)}, only -{i} allowed"
-                    )
+                if m.window not in (None, (-i, -i)):
+                    issues.append(f"{name}_{i} depends on offsets in {list(m.window)}, "
+                                  f"only -{i} allowed")
         if model.a_coeffs[-1].is_zero:
             issues.append(f"leading coefficient a_{model.n_a} is identically zero")
         if model.b_coeffs[-1].is_zero:

@@ -19,10 +19,11 @@ permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
 block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
 minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
 future output rows applied to ``z`` give the prediction.  ``H`` is factored
-once per record and depth (:meth:`DataRecord.lifted`); only ``U`` and ``S``
-are read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR
-first and no factor has an axis of length ``N``.  A query costs work on the
-``R x r`` matrix ``K`` and one product with ``H^T``.
+once per record and depth (:meth:`DataRecord.lifted`, a :class:`Lifted` that
+gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
+left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its
+QR first and no factor has an axis of length ``N``.  A query costs work on
+``K`` (``R x r``) and one product with ``H^T``.
 
 Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
 singular value of the known rows of ``K``, and 0 when there are fewer than
@@ -40,15 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    _cut,
-    _input_rows,
-    _kron_consistent,
-    _lifted_factor,
-    _min_norm_solve,
-    _rank_factor,
-    numeric_rank,
-)
+from .analysis import Lifted, _lifted_factor, _min_norm_solve, _rank_factor
 from .coeffs import CoeffMatrix
 from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
 from .models import KernelRep
@@ -87,7 +80,6 @@ class DataRecord:
     y: Trajectory
     provenance: str = ""
     _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
-    _input_ranks: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
     def __post_init__(self):
         if not (self.u.interval == self.p.interval == self.y.interval):
@@ -117,29 +109,12 @@ class DataRecord:
         """Stacked signal ``col(u, y)``."""
         return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
 
-    def lifted(self, L: int):
-        """``(shape, U, s, inputs)`` of ``H = H_L(col(w, p (x) w))``, factored once per ``L``.
-
-        ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, ``U``
-        its complete left basis (``R x R``), ``s`` its singular values and
-        ``inputs`` its ``u``, ``p (x) u`` rows after :func:`_trim`, which
-        :meth:`input_rank` reads.  ``H`` is kept in no form, and ``inputs`` has
-        ``R`` columns once ``N >= 4 R`` (fewer than ``4 R`` below that).
-        """
+    def lifted(self, L: int) -> Lifted:
+        """The :class:`Lifted` factor of ``H_L(col(w, p (x) w))``, made once per ``L``;
+        it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
         if L not in self._lifted:
-            shape, F, U, s = _lifted_factor(self.w, self.p, L)
-            memo = (shape, U, s, _input_rows(F, self.n_u))
-            for a in memo[1:]:
-                a.setflags(write=False)
-            self._lifted[L] = memo
+            self._lifted[L] = _lifted_factor(self.w, self.p, L, self.n_u)
         return self._lifted[L]
-
-    def input_rank(self, L: int) -> int:
-        """Rank of the ``u``, ``p (x) u`` rows of ``H_L`` at :func:`check_pe`'s cut,
-        memoised per ``L``: only :func:`predict` reads it."""
-        if L not in self._input_ranks:
-            self._input_ranks[L] = numeric_rank(self.lifted(L)[3])[0]
-        return self._input_ranks[L]
 
     # -- interchange ----------------------------------------------------------
 
@@ -354,11 +329,9 @@ def predict(
         raise InvalidShape("query window lengths are inconsistent")
     L, n_u = T_ini + T_r, data.n_u
 
-    shape, U_H, s_H, _ = data.lifted(L)
-    input_rank = data.input_rank(L)
-    rank_H = _cut(s_H)
-    p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
-    K = _kron_consistent(shape, U_H, s_H, rank_H, p_bar)
+    lifted = data.lifted(L)
+    rank_H, pe = lifted.rank, lifted.pe
+    K = lifted.consistent(concat(p_ini.rebase(1), p_r.rebase(T_ini + 1)))
     # Every row is known but the outputs after T_ini; targets are zero on the
     # Kronecker-consistency rows.
     known = np.ones(K.shape[:3], dtype=bool)
@@ -375,15 +348,14 @@ def predict(
     residual = float(np.linalg.norm(A @ z - b))
     margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
 
-    required = L * shape[1] * n_u
     warnings: list[str] = []
-    if input_rank < required:
+    if not pe.verdict:
         warnings.append(
             f"data not persistently exciting at order {L}: "
-            f"extended input rank {input_rank} < {required}"
+            f"extended input rank {pe.extended_input_rank} < {pe.required}"
         )
 
-    if margin <= margin_tol or input_rank < required:
+    if margin <= margin_tol or not pe.verdict:
         verdict = "ambiguous"
     elif residual > tol:
         verdict = "infeasible"
@@ -394,18 +366,18 @@ def predict(
         "T_ini": T_ini,
         "T_r": T_r,
         "L": L,
-        "col_count": shape[-1],
+        "col_count": lifted.shape[-1],
         "known_row_count": int(A.shape[0]),
         "full_stack_rank": rank_H,
-        "extended_input_rank": input_rank,
-        "required_input_rank": required,
+        "extended_input_rank": pe.extended_input_rank,
+        "required_input_rank": pe.required,
         "warnings": warnings,
     }
     # g = V_r z with V_r = H^T U_r S_r^-1, from H rebuilt rather than kept
     H = hankel(kron_extend(data.w, data.p), L)
     return PredictionResult(
         y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
-        g=H.T @ (U_H[:, :rank_H] @ (z / s_H[:rank_H])),
+        g=H.T @ (lifted.U[:, :rank_H] @ (z / lifted.s[:rank_H])),
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
@@ -442,11 +414,10 @@ def span_membership(
     L = w_test.length
     if p_test.length != L:
         raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
-    shape, U, s, _ = data.lifted(L)
-    rank = _cut(s)
-    b = np.zeros(shape[:3])
+    lifted = data.lifted(L)
+    b = np.zeros(lifted.shape[:3])
     b[:, 0] = w_test.samples
-    A = _kron_consistent(shape, U, s, rank, p_test).reshape(b.size, rank)
+    A = lifted.consistent(p_test).reshape(b.size, -1)
     b = b.reshape(-1)
     z = _min_norm_solve(*_rank_factor(A), b)
     residual = float(np.linalg.norm(A @ z - b))
@@ -479,6 +450,10 @@ class LeftNullspace:
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
         """Largest violation of any basis row on all windows of ``(w, p)``."""
+        if (w.dim, p.dim) != (self.n_w, self.n_p):
+            raise DimensionMismatch(
+                f"w, p have dims {w.dim}, {p.dim}, expected {self.n_w}, {self.n_p}"
+            )
         if self.dimension == 0:
             return 0.0
         return float(np.max(np.abs(self.basis @ hankel(kron_extend(w, p), self.L))))
@@ -486,9 +461,9 @@ class LeftNullspace:
 
 def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
-    _, U, s, _ = data.lifted(L)
-    rank = _cut(s)
-    basis = U[:, rank:].T
+    lifted = data.lifted(L)
+    rank = lifted.rank
+    basis = lifted.U[:, rank:].T
     return LeftNullspace(
         basis=basis,
         dimension=basis.shape[0],
@@ -496,5 +471,5 @@ def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
         L=L,
         n_w=data.n_u + data.n_y,
         n_p=data.n_p,
-        singular_values=tuple(float(v) for v in s),
+        singular_values=tuple(float(v) for v in lifted.s),
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidShape
+
 GENERATOR_NAME = "philox4x64-10"
 
 # Fixed role table; new roles must be appended, never renumbered.
@@ -26,9 +28,11 @@ STREAMS = {
 
 
 def stream(seed: int, role: int | str) -> np.random.Generator:
-    """Generator for the given role under ``seed``."""
+    """Generator for the given role under ``seed``, a Philox key word in ``[0, 2**64)``."""
+    if not 0 <= int(seed) < 2**64:
+        raise InvalidShape(f"seed must be in [0, 2**64), got {seed}")
     stream_id = STREAMS[role] if isinstance(role, str) else int(role)
-    return np.random.Generator(np.random.Philox(key=[int(seed), stream_id]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], np.uint64)))
 
 
 def metadata(seed: int) -> dict:

@@ -222,20 +222,20 @@ def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
     w = Trajectory(1, np.hstack([u.samples, y.samples]))
     H = hankel(kron_extend(w, p), L)
     assert H.shape == (n_rows, N)
-    shape, F, U, s = analysis._lifted_factor(w, p, L)
-    assert F.shape[-1] == (n_rows if N >= 4 * n_rows else N)
+    n_u = u.dim
+    f = analysis._lifted_factor(w, p, L, n_u)
+    assert f.inputs.shape[-1] == (n_rows if N >= 4 * n_rows else N)
 
     U_ref, s_ref, _ = np.linalg.svd(H)
-    assert s.shape == s_ref.shape
-    assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+    assert f.s.shape == s_ref.shape
+    assert np.max(np.abs(f.s - s_ref)) <= 1e-13 * s_ref[0]
     r = analysis._cut(s_ref)
-    assert analysis._cut(s) == r
-    P, P_ref = U[:, :r] @ U[:, :r].T, U_ref[:, :r] @ U_ref[:, :r].T
+    assert f.rank == r
+    P, P_ref = f.U[:, :r] @ f.U[:, :r].T, U_ref[:, :r] @ U_ref[:, :r].T
     assert np.max(np.abs(P - P_ref), initial=0.0) <= 1e-12
 
-    n_u = u.dim
-    rank_in = analysis.numeric_rank(H.reshape(shape[:3] + (N,))[:, :, :n_u].reshape(-1, N))[0]
-    assert analysis.numeric_rank(analysis._input_rows(F, n_u))[0] == rank_in
+    rank_in = analysis.numeric_rank(H.reshape(f.shape[:3] + (N,))[:, :, :n_u].reshape(-1, N))[0]
+    assert f.pe.extended_input_rank == rank_in
     assert check_pe(u, p, L).extended_input_rank == rank_in
     assert check_pe(u, p, L, y=y).extended_input_rank == rank_in
     if kind == "zero":

@@ -420,6 +420,9 @@ def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
         ({"scheduling_box": [[0, 1], 2]}, ("scheduling_box",)),
         # the built-in model has n_p = 2
         ({"scheduling_box": [[-1, 1], [-1, 1], [-1, 1]]}, ("scheduling_box",)),
+        # a Philox key word is in [0, 2**64)
+        ({"seed": -1}, ("seed",)),
+        ({"seed": 2**64}, ("seed",)),
     ],
 )
 def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):

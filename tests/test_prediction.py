@@ -474,6 +474,27 @@ def test_membership_rejects_scheduling_of_wrong_dim():
         span_membership(rec, w, Trajectory(1, np.zeros((5, 1))))
 
 
+@pytest.mark.parametrize("L", [1, 5])
+def test_max_residual_rejects_signals_of_wrong_dim(L):
+    # checked before the empty-basis shortcut too (L = 1: no annihilator)
+    rec = _record(30)
+    ns = left_nullspace(rec, L)
+    assert (ns.dimension == 0) == (L == 1)
+    for w, p in ((Trajectory(1, np.zeros((30, 3))), rec.p),
+                 (rec.w, Trajectory(1, np.zeros((30, 1))))):
+        with pytest.raises(DimensionMismatch):
+            ns.max_residual_on(w, p)
+
+
+def test_predict_reads_the_excitation_report_of_check_pe():
+    rec, q = _record(70), _query()
+    pe = rec.lifted(10).pe
+    assert pe == check_pe(rec.u, rec.p, 10, y=rec.y)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert (res.diagnostics["extended_input_rank"], res.diagnostics["required_input_rank"]) \
+        == (pe.extended_input_rank, pe.required) == (30, 30)
+
+
 # -- factor against the dense stacked system ------------------------------------
 
 
@@ -653,8 +674,8 @@ def test_factor_memo_holds_no_array_of_record_length():
     def memo_nbytes(T):
         rec = _record(T)
         memo = [rec.lifted(L) for L in (7, 10)]
-        assert [shape[-1] for shape, *_ in memo] == [T - 6, T - 9]
-        return sum(U.nbytes + s.nbytes + inputs.nbytes for _, U, s, inputs in memo)
+        assert [f.shape[-1] for f in memo] == [T - 6, T - 9]
+        return sum(f.U.nbytes + f.s.nbytes + f.inputs.nbytes for f in memo)
 
     assert memo_nbytes(500) == memo_nbytes(4000)
 

@@ -1,5 +1,7 @@
 """Simulators, impulse/Toeplitz maps, and initial-state estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import minimal_random_ss, rand_traj
@@ -18,6 +20,7 @@ from lpvdd import (
     WindowOutOfRange,
     estimate_initial_state,
     example_verhoek,
+    generate_query,
     generate_record,
     impulse_coeff,
     obsv_eval,
@@ -31,6 +34,7 @@ from lpvdd import (
     toeplitz_eval,
     vec,
 )
+from lpvdd.rng import stream
 
 
 def _scalar_lti(a, b, c, d):
@@ -433,3 +437,24 @@ def test_generate_record_rejects_bad_boxes(key, box):
     # an inverted box used to draw from [hi, lo] without a word
     with pytest.raises(InvalidShape, match=key):
         generate_record(example_verhoek(), 10, 0, **{key: box})
+
+
+def test_seeds_from_two_to_the_63_are_distinct_keys():
+    # a seed of 2**63 or more must reach Philox as one 64-bit word: cast through a
+    # float, 2**63 and 2**63 + 5 draw alike, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [stream(s, "input").random(2) for s in (2**63, 2**63 + 5, 2**64 - 1)]
+    assert len({d.tobytes() for d in draws}) == 3
+
+
+def test_generate_query_takes_per_channel_input_boxes():
+    # the initial state is drawn from the hull of the boxes; one box is its own hull
+    model = random_affine_ss(np.random.default_rng(0), 2, 2, 1, 1)
+    q = generate_query(model, 3, 4, 0, input_box=[[-1, 1], [0, 1]])
+    u = np.vstack([q.u_ini.samples, q.u_r.samples])
+    assert np.all(u[:, 1] >= 0) and np.all(np.abs(u) <= 1)
+    per_channel = generate_query(model, 3, 4, 0, input_box=[[-2, 1], [-2, 1]])
+    one = generate_query(model, 3, 4, 0, input_box=[-2, 1])
+    for name in ("u_ini", "y_ini", "u_r", "y_r_truth"):
+        assert np.array_equal(getattr(per_channel, name).samples, getattr(one, name).samples)
