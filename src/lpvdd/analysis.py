@@ -38,7 +38,7 @@ from .coeffs import CoeffMatrix
 from .errors import InvalidShape
 from .models import LpvSsModel, _shifted_hull
 from .rng import stream
-from .signals import Trajectory, hankel, kron_extend
+from .signals import Trajectory, _check_finite, _windows, kron_extend
 
 __all__ = [
     "Lifted",
@@ -63,38 +63,42 @@ __all__ = [
 RANK_CUT = 1e-9
 
 
-def _cut(s: np.ndarray) -> int:
-    """Count of singular values above ``RANK_CUT * s[0]``; 0 when none is positive."""
-    return int(np.sum(s > RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
+def _cut(s: np.ndarray):
+    """Count of the singular values above ``RANK_CUT`` times the first, on the last axis."""
+    return (s > RANK_CUT * s[..., :1]).sum(axis=-1).tolist()
 
 
-def _rank_factor(matrix: np.ndarray, complete: bool = False):
-    """SVD ``(U, s, Vt, rank)`` with the numeric rank of ``matrix``.
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A``
+    and its rank, all from the triangle of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|``
+    for every ``z``.  At full column rank ``z`` is back-substitution (``solve`` pivots
+    on the diagonal of ``T``), else the minimum-norm solve on the SVD of ``T``."""
+    n = A.shape[1]
+    R = np.linalg.qr(np.column_stack([A, b]), mode="r")
+    T, c = R[:n, :n], R[:n, n]
+    s = np.linalg.svd(T, compute_uv=False)
+    rank = _cut(s)
+    if rank == n:
+        return np.linalg.solve(T, c), s, rank
+    U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
+    return Vt[:rank].T @ ((U[:, :rank].T @ c) / s_T[:rank]), s, rank
 
-    With ``complete``, ``U`` is a complete left basis, so ``U[:, rank:]``
-    spans the left null space.  ``Vt`` has at most ``min(rows, cols)`` rows,
-    so no factor grows with the square of the longer side.
-    """
-    rows, cols = matrix.shape
-    U, s, Vt = np.linalg.svd(matrix, full_matrices=complete and rows > cols)
-    return U, s, Vt, _cut(s)
+
+# Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
+BLOCK = 4096
 
 
-def _min_norm_solve(U, s, Vt, rank: int, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution on the leading ``rank`` SVD triplets."""
-    return Vt[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-
-
-def _trim(H: np.ndarray) -> np.ndarray:
-    """``H``, or ``R^T`` of ``H^T = Q R`` when ``H`` has at least four columns per row.
-
-    ``R^T = H Q`` has the singular values and left singular vectors of ``H``, keeps its
-    exactly-zero rows zero (Householder QR) and has no long axis, so no SVD forms the
-    long right factor (Chan's R-SVD, ACM TOMS 8(1), 1982).  On narrower ``H`` the QR
-    costs more than it saves, and the direct SVD is taken.
-    """
-    rows, cols = H.shape
-    return np.linalg.qr(H.T, mode="r").T if cols >= 4 * rows else H
+def _triangle(V: np.ndarray) -> np.ndarray:
+    """``R^T`` of ``V = Q R`` for windows ``V`` (``N x R``) at least four per column,
+    else (the QR then costing more than it saves) the Hankel matrix ``V^T`` itself.
+    ``R^T`` has the singular values and left singular vectors of ``V^T``, keeps its zero
+    rows zero and has no long axis (Chan's R-SVD, ACM TOMS 8(1), 1982).  ``R`` is the QR
+    of the stacked triangles of blocks of ``BLOCK`` windows (TSQR: Demmel, Grigori,
+    Hoemmen and Langou, SIAM J. Sci. Comput. 34(1), 2012)."""
+    if len(V) < 4 * V.shape[1]:
+        return V.T
+    blocks = [np.linalg.qr(V[i:i + BLOCK], mode="r") for i in range(0, len(V), BLOCK)]
+    return (blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")).T
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ class Lifted:
     ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout of
     :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w`` (``1 + j``), then
     the channel of ``w``.  ``U`` (``R x R``) is its complete left basis and ``s`` its
-    singular values.  ``inputs`` are its ``u``, ``p (x) u`` rows after :func:`_trim`:
+    singular values.  ``inputs`` are its ``u``, ``p (x) u`` rows after :func:`_triangle`:
     they have the singular values of the input Hankel matrix, and exactly-zero inputs
     stay exactly zero in them, where those rows of ``U S`` would turn them into rounding.
     """
@@ -133,18 +137,16 @@ class Lifted:
         return K
 
 
-def _lifted_factor(w: Trajectory, p: Trajectory, L: int, n_u: int) -> Lifted:
-    """:class:`Lifted` of ``H_L(col(w, p (x) w))``, ``u`` the first ``n_u`` channels
-    of ``w``; its arrays are read-only."""
-    if w.length < L:
-        raise InvalidShape(f"data length {w.length} shorter than window L={L}")
-    H = hankel(kron_extend(w, p), L)
-    F = _trim(H)
-    U, s, _, _ = _rank_factor(F, complete=True)
-    inputs = F.reshape(L, 1 + p.dim, w.dim, -1)[:, :, :n_u].reshape(-1, F.shape[-1])
+def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:
+    """:class:`Lifted` of ``H_L`` of the samples ``X`` of ``kron_extend(w, p)``, ``u``
+    the first ``n_u`` channels of ``w``; its arrays are read-only."""
+    F = _triangle(_windows(X, L))
+    U, s, _ = np.linalg.svd(F, full_matrices=F.shape[0] > F.shape[1])
+    shape = (L, 1 + n_p, X.shape[1] // (1 + n_p), len(X) - L + 1)
+    inputs = F.reshape(shape[:3] + (-1,))[:, :, :n_u].reshape(-1, F.shape[-1])
     for a in (U, s, inputs):
         a.setflags(write=False)
-    return Lifted((L, 1 + p.dim, w.dim, H.shape[-1]), U, s, inputs)
+    return Lifted(shape, U, s, inputs)
 
 
 def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
@@ -268,7 +270,7 @@ def _sampled_rank(evaluate, window, n_p, required, trials, seed):
         raise InvalidShape(f"trials must be >= 1, got {trials}")
     lo, hi = window
     P = stream(seed, "trials").uniform(-1.0, 1.0, (trials, hi - lo + 1, n_p))
-    ranks = [_cut(s) for s in np.linalg.svd(evaluate(P, -lo), compute_uv=False)]
+    ranks = _cut(np.linalg.svd(evaluate(P, -lo), compute_uv=False))
     passes = sum(rank >= required for rank in ranks)
     return StructuralRankReport(
         tested_rank=max(ranks), required_rank=required, num_trials=trials,
@@ -378,18 +380,21 @@ def check_pe(
     """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
 
     With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks.  Either
-    Hankel matrix goes through :func:`_trim`, so a long record costs a QR and
-    small SVDs, none with an axis of length ``T - L + 1``."""
+    Hankel matrix is read through :func:`_triangle`, so a long record costs QRs of
+    blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``."""
+    for name, traj in (("u", u), ("p", p), ("y", y)):
+        if traj is not None:
+            _check_finite(traj, name)
     if u.interval != p.interval:
         raise InvalidShape(f"u and p intervals differ: {u.interval} vs {p.interval}")
     if u.length < L:
         raise InvalidShape(f"data length {u.length} shorter than order L={L}")
     if y is None:
-        return _pe_report(L, _trim(hankel(kron_extend(u, p), L)))
+        return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))
     if y.interval != u.interval:
         raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
     w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-    return _lifted_factor(w, p, L, u.dim).pe
+    return _lifted_factor(kron_extend(w, p).samples, L, p.dim, u.dim).pe
 
 
 def _pe_report(L: int, inputs: np.ndarray, hankel_rank: int | None = None) -> PeReport:

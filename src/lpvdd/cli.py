@@ -52,18 +52,19 @@ class ConfigError(Exception):
     pass
 
 
-# Every config key: the keywords of its flag (``None``: config file only), the
-# JSON types a config file may give it (``bool`` is rejected everywhere) and the
-# least value it may take. The flag's ``default`` is the key's default; only
-# ``simulate`` sets one of its own, the built-in model.
+# Every config key: the keywords of its flag (``None``: config file only), the JSON
+# types a config file may give it (``bool`` is rejected everywhere) and the range
+# ``[least, bound)`` of its values, checked for every subcommand that reads the key.
+# The flag's ``default`` is the key's default; ``simulate`` alone sets its own model.
 _KEYS = {
     "model": (dict(help='model JSON path or "builtin:verhoek"'), str, None),
-    "seed": (dict(type=int, default=0, help="seed of the random draws"), int, None),
-    "T": (dict(type=int, default=40, help="record length"), int, 1),
-    "L": (dict(type=int, default=10, help="Hankel depth"), int, 1),
-    "tol": (dict(type=float, default=1e-7, help="residual tolerance"), (int, float), 0),
+    "seed": (dict(type=int, default=0, help="seed of the random draws"), int, (0, 2**64)),
+    "T": (dict(type=int, default=40, help="record length"), int, (1, np.inf)),
+    "L": (dict(type=int, default=10, help="Hankel depth"), int, (1, np.inf)),
+    "tol": (dict(type=float, default=1e-7, help="residual tolerance"), (int, float),
+            (0, np.inf)),
     "margin_tol": (dict(type=float, default=1e-7, help="output uniqueness margin"),
-                   (int, float), 0),
+                   (int, float), (0, np.inf)),
     "format": (dict(choices=("csv", "json"), default="csv", help="record format"),
                str, None),
     "input_box": (dict(type=float, nargs=2, default=(-1.0, 1.0), metavar=("LO", "HI"),
@@ -93,11 +94,11 @@ def _read_config(args) -> dict:
     return data
 
 
-def _check_least(args) -> None:
+def _check_range(args) -> None:
     for key in _KEYS.keys() & vars(args).keys():
-        least, value = _KEYS[key][2], getattr(args, key)
-        if least is not None and not least <= value < np.inf:  # NaN fails too
-            raise ConfigError(f"{key} must be finite and >= {least}, got {value}")
+        bounds, value = _KEYS[key][2], getattr(args, key)
+        if bounds is not None and not bounds[0] <= value < bounds[1]:  # NaN fails too
+            raise ConfigError(f"{key} must be in [{bounds[0]}, {bounds[1]}), got {value}")
 
 
 def _resolve_model(name: str):
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
         if args.config:
             # the config's values become the subcommand's defaults, so flags override them
             args = build_parser(_read_config(args)).parse_args(argv)
-        _check_least(args)
+        _check_range(args)
         return args.func(args)
     except ConfigError as exc:
         _report(f"error: {exc}")

@@ -22,8 +22,8 @@ future output rows applied to ``z`` give the prediction.  ``H`` is factored
 once per record and depth (:meth:`DataRecord.lifted`, a :class:`Lifted` that
 gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
 left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its
-QR first and no factor has an axis of length ``N``.  A query costs work on
-``K`` (``R x r``) and one product with ``H^T``.
+QR first and no factor has an axis of length ``N``.  A query costs small solves
+on ``K`` (``R x r``) and one pass over a view of the record's lifted samples.
 
 Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
 singular value of the known rows of ``K``, and 0 when there are fewer than
@@ -37,17 +37,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import Lifted, _lifted_factor, _min_norm_solve, _rank_factor
+from .analysis import Lifted, _lifted_factor, _lstsq
 from .coeffs import CoeffMatrix
 from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
 from .models import KernelRep
 from .signals import (
     Trajectory,
     _check_finite,
+    _windows,
     concat,
     hankel,
     kron_extend,
@@ -87,6 +89,8 @@ class DataRecord:
                 f"u/p/y intervals differ: {self.u.interval}, "
                 f"{self.p.interval}, {self.y.interval}"
             )
+        for name in ("u", "p", "y"):
+            _check_finite(getattr(self, name), name)
 
     @property
     def T(self) -> int:
@@ -109,11 +113,16 @@ class DataRecord:
         """Stacked signal ``col(u, y)``."""
         return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
 
+    @cached_property
+    def lifted_samples(self) -> np.ndarray:
+        """Samples of ``kron_extend(w, p)``, made once; its Hankel matrices are views."""
+        return kron_extend(self.w, self.p).samples
+
     def lifted(self, L: int) -> Lifted:
         """The :class:`Lifted` factor of ``H_L(col(w, p (x) w))``, made once per ``L``;
         it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
         if L not in self._lifted:
-            self._lifted[L] = _lifted_factor(self.w, self.p, L, self.n_u)
+            self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)
         return self._lifted[L]
 
     # -- interchange ----------------------------------------------------------
@@ -134,9 +143,7 @@ class DataRecord:
         def traj(name: str) -> Trajectory:
             d = data[name]
             try:
-                return _check_finite(
-                    Trajectory(int(d["t_start"]), np.asarray(d["samples"], dtype=float))
-                )
+                return Trajectory(int(d["t_start"]), np.asarray(d["samples"], dtype=float))
             except InvalidShape as exc:
                 raise InvalidShape(f"{name}: {exc}") from None
 
@@ -315,13 +322,14 @@ def predict(
     enough for its Hankel span to cover the query; shortfalls surface as the
     ``ambiguous``/``infeasible`` verdicts and in the diagnostics.
     """
-    for name, traj, dim in (
+    args = (
         ("u_ini", u_ini, data.n_u),
         ("y_ini", y_ini, data.n_y),
         ("u_r", u_r, data.n_u),
         ("p_ini", p_ini, data.n_p),
         ("p_r", p_r, data.n_p),
-    ):
+    )
+    for name, traj, dim in args:
         if traj.dim != dim:
             raise DimensionMismatch(f"{name} has dim {traj.dim}, expected {dim}")
     T_ini, T_r = u_ini.length, u_r.length
@@ -331,20 +339,23 @@ def predict(
 
     lifted = data.lifted(L)
     rank_H, pe = lifted.rank, lifted.pe
-    K = lifted.consistent(concat(p_ini.rebase(1), p_r.rebase(T_ini + 1)))
+    p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
     # Every row is known but the outputs after T_ini; targets are zero on the
     # Kronecker-consistency rows.
-    known = np.ones(K.shape[:3], dtype=bool)
+    known = np.ones(lifted.shape[:3], dtype=bool)
     known[T_ini:, 0, n_u:] = False
-    b = np.zeros(K.shape[:3])
+    b = np.zeros(lifted.shape[:3])
     b[:, 0, :n_u] = np.vstack([u_ini.samples, u_r.samples])
     b[:T_ini, 0, n_u:] = y_ini.samples
+    if not np.isfinite(b.sum() + p_bar.samples.sum()):  # one sum: NaN or inf somewhere
+        for name, traj, _ in args:
+            _check_finite(traj, name)
+    K = lifted.consistent(p_bar)
     A, b = K[known], b[known]
 
-    # The known rows of the stack are A V_r^T: one SVD of A gives the solve,
+    # The known rows of the stack are A V_r^T: one least-squares solve of A gives
     # the residual and the margin, sigma_r of A (0 when A has fewer than r rows).
-    U, s, Vt, rank = _rank_factor(A)
-    z = _min_norm_solve(U, s, Vt, rank, b)
+    z, s, _ = _lstsq(A, b)
     residual = float(np.linalg.norm(A @ z - b))
     margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
 
@@ -373,11 +384,11 @@ def predict(
         "required_input_rank": pe.required,
         "warnings": warnings,
     }
-    # g = V_r z with V_r = H^T U_r S_r^-1, from H rebuilt rather than kept
-    H = hankel(kron_extend(data.w, data.p), L)
+    # g = V_r z with V_r = H^T U_r S_r^-1; H^T is a view of the record's samples
+    c = lifted.U[:, :rank_H] @ (z / lifted.s[:rank_H])
     return PredictionResult(
         y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
-        g=H.T @ (lifted.U[:, :rank_H] @ (z / lifted.s[:rank_H])),
+        g=np.einsum("nk,k->n", _windows(data.lifted_samples, L), c),
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
@@ -414,12 +425,14 @@ def span_membership(
     L = w_test.length
     if p_test.length != L:
         raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
+    _check_finite(w_test, "w_test")
+    _check_finite(p_test, "p_test")
     lifted = data.lifted(L)
     b = np.zeros(lifted.shape[:3])
     b[:, 0] = w_test.samples
     A = lifted.consistent(p_test).reshape(b.size, -1)
     b = b.reshape(-1)
-    z = _min_norm_solve(*_rank_factor(A), b)
+    z = _lstsq(A, b)[0]
     residual = float(np.linalg.norm(A @ z - b))
     return MembershipResult(member=residual <= tol, residual=residual)
 
@@ -456,7 +469,8 @@ class LeftNullspace:
             )
         if self.dimension == 0:
             return 0.0
-        return float(np.max(np.abs(self.basis @ hankel(kron_extend(w, p), self.L))))
+        V = _windows(kron_extend(w, p).samples, self.L)
+        return float(np.max(np.abs(self.basis @ V.T)))
 
 
 def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:

@@ -146,6 +146,16 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
     return data.reshape(t1 * d, cols)
 
 
+def _windows(X: np.ndarray, t1: int) -> np.ndarray:
+    """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
+    row ``j`` is the window ``X[j : j + t1]``, flattened."""
+    if len(X) < t1:
+        raise InvalidShape(f"data length {len(X)} shorter than window L={t1}")
+    X = np.ascontiguousarray(X)
+    return np.lib.stride_tricks.as_strided(
+        X, (len(X) - t1 + 1, t1 * X.shape[1]), X.strides, writeable=False)
+
+
 def kron_signal(w: Trajectory, p: Trajectory) -> Trajectory:
     """Per-sample Kronecker product signal ``p(k) (x) w(k)``.
 
@@ -230,12 +240,13 @@ def trajectory_from_csv(text: str) -> Trajectory:
     return _check_finite(Trajectory(times[0], samples))
 
 
-def _check_finite(w: Trajectory) -> Trajectory:
-    """``w`` itself; :class:`InvalidShape` naming the first time step that
-    holds a NaN or infinite sample."""
+def _check_finite(w: Trajectory, name: str = "") -> Trajectory:
+    """``w`` itself; :class:`InvalidShape` naming ``name`` (when given) and the
+    first time step that holds a NaN or infinite sample."""
     bad = np.flatnonzero(~np.isfinite(w.samples).all(axis=1))
     if bad.size:
-        raise InvalidShape(f"non-finite sample at time step {w.t_start + bad[0]}")
+        where = f"{name}: " if name else ""
+        raise InvalidShape(f"{where}non-finite sample at time step {w.t_start + bad[0]}")
     return w
 
 

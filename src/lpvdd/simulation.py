@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _min_norm_solve, _rank_factor, obsv_eval
+from .analysis import _lstsq, obsv_eval
 from .coeffs import CoeffMatrix
 from .errors import (
     DimensionMismatch,
@@ -296,14 +296,13 @@ def estimate_initial_state(
     O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
     Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
     rhs = vec(y_ini) - Tm @ vec(u_ini)
-    U, s, Vt, rank = _rank_factor(O)
+    x_bar, s, rank = _lstsq(O, rhs)
     sigma_min = float(s[-1]) if s.size else 0.0
     if rank < model.n_x:
         raise RankDeficientObservability(
             f"observability evaluation has rank {rank} < n_x={model.n_x} "
             f"(sigma_min={sigma_min:.3e})"
         )
-    x_bar = _min_norm_solve(U, s, Vt, rank, rhs)
     residual = float(np.linalg.norm(O @ x_bar - rhs))
     if residual > tol:
         raise InconsistentTrajectory(

@@ -223,7 +223,7 @@ def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
     H = hankel(kron_extend(w, p), L)
     assert H.shape == (n_rows, N)
     n_u = u.dim
-    f = analysis._lifted_factor(w, p, L, n_u)
+    f = analysis._lifted_factor(kron_extend(w, p).samples, L, p.dim, n_u)
     assert f.inputs.shape[-1] == (n_rows if N >= 4 * n_rows else N)
 
     U_ref, s_ref, _ = np.linalg.svd(H)
@@ -281,6 +281,45 @@ def test_check_pe_shape_errors():
         check_pe(rand_traj(rng, 1, 5), rand_traj(rng, 2, 5), 6)
     with pytest.raises(InvalidShape):
         check_pe(rand_traj(rng, 1, 5), rand_traj(rng, 2, 6), 3)
+
+
+@pytest.mark.parametrize("name", ["u", "p", "y"])
+def test_check_pe_rejects_non_finite_samples(name):
+    # a NaN sample failed to converge inside LAPACK
+    rec = generate_record(example_verhoek(), 60, 3)
+    args = {"u": rec.u, "p": rec.p, "y": rec.y}
+    samples = args[name].samples.copy()
+    samples[7, 0] = np.nan
+    args[name] = Trajectory(1, samples)
+    with pytest.raises(InvalidShape, match=f"{name}: non-finite sample at time step 8"):
+        check_pe(L=5, **args)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    rank=st.integers(0, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
+    # tall, square and wide A of any rank down to all-zero, singular values in
+    # [0.1, 1] on its range, so the two routes differ by rounding only
+    rng = np.random.default_rng(seed)
+    r = min(rank, rows, cols)
+    Q1 = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :r]
+    Q2 = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :r]
+    A = (Q1 * rng.uniform(0.1, 1.0, r)) @ Q2.T
+    b = rng.standard_normal(rows)
+    U, s_ref, Vt = np.linalg.svd(A, full_matrices=False)
+    k = analysis._cut(s_ref)
+    z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
+
+    z, s, rank_A = analysis._lstsq(A, b)
+    assert rank_A == k == r
+    assert s.shape == s_ref.shape
+    assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+    assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
 
 
 def test_minimal_random_ss_helper_yields_minimal_models():

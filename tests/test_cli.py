@@ -423,6 +423,10 @@ def test_predict_rejects_nan_in_data_csv(tmp_path, capsys):
         # a Philox key word is in [0, 2**64)
         ({"seed": -1}, ("seed",)),
         ({"seed": 2**64}, ("seed",)),
+        # check draws only for the structural test of a state-space model
+        ({"seed": -1, "L": 5}, ("seed",)),
+        ({"seed": 2**64, "L": 5}, ("seed",)),
+        ({"seed": -1, "L": 5, "model": "builtin:verhoek"}, ("seed",)),
     ],
 )
 def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
@@ -436,6 +440,10 @@ def test_config_rejected_at_the_boundary(tmp_path, capsys, config, named):
         capsys.readouterr()
         argv = ["predict", "--data-dir", str(tmp_path / "data"),
                 "--query-dir", str(tmp_path / "query")]
+    elif "L" in config:  # read by check only
+        assert _simulate(tmp_path, T=70) == 0
+        capsys.readouterr()
+        argv = ["check", "--data-dir", str(tmp_path / "data")]
     code = main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
     assert code == 2
     err = capsys.readouterr().err

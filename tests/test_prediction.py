@@ -10,6 +10,7 @@ T = 61; several tests below pin it.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import rand_traj
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpvdd
 from lpvdd import (
     CoeffMatrix,
     DataRecord,
@@ -41,6 +43,7 @@ from lpvdd import (
     simulate_io,
     span_membership,
 )
+from lpvdd import analysis, prediction, signals
 
 
 def _record(T, seed=1, model=None):
@@ -698,8 +701,10 @@ def test_no_svd_of_a_long_record_has_a_record_long_axis(monkeypatch):
 
     shapes = _factor_shapes(monkeypatch, run)
     assert max(max(shape) for shape in shapes["svd"]) <= 6 * L
-    # predict and span_membership share one factor; left_nullspace has its own depth
-    assert sorted(shapes["qr"]) == sorted(
+    # predict and span_membership share one factor; left_nullspace has its own depth.
+    # The other QRs are those of the small known-row systems [A b].
+    long = {rec.T - L + 1, rec.T - 7 + 1}
+    assert sorted(shape for shape in shapes["qr"] if long & set(shape)) == sorted(
         [(rec.T - L + 1, 6 * L), (rec.T - L + 1, 3 * L),
          (rec.T - L + 1, 6 * L), (rec.T - 7 + 1, 6 * 7)])
 
@@ -754,3 +759,103 @@ def test_affine_state_space_record_is_not_certified():
     assert res.diagnostics["full_stack_rank"] > res.diagnostics["known_row_count"]
     assert res.output_uniqueness_margin == 0.0
     assert res.verdict != "ok"
+
+
+# -- the windows of one lifted signal; the triangle by blocks ----------------
+
+
+def _poisoned(traj, value):
+    samples = traj.samples.copy()
+    samples[-1, -1] = value
+    return Trajectory(traj.t_start, samples)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("name", ["u_ini", "p_ini", "y_ini", "u_r", "p_r"])
+def test_predict_rejects_non_finite_queries(name, value):
+    # a NaN query read "ok" with NaN outputs, or failed to converge inside LAPACK
+    rec, q = _record(100), _query(seed=3)
+    args = {key: getattr(q, key) for key in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
+    args[name] = _poisoned(args[name], value)
+    with pytest.raises(InvalidShape, match=f"{name}: non-finite sample at time step"):
+        predict(rec, **args)
+
+
+@pytest.mark.parametrize("name", ["w_test", "p_test"])
+def test_membership_rejects_non_finite_windows(name):
+    rec, q = _record(100), _query(seed=3)
+    args = {"w_test": _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth)),
+            "p_test": concat(q.p_ini, q.p_r)}
+    args[name] = _poisoned(args[name], np.nan)
+    with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
+        span_membership(rec, **args)
+
+
+@pytest.mark.parametrize("name", ["u", "p", "y"])
+def test_data_record_rejects_non_finite_samples(name):
+    rec = _record(40)
+    args = {key: getattr(rec, key) for key in ("u", "p", "y")}
+    args[name] = _poisoned(args[name], np.inf)
+    with pytest.raises(InvalidShape, match=f"{name}: non-finite sample at time step 40"):
+        DataRecord(**args)
+
+
+def test_second_predict_builds_no_hankel(monkeypatch):
+    rec, q = _record(400), _query(seed=3)
+    first = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    calls = []
+
+    def counting(*args, real=signals.hankel):
+        calls.append(args)
+        return real(*args)
+
+    for module in (lpvdd, analysis, prediction, signals):
+        if hasattr(module, "hankel"):
+            monkeypatch.setattr(module, "hankel", counting)
+    second = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert calls == []
+    assert np.array_equal(first.g, second.g)
+    # g combines the record's windows into the query's: its w rows are (u, y)
+    L = q.u_ini.length + q.u_r.length
+    Hg = (hankel(kron_extend(rec.w, rec.p), L) @ second.g).reshape(L, 3, 2)[:, 0]
+    window = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, second.y_r)).samples
+    assert np.max(np.abs(Hg - window)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["verhoek", "zero"])
+def test_blocked_triangle_matches_the_direct_qr(monkeypatch, kind):
+    # N = 8991 windows: three blocks of at most 4096, against one block of all N
+    assert analysis.BLOCK == 4096
+    rec = _record(9000, seed=5)
+    if kind == "zero":
+        rec = DataRecord(Trajectory(1, np.zeros((rec.T, 1))), rec.p, rec.y)
+    queries = [_query(seed=s) for s in (3, 4, 5)]
+
+    def run():
+        fresh = DataRecord(rec.u, rec.p, rec.y)
+        return fresh.lifted(10), [
+            predict(fresh, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r) for q in queries]
+
+    blocked, blocked_results = run()
+    monkeypatch.setattr(analysis, "BLOCK", rec.T)
+    direct, direct_results = run()
+    # without input, only the 3 L rows of y and p (x) y are excited
+    assert blocked.rank == direct.rank == (52 if kind == "verhoek" else 30)
+    assert np.max(np.abs(blocked.s - direct.s)) <= 1e-13 * direct.s[0]
+    assert blocked.pe.extended_input_rank == direct.pe.extended_input_rank
+    for a, b in zip(blocked_results, direct_results):
+        assert a.verdict == b.verdict == ("ok" if kind == "verhoek" else "ambiguous")
+        assert np.max(np.abs(a.y_r.samples - b.y_r.samples)) <= 1e-13
+
+
+def test_next_query_allocates_no_more_than_g():
+    rec, q = _record(40_000), _query(seed=3)
+    predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    tracemalloc.start()
+    try:
+        result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.verdict == "ok"
+    assert peak <= result.g.nbytes + 2**20, (peak, result.g.nbytes)
