@@ -78,7 +78,7 @@ def _read_config(args) -> dict:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # both decode errors are ValueErrors
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {args.config}: expected a JSON object")
@@ -104,13 +104,7 @@ def _check_range(args) -> None:
 def _resolve_model(name: str):
     if name == "builtin:verhoek":
         return example_verhoek()
-    path = Path(name)
-    if not path.is_file():
-        raise ConfigError(f"not a model file: {name}")
-    try:
-        model = load_model(path)
-    except (LpvError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"cannot load model {name}: {exc}") from exc
+    model = load_model(name)
     issues = _fatal_issues(model)
     if issues:
         raise ConfigError(f"invalid model {name}: {'; '.join(issues)}")
@@ -188,29 +182,17 @@ def cmd_simulate(args) -> int:
 
 
 def _load_record(args) -> DataRecord:
-    if getattr(args, "data_bundle", None):
-        path = Path(args.data_bundle)
-        if not path.is_file():
-            raise ConfigError(f"not a data bundle file: {path}")
-        return DataRecord.from_json_bundle(path)
-    if not getattr(args, "data_dir", None):
+    if args.data_bundle:
+        return DataRecord.from_json_bundle(args.data_bundle)
+    if not args.data_dir:
         raise ConfigError("predict/check needs --data-dir or --data-bundle")
-    d = Path(args.data_dir)
-    for name in ("u.csv", "p.csv", "y.csv"):
-        if not (d / name).is_file():
-            raise ConfigError(f"missing data file: {d / name}")
-    return DataRecord.from_csv_dir(d)
+    return DataRecord.from_csv_dir(args.data_dir)
 
 
 def _load_query(args) -> dict:
     d = Path(args.query_dir)
-    names = ("u_ini", "p_ini", "y_ini", "u_r", "p_r")
-    out = {}
-    for name in names:
-        path = d / f"{name}.csv"
-        if not path.is_file():
-            raise ConfigError(f"missing query file: {path}")
-        out[name] = read_trajectory_csv(path)
+    out = {name: read_trajectory_csv(d / f"{name}.csv")
+           for name in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
     truth_path = d / "y_r_truth.csv"
     out["y_r_truth"] = read_trajectory_csv(truth_path) if truth_path.is_file() else None
     return out

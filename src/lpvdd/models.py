@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
-from .errors import InvalidModel, WindowOutOfRange
+from .errors import InvalidModel, LpvError, WindowOutOfRange
 from .signals import Trajectory
 
 __all__ = [
@@ -82,11 +82,6 @@ class LpvSsModel:
     @property
     def n_p(self) -> int:
         return self.A.n_p
-
-    @property
-    def coeff_window(self) -> tuple[int, int]:
-        """Hull of scheduling offsets used by any coefficient (0,0 if none)."""
-        return _shifted_hull(*((M, (0,)) for M in (self.A, self.B, self.C, self.D)))
 
 
 @dataclass(frozen=True)
@@ -415,5 +410,14 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """The model in ``path``; :class:`InvalidModel` naming ``path`` when it cannot be
+    opened, is not UTF-8 or is not a JSON model (a missing key is named too)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return model_from_dict(json.load(fh))
+    except OSError as exc:
+        raise InvalidModel(f"{path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise InvalidModel(f"{path}: missing key {exc}") from None
+    except (LpvError, AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise InvalidModel(f"{path}: {exc}") from None

@@ -44,7 +44,7 @@ import numpy as np
 
 from .analysis import Lifted, _lifted_factor, _lstsq
 from .coeffs import CoeffMatrix
-from .errors import DimensionMismatch, IntervalMismatch, InvalidShape
+from .errors import DimensionMismatch, IntervalMismatch, InvalidShape, LpvError
 from .models import KernelRep
 from .signals import (
     Trajectory,
@@ -156,25 +156,23 @@ class DataRecord:
 
     @classmethod
     def from_json_bundle(cls, path) -> "DataRecord":
-        """Read a record; :class:`InvalidShape` naming ``path`` when it is not a
-        JSON record (a missing key is named too)."""
+        """Read a record; :class:`InvalidShape` naming ``path`` when it cannot be opened,
+        is not UTF-8 or is not a JSON record (a missing key is named too)."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
+        except OSError as exc:
+            raise InvalidShape(f"{path}: {exc.strerror}") from None
         except KeyError as exc:
             raise InvalidShape(f"{path}: missing key {exc}") from None
-        except (InvalidShape, TypeError, ValueError) as exc:  # JSONDecodeError too
+        except (LpvError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidShape(f"{path}: {exc}") from None
 
     @classmethod
-    def from_csv_dir(cls, directory, provenance: str = "") -> "DataRecord":
+    def from_csv_dir(cls, directory) -> "DataRecord":
         d = Path(directory)
-        return cls(
-            u=read_trajectory_csv(d / "u.csv"),
-            p=read_trajectory_csv(d / "p.csv"),
-            y=read_trajectory_csv(d / "y.csv"),
-            provenance=provenance or str(d),
-        )
+        u, p, y = (read_trajectory_csv(d / f"{name}.csv") for name in "upy")
+        return cls(u=u, p=p, y=y, provenance=str(d))
 
     def to_csv_dir(self, directory) -> None:
         d = Path(directory)
@@ -462,11 +460,14 @@ class LeftNullspace:
         )
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
-        """Largest violation of any basis row on all windows of ``(w, p)``."""
+        """Largest violation of any basis row on all windows of ``(w, p)``;
+        :class:`InvalidShape` naming ``w`` or ``p`` when it holds a non-finite sample."""
         if (w.dim, p.dim) != (self.n_w, self.n_p):
             raise DimensionMismatch(
                 f"w, p have dims {w.dim}, {p.dim}, expected {self.n_w}, {self.n_p}"
             )
+        _check_finite(w, "w")
+        _check_finite(p, "p")
         if self.dimension == 0:
             return 0.0
         V = _windows(kron_extend(w, p).samples, self.L)

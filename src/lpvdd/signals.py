@@ -256,8 +256,12 @@ def write_trajectory_csv(path, w: Trajectory) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """The trajectory in ``path``; :class:`InvalidShape` naming ``path`` when it cannot
+    be opened, is not UTF-8 or is not a trajectory CSV."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return trajectory_from_csv(fh.read())
-    except InvalidShape as exc:
+    except OSError as exc:
+        raise InvalidShape(f"{path}: {exc.strerror}") from None
+    except (InvalidShape, UnicodeDecodeError) as exc:
         raise InvalidShape(f"{path}: {exc}") from None

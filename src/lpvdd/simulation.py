@@ -40,7 +40,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .models import LpvIoModel, LpvSsModel
-from .signals import Trajectory, vec
+from .signals import Trajectory, _check_finite, vec
 
 __all__ = [
     "SimResult",
@@ -65,18 +65,10 @@ class SimResult:
     domain: tuple[int, int]
 
 
-def _check_ss_windows(model: LpvSsModel, u: Trajectory, p: Trajectory) -> None:
+def _check_input_dim(model, u: Trajectory) -> None:
+    """``u`` against ``n_u``; ``CoeffMatrix.eval_range`` checks ``p`` where it is read."""
     if u.dim != model.n_u:
         raise DimensionMismatch(f"u has dim {u.dim}, model expects n_u={model.n_u}")
-    if p.dim != model.n_p:
-        raise DimensionMismatch(f"p has dim {p.dim}, model expects n_p={model.n_p}")
-    lo, hi = model.coeff_window
-    need = (u.t_start + lo, u.t_end + hi)
-    if not p.covers(*need):
-        raise WindowOutOfRange(
-            f"coefficient windows need p on [{need[0]}, {need[1]}], "
-            f"have [{p.t_start}, {p.t_end}]"
-        )
 
 
 # Blocks have a fixed length so that each state is computed by the same
@@ -128,7 +120,7 @@ def simulate_ss(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != model.n_x:
         raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {model.n_x}")
-    _check_ss_windows(model, u, p)
+    _check_input_dim(model, u)
     t1, t2 = u.interval
     A, B, C, D = (M.eval_range(p, t1, t2) for M in (model.A, model.B, model.C, model.D))
     Bu = np.einsum("kij,kj->ki", B, u.samples)
@@ -146,10 +138,7 @@ def simulate_io(model: LpvIoModel, u: Trajectory, p: Trajectory, y_init) -> Traj
     ``y(k)`` for ``k = t_start + n_a, ..., t_end`` (the unit leading
     coefficient means no linear solve is needed).
     """
-    if u.dim != model.n_u:
-        raise DimensionMismatch(f"u has dim {u.dim}, model expects n_u={model.n_u}")
-    if p.dim != model.n_p:
-        raise DimensionMismatch(f"p has dim {p.dim}, model expects n_p={model.n_p}")
+    _check_input_dim(model, u)
     y_init = np.asarray(y_init, dtype=float).reshape(-1, model.n_y)
     if y_init.shape[0] != model.n_a:
         raise DimensionMismatch(
@@ -163,11 +152,6 @@ def simulate_io(model: LpvIoModel, u: Trajectory, p: Trajectory, y_init) -> Traj
     ys[:n_a] = y_init
     if T == n_a:
         return Trajectory(t1, ys)
-    if not p.covers(t1, t2 - 1):
-        # a_i/b_i at step k only read p(k - i), i >= 1
-        raise WindowOutOfRange(
-            f"recursion needs p on [{t1}, {t2 - 1}], have [{p.t_start}, {p.t_end}]"
-        )
     k1, n_y = t1 + n_a, model.n_y
     # companion state z(k) = col(y(k-1), ..., y(k-n_a)):
     # z(k+1) = [[-a_1(k) ... -a_{n_a}(k)], [I 0]] z(k) + col(input terms, 0)
@@ -251,7 +235,7 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
         raise DimensionMismatch(
             f"x_tilde has length {x_tilde.shape[0]}, expected {model.n_x}"
         )
-    _check_ss_windows(model, u, p)
+    _check_input_dim(model, u)
     T = u.length
     O = obsv_eval(model, T, p, u.t_start)
     Tm = toeplitz_eval(model, T, p, u.t_start)
@@ -280,13 +264,16 @@ def estimate_initial_state(
     Solves the window response equation for the initial state by SVD least
     squares.  Raises :class:`RankDeficientObservability` when the window is
     shorter than the lag bound ``n_x``, the safe sufficient choice, or when
-    the evaluated observability map is numerically rank deficient, and
-    :class:`InconsistentTrajectory` when the residual exceeds ``tol``.
+    the evaluated observability map is numerically rank deficient,
+    :class:`InconsistentTrajectory` when the residual exceeds ``tol`` and
+    :class:`InvalidShape` naming a window with a NaN or infinite sample.
     """
     if u_ini.interval != y_ini.interval:
         raise DimensionMismatch(
             f"u_ini and y_ini intervals differ: {u_ini.interval} vs {y_ini.interval}"
         )
+    for name, traj in (("u_ini", u_ini), ("p_ini", p_ini), ("y_ini", y_ini)):
+        _check_finite(traj, name)
     T_ini = u_ini.length
     if T_ini < model.n_x:
         raise RankDeficientObservability(
@@ -323,7 +310,7 @@ def propagate_state(
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     if x1.shape[0] != model.n_x:
         raise DimensionMismatch(f"x1 has length {x1.shape[0]}, expected {model.n_x}")
-    _check_ss_windows(model, u_ini, p_ini)
+    _check_input_dim(model, u_ini)
     t1, t2 = u_ini.interval
     A = model.A.eval_range(p_ini, t1, t2)
     Bu = np.einsum("kij,kj->ki", model.B.eval_range(p_ini, t1, t2), u_ini.samples)

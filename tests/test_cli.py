@@ -644,6 +644,38 @@ def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+_SS_A_NOT_A_MATRIX = b'{"kind": "ss", "n_p": 1, "A": 5, "B": [], "C": [], "D": []}'
+
+
+@pytest.mark.parametrize("argv,files,named", [
+    (["check", "--data-dir", "data", "--L", "3"], {"data/y.csv": b"\xff,1\n"}, "y.csv"),
+    (["predict", "--data-dir", "data", "--query-dir", "query"], {"query/u_r.csv": None},
+     "u_r.csv"),
+    (["simulate", "--config", "cfg.json"], {"cfg.json": b'{"T": 5\xff}'}, "cfg.json"),
+    (["simulate", "--model", "m.json"], {"m.json": b"[1, 2]"}, "m.json"),
+    (["simulate", "--model", "m.json"], {"m.json": _SS_A_NOT_A_MATRIX}, "m.json"),
+    (["simulate", "--model", "absent.json"], {}, "absent.json"),
+], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
+        "model-matrix-not-a-list", "missing-model"])
+def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,
+                                            named):
+    # each reader names its file: no pre-check in the CLI, and no traceback
+    monkeypatch.chdir(tmp_path)
+    assert _simulate(tmp_path, T=70) == 0
+    _write_query(tmp_path / "query")
+    for name, content in files.items():
+        if content is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_bytes(content)
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_shows_the_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["check", "--help"])

@@ -791,6 +791,17 @@ def test_membership_rejects_non_finite_windows(name):
         span_membership(rec, **args)
 
 
+@pytest.mark.parametrize("name", ["w", "p"])
+def test_max_residual_rejects_non_finite_signals(name):
+    # checked before the empty-basis shortcut too (L = 1: no annihilator)
+    rec = _record(40)
+    for L in (1, 5):
+        args = {"w": rec.w, "p": rec.p}
+        args[name] = _poisoned(args[name], np.nan)
+        with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
+            left_nullspace(rec, L).max_residual_on(**args)
+
+
 @pytest.mark.parametrize("name", ["u", "p", "y"])
 def test_data_record_rejects_non_finite_samples(name):
     rec = _record(40)

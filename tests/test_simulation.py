@@ -95,6 +95,23 @@ def test_simulate_ss_window_and_dim_errors():
         simulate_ss(m2, np.zeros(2), u, rand_traj(rng, 2, 5))
 
 
+def test_short_scheduling_is_out_of_range_for_every_simulator():
+    # CoeffMatrix.eval_range is the one check that p covers what is read
+    rng = np.random.default_rng(3)
+    m = random_affine_ss(rng, 2, 1, 1, 2)
+    u, short = rand_traj(rng, 1, 5), rand_traj(rng, 2, 4)
+    with pytest.raises(WindowOutOfRange):
+        simulate_ss(m, np.zeros(2), u, short)
+    with pytest.raises(WindowOutOfRange):
+        propagate_state(m, np.zeros(2), u, short)
+    with pytest.raises(WindowOutOfRange):
+        response_map(m, np.zeros(2), u, short)
+    # the IO recursion reads p on [1, 4]: one sample short is [1, 3]
+    assert simulate_io(example_verhoek(), u, short, np.zeros((2, 1))).length == 5
+    with pytest.raises(WindowOutOfRange):
+        simulate_io(example_verhoek(), u, short.restrict(1, 3), np.zeros((2, 1)))
+
+
 def test_simulate_io_identity_recursion_is_zero():
     m = example_verhoek()
     zero_model_y = simulate_io(
@@ -270,6 +287,20 @@ def test_estimate_initial_state_detects_perturbation():
     bad[1, 0] += 1.0
     with pytest.raises(InconsistentTrajectory):
         estimate_initial_state(m, u, p, Trajectory(1, bad))
+
+
+@pytest.mark.parametrize("name", ["u_ini", "p_ini", "y_ini"])
+def test_estimate_initial_state_rejects_non_finite_windows(name):
+    # a NaN in y_ini gave x = [nan, nan]: the residual test nan > tol is false
+    rng = np.random.default_rng(16)
+    m = minimal_random_ss(rng, 2, 1, 1, 1)
+    u, p = rand_traj(rng, 1, 3), rand_traj(rng, 1, 3)
+    args = {"u_ini": u, "p_ini": p, "y_ini": simulate_ss(m, rng.normal(size=2), u, p).y}
+    samples = args[name].samples.copy()
+    samples[1, 0] = np.nan
+    args[name] = Trajectory(1, samples)
+    with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
+        estimate_initial_state(m, **args)
 
 
 def test_estimate_initial_state_invariant_to_consistent_suffix():
