@@ -128,12 +128,12 @@ class Lifted:
         """Excitation report of the input rows, computed on first read."""
         return _pe_report(self.shape[0], self.inputs, self.rank)
 
-    def consistent(self, p: Trajectory) -> np.ndarray:
-        """``M(p) U_r S_r`` in the row blocks of ``H``: each ``p (x) w`` row minus
-        ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
-        rank = self.rank
+    def consistent(self, p: np.ndarray, rank: int) -> np.ndarray:
+        """``M(p) U_r S_r`` in the row blocks of ``H``, for the ``(L, n_p)`` scheduling
+        samples ``p`` and the caller's one read of :attr:`rank`: each ``p (x) w`` row
+        minus ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
         K = (self.U[:, :rank] * self.s[:rank]).reshape(self.shape[:3] + (rank,))
-        K[:, 1:] -= p.samples[:, :, None, None] * K[:, :1]
+        K[:, 1:] -= p[:, :, None, None] * K[:, :1]
         return K
 
 

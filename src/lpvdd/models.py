@@ -390,6 +390,8 @@ def model_to_dict(model) -> dict:
 def model_from_dict(data: dict):
     kind = data.get("kind")
     n_p = int(data["n_p"])
+    if n_p < 0:
+        raise InvalidModel(f"n_p must be >= 0, got {n_p}")
     if kind == "ss":
         return LpvSsModel(
             **{name: _matrix_from_lists(data[name], n_p, name) for name in "ABCD"}

@@ -23,7 +23,8 @@ once per record and depth (:meth:`DataRecord.lifted`, a :class:`Lifted` that
 gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
 left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its
 QR first and no factor has an axis of length ``N``.  A query costs small solves
-on ``K`` (``R x r``) and one pass over a view of the record's lifted samples.
+on ``K`` (``R x r``) and no work proportional to ``N``: ``g`` is formed the first
+time it is read, by one pass over a view of the record's lifted samples.
 
 Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
 singular value of the known rows of ``K``, and 0 when there are fewer than
@@ -50,7 +51,6 @@ from .signals import (
     Trajectory,
     _check_finite,
     _windows,
-    concat,
     hankel,
     kron_extend,
     kron_signal,
@@ -172,7 +172,10 @@ class DataRecord:
     def from_csv_dir(cls, directory) -> "DataRecord":
         d = Path(directory)
         u, p, y = (read_trajectory_csv(d / f"{name}.csv") for name in "upy")
-        return cls(u=u, p=p, y=y, provenance=str(d))
+        try:
+            return cls(u=u, p=p, y=y, provenance=str(d))
+        except IntervalMismatch as exc:
+            raise IntervalMismatch(f"{d}: {exc}") from None
 
     def to_csv_dir(self, directory) -> None:
         d = Path(directory)
@@ -278,14 +281,25 @@ class PredictionResult:
     and the future outputs are uniquely pinned, ``"ambiguous"`` when the
     uniqueness margin or the data excitation collapses, and ``"infeasible"``
     when the query is not consistent with the span of the data.
+
+    ``g``, the ``N``-long column combination with ``H g`` the lifted query window, is
+    formed the first time it is read, from what ``_g_from`` keeps: the record's lifted
+    samples, its :class:`Lifted` factor and the ``r``-long solution ``z``.
     """
 
     y_r: Trajectory
-    g: np.ndarray
     residual: float
     output_uniqueness_margin: float
     verdict: str
     diagnostics: dict = field(default_factory=dict)
+    _g_from: tuple = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """``g = V_r z`` with ``V_r = H^T U_r S_r^-1``; ``H^T`` is a view of the samples."""
+        X, lifted, z = self._g_from
+        c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
+        return np.einsum("nk,k->n", _windows(X, lifted.shape[0]), c)
 
     def to_dict(self) -> dict:
         return {
@@ -337,7 +351,7 @@ def predict(
 
     lifted = data.lifted(L)
     rank_H, pe = lifted.rank, lifted.pe
-    p_bar = concat(p_ini.rebase(1), p_r.rebase(T_ini + 1))
+    p_bar = np.vstack([p_ini.samples, p_r.samples])
     # Every row is known but the outputs after T_ini; targets are zero on the
     # Kronecker-consistency rows.
     known = np.ones(lifted.shape[:3], dtype=bool)
@@ -345,10 +359,10 @@ def predict(
     b = np.zeros(lifted.shape[:3])
     b[:, 0, :n_u] = np.vstack([u_ini.samples, u_r.samples])
     b[:T_ini, 0, n_u:] = y_ini.samples
-    if not np.isfinite(b.sum() + p_bar.samples.sum()):  # one sum: NaN or inf somewhere
+    if not np.isfinite(b.sum() + p_bar.sum()):  # one sum: NaN or inf somewhere
         for name, traj, _ in args:
             _check_finite(traj, name)
-    K = lifted.consistent(p_bar)
+    K = lifted.consistent(p_bar, rank_H)
     A, b = K[known], b[known]
 
     # The known rows of the stack are A V_r^T: one least-squares solve of A gives
@@ -382,15 +396,13 @@ def predict(
         "required_input_rank": pe.required,
         "warnings": warnings,
     }
-    # g = V_r z with V_r = H^T U_r S_r^-1; H^T is a view of the record's samples
-    c = lifted.U[:, :rank_H] @ (z / lifted.s[:rank_H])
     return PredictionResult(
         y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
-        g=np.einsum("nk,k->n", _windows(data.lifted_samples, L), c),
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
         diagnostics=diagnostics,
+        _g_from=(data.lifted_samples, lifted, z),
     )
 
 
@@ -428,7 +440,7 @@ def span_membership(
     lifted = data.lifted(L)
     b = np.zeros(lifted.shape[:3])
     b[:, 0] = w_test.samples
-    A = lifted.consistent(p_test).reshape(b.size, -1)
+    A = lifted.consistent(p_test.samples, lifted.rank).reshape(b.size, -1)
     b = b.reshape(-1)
     z = _lstsq(A, b)[0]
     residual = float(np.linalg.norm(A @ z - b))

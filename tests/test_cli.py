@@ -645,6 +645,10 @@ def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
 
 
 _SS_A_NOT_A_MATRIX = b'{"kind": "ss", "n_p": 1, "A": 5, "B": [], "C": [], "D": []}'
+_SS_NEGATIVE_N_P = (b'{"kind": "ss", "n_p": -1, "A": [[[]]], "B": [[[]]], "C": [[[]]], '
+                    b'"D": [[[]]]}')
+# the T = 70 record's y.csv re-based to start at t = 2
+_Y_FROM_T2 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(2, 72))
 
 
 @pytest.mark.parametrize("argv,files,named", [
@@ -655,8 +659,12 @@ _SS_A_NOT_A_MATRIX = b'{"kind": "ss", "n_p": 1, "A": 5, "B": [], "C": [], "D": [
     (["simulate", "--model", "m.json"], {"m.json": b"[1, 2]"}, "m.json"),
     (["simulate", "--model", "m.json"], {"m.json": _SS_A_NOT_A_MATRIX}, "m.json"),
     (["simulate", "--model", "absent.json"], {}, "absent.json"),
+    (["check", "--data-dir", "data", "--L", "3"], {"data/y.csv": _Y_FROM_T2},
+     "data: u/p/y intervals differ"),
+    (["simulate", "--model", "m.json"], {"m.json": _SS_NEGATIVE_N_P}, "m.json: n_p"),
 ], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
-        "model-matrix-not-a-list", "missing-model"])
+        "model-matrix-not-a-list", "missing-model", "csv-intervals-differ",
+        "model-negative-n-p"])
 def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,
                                             named):
     # each reader names its file: no pre-check in the CLI, and no traceback

@@ -168,6 +168,14 @@ def test_model_from_dict_rejects_unknown_kind():
         model_from_dict({"kind": "lorenz", "n_p": 1})
 
 
+def test_model_from_dict_rejects_negative_scheduling_dim():
+    from lpvdd import InvalidModel
+
+    data = model_to_dict(random_affine_ss(np.random.default_rng(0), 2, 1, 1, 1))
+    with pytest.raises(InvalidModel, match="n_p must be >= 0, got -1"):
+        model_from_dict({**data, "n_p": -1})
+
+
 def test_kernel_rejects_zero_leading_coefficient():
     from lpvdd import InvalidModel, KernelRep
 

@@ -870,3 +870,29 @@ def test_next_query_allocates_no_more_than_g():
         tracemalloc.stop()
     assert result.verdict == "ok"
     assert peak <= result.g.nbytes + 2**20, (peak, result.g.nbytes)
+
+
+def test_g_is_formed_on_first_read():
+    rec, q = _record(400), _query(seed=3)
+    result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert "g" not in vars(result)
+    L = q.u_ini.length + q.u_r.length
+    lifted, z = rec.lifted(L), result._g_from[2]
+    c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
+    eager = np.einsum("nk,k->n", signals._windows(rec.lifted_samples, L), c)
+    assert np.array_equal(result.g, eager)
+    assert result.to_dict()["g"] == result.g.tolist()
+
+
+def test_next_query_allocates_less_than_g():
+    rec, q = _record(40_000), _query(seed=3)
+    predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    tracemalloc.start()
+    try:
+        result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.verdict == "ok"
+    # g alone is 0.3 MiB here: a query that formed it would allocate at least that
+    assert peak < result.g.nbytes <= 2**19, (peak, result.g.nbytes)
