@@ -38,7 +38,7 @@ from .coeffs import CoeffMatrix
 from .errors import InvalidShape
 from .models import LpvSsModel, _shifted_hull
 from .rng import stream
-from .signals import Trajectory, _check_finite, _windows, kron_extend
+from .signals import Trajectory, _check_windows, _windows, kron_extend
 
 __all__ = [
     "Lifted",
@@ -382,17 +382,10 @@ def check_pe(
     With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks.  Either
     Hankel matrix is read through :func:`_triangle`, so a long record costs QRs of
     blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``."""
-    for name, traj in (("u", u), ("p", p), ("y", y)):
-        if traj is not None:
-            _check_finite(traj, name)
-    if u.interval != p.interval:
-        raise InvalidShape(f"u and p intervals differ: {u.interval} vs {p.interval}")
-    if u.length < L:
-        raise InvalidShape(f"data length {u.length} shorter than order L={L}")
+    _check_windows(*((name, w, None, u.interval) for name, w in zip("upy", (u, p, y))
+                     if w is not None))
     if y is None:
         return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))
-    if y.interval != u.interval:
-        raise InvalidShape(f"y interval {y.interval} differs from u {u.interval}")
     w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
     return _lifted_factor(kron_extend(w, p).samples, L, p.dim, u.dim).pe
 

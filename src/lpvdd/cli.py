@@ -39,7 +39,7 @@ from .errors import LpvError
 from .experiments import _record_and_states
 from .models import LpvIoModel, LpvSsModel, _fatal_issues, example_verhoek, load_model
 from .prediction import DataRecord, predict
-from .signals import Trajectory, read_trajectory_csv, trajectory_to_csv
+from .signals import Trajectory, _check_windows, read_trajectory_csv, trajectory_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,10 +224,8 @@ def cmd_predict(args) -> int:
     max_err = None
     truth = query["y_r_truth"]
     if truth is not None:
-        if truth.samples.shape == result.y_r.samples.shape:
-            max_err = float(np.max(np.abs(truth.samples - result.y_r.samples)))
-        else:
-            raise ConfigError("y_r_truth shape does not match predicted window")
+        _check_windows(("y_r_truth", truth, result.y_r.dim, result.y_r.interval))
+        max_err = float(np.max(np.abs(truth.samples - result.y_r.samples)))
 
     payload = result.to_dict()
     payload["max_abs_error"] = max_err

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
 from .errors import InvalidModel, LpvError, WindowOutOfRange
-from .signals import Trajectory
+from .signals import Trajectory, _json_number
 
 __all__ = [
     "LpvSsModel",
@@ -338,11 +338,10 @@ def _poly_to_entry(c: PolyCoeff) -> list:
 def _entry_to_poly(entry, n_p: int, where: str) -> PolyCoeff:
     terms = []
     for term in entry:
-        mono = tuple(
-            (int(v["comp"]), int(v["offset"]), int(v["power"]))
-            for v in term.get("vars", [])
-        )
-        coeff = float(term["coeff"])
+        mono = tuple(tuple(_json_number(v[k], f"{where}: {k}", InvalidModel, integer=True)
+                           for k in ("comp", "offset", "power"))
+                     for v in term.get("vars", []))
+        coeff = float(_json_number(term["coeff"], f"{where}: coeff", InvalidModel))
         if not np.isfinite(coeff):
             raise InvalidModel(f"{where}: non-finite coefficient {coeff}")
         terms.append((coeff, mono))
@@ -389,7 +388,7 @@ def model_to_dict(model) -> dict:
 
 def model_from_dict(data: dict):
     kind = data.get("kind")
-    n_p = int(data["n_p"])
+    n_p = _json_number(data["n_p"], "n_p", InvalidModel, integer=True)
     if n_p < 0:
         raise InvalidModel(f"n_p must be >= 0, got {n_p}")
     if kind == "ss":

@@ -45,11 +45,13 @@ import numpy as np
 
 from .analysis import Lifted, _lifted_factor, _lstsq
 from .coeffs import CoeffMatrix
-from .errors import DimensionMismatch, IntervalMismatch, InvalidShape, LpvError
+from .errors import IntervalMismatch, InvalidShape, LpvError
 from .models import KernelRep
 from .signals import (
     Trajectory,
     _check_finite,
+    _check_windows,
+    _json_number,
     _windows,
     hankel,
     kron_extend,
@@ -143,7 +145,11 @@ class DataRecord:
         def traj(name: str) -> Trajectory:
             d = data[name]
             try:
-                return Trajectory(int(d["t_start"]), np.asarray(d["samples"], dtype=float))
+                samples = np.asarray(d["samples"], dtype=object)
+                for v in samples.flat:
+                    _json_number(v, "samples", InvalidShape)
+                t_start = _json_number(d["t_start"], "t_start", InvalidShape, integer=True)
+                return Trajectory(t_start, samples)
             except InvalidShape as exc:
                 raise InvalidShape(f"{name}: {exc}") from None
 
@@ -252,14 +258,8 @@ def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorS
     Kronecker products); the block-diagonal consistency matrices are built
     from the query scheduling ``p_query``.
     """
-    if p_query.dim != data.n_p:
-        raise DimensionMismatch(
-            f"query scheduling dim {p_query.dim} differs from data {data.n_p}"
-        )
-    if p_query.length != L:
-        raise InvalidShape(f"query scheduling has length {p_query.length}, expected L={L}")
-    if data.T < L:
-        raise InvalidShape(f"data length {data.T} shorter than window L={L}")
+    t = p_query.t_start
+    _check_windows(("p_query", p_query, data.n_p, (t, t + L - 1)))
     Hu = hankel(data.u, L)
     Hy = hankel(data.y, L)
     Hpu = hankel(kron_signal(data.u, data.p), L)
@@ -324,30 +324,21 @@ def predict(
 ) -> PredictionResult:
     """Predict the future outputs of a query trajectory from recorded data.
 
-    The query consists of an initial window ``(u_ini, p_ini, y_ini)`` of
-    length ``T_ini`` that pins the latent initial condition, and the future
-    inputs and scheduling ``(u_r, p_r)`` of length ``T_r``.  The returned
-    trajectory covers ``[T_ini + 1, T_ini + T_r]``.
+    The query consists of an initial window ``(u_ini, p_ini, y_ini)`` on the ``T_ini``
+    steps of ``u_ini`` that pins the latent initial condition, and the future inputs
+    and scheduling ``(u_r, p_r)`` on the ``T_r`` steps right after it (else
+    :class:`InvalidShape` names the window).  ``y_r`` has the times of ``u_r``.
 
     ``T_ini`` must reach the lag of the data-generating system for the
     continuation to be unique, and the record must be long and exciting
     enough for its Hankel span to cover the query; shortfalls surface as the
     ``ambiguous``/``infeasible`` verdicts and in the diagnostics.
     """
-    args = (
-        ("u_ini", u_ini, data.n_u),
-        ("y_ini", y_ini, data.n_y),
-        ("u_r", u_r, data.n_u),
-        ("p_ini", p_ini, data.n_p),
-        ("p_r", p_r, data.n_p),
-    )
-    for name, traj, dim in args:
-        if traj.dim != dim:
-            raise DimensionMismatch(f"{name} has dim {traj.dim}, expected {dim}")
-    T_ini, T_r = u_ini.length, u_r.length
-    if y_ini.length != T_ini or p_ini.length != T_ini or p_r.length != T_r:
-        raise InvalidShape("query window lengths are inconsistent")
-    L, n_u = T_ini + T_r, data.n_u
+    T_ini, T_r, t, n_u = u_ini.length, u_r.length, u_ini.t_end, data.n_u
+    L, ini, r = T_ini + T_r, u_ini.interval, (t + 1, t + T_r)
+    _check_windows(("u_ini", u_ini, n_u, None), ("y_ini", y_ini, data.n_y, ini),
+                   ("u_r", u_r, n_u, r), ("p_ini", p_ini, data.n_p, ini),
+                   ("p_r", p_r, data.n_p, r))
 
     lifted = data.lifted(L)
     rank_H, pe = lifted.rank, lifted.pe
@@ -359,9 +350,6 @@ def predict(
     b = np.zeros(lifted.shape[:3])
     b[:, 0, :n_u] = np.vstack([u_ini.samples, u_r.samples])
     b[:T_ini, 0, n_u:] = y_ini.samples
-    if not np.isfinite(b.sum() + p_bar.sum()):  # one sum: NaN or inf somewhere
-        for name, traj, _ in args:
-            _check_finite(traj, name)
     K = lifted.consistent(p_bar, rank_H)
     A, b = K[known], b[known]
 
@@ -397,7 +385,7 @@ def predict(
         "warnings": warnings,
     }
     return PredictionResult(
-        y_r=Trajectory(T_ini + 1, K[T_ini:, 0, n_u:] @ z),
+        y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
         residual=residual,
         output_uniqueness_margin=margin,
         verdict=verdict,
@@ -422,22 +410,13 @@ def span_membership(
 ) -> MembershipResult:
     """Test whether a window lies in the data span at the test scheduling.
 
-    The window ``w_test = col(u, y)`` of length ``L`` is a member when some
-    column combination of the measured Hankel blocks reproduces it while
-    satisfying the Kronecker consistency constraints built from ``p_test``.
+    The window ``w_test = col(u, y)`` of length ``L`` is a member when some column
+    combination of the measured Hankel blocks reproduces it while satisfying the
+    Kronecker consistency constraints built from ``p_test`` on the steps of ``w_test``.
     """
-    if w_test.dim != data.n_u + data.n_y:
-        raise DimensionMismatch(
-            f"w_test has dim {w_test.dim}, expected {data.n_u + data.n_y}"
-        )
-    if p_test.dim != data.n_p:
-        raise DimensionMismatch(f"p_test has dim {p_test.dim}, expected {data.n_p}")
-    L = w_test.length
-    if p_test.length != L:
-        raise InvalidShape(f"p_test length {p_test.length} differs from window {L}")
-    _check_finite(w_test, "w_test")
-    _check_finite(p_test, "p_test")
-    lifted = data.lifted(L)
+    _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
+                   ("p_test", p_test, data.n_p, w_test.interval))
+    lifted = data.lifted(w_test.length)
     b = np.zeros(lifted.shape[:3])
     b[:, 0] = w_test.samples
     A = lifted.consistent(p_test.samples, lifted.rank).reshape(b.size, -1)
@@ -472,14 +451,9 @@ class LeftNullspace:
         )
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
-        """Largest violation of any basis row on all windows of ``(w, p)``;
-        :class:`InvalidShape` naming ``w`` or ``p`` when it holds a non-finite sample."""
-        if (w.dim, p.dim) != (self.n_w, self.n_p):
-            raise DimensionMismatch(
-                f"w, p have dims {w.dim}, {p.dim}, expected {self.n_w}, {self.n_p}"
-            )
-        _check_finite(w, "w")
-        _check_finite(p, "p")
+        """Largest violation of any basis row on all windows of ``(w, p)``, ``p`` on the
+        steps of ``w``; :class:`InvalidShape` names a window off them or not finite."""
+        _check_windows(("w", w, self.n_w, None), ("p", p, self.n_p, w.interval))
         if self.dimension == 0:
             return 0.0
         V = _windows(kron_extend(w, p).samples, self.L)

@@ -148,9 +148,10 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
 
 def _windows(X: np.ndarray, t1: int) -> np.ndarray:
     """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
-    row ``j`` is the window ``X[j : j + t1]``, flattened."""
-    if len(X) < t1:
-        raise InvalidShape(f"data length {len(X)} shorter than window L={t1}")
+    row ``j`` is the window ``X[j : j + t1]``, flattened.  The one check of a depth."""
+    if not 1 <= t1 <= len(X):
+        raise InvalidShape(f"data length {len(X)} shorter than order L={t1}" if t1 >= 1
+                           else f"order L must be >= 1, got {t1}")
     X = np.ascontiguousarray(X)
     return np.lib.stride_tricks.as_strided(
         X, (len(X) - t1 + 1, t1 * X.shape[1]), X.strides, writeable=False)
@@ -227,6 +228,8 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if len(row) != dim + 1:
             raise InvalidShape(f"row has {len(row)} fields, expected {dim + 1}")
         try:
+            if "_" in "".join(row):  # int() and float() read digit separators
+                raise ValueError(row)
             times.append(int(row[0]))
             rows.append([float(v) for v in row[1:]])
         except ValueError:
@@ -248,6 +251,28 @@ def _check_finite(w: Trajectory, name: str = "") -> Trajectory:
         where = f"{name}: " if name else ""
         raise InvalidShape(f"{where}non-finite sample at time step {w.t_start + bad[0]}")
     return w
+
+
+def _check_windows(*windows) -> None:
+    """Each ``(name, w, dim, interval)``: :class:`DimensionMismatch` naming ``w`` unless
+    it has ``dim`` channels, :class:`InvalidShape` naming it and both intervals unless it
+    is on ``interval`` (``None``: any), then :func:`_check_finite` of each window if one
+    pass over all of their samples meets a NaN or an infinity."""
+    for name, w, dim, interval in windows:
+        if dim is not None and w.dim != dim:
+            raise DimensionMismatch(f"{name} has dim {w.dim}, expected {dim}")
+        if interval is not None and w.interval != interval:
+            raise InvalidShape(f"{name} on steps {w.interval}, expected {interval}")
+    if not np.isfinite(np.concatenate([w.samples.ravel() for _, w, _, _ in windows])).all():
+        for name, w, _, _ in windows:
+            _check_finite(w, name)
+
+
+def _json_number(value, key: str, error, integer: bool = False):
+    """``value`` if JSON gave it as an integer (``integer``) or a number, else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise error(f"{key} must be a JSON {('number', 'integer')[integer]}, got {value!r}")
+    return value
 
 
 def write_trajectory_csv(path, w: Trajectory) -> None:

@@ -40,7 +40,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .models import LpvIoModel, LpvSsModel
-from .signals import Trajectory, _check_finite, vec
+from .signals import Trajectory, _check_windows, vec
 
 __all__ = [
     "SimResult",
@@ -266,14 +266,10 @@ def estimate_initial_state(
     shorter than the lag bound ``n_x``, the safe sufficient choice, or when
     the evaluated observability map is numerically rank deficient,
     :class:`InconsistentTrajectory` when the residual exceeds ``tol`` and
-    :class:`InvalidShape` naming a window with a NaN or infinite sample.
+    :class:`InvalidShape` naming a window with a NaN or infinite sample or off its steps.
     """
-    if u_ini.interval != y_ini.interval:
-        raise DimensionMismatch(
-            f"u_ini and y_ini intervals differ: {u_ini.interval} vs {y_ini.interval}"
-        )
-    for name, traj in (("u_ini", u_ini), ("p_ini", p_ini), ("y_ini", y_ini)):
-        _check_finite(traj, name)
+    _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, model.n_p, None),
+                   ("y_ini", y_ini, model.n_y, u_ini.interval))
     T_ini = u_ini.length
     if T_ini < model.n_x:
         raise RankDeficientObservability(

@@ -283,6 +283,16 @@ def test_check_pe_shape_errors():
         check_pe(rand_traj(rng, 1, 5), rand_traj(rng, 2, 6), 3)
 
 
+@pytest.mark.parametrize("L", [0, -1])
+def test_depth_below_one_is_invalid_shape(L):
+    # L = 0 read as persistently exciting; L = -1 failed inside numpy
+    rec = generate_record(example_verhoek(), 20, 0)
+    for call in (lambda: check_pe(rec.u, rec.p, L), lambda: check_pe(rec.u, rec.p, L, y=rec.y),
+                 lambda: rec.lifted(L), lambda: left_nullspace(rec, L)):
+        with pytest.raises(InvalidShape, match=f"order L must be >= 1, got {L}"):
+            call()
+
+
 @pytest.mark.parametrize("name", ["u", "p", "y"])
 def test_check_pe_rejects_non_finite_samples(name):
     # a NaN sample failed to converge inside LAPACK

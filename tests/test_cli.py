@@ -145,6 +145,24 @@ def test_predict_end_to_end_with_truth(tmp_path, capsys):
     assert summary["verdict"] == "ok"
 
 
+def test_predict_writes_the_query_times(tmp_path):
+    # a query at t = 101... had its y_r.csv and plot_data.csv labelled from t = 4
+    _simulate(tmp_path, T=70)
+    q = _write_query(tmp_path / "query")
+    for name in (*QUERY_NAMES, "y_r_truth"):
+        w = getattr(q, name)
+        write_trajectory_csv(tmp_path / "query" / f"{name}.csv", w.rebase(w.t_start + 100))
+    assert main([
+        "predict", "--data-dir", str(tmp_path / "data"),
+        "--query-dir", str(tmp_path / "query"), "--out-dir", str(tmp_path / "out"),
+    ]) == 0
+    payload = json.loads((tmp_path / "out" / "prediction.json").read_text())
+    assert payload["y_r"]["t_start"] == 104 and payload["max_abs_error"] <= 1e-8
+    for name in ("y_r.csv", "plot_data.csv"):
+        lines = (tmp_path / "out" / name).read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(104, 111)]
+
+
 def test_predict_deterministic_across_runs(tmp_path):
     _simulate(tmp_path, T=70)
     _write_query(tmp_path / "query")
@@ -306,11 +324,23 @@ def test_check_rejects_nan_coefficient_in_model(tmp_path, capsys):
     assert not out.exists()
 
 
+def _bundle(**u):
+    """A T = 3 record whose ``u`` has the keys ``u``; the rest is well formed."""
+    good = {"t_start": 1, "samples": [[0.0], [1.0], [0.0]]}
+    return json.dumps({"u": {**good, **u}, "p": good, "y": good})
+
+
 @pytest.mark.parametrize("text,named", [
     ("{not json", ()),
     (json.dumps({"u": {"t_start": 1, "samples": [[0.0]]}}), ("'p'",)),
     (json.dumps([1, 2]), ()),
-], ids=["not-json", "no-p-key", "not-an-object"])
+    (_bundle(t_start=1.5), ("u: t_start",)),
+    (_bundle(t_start=True), ("u: t_start",)),
+    (_bundle(t_start="1"), ("u: t_start",)),
+    (_bundle(samples=[["0.5"], [1.0], [0.0]]), ("u: samples",)),
+    (_bundle(samples=[[True], [1.0], [0.0]]), ("u: samples",)),
+], ids=["not-json", "no-p-key", "not-an-object", "t-start-float", "t-start-bool",
+        "t-start-string", "sample-string", "sample-bool"])
 def test_malformed_data_bundle_exits_config(tmp_path, capsys, text, named):
     bundle = tmp_path / "record.json"
     bundle.write_text(text)
@@ -649,6 +679,10 @@ _SS_NEGATIVE_N_P = (b'{"kind": "ss", "n_p": -1, "A": [[[]]], "B": [[[]]], "C": [
                     b'"D": [[[]]]}')
 # the T = 70 record's y.csv re-based to start at t = 2
 _Y_FROM_T2 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(2, 72))
+# a query's initial outputs at t = 2..4, one step after its inputs at t = 1..3
+_Y_INI_ONE_STEP_LATE = b"t,y0\n2,0.0\n3,0.0\n4,0.0\n"
+# seven true outputs, but at t = 1..7 where the prediction is at t = 4..10
+_TRUTH_FROM_T1 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(1, 8))
 
 
 @pytest.mark.parametrize("argv,files,named", [
@@ -662,9 +696,13 @@ _Y_FROM_T2 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(2, 72))
     (["check", "--data-dir", "data", "--L", "3"], {"data/y.csv": _Y_FROM_T2},
      "data: u/p/y intervals differ"),
     (["simulate", "--model", "m.json"], {"m.json": _SS_NEGATIVE_N_P}, "m.json: n_p"),
+    (["predict", "--data-dir", "data", "--query-dir", "query"],
+     {"query/y_ini.csv": _Y_INI_ONE_STEP_LATE}, "y_ini on steps (2, 4), expected (1, 3)"),
+    (["predict", "--data-dir", "data", "--query-dir", "query"],
+     {"query/y_r_truth.csv": _TRUTH_FROM_T1}, "y_r_truth on steps (1, 7), expected (4, 10)"),
 ], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
         "model-matrix-not-a-list", "missing-model", "csv-intervals-differ",
-        "model-negative-n-p"])
+        "model-negative-n-p", "y-ini-one-step-late", "truth-off-the-query-steps"])
 def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,
                                             named):
     # each reader names its file: no pre-check in the CLI, and no traceback

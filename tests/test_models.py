@@ -1,5 +1,8 @@
 """Model forms: the built-in example, validation, kernels, JSON interchange."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from conftest import rand_traj
@@ -174,6 +177,15 @@ def test_model_from_dict_rejects_negative_scheduling_dim():
     data = model_to_dict(random_affine_ss(np.random.default_rng(0), 2, 1, 1, 1))
     with pytest.raises(InvalidModel, match="n_p must be >= 0, got -1"):
         model_from_dict({**data, "n_p": -1})
+    # JSON numbers only: each of these was truncated or cast
+    for key, value in [("n_p", 2.9), ("comp", 1.6), ("offset", "-1"), ("power", True),
+                       ("coeff", True), ("coeff", "0.5")]:
+        bad = json.loads(json.dumps(data))
+        term = bad["A"][0][0][1]  # a p_1 term: its one var has comp, offset and power
+        {"n_p": bad, "coeff": term}.get(key, term["vars"][0])[key] = value
+        named = key if key == "n_p" else f"A[0][0]: {key}"
+        with pytest.raises(InvalidModel, match=re.escape(f"{named} must be a JSON")):
+            model_from_dict(bad)
 
 
 def test_kernel_rejects_zero_leading_coefficient():

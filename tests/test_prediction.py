@@ -761,6 +761,40 @@ def test_affine_state_space_record_is_not_certified():
     assert res.verdict != "ok"
 
 
+# -- one time axis: samples give the answer, times only label it ----------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.integers(-10**6, 10**6), e=st.integers(-10**6, 10**6), seed=st.integers(0, 50),
+       late=st.sampled_from(["p_ini", "y_ini", "u_r", "p_r"]), step=st.sampled_from([-1, 1]))
+def test_shifted_time_axis_moves_only_the_labels(d, e, seed, late, step):
+    # a query at t = 101... got y_r labelled 4...; a window off the query's axis read ok
+    rec, q = _record(70), _query(seed=seed)
+    query = {key: getattr(q, key) for key in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
+    moved = {key: w.rebase(w.t_start + d) for key, w in query.items()}
+    rec_moved = DataRecord(*(w.rebase(w.t_start + e) for w in (rec.u, rec.p, rec.y)))
+    ref = predict(rec, **query)
+    assert ref.y_r.interval == q.u_r.interval
+    for data, args, shift in ((rec, moved, d), (rec_moved, query, 0)):
+        res = predict(data, **args)
+        assert res.verdict == ref.verdict
+        assert np.array_equal(res.y_r.samples, ref.y_r.samples)
+        assert res.residual == ref.residual
+        assert res.output_uniqueness_margin == ref.output_uniqueness_margin
+        assert res.y_r.interval == (ref.y_r.t_start + shift, ref.y_r.t_end + shift)
+    moved[late] = moved[late].rebase(moved[late].t_start + step)
+    with pytest.raises(InvalidShape, match=f"{late} on steps"):
+        predict(rec, **moved)
+
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p = concat(q.p_ini, q.p_r)
+    member = span_membership(rec, w, p)
+    assert span_membership(rec, w.rebase(1 + d), p.rebase(1 + d)) == member
+    assert span_membership(rec_moved, w, p) == member
+    with pytest.raises(InvalidShape, match="p_test on steps"):
+        span_membership(rec, w, p.rebase(1 + step))
+
+
 # -- the windows of one lifted signal; the triangle by blocks ----------------
 
 

@@ -218,6 +218,14 @@ def test_csv_rejects_non_finite_samples(bad):
         trajectory_from_csv(f"t,ch1,ch2\n2,1.0,2.0\n3,0.5,{bad}\n")
 
 
+@pytest.mark.parametrize("text", ["t,ch1\n2,1.0\n3,1_0\n", "t,ch1\n1_0,1.0\n11,2.0\n"],
+                         ids=["sample", "time-step"])
+def test_csv_rejects_digit_separators(text):
+    # int() and float() read "1_0" as 10; the format has no thousands separators
+    with pytest.raises(InvalidShape, match="non-numeric sample at time step"):
+        trajectory_from_csv(text)
+
+
 def test_read_csv_error_names_the_file(tmp_path):
     from lpvdd import read_trajectory_csv
 
