@@ -60,12 +60,33 @@ def _shifted_hull(*parts) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LpvSsModel:
-    """Discrete-time LPV state-space model ``(A, B, C, D)``."""
+    """Discrete-time LPV state-space model ``(A, B, C, D)``.
+
+    Made only well formed: :class:`InvalidModel` lists every shape and ``n_p``
+    disagreement.
+    """
 
     A: CoeffMatrix
     B: CoeffMatrix
     C: CoeffMatrix
     D: CoeffMatrix
+
+    def __post_init__(self):
+        A, B, C, D = self.A, self.B, self.C, self.D
+        issues = []
+        if A.rows != A.cols:
+            issues.append(f"A must be square, got {A.shape}")
+        if B.rows != A.rows:
+            issues.append(f"B has {B.rows} rows, expected n_x={A.rows}")
+        if C.cols != A.rows:
+            issues.append(f"C has {C.cols} cols, expected n_x={A.rows}")
+        if D.rows != C.rows or D.cols != B.cols:
+            issues.append(f"D shape {D.shape} does not match (n_y, n_u)")
+        n_ps = {M.n_p for M in (A, B, C, D)}
+        if len(n_ps) > 1:
+            issues.append(f"coefficient matrices disagree on n_p: {sorted(n_ps)}")
+        if issues:
+            raise InvalidModel("; ".join(issues))
 
     @property
     def n_x(self) -> int:
@@ -90,7 +111,8 @@ class LpvIoModel:
 
     ``a_coeffs[i-1]`` is the ``n_y x n_y`` coefficient of ``y(k-i)`` and may
     depend only on scheduling samples at offset ``-i``; ``b_coeffs`` likewise
-    for ``u(k-j)``.
+    for ``u(k-j)``.  Made only well formed: :class:`InvalidModel` lists every
+    ``n_a < n_b``, shape, ``n_p`` and offset issue.
     """
 
     a_coeffs: tuple[CoeffMatrix, ...]
@@ -101,6 +123,19 @@ class LpvIoModel:
         object.__setattr__(self, "b_coeffs", tuple(self.b_coeffs))
         if not self.a_coeffs or not self.b_coeffs:
             raise InvalidModel("IO model needs at least one a and one b coefficient")
+        n_y, n_u, n_p = self.n_y, self.n_u, self.n_p
+        issues = [f"n_a={self.n_a} < n_b={self.n_b}"] if self.n_a < self.n_b else []
+        for name, seq, cols in (("a", self.a_coeffs, n_y), ("b", self.b_coeffs, n_u)):
+            for i, m in enumerate(seq, start=1):
+                if m.shape != (n_y, cols):
+                    issues.append(f"{name}_{i} shape {m.shape}, expected ({n_y}, {cols})")
+                if m.n_p != n_p:
+                    issues.append(f"{name}_{i} has n_p={m.n_p}, expected {n_p}")
+                if m.window not in (None, (-i, -i)):
+                    issues.append(f"{name}_{i} depends on offsets in {list(m.window)}, "
+                                  f"only -{i} allowed")
+        if issues:
+            raise InvalidModel("; ".join(issues))
 
     @property
     def n_a(self) -> int:
@@ -187,7 +222,7 @@ class KernelRep:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """List of invariant violations; empty means the model is valid."""
+    """The issues :func:`validate` found; empty means none."""
 
     issues: tuple[str, ...] = field(default_factory=tuple)
 
@@ -200,52 +235,19 @@ class ValidationReport:
 
 
 def validate(model) -> ValidationReport:
-    """Check every structural invariant; returns a report, never raises."""
+    """The issues a made model may still have; returns a report, never raises.
+
+    Construction rejects every other issue, so only an identically zero leading
+    ``a_i``/``b_i`` of an IO model is left: it is legal and only lowers the order,
+    since the kernel keeps its identity leading block."""
     issues: list[str] = []
-    if isinstance(model, LpvSsModel):
-        A, B, C, D = model.A, model.B, model.C, model.D
-        if A.rows != A.cols:
-            issues.append(f"A must be square, got {A.shape}")
-        if B.rows != A.rows:
-            issues.append(f"B has {B.rows} rows, expected n_x={A.rows}")
-        if C.cols != A.rows:
-            issues.append(f"C has {C.cols} cols, expected n_x={A.rows}")
-        if D.rows != C.rows or D.cols != B.cols:
-            issues.append(f"D shape {D.shape} does not match (n_y, n_u)")
-        n_ps = {M.n_p for M in (A, B, C, D)}
-        if len(n_ps) > 1:
-            issues.append(f"coefficient matrices disagree on n_p: {sorted(n_ps)}")
-    elif isinstance(model, LpvIoModel):
-        n_y, n_u, n_p = model.n_y, model.n_u, model.n_p
-        if model.n_a < model.n_b:
-            issues.append(f"n_a={model.n_a} < n_b={model.n_b}")
-        if model.n_b < 1:
-            issues.append("n_b must be >= 1")
-        for name, seq, cols in (("a", model.a_coeffs, n_y), ("b", model.b_coeffs, n_u)):
-            for i, m in enumerate(seq, start=1):
-                if m.rows != n_y or m.cols != cols:
-                    issues.append(
-                        f"{name}_{i} shape {m.shape}, expected ({n_y}, {cols})"
-                    )
-                if m.n_p != n_p:
-                    issues.append(f"{name}_{i} has n_p={m.n_p}, expected {n_p}")
-                if m.window not in (None, (-i, -i)):
-                    issues.append(f"{name}_{i} depends on offsets in {list(m.window)}, "
-                                  f"only -{i} allowed")
-        if model.a_coeffs[-1].is_zero:
-            issues.append(f"leading coefficient a_{model.n_a} is identically zero")
-        if model.b_coeffs[-1].is_zero:
-            issues.append(f"leading coefficient b_{model.n_b} is identically zero")
-    else:
+    if isinstance(model, LpvIoModel):
+        for name, seq in (("a", model.a_coeffs), ("b", model.b_coeffs)):
+            if seq[-1].is_zero:
+                issues.append(f"leading coefficient {name}_{len(seq)} is identically zero")
+    elif not isinstance(model, LpvSsModel):
         issues.append(f"unknown model type {type(model).__name__}")
     return ValidationReport(tuple(issues))
-
-
-def _fatal_issues(model) -> list[str]:
-    """The issues of :func:`validate` but a zero leading ``a_i``/``b_i``: that only
-    degrades the nominal order, and the kernel is still well-defined through its
-    identity leading block."""
-    return [i for i in validate(model).issues if "leading coefficient" not in i]
 
 
 def example_verhoek() -> LpvIoModel:
@@ -269,9 +271,6 @@ def io_to_kernel(model: LpvIoModel) -> KernelRep:
     forward-shifted by ``n_a`` so that the kernel residual evaluated at ``k``
     reproduces the IO recursion at ``k + n_a``.
     """
-    fatal = _fatal_issues(model)
-    if fatal:
-        raise InvalidModel("invalid IO model: " + "; ".join(fatal))
     n_a, n_b = model.n_a, model.n_b
     n_u, n_y, n_p = model.n_u, model.n_y, model.n_p
     coeffs = []
@@ -392,16 +391,25 @@ def model_from_dict(data: dict):
     if n_p < 0:
         raise InvalidModel(f"n_p must be >= 0, got {n_p}")
     if kind == "ss":
-        return LpvSsModel(
+        model = LpvSsModel(
             **{name: _matrix_from_lists(data[name], n_p, name) for name in "ABCD"}
         )
-    if kind == "io":
-        return LpvIoModel(
+        dims = ("n_x", "n_u", "n_y")
+    elif kind == "io":
+        model = LpvIoModel(
             **{key: tuple(_matrix_from_lists(m, n_p, f"{key}[{i}]")
                           for i, m in enumerate(data[key]))
                for key in ("a_coeffs", "b_coeffs")}
         )
-    raise InvalidModel(f"unknown model kind {kind!r}")
+        dims = ("n_u", "n_y", "n_a", "n_b")
+    else:
+        raise InvalidModel(f"unknown model kind {kind!r}")
+    for key in dims:  # optional, but a declared dimension must be the model's
+        if key in data and _json_number(data[key], key, InvalidModel,
+                                        integer=True) != getattr(model, key):
+            raise InvalidModel(f"{key} is declared {data[key]}, "
+                               f"but the model has {getattr(model, key)}")
+    return model
 
 
 def save_model(path, model) -> None:

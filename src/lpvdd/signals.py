@@ -228,7 +228,8 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if len(row) != dim + 1:
             raise InvalidShape(f"row has {len(row)} fields, expected {dim + 1}")
         try:
-            if "_" in "".join(row):  # int() and float() read digit separators
+            fields = "".join(row)  # int() and float() read "1_0" and every Unicode digit
+            if "_" in fields or not fields.isascii():
                 raise ValueError(row)
             times.append(int(row[0]))
             rows.append([float(v) for v in row[1:]])

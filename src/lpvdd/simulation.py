@@ -27,6 +27,7 @@ the evaluated observability map as the uniqueness diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .coeffs import CoeffMatrix
 from .errors import (
     DimensionMismatch,
     InconsistentTrajectory,
+    InvalidShape,
     RankDeficientObservability,
     WindowOutOfRange,
 )
@@ -65,10 +67,16 @@ class SimResult:
     domain: tuple[int, int]
 
 
-def _check_input_dim(model, u: Trajectory) -> None:
-    """``u`` against ``n_u``; ``CoeffMatrix.eval_range`` checks ``p`` where it is read."""
-    if u.dim != model.n_u:
-        raise DimensionMismatch(f"u has dim {u.dim}, model expects n_u={model.n_u}")
+def _initial(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """The initial condition ``value`` as a float array of ``shape``:
+    :class:`DimensionMismatch` naming it unless it has that many entries,
+    :class:`InvalidShape` naming it unless they are finite."""
+    value = np.asarray(value, dtype=float)
+    if value.size != math.prod(shape):
+        raise DimensionMismatch(f"{name} has {value.size} entries, expected {shape}")
+    if not np.isfinite(value).all():
+        raise InvalidShape(f"{name} has a non-finite entry")
+    return value.reshape(shape)
 
 
 # Blocks have a fixed length so that each state is computed by the same
@@ -117,10 +125,8 @@ def simulate_ss(
     model: LpvSsModel, x0, u: Trajectory, p: Trajectory
 ) -> SimResult:
     """Run the state recursion from ``x(t_start) = x0`` over ``u``'s interval."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != model.n_x:
-        raise DimensionMismatch(f"x0 has length {x0.shape[0]}, expected {model.n_x}")
-    _check_input_dim(model, u)
+    x0 = _initial("x0", x0, (model.n_x,))
+    _check_windows(("u", u, model.n_u, None), ("p", p, None, None))
     t1, t2 = u.interval
     A, B, C, D = (M.eval_range(p, t1, t2) for M in (model.A, model.B, model.C, model.D))
     Bu = np.einsum("kij,kj->ki", B, u.samples)
@@ -138,12 +144,8 @@ def simulate_io(model: LpvIoModel, u: Trajectory, p: Trajectory, y_init) -> Traj
     ``y(k)`` for ``k = t_start + n_a, ..., t_end`` (the unit leading
     coefficient means no linear solve is needed).
     """
-    _check_input_dim(model, u)
-    y_init = np.asarray(y_init, dtype=float).reshape(-1, model.n_y)
-    if y_init.shape[0] != model.n_a:
-        raise DimensionMismatch(
-            f"y_init has {y_init.shape[0]} samples, expected n_a={model.n_a}"
-        )
+    y_init = _initial("y_init", y_init, (model.n_a, model.n_y))
+    _check_windows(("u", u, model.n_u, None), ("p", p, None, None))
     t1, t2 = u.interval
     T, n_a = u.length, model.n_a
     if T < n_a:
@@ -230,12 +232,8 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
     Equals the output of :func:`simulate_ss` started from ``x_tilde`` up to
     round-off.
     """
-    x_tilde = np.asarray(x_tilde, dtype=float).reshape(-1)
-    if x_tilde.shape[0] != model.n_x:
-        raise DimensionMismatch(
-            f"x_tilde has length {x_tilde.shape[0]}, expected {model.n_x}"
-        )
-    _check_input_dim(model, u)
+    x_tilde = _initial("x_tilde", x_tilde, (model.n_x,))
+    _check_windows(("u", u, model.n_u, None), ("p", p, None, None))
     T = u.length
     O = obsv_eval(model, T, p, u.t_start)
     Tm = toeplitz_eval(model, T, p, u.t_start)
@@ -303,10 +301,8 @@ def propagate_state(
     ``x1`` plus, for every input instant, the downstream state-map product
     applied to the injected input.  Matches the recursive simulator to rounding.
     """
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.shape[0] != model.n_x:
-        raise DimensionMismatch(f"x1 has length {x1.shape[0]}, expected {model.n_x}")
-    _check_input_dim(model, u_ini)
+    x1 = _initial("x1", x1, (model.n_x,))
+    _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, None, None))
     t1, t2 = u_ini.interval
     A = model.A.eval_range(p_ini, t1, t2)
     Bu = np.einsum("kij,kj->ki", model.B.eval_range(p_ini, t1, t2), u_ini.samples)

@@ -11,6 +11,7 @@ from lpvdd import (
     generate_query,
     generate_record,
     load_model,
+    model_to_dict,
     random_affine_ss,
     read_trajectory_csv,
     save_model,
@@ -677,6 +678,9 @@ def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
 _SS_A_NOT_A_MATRIX = b'{"kind": "ss", "n_p": 1, "A": 5, "B": [], "C": [], "D": []}'
 _SS_NEGATIVE_N_P = (b'{"kind": "ss", "n_p": -1, "A": [[[]]], "B": [[[]]], "C": [[[]]], '
                     b'"D": [[[]]]}')
+# a 2-state model file that declares 3 states
+_SS_DECLARED_N_X = json.dumps(
+    {**model_to_dict(random_affine_ss(np.random.default_rng(0), 2)), "n_x": 3}).encode()
 # the T = 70 record's y.csv re-based to start at t = 2
 _Y_FROM_T2 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(2, 72))
 # a query's initial outputs at t = 2..4, one step after its inputs at t = 1..3
@@ -700,9 +704,11 @@ _TRUTH_FROM_T1 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(1, 8))
      {"query/y_ini.csv": _Y_INI_ONE_STEP_LATE}, "y_ini on steps (2, 4), expected (1, 3)"),
     (["predict", "--data-dir", "data", "--query-dir", "query"],
      {"query/y_r_truth.csv": _TRUTH_FROM_T1}, "y_r_truth on steps (1, 7), expected (4, 10)"),
+    (["simulate", "--model", "m.json"], {"m.json": _SS_DECLARED_N_X}, "m.json: n_x"),
 ], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
         "model-matrix-not-a-list", "missing-model", "csv-intervals-differ",
-        "model-negative-n-p", "y-ini-one-step-late", "truth-off-the-query-steps"])
+        "model-negative-n-p", "y-ini-one-step-late", "truth-off-the-query-steps",
+        "model-declared-n-x"])
 def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,
                                             named):
     # each reader names its file: no pre-check in the CLI, and no traceback

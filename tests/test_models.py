@@ -9,7 +9,9 @@ from conftest import rand_traj
 
 from lpvdd import (
     CoeffMatrix,
+    InvalidModel,
     LpvIoModel,
+    LpvSsModel,
     Trajectory,
     example_verhoek,
     generate_record,
@@ -50,9 +52,8 @@ def test_example_validates_clean():
 def test_offset_locality_violation_flagged():
     m = example_verhoek()
     bad_a1 = CoeffMatrix.affine([[1.0]], ([[-0.5]], [[-0.1]]), offset=0)
-    report = validate(LpvIoModel(a_coeffs=(bad_a1, m.a_coeffs[1]), b_coeffs=m.b_coeffs))
-    assert not report.ok
-    assert any("offsets" in issue for issue in report.issues)
+    with pytest.raises(InvalidModel, match="offsets"):
+        LpvIoModel(a_coeffs=(bad_a1, m.a_coeffs[1]), b_coeffs=m.b_coeffs)
 
 
 def test_zero_leading_coefficient_flagged():
@@ -64,8 +65,53 @@ def test_zero_leading_coefficient_flagged():
 
 def test_order_mismatch_flagged():
     m = example_verhoek()
-    report = validate(LpvIoModel(a_coeffs=(m.a_coeffs[0],), b_coeffs=m.b_coeffs))
-    assert any("n_a" in issue for issue in report.issues)
+    with pytest.raises(InvalidModel, match="n_a"):
+        LpvIoModel(a_coeffs=(m.a_coeffs[0],), b_coeffs=m.b_coeffs)
+
+
+_SS = random_affine_ss(np.random.default_rng(0), n_x=2, n_u=1, n_y=1, n_p=1)
+_IO = example_verhoek()
+
+
+@pytest.mark.parametrize("kind,parts,issues", [
+    ("ss", {"A": CoeffMatrix.zeros(2, 3, 1)}, ["A must be square, got (2, 3)"]),
+    ("ss", {"B": CoeffMatrix.zeros(3, 1, 1)}, ["B has 3 rows, expected n_x=2"]),
+    ("ss", {"C": CoeffMatrix.zeros(1, 3, 1)}, ["C has 3 cols, expected n_x=2"]),
+    ("ss", {"D": CoeffMatrix.zeros(2, 1, 1)}, ["D shape (2, 1) does not match (n_y, n_u)"]),
+    ("ss", {"D": CoeffMatrix.zeros(1, 1, 2)}, ["coefficient matrices disagree on n_p: [1, 2]"]),
+    ("io", {"a_coeffs": _IO.a_coeffs[:1]}, ["n_a=1 < n_b=2"]),
+    ("io", {"a_coeffs": (_IO.a_coeffs[0], CoeffMatrix.zeros(2, 1, 2))},
+     ["a_2 shape (2, 1), expected (1, 1)"]),
+    ("io", {"b_coeffs": (_IO.b_coeffs[0], CoeffMatrix.constant([[0.2]], 1))},
+     ["b_2 has n_p=1, expected 2"]),
+    ("io", {"a_coeffs": (CoeffMatrix.affine([[1.0]], ([[0.5]], [[0.1]])), _IO.a_coeffs[1])},
+     ["a_1 depends on offsets in [0, 0], only -1 allowed"]),
+    ("ss", {"B": CoeffMatrix.zeros(3, 1, 1), "C": CoeffMatrix.zeros(1, 3, 1),
+            "D": CoeffMatrix.zeros(1, 1, 2)},
+     ["B has 3 rows", "C has 3 cols", "disagree on n_p"]),
+], ids=["A-not-square", "B-rows", "C-cols", "D-shape", "n_p", "n_a-below-n_b", "io-shape",
+        "io-n_p", "io-offsets", "three-issues"])
+def test_ill_formed_model_is_not_made(kind, parts, issues):
+    # every issue is named in the one error raised at construction
+    if kind == "ss":
+        make, fields = LpvSsModel, {name: getattr(_SS, name) for name in "ABCD"}
+    else:
+        make, fields = LpvIoModel, {"a_coeffs": _IO.a_coeffs, "b_coeffs": _IO.b_coeffs}
+    with pytest.raises(InvalidModel) as err:
+        make(**{**fields, **parts})
+    assert all(issue in str(err.value) for issue in issues), err.value
+
+
+@pytest.mark.parametrize("kind,key", [("ss", "n_x"), ("ss", "n_u"), ("ss", "n_y"),
+                                      ("io", "n_u"), ("io", "n_y"), ("io", "n_a"), ("io", "n_b")])
+def test_model_from_dict_checks_declared_dims(kind, key):
+    model = {"ss": _SS, "io": _IO}[kind]
+    data = model_to_dict(model)
+    assert model_from_dict({k: v for k, v in data.items() if k != key}) == model  # optional
+    with pytest.raises(InvalidModel, match=f"^{key} is declared 7"):
+        model_from_dict({**data, key: 7})
+    with pytest.raises(InvalidModel, match=f"^{key} must be a JSON integer"):
+        model_from_dict({**data, key: float(data[key])})
 
 
 def test_json_round_trip_io():
@@ -198,15 +244,13 @@ def test_kernel_rejects_zero_leading_coefficient():
 
 
 def test_io_to_kernel_rejects_structural_defects():
-    from lpvdd import InvalidModel
-
+    # no such model reaches io_to_kernel: construction rejects it
     m = example_verhoek()
-    broken = LpvIoModel(
-        a_coeffs=(m.a_coeffs[0], CoeffMatrix.affine([[0.5]], ([[0.1]], [[0.1]]), offset=0)),
-        b_coeffs=m.b_coeffs,
-    )
-    with pytest.raises(InvalidModel):
-        io_to_kernel(broken)
+    with pytest.raises(InvalidModel, match="offsets"):
+        LpvIoModel(
+            a_coeffs=(m.a_coeffs[0], CoeffMatrix.affine([[0.5]], ([[0.1]], [[0.1]]), offset=0)),
+            b_coeffs=m.b_coeffs,
+        )
 
 
 def test_example_coefficient_literals_bitwise():

@@ -218,10 +218,12 @@ def test_csv_rejects_non_finite_samples(bad):
         trajectory_from_csv(f"t,ch1,ch2\n2,1.0,2.0\n3,0.5,{bad}\n")
 
 
-@pytest.mark.parametrize("text", ["t,ch1\n2,1.0\n3,1_0\n", "t,ch1\n1_0,1.0\n11,2.0\n"],
-                         ids=["sample", "time-step"])
+@pytest.mark.parametrize("text", ["t,ch1\n2,1.0\n3,1_0\n", "t,ch1\n1_0,1.0\n11,2.0\n",
+                                  "t,ch1\n1,1.0\n2,\uff12.5\n", "t,ch1\n\u0661,2.5\n2,3.0\n"],
+                         ids=["sample", "time-step", "non-ascii-sample", "non-ascii-time-step"])
 def test_csv_rejects_digit_separators(text):
-    # int() and float() read "1_0" as 10; the format has no thousands separators
+    # int() and float() read "1_0" as 10 and every Unicode digit as its value ("\u0661" as 1);
+    # the format has ASCII numbers with no thousands separators
     with pytest.raises(InvalidShape, match="non-numeric sample at time step"):
         trajectory_from_csv(text)
 

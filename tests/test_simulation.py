@@ -112,6 +112,29 @@ def test_short_scheduling_is_out_of_range_for_every_simulator():
         simulate_io(example_verhoek(), u, short.restrict(1, 3), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("simulator,init,u_name,p_name", [
+    (simulate_ss, "x0", "u", "p"), (simulate_io, "y_init", "u", "p"),
+    (response_map, "x_tilde", "u", "p"), (propagate_state, "x1", "u_ini", "p_ini"),
+], ids=["simulate_ss", "simulate_io", "response_map", "propagate_state"])
+def test_simulators_name_a_bad_argument(simulator, init, u_name, p_name):
+    # a NaN used to come out as NaN outputs and a numpy RuntimeWarning
+    rng = np.random.default_rng(4)
+    io = simulator is simulate_io
+    model = example_verhoek() if io else random_affine_ss(rng, 2, 1, 1, 2)
+    args = {"model": model, init: np.zeros((2, 1) if io else 2),
+            u_name: rand_traj(rng, 1, 6), p_name: rand_traj(rng, 2, 6)}
+    simulator(**args)
+    for name in (init, u_name, p_name):
+        value = args[name]
+        samples = np.array(value if name == init else value.samples)
+        samples.flat[-1] = np.nan
+        bad = samples if name == init else Trajectory(value.t_start, samples)
+        with pytest.raises(InvalidShape, match=f"^{name}[: ]"):
+            simulator(**{**args, name: bad})
+    with pytest.raises(DimensionMismatch, match=f"^{init} has 3 entries"):
+        simulator(**{**args, init: np.zeros(3)})
+
+
 def test_simulate_io_identity_recursion_is_zero():
     m = example_verhoek()
     zero_model_y = simulate_io(
