@@ -382,7 +382,7 @@ def check_pe(
     With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks.  Either
     Hankel matrix is read through :func:`_triangle`, so a long record costs QRs of
     blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``."""
-    _check_windows(*((name, w, None, u.interval) for name, w in zip("upy", (u, p, y))
+    _check_windows(*((name, w, None, u.interval) for name, w in zip("py", (p, y))
                      if w is not None))
     if y is None:
         return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))

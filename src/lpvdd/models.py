@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
 from .errors import InvalidModel, LpvError, WindowOutOfRange
-from .signals import Trajectory, _json_number
+from .signals import Trajectory, _check_windows, _json_number
 
 __all__ = [
     "LpvSsModel",
@@ -172,7 +172,8 @@ class KernelRep:
     """Polynomial-in-shift kernel ``R(q) = r_0 + r_1 q + ... + r_n q^n``.
 
     A trajectory pair ``(w, p)`` belongs to the represented behaviour when
-    ``sum_s r_s(p, k) w(k+s) = 0`` at every admissible ``k``.
+    ``sum_s r_s(p, k) w(k+s) = 0`` at every admissible ``k``.  Made only well
+    formed: :class:`InvalidModel` lists each ``r_s`` unlike ``r_0`` in shape or ``n_p``.
     """
 
     coeffs: tuple[CoeffMatrix, ...]
@@ -181,8 +182,15 @@ class KernelRep:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise InvalidModel("kernel needs at least one coefficient")
+        r0 = self.coeffs[0]
+        issues = [f"r_{s} shape {r.shape}, expected {r0.shape}"
+                  for s, r in enumerate(self.coeffs) if r.shape != r0.shape]
+        issues += [f"r_{s} has n_p={r.n_p}, expected {r0.n_p}"
+                   for s, r in enumerate(self.coeffs) if r.n_p != r0.n_p]
         if self.coeffs[-1].is_zero and len(self.coeffs) > 1:
-            raise InvalidModel("leading kernel coefficient is identically zero")
+            issues.append("leading kernel coefficient is identically zero")
+        if issues:
+            raise InvalidModel("; ".join(issues))
 
     @property
     def order(self) -> int:
@@ -209,7 +217,9 @@ class KernelRep:
         return (k_lo, k_hi)
 
     def residual(self, w: Trajectory, p: Trajectory) -> np.ndarray:
-        """Residual ``(R(q) . p) w`` at every admissible time, stacked rowwise."""
+        """Residual ``(R(q) . p) w`` at every admissible time, stacked rowwise;
+        :class:`DimensionMismatch` naming ``w`` unless it has ``n_w`` channels."""
+        _check_windows(("w", w, self.n_w, None))
         k_lo, k_hi = self.admissible_range(w, p)
         if k_hi < k_lo:
             raise WindowOutOfRange("no admissible evaluation times for kernel residual")

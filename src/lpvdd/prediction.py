@@ -49,7 +49,6 @@ from .errors import IntervalMismatch, InvalidShape, LpvError
 from .models import KernelRep
 from .signals import (
     Trajectory,
-    _check_finite,
     _check_windows,
     _json_number,
     _windows,
@@ -91,8 +90,6 @@ class DataRecord:
                 f"u/p/y intervals differ: {self.u.interval}, "
                 f"{self.p.interval}, {self.y.interval}"
             )
-        for name in ("u", "p", "y"):
-            _check_finite(getattr(self, name), name)
 
     @property
     def T(self) -> int:
@@ -452,7 +449,7 @@ class LeftNullspace:
 
     def max_residual_on(self, w: Trajectory, p: Trajectory) -> float:
         """Largest violation of any basis row on all windows of ``(w, p)``, ``p`` on the
-        steps of ``w``; :class:`InvalidShape` names a window off them or not finite."""
+        steps of ``w``; :class:`InvalidShape` names a window off them."""
         _check_windows(("w", w, self.n_w, None), ("p", p, self.n_p, w.interval))
         if self.dimension == 0:
             return 0.0

@@ -47,7 +47,8 @@ class Trajectory:
 
     ``samples`` has shape ``(length, dim)``.  ``dim == 0`` is allowed and
     stands for an empty (e.g. scheduling-free) channel set.  Instances are
-    immutable; the sample array is stored read-only.
+    immutable; the sample array is stored read-only.  Every sample is finite:
+    :class:`InvalidShape` names the first step that holds a NaN or an infinity.
     """
 
     t_start: int
@@ -59,10 +60,13 @@ class Trajectory:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise InvalidShape(f"samples must be (T, dim) with T >= 1, got {arr.shape}")
+        object.__setattr__(self, "t_start", int(self.t_start))
+        if not np.isfinite(arr).all():
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+            raise InvalidShape(f"non-finite sample at time step {self.t_start + bad}")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "t_start", int(self.t_start))
 
     @classmethod
     def from_values(cls, values, t_start: int = 1) -> "Trajectory":
@@ -241,32 +245,18 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if b != a + 1:
             raise InvalidShape(f"non-consecutive time steps {a} -> {b}")
     samples = np.array(rows, dtype=float).reshape(len(times), dim)
-    return _check_finite(Trajectory(times[0], samples))
-
-
-def _check_finite(w: Trajectory, name: str = "") -> Trajectory:
-    """``w`` itself; :class:`InvalidShape` naming ``name`` (when given) and the
-    first time step that holds a NaN or infinite sample."""
-    bad = np.flatnonzero(~np.isfinite(w.samples).all(axis=1))
-    if bad.size:
-        where = f"{name}: " if name else ""
-        raise InvalidShape(f"{where}non-finite sample at time step {w.t_start + bad[0]}")
-    return w
+    return Trajectory(times[0], samples)
 
 
 def _check_windows(*windows) -> None:
     """Each ``(name, w, dim, interval)``: :class:`DimensionMismatch` naming ``w`` unless
     it has ``dim`` channels, :class:`InvalidShape` naming it and both intervals unless it
-    is on ``interval`` (``None``: any), then :func:`_check_finite` of each window if one
-    pass over all of their samples meets a NaN or an infinity."""
+    is on ``interval`` (``None``: any)."""
     for name, w, dim, interval in windows:
         if dim is not None and w.dim != dim:
             raise DimensionMismatch(f"{name} has dim {w.dim}, expected {dim}")
         if interval is not None and w.interval != interval:
             raise InvalidShape(f"{name} on steps {w.interval}, expected {interval}")
-    if not np.isfinite(np.concatenate([w.samples.ravel() for _, w, _, _ in windows])).all():
-        for name, w, _, _ in windows:
-            _check_finite(w, name)
 
 
 def _json_number(value, key: str, error, integer: bool = False):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from lpvdd import (
+    CoeffMatrix,
+    LpvSsModel,
     example_verhoek,
     experiments,
     generate_query,
@@ -115,6 +117,21 @@ def test_simulate_ss_model_writes_states(tmp_path, monkeypatch):
     sim = simulate_ss(model, np.zeros(2), rec.u, rec.p)
     assert (tmp_path / "ssrun" / "x.csv").read_text() == trajectory_to_csv(sim.x)
     assert (tmp_path / "ssrun" / "y.csv").read_text() == trajectory_to_csv(rec.y)
+
+
+def test_simulate_reports_a_diverging_model_once(tmp_path, capsys):
+    # x(k+1) = (3 + 0.5 p_1(k)) x(k) + u(k) overflows: numpy warned four times (each an
+    # error here) before the record named the first non-finite output step
+    model_path = tmp_path / "diverging.json"
+    one = CoeffMatrix.constant([[1.0]], 1)
+    save_model(model_path, LpvSsModel(A=CoeffMatrix.affine([[3.0]], ([[0.5]],)), B=one,
+                                      C=one, D=CoeffMatrix.zeros(1, 1, 1)))
+    out = tmp_path / "sim"
+    code = main(["simulate", "--model", str(model_path), "--T", "2000", "--seed", "0",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "input error: non-finite sample at time step 648\n")
+    assert not out.exists()
 
 
 def test_simulate_missing_model_file(tmp_path):

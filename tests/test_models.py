@@ -9,7 +9,9 @@ from conftest import rand_traj
 
 from lpvdd import (
     CoeffMatrix,
+    DimensionMismatch,
     InvalidModel,
+    KernelRep,
     LpvIoModel,
     LpvSsModel,
     Trajectory,
@@ -241,6 +243,21 @@ def test_kernel_rejects_zero_leading_coefficient():
     eye_row = CoeffMatrix.constant([[0.0, 1.0]], 1)
     with pytest.raises(InvalidModel):
         KernelRep((eye_row, zero))
+
+
+def test_ill_formed_kernel_is_not_made():
+    # a coefficient unlike r_0 was made, then failed inside numpy's einsum in residual
+    r_0 = CoeffMatrix.constant([[1.0, 0.0]], 1)
+    with pytest.raises(InvalidModel) as err:
+        KernelRep((r_0, CoeffMatrix.zeros(2, 2, 1), CoeffMatrix.constant([[0.5, 1.0]], 2)))
+    assert str(err.value) == "r_1 shape (2, 2), expected (1, 2); r_2 has n_p=2, expected 1"
+
+
+def test_kernel_residual_names_a_w_of_the_wrong_dimension():
+    # numpy's broadcast ValueError before
+    rng = np.random.default_rng(1)
+    with pytest.raises(DimensionMismatch, match="^w has dim 3, expected 2$"):
+        io_to_kernel(example_verhoek()).residual(rand_traj(rng, 3, 20), rand_traj(rng, 2, 20))
 
 
 def test_io_to_kernel_rejects_structural_defects():

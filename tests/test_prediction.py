@@ -807,42 +807,44 @@ def _poisoned(traj, value):
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 @pytest.mark.parametrize("name", ["u_ini", "p_ini", "y_ini", "u_r", "p_r"])
 def test_predict_rejects_non_finite_queries(name, value):
-    # a NaN query read "ok" with NaN outputs, or failed to converge inside LAPACK
+    # a NaN query read "ok" with NaN outputs, or failed to converge inside LAPACK; now
+    # the window cannot be made, so predict is never reached
     rec, q = _record(100), _query(seed=3)
     args = {key: getattr(q, key) for key in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
-    args[name] = _poisoned(args[name], value)
-    with pytest.raises(InvalidShape, match=f"{name}: non-finite sample at time step"):
-        predict(rec, **args)
+    k = args[name].t_end
+    with pytest.raises(InvalidShape, match=f"^non-finite sample at time step {k}$"):
+        predict(rec, **{**args, name: _poisoned(args[name], value)})
 
 
 @pytest.mark.parametrize("name", ["w_test", "p_test"])
 def test_membership_rejects_non_finite_windows(name):
+    # the window cannot be made, so span_membership is never reached
     rec, q = _record(100), _query(seed=3)
     args = {"w_test": _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth)),
             "p_test": concat(q.p_ini, q.p_r)}
-    args[name] = _poisoned(args[name], np.nan)
-    with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
-        span_membership(rec, **args)
+    with pytest.raises(InvalidShape, match="^non-finite sample at time step 10$"):
+        span_membership(rec, **{**args, name: _poisoned(args[name], np.nan)})
 
 
 @pytest.mark.parametrize("name", ["w", "p"])
 def test_max_residual_rejects_non_finite_signals(name):
-    # checked before the empty-basis shortcut too (L = 1: no annihilator)
+    # before the empty-basis shortcut too (L = 1: no annihilator): the window cannot
+    # be made, so max_residual_on is never reached
     rec = _record(40)
+    args = {"w": rec.w, "p": rec.p}
     for L in (1, 5):
-        args = {"w": rec.w, "p": rec.p}
-        args[name] = _poisoned(args[name], np.nan)
-        with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
-            left_nullspace(rec, L).max_residual_on(**args)
+        nullspace = left_nullspace(rec, L)
+        with pytest.raises(InvalidShape, match="^non-finite sample at time step 40$"):
+            nullspace.max_residual_on(**{**args, name: _poisoned(args[name], np.nan)})
 
 
 @pytest.mark.parametrize("name", ["u", "p", "y"])
 def test_data_record_rejects_non_finite_samples(name):
+    # the signal cannot be made, so no record holds it
     rec = _record(40)
     args = {key: getattr(rec, key) for key in ("u", "p", "y")}
-    args[name] = _poisoned(args[name], np.inf)
-    with pytest.raises(InvalidShape, match=f"{name}: non-finite sample at time step 40"):
-        DataRecord(**args)
+    with pytest.raises(InvalidShape, match="^non-finite sample at time step 40$"):
+        DataRecord(**{**args, name: _poisoned(args[name], np.inf)})
 
 
 def test_second_predict_builds_no_hankel(monkeypatch):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from conftest import rand_traj
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpvdd import (
     DimensionMismatch,
@@ -201,6 +204,37 @@ def test_csv_round_trip_exact():
     assert back.t_start == w.t_start
     assert np.array_equal(back.samples, w.samples)
     assert text.splitlines()[0] == "t,ch1,ch2,ch3"
+
+
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t0=st.integers(-1000, 1000), a=arrays(np.float64, _SHAPES),
+       unit=arrays(np.float64, st.just((6, 2)), elements=st.floats(-1, 1)))
+def test_a_trajectory_holds_only_finite_samples(t0, a, unit):
+    # arrays draws NaN and +-inf among its floats; a non-finite sample fails where it is
+    # made, and every trajectory made of finite ones passes through the constructions
+    finite = np.isfinite(a).all(axis=1)
+    if not finite.all():
+        k = t0 + int(np.argmin(finite))
+        with pytest.raises(InvalidShape, match=f"^non-finite sample at time step {k}$"):
+            Trajectory(t0, a)
+        return
+    w = Trajectory(t0, a)
+    assert w.t_start == t0 and w.samples.tobytes() == a.tobytes()
+    for k in range(t0, w.t_end):  # every split of w into two restrictions
+        whole = concat(w.restrict(t0, k), w.restrict(k + 1, w.t_end))
+        assert whole.samples.tobytes() == a.tobytes()
+    # a scheduling in [-1, 1] keeps every product p_j(k) w_i(k) finite
+    assert kron_extend(w, Trajectory(t0, unit[: len(a)])).dim == 3 * w.dim
+
+
+def test_kron_extend_past_the_float_range_is_not_finite():
+    # a product that overflows is a non-finite sample like any other
+    big = Trajectory(5, [[1.0], [1e200]])
+    with pytest.raises(InvalidShape, match="^non-finite sample at time step 6$"):
+        kron_extend(big, big)
 
 
 def test_csv_rejects_malformed():

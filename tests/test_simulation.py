@@ -124,13 +124,16 @@ def test_simulators_name_a_bad_argument(simulator, init, u_name, p_name):
     args = {"model": model, init: np.zeros((2, 1) if io else 2),
             u_name: rand_traj(rng, 1, 6), p_name: rand_traj(rng, 2, 6)}
     simulator(**args)
-    for name in (init, u_name, p_name):
-        value = args[name]
-        samples = np.array(value if name == init else value.samples)
-        samples.flat[-1] = np.nan
-        bad = samples if name == init else Trajectory(value.t_start, samples)
-        with pytest.raises(InvalidShape, match=f"^{name}[: ]"):
-            simulator(**{**args, name: bad})
+    bad = np.array(args[init])
+    bad.flat[-1] = np.nan
+    with pytest.raises(InvalidShape, match=f"^{init}[: ]"):
+        simulator(**{**args, init: bad})
+    # a signal with a NaN cannot be made, so the simulator is never reached
+    for name in (u_name, p_name):
+        samples = args[name].samples.copy()
+        samples[-1, -1] = np.nan
+        with pytest.raises(InvalidShape, match="^non-finite sample at time step 6$"):
+            simulator(**{**args, name: Trajectory(1, samples)})
     with pytest.raises(DimensionMismatch, match=f"^{init} has 3 entries"):
         simulator(**{**args, init: np.zeros(3)})
 
@@ -321,9 +324,9 @@ def test_estimate_initial_state_rejects_non_finite_windows(name):
     args = {"u_ini": u, "p_ini": p, "y_ini": simulate_ss(m, rng.normal(size=2), u, p).y}
     samples = args[name].samples.copy()
     samples[1, 0] = np.nan
-    args[name] = Trajectory(1, samples)
-    with pytest.raises(InvalidShape, match=f"{name}: non-finite"):
-        estimate_initial_state(m, **args)
+    # the window cannot be made, so estimate_initial_state is never reached
+    with pytest.raises(InvalidShape, match="^non-finite sample at time step 2$"):
+        estimate_initial_state(m, **{**args, name: Trajectory(1, samples)})
 
 
 def test_estimate_initial_state_invariant_to_consistent_suffix():
