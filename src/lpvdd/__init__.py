@@ -17,82 +17,30 @@ The package makes the Hankel-matrix route to LPV trajectories executable:
 * :mod:`lpvdd.cli`: command-line front end (``lpvdd simulate|predict|check``).
 """
 
-from .analysis import (
-    MinimalityReport,
-    PeReport,
-    StructuralRankReport,
-    check_pe,
-    is_struct_observable,
-    is_struct_reachable,
-    minimality_report,
-    obsv_eval,
-    obsv_matrix,
-    reach_eval,
-    reach_matrix,
-    structural_rank,
-)
-from .coeffs import CoeffMatrix, PolyCoeff, SchedVar
-from .errors import (
-    DimensionMismatch,
-    InconsistentTrajectory,
-    IntervalMismatch,
-    InvalidModel,
-    InvalidShape,
-    LpvError,
-    NonAdjacentIntervals,
-    RankDeficientObservability,
-    WindowOutOfRange,
-)
-from .experiments import Query, generate_query, generate_record
-from .models import (
-    KernelRep,
-    LpvIoModel,
-    LpvSsModel,
-    ValidationReport,
-    example_verhoek,
-    io_to_kernel,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    random_affine_ss,
-    save_model,
-    validate,
-)
-from .prediction import (
-    DataRecord,
-    LeftNullspace,
-    MembershipResult,
-    PredictionResult,
-    PredictorSystem,
-    build_predictor,
-    left_nullspace,
-    predict,
-    span_membership,
-)
-from .signals import (
-    Trajectory,
-    concat,
-    hankel,
-    kron_extend,
-    kron_signal,
-    read_trajectory_csv,
-    sched_block_diag,
-    trajectory_from_csv,
-    trajectory_to_csv,
-    vec,
-    write_trajectory_csv,
-)
-from .simulation import (
-    InitialStateEstimate,
-    SimResult,
-    estimate_initial_state,
-    impulse_coeff,
-    propagate_state,
-    response_map,
-    simulate_io,
-    simulate_ss,
-    toeplitz,
-    toeplitz_eval,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Each public name is listed once, in the ``__all__`` of one of these modules, which
+# load on first use.  Each comes after those it imports, so that finding a name loads
+# little beyond its own module.
+_PUBLIC = ("errors", "signals", "analysis", "prediction", "coeffs", "models",
+           "simulation", "experiments")
+
+
+def __getattr__(name: str):
+    """Submodule ``name``, or the object its defining module lists as ``name``
+    (``__all__``: every listed name), loaded on first read and kept."""
+    if name in ("cli", "rng", *_PUBLIC):
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [n for m in _PUBLIC for n in import_module(f"{__name__}.{m}").__all__]
+    else:
+        for module in (import_module(f"{__name__}.{m}") for m in _PUBLIC):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -30,15 +30,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coeffs import CoeffMatrix
 from .errors import InvalidShape
-from .models import LpvSsModel, _shifted_hull
 from .rng import stream
 from .signals import Trajectory, _check_windows, _windows, kron_extend
+
+if TYPE_CHECKING:
+    from .coeffs import CoeffMatrix
+    from .models import LpvSsModel
 
 __all__ = [
     "Lifted",
@@ -164,6 +167,7 @@ def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     the state map, so block ``i`` evaluated at ``k`` reads the output map at
     ``k + i - 1`` back through the state transitions.
     """
+    from .coeffs import CoeffMatrix
     if n < 1:
         raise InvalidShape(f"n must be >= 1, got {n}")
     blocks = [model.C]
@@ -178,6 +182,7 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     ``r_1 = B`` and ``r_{i+1}`` composes the state map with the
     backward-shifted ``r_i``.
     """
+    from .coeffs import CoeffMatrix
     if n < 1:
         raise InvalidShape(f"n must be >= 1, got {n}")
     blocks = [model.B]
@@ -198,6 +203,21 @@ def _obsv_blocks(C: np.ndarray, A: np.ndarray, scaled: bool = False) -> np.ndarr
     return unit(np.stack(blocks, axis=-3), C)
 
 
+def _finite(fn):
+    """``fn`` under ``np.errstate``, as the simulators run: a map that diverges on its
+    window raises one :class:`InvalidShape` naming it, where numpy would warn at each
+    overflow and return a non-finite array."""
+    @wraps(fn)
+    @np.errstate(over="ignore", invalid="ignore")
+    def checked(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if not np.isfinite(out).all():
+            raise InvalidShape(f"{fn.__name__}: the model diverges on this window")
+        return out
+    return checked
+
+
+@_finite
 def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated ``n``-step observability map at time ``k``.
 
@@ -212,6 +232,7 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     return _obsv_blocks(C, A).reshape(n * model.n_y, model.n_x)
 
 
+@_finite
 def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated ``n``-step reachability map at time ``k``.
 
@@ -245,6 +266,18 @@ def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
     B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
     A = model.A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
     return _obsv_blocks(B, A, scaled=True).reshape(len(P), -1, n)
+
+
+def _shifted_hull(*parts) -> tuple[int, int]:
+    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
+    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
+
+    This is the window of a product of shifted copies of the ``M``s unless
+    terms cancel exactly."""
+    spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
+    if not spans:
+        return (0, 0)
+    return (min(s[0] for s in spans), max(s[1] for s in spans))
 
 
 @dataclass(frozen=True)

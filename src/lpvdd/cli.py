@@ -33,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
+# Every command loads these; experiments and models load only where a command runs them.
 from . import rng
 from .analysis import check_pe, minimality_report
 from .errors import LpvError
-from .experiments import _record_and_states
-from .models import LpvIoModel, LpvSsModel, example_verhoek, load_model
 from .prediction import DataRecord, predict
 from .signals import Trajectory, _check_windows, read_trajectory_csv, trajectory_to_csv
 
@@ -102,6 +101,7 @@ def _check_range(args) -> None:
 
 
 def _resolve_model(name: str):
+    from .models import example_verhoek, load_model
     return example_verhoek() if name == "builtin:verhoek" else load_model(name)
 
 
@@ -134,6 +134,7 @@ def _report(msg: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .experiments import _record_and_states
     model = _resolve_model(args.model)
     out_dir = Path(args.out_dir)
     record, x = _record_and_states(
@@ -269,6 +270,7 @@ def cmd_check(args) -> int:
         "required": pe.required,
     }
     if args.model:
+        from .models import LpvIoModel, LpvSsModel
         model = _resolve_model(args.model)
         if isinstance(model, LpvSsModel):
             report = minimality_report(model, seed=args.seed)

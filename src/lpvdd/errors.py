@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["LpvError", "DimensionMismatch", "WindowOutOfRange", "NonAdjacentIntervals",
+           "IntervalMismatch", "InvalidShape", "InvalidModel", "RankDeficientObservability",
+           "InconsistentTrajectory"]
+
 
 class LpvError(Exception):
     """Base class for all errors raised by this package."""

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
-from .errors import InvalidModel, LpvError, WindowOutOfRange
-from .signals import Trajectory, _check_windows, _json_number
+from .errors import InvalidModel, WindowOutOfRange
+from .signals import Trajectory, _check_windows, _json_number, _read
 
 __all__ = [
     "LpvSsModel",
@@ -44,18 +44,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-
-def _shifted_hull(*parts) -> tuple[int, int]:
-    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
-    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
-
-    This is the window of a product of shifted copies of the ``M``s unless
-    terms cancel exactly."""
-    spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
-    if not spans:
-        return (0, 0)
-    return (min(s[0] for s in spans), max(s[1] for s in spans))
 
 
 @dataclass(frozen=True)
@@ -431,12 +419,4 @@ def save_model(path, model) -> None:
 def load_model(path):
     """The model in ``path``; :class:`InvalidModel` naming ``path`` when it cannot be
     opened, is not UTF-8 or is not a JSON model (a missing key is named too)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return model_from_dict(json.load(fh))
-    except OSError as exc:
-        raise InvalidModel(f"{path}: {exc.strerror}") from None
-    except KeyError as exc:
-        raise InvalidModel(f"{path}: missing key {exc}") from None
-    except (LpvError, AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise InvalidModel(f"{path}: {exc}") from None
+    return _read(path, lambda text: model_from_dict(json.loads(text)), InvalidModel)

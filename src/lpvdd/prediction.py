@@ -40,17 +40,17 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import Lifted, _lifted_factor, _lstsq
-from .coeffs import CoeffMatrix
-from .errors import IntervalMismatch, InvalidShape, LpvError
-from .models import KernelRep
+from .errors import IntervalMismatch, InvalidShape
 from .signals import (
     Trajectory,
     _check_windows,
     _json_number,
+    _read,
     _windows,
     hankel,
     kron_extend,
@@ -59,6 +59,9 @@ from .signals import (
     sched_block_diag,
     write_trajectory_csv,
 )
+
+if TYPE_CHECKING:
+    from .models import KernelRep
 
 __all__ = [
     "DataRecord",
@@ -161,15 +164,7 @@ class DataRecord:
     def from_json_bundle(cls, path) -> "DataRecord":
         """Read a record; :class:`InvalidShape` naming ``path`` when it cannot be opened,
         is not UTF-8 or is not a JSON record (a missing key is named too)."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except OSError as exc:
-            raise InvalidShape(f"{path}: {exc.strerror}") from None
-        except KeyError as exc:
-            raise InvalidShape(f"{path}: missing key {exc}") from None
-        except (LpvError, OverflowError, TypeError, ValueError) as exc:
-            raise InvalidShape(f"{path}: {exc}") from None
+        return _read(path, lambda text: cls.from_dict(json.loads(text)), InvalidShape)
 
     @classmethod
     def from_csv_dir(cls, directory) -> "DataRecord":
@@ -442,6 +437,8 @@ class LeftNullspace:
 
     def annihilator(self, i: int) -> KernelRep:
         """Basis row ``i`` as a polynomial-in-shift kernel row over ``w``."""
+        from .coeffs import CoeffMatrix
+        from .models import KernelRep
         blocks = self.basis[i].reshape(self.L, 1 + self.n_p, 1, self.n_w)
         return KernelRep(
             tuple(CoeffMatrix.affine(b[0], b[1:], offset=s) for s, b in enumerate(blocks))

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     IntervalMismatch,
     InvalidShape,
+    LpvError,
     NonAdjacentIntervals,
 )
 
@@ -207,12 +208,10 @@ def sched_block_diag(p_bar: Trajectory, n: int) -> np.ndarray:
 
 
 def trajectory_to_csv(w: Trajectory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"ch{i + 1}" for i in range(w.dim)])
-    for k in range(w.length):
-        writer.writerow([w.t_start + k] + [repr(float(v)) for v in w.samples[k]])
-    return buf.getvalue()
+    lines = [",".join(["t"] + [f"ch{i + 1}" for i in range(w.dim)])]
+    for t, row in enumerate(w.samples.tolist(), w.t_start):
+        lines.append(",".join(map(repr, [t, *row])))
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -271,13 +270,21 @@ def write_trajectory_csv(path, w: Trajectory) -> None:
         fh.write(trajectory_to_csv(w))
 
 
+def _read(path, parse, error):
+    """``parse`` of the text in ``path``; ``error`` naming ``path`` when it cannot be
+    opened, is not UTF-8 or does not parse (a missing key is named too)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise error(f"{path}: missing key {exc}") from None
+    except (LpvError, AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """The trajectory in ``path``; :class:`InvalidShape` naming ``path`` when it cannot
     be opened, is not UTF-8 or is not a trajectory CSV."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return trajectory_from_csv(fh.read())
-    except OSError as exc:
-        raise InvalidShape(f"{path}: {exc.strerror}") from None
-    except (InvalidShape, UnicodeDecodeError) as exc:
-        raise InvalidShape(f"{path}: {exc}") from None
+    return _read(path, trajectory_from_csv, InvalidShape)

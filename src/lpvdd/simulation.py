@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _lstsq, obsv_eval
+from .analysis import _finite, _lstsq, obsv_eval
 from .coeffs import CoeffMatrix
 from .errors import (
     DimensionMismatch,
@@ -206,6 +206,7 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     return CoeffMatrix.vstack(rows)
 
 
+@_finite
 def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated impulse-response Toeplitz matrix at window start ``k``."""
     n_y, n_u = model.n_y, model.n_u
@@ -227,6 +228,7 @@ def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarr
     return out
 
 
+@_finite
 def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np.ndarray:
     """Stacked output ``vec(y)`` of the affine window response map.
 
@@ -236,8 +238,8 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
     x_tilde = _initial("x_tilde", x_tilde, (model.n_x,))
     _check_windows(("u", u, model.n_u, None))
     T = u.length
-    O = obsv_eval(model, T, p, u.t_start)
-    Tm = toeplitz_eval(model, T, p, u.t_start)
+    O = obsv_eval.__wrapped__(model, T, p, u.t_start)  # unchecked: the sum is checked
+    Tm = toeplitz_eval.__wrapped__(model, T, p, u.t_start)
     return O @ x_tilde + Tm @ vec(u)
 
 
@@ -293,6 +295,7 @@ def estimate_initial_state(
     return InitialStateEstimate(x=x_bar, residual=residual, sigma_min=sigma_min, rank=rank)
 
 
+@_finite
 def propagate_state(
     model: LpvSsModel, x1, u_ini: Trajectory, p_ini: Trajectory
 ) -> np.ndarray:

@@ -1,0 +1,70 @@
+"""The package: each public name listed once, each module loaded on first use."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lpvdd
+from lpvdd import example_verhoek, generate_query, generate_record, write_trajectory_csv
+
+SRC = str(Path(lpvdd.__file__).resolve().parents[1])
+
+_LOADED = 'print(" ".join(sorted(m for m in sys.modules if m.startswith("lpvdd."))))'
+# Runs ``lpvdd`` with the arguments after ``-c``; it must succeed.
+_CLI = """\
+import runpy, sys
+try:
+    runpy.run_module("lpvdd.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+def _python(code, *args):
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    assert _python("import sys, lpvdd\n" + _LOADED) == []
+    model = example_verhoek()
+    generate_record(model, 70, 1).to_csv_dir(tmp_path / "data")
+    q = generate_query(model, 3, 7, 2)
+    (tmp_path / "query").mkdir()
+    for name in ("u_ini", "p_ini", "y_ini", "u_r", "p_r"):
+        write_trajectory_csv(tmp_path / "query" / f"{name}.csv", getattr(q, name))
+    data = ("--data-dir", str(tmp_path / "data"))
+    runs = {
+        "check": ("check", *data),
+        "predict": ("predict", *data, "--query-dir", str(tmp_path / "query"),
+                    "--out-dir", str(tmp_path / "out")),
+    }
+    for command, args in runs.items():
+        loaded = set(_python(_CLI + _LOADED, *args))
+        assert "lpvdd.prediction" in loaded, command
+        assert not loaded & {"lpvdd.coeffs", "lpvdd.models", "lpvdd.simulation",
+                             "lpvdd.experiments"}, command
+
+
+def test_the_package_exports_each_public_name_of_its_modules_once():
+    modules = [importlib.import_module(f"lpvdd.{m.name}")
+               for m in pkgutil.iter_modules(lpvdd.__path__)]
+    listed = [(name, module) for module in modules for name in getattr(module, "__all__", ())]
+    assert sorted(lpvdd.__all__) == sorted(name for name, _ in listed)
+    assert len(set(lpvdd.__all__)) == len(lpvdd.__all__)
+    for name, module in listed:
+        assert getattr(lpvdd, name) is getattr(module, name), name
+    star: dict = {}
+    exec("from lpvdd import *", star)
+    assert set(star) - {"__builtins__"} == set(lpvdd.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lpvdd.no_such_name
+    # a submodule resolves on a bare import, before anything imports it
+    assert _python("import lpvdd; print(lpvdd.prediction.hankel.__module__)") == [
+        "lpvdd.signals"]

@@ -1,5 +1,8 @@
 """Trajectories, Hankel matrices, Kronecker extensions, CSV interchange."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from conftest import rand_traj
@@ -205,6 +208,20 @@ def test_csv_round_trip_exact():
     assert np.array_equal(back.samples, w.samples)
     assert text.splitlines()[0] == "t,ch1,ch2,ch3"
 
+
+@pytest.mark.parametrize("dim", [0, 2])
+def test_csv_text_is_the_csv_writer_text(dim):
+    # the rows are joined from Python floats; csv.writer over repr(float(v)) of each
+    # numpy scalar is the reference
+    values = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, -2.5e-308]
+    w = Trajectory(-3, np.reshape(values, (-1, 2))[:, :dim].reshape(3, dim))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"ch{i + 1}" for i in range(w.dim)])
+    for k in range(w.length):
+        writer.writerow([w.t_start + k] + [repr(float(v)) for v in w.samples[k]])
+    assert trajectory_to_csv(w) == buf.getvalue()
+    assert trajectory_to_csv(w).splitlines()[1] == ("-3,-0.0,5e-324" if dim else "-3")
 
 _SHAPES = st.tuples(st.integers(1, 6), st.integers(0, 3))
 

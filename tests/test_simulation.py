@@ -27,6 +27,7 @@ from lpvdd import (
     obsv_matrix,
     propagate_state,
     random_affine_ss,
+    reach_eval,
     response_map,
     simulate_io,
     simulate_ss,
@@ -515,3 +516,25 @@ def test_generate_query_takes_per_channel_input_boxes():
     one = generate_query(model, 3, 4, 0, input_box=[-2, 1])
     for name in ("u_ini", "y_ini", "u_r", "y_r_truth"):
         assert np.array_equal(getattr(per_channel, name).samples, getattr(one, name).samples)
+
+
+_T = 800  # x(k+1) = 3 x(k) + u(k) passes the float range from step 647 on
+_DIVERGING_MAPS = {
+    "obsv_eval": lambda m, u, p: obsv_eval(m, _T, p, 1),
+    "reach_eval": lambda m, u, p: reach_eval(m, _T, p, _T),
+    "toeplitz_eval": lambda m, u, p: toeplitz_eval(m, _T, p, 1),
+    "response_map": lambda m, u, p: response_map(m, [0.0], u, p),
+    "propagate_state": lambda m, u, p: propagate_state(m, [0.0], u, p),
+}
+
+
+@pytest.mark.parametrize("name", _DIVERGING_MAPS)
+def test_window_maps_fail_once_on_a_diverging_model(name):
+    # a numpy warning is an error here: each map fails once, naming itself, as the
+    # simulators do
+    one = CoeffMatrix.constant([[1.0]], 1)
+    model = LpvSsModel(A=CoeffMatrix.affine([[3.0]], ([[0.5]],)), B=one, C=one,
+                       D=CoeffMatrix.zeros(1, 1, 1))
+    u, p = Trajectory(1, np.ones(_T)), Trajectory(1, np.zeros(_T))
+    with pytest.raises(InvalidShape, match=f"^{name}: the model diverges on this window$"):
+        _DIVERGING_MAPS[name](model, u, p)
