@@ -28,8 +28,7 @@ Hankel matrix of full row rank ``(1 + n_p) n_u L``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from typing import TYPE_CHECKING
 
@@ -71,20 +70,23 @@ def _cut(s: np.ndarray):
     return (s > RANK_CUT * s[..., :1]).sum(axis=-1).tolist()
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A``
-    and its rank, all from the triangle of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|``
-    for every ``z``.  At full column rank ``z`` is back-substitution (``solve`` pivots
-    on the diagonal of ``T``), else the minimum-norm solve on the SVD of ``T``."""
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A``,
+    its rank and the residual ``|A z - b|``; ``z``, ``s`` and the rank from the triangle
+    of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|`` for every ``z``.  At full column
+    rank ``z`` is back-substitution (``solve`` pivots on the diagonal of ``T``), else
+    the minimum-norm solve on the SVD of ``T``."""
     n = A.shape[1]
     R = np.linalg.qr(np.column_stack([A, b]), mode="r")
     T, c = R[:n, :n], R[:n, n]
     s = np.linalg.svd(T, compute_uv=False)
     rank = _cut(s)
     if rank == n:
-        return np.linalg.solve(T, c), s, rank
-    U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
-    return Vt[:rank].T @ ((U[:, :rank].T @ c) / s_T[:rank]), s, rank
+        z = np.linalg.solve(T, c)
+    else:
+        U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
+        z = Vt[:rank].T @ ((U[:, :rank].T @ c) / s_T[:rank])
+    return z, s, rank, float(np.linalg.norm(A @ z - b))
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
@@ -291,9 +293,6 @@ class StructuralRankReport:
     tolerance: float
     verdict: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _sampled_rank(evaluate, window, n_p, required, trials, seed):
     """Every trial of :func:`structural_rank` at once: ``P`` holds all windows, drawn in
@@ -362,16 +361,6 @@ class MinimalityReport:
     def minimal(self) -> bool:
         return self.observable.verdict and self.reachable.verdict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "observable": asdict(self.observable),
-                "reachable": asdict(self.reachable),
-                "minimal": self.minimal,
-            },
-            sort_keys=True,
-        )
-
 
 def minimality_report(
     model: LpvSsModel, trials: int = 20, seed: int = 0
@@ -388,9 +377,10 @@ class PeReport:
 
     ``extended_input_rank`` is the rank of the Hankel matrix of
     ``col(u, p (x) u)`` at depth ``order_L``; the verdict compares it to the
-    full row count ``required = (1 + n_p) n_u L``.  When outputs are
-    supplied, ``hankel_rank`` additionally reports the rank of the Hankel
-    matrix of the extended full signal ``col(w, p (x) w)``, ``w = col(u, y)``.
+    full row count ``required = (1 + n_p) n_u L``.  A record's report,
+    ``DataRecord.lifted(L).pe``, also gives in ``hankel_rank`` the rank of the
+    Hankel matrix of the extended full signal ``col(w, p (x) w)``, ``w = col(u, y)``;
+    :func:`check_pe`, of the inputs alone, gives ``None`` there.
     """
 
     order_L: int
@@ -400,27 +390,16 @@ class PeReport:
     verdict: bool
     singular_values: tuple[float, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
-
-def check_pe(
-    u: Trajectory,
-    p: Trajectory,
-    L: int,
-    y: Trajectory | None = None,
-) -> PeReport:
+def check_pe(u: Trajectory, p: Trajectory, L: int) -> PeReport:
     """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
 
-    With ``y``, one factor of ``H_L(col(w, p (x) w))`` gives both ranks.  Either
-    Hankel matrix is read through :func:`_triangle`, so a long record costs QRs of
-    blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``."""
-    _check_windows(*((name, w, None, u.interval) for name, w in zip("py", (p, y))
-                     if w is not None))
-    if y is None:
-        return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))
-    w = Trajectory(u.t_start, np.hstack([u.samples, y.samples]))
-    return _lifted_factor(kron_extend(w, p).samples, L, p.dim, u.dim).pe
+    The Hankel matrix is read through :func:`_triangle`, so a long record costs QRs
+    of blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``.
+    A record's report, with the rank of its lifted Hankel matrix, is read off its one
+    factor: ``DataRecord.lifted(L).pe``."""
+    _check_windows(("p", p, None, u.interval))
+    return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))
 
 
 def _pe_report(L: int, inputs: np.ndarray, hankel_rank: int | None = None) -> PeReport:

@@ -29,13 +29,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 # Every command loads these; experiments and models load only where a command runs them.
 from . import rng
-from .analysis import check_pe, minimality_report
+from .analysis import minimality_report
 from .errors import LpvError
 from .prediction import DataRecord, predict
 from .signals import Trajectory, _check_windows, read_trajectory_csv, trajectory_to_csv
@@ -260,9 +261,9 @@ def cmd_predict(args) -> int:
 
 def cmd_check(args) -> int:
     record = _load_record(args)
-    pe = check_pe(record.u, record.p, args.L, y=record.y)
+    pe = record.lifted(args.L).pe
 
-    payload: dict = {"pe": json.loads(pe.to_json())}
+    payload: dict = {"pe": asdict(pe)}
     summary: dict = {
         "command": "check",
         "pe": pe.verdict,
@@ -274,7 +275,7 @@ def cmd_check(args) -> int:
         model = _resolve_model(args.model)
         if isinstance(model, LpvSsModel):
             report = minimality_report(model, seed=args.seed)
-            payload["structural"] = json.loads(report.to_json())
+            payload["structural"] = dict(asdict(report), minimal=report.minimal)
             summary["minimal"] = report.minimal
         elif isinstance(model, LpvIoModel):
             # structural checks need a state-space realization; for IO form

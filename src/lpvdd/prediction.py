@@ -265,6 +265,24 @@ def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorS
     )
 
 
+def _fit(lifted: Lifted, p: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """Least-squares fit of ``K = M(p) U_r S_r`` (:meth:`Lifted.consistent` at one read
+    of :attr:`Lifted.rank`) to a query window: the ``L`` steps ``u`` in its ``u`` rows,
+    the first ``t`` steps ``y`` in its ``y`` rows and zero targets on its ``p (x) w``
+    rows; its output rows from step ``t`` on are not known.  Returns ``K``, the count of
+    known rows ``A`` and the ``z``, singular values of ``A`` and residual of
+    :func:`_lstsq`: the known rows of the stack are ``A V_r^T``."""
+    t, n_u = len(y), u.shape[1]
+    known = np.ones(lifted.shape[:3], dtype=bool)
+    known[t:, 0, n_u:] = False
+    b = np.zeros(lifted.shape[:3])
+    b[:, 0, :n_u], b[:t, 0, n_u:] = u, y
+    K = lifted.consistent(p, lifted.rank)
+    A = K[known]
+    z, s, _, residual = _lstsq(A, b[known])
+    return K, len(A), z, s, residual
+
+
 @dataclass(frozen=True)
 class PredictionResult:
     """Predicted continuation with solve diagnostics.
@@ -333,22 +351,12 @@ def predict(
                    ("p_r", p_r, data.n_p, r))
 
     lifted = data.lifted(L)
-    rank_H, pe = lifted.rank, lifted.pe
-    p_bar = np.vstack([p_ini.samples, p_r.samples])
-    # Every row is known but the outputs after T_ini; targets are zero on the
-    # Kronecker-consistency rows.
-    known = np.ones(lifted.shape[:3], dtype=bool)
-    known[T_ini:, 0, n_u:] = False
-    b = np.zeros(lifted.shape[:3])
-    b[:, 0, :n_u] = np.vstack([u_ini.samples, u_r.samples])
-    b[:T_ini, 0, n_u:] = y_ini.samples
-    K = lifted.consistent(p_bar, rank_H)
-    A, b = K[known], b[known]
-
-    # The known rows of the stack are A V_r^T: one least-squares solve of A gives
-    # the residual and the margin, sigma_r of A (0 when A has fewer than r rows).
-    z, s, _ = _lstsq(A, b)
-    residual = float(np.linalg.norm(A @ z - b))
+    pe = lifted.pe
+    K, known_rows, z, s, residual = _fit(
+        lifted, np.vstack([p_ini.samples, p_r.samples]),
+        np.vstack([u_ini.samples, u_r.samples]), y_ini.samples)
+    # The margin is sigma_r of the known rows (0 when there are fewer than r of them).
+    rank_H = K.shape[-1]
     margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
 
     warnings: list[str] = []
@@ -370,7 +378,7 @@ def predict(
         "T_r": T_r,
         "L": L,
         "col_count": lifted.shape[-1],
-        "known_row_count": int(A.shape[0]),
+        "known_row_count": known_rows,
         "full_stack_rank": rank_H,
         "extended_input_rank": pe.extended_input_rank,
         "required_input_rank": pe.required,
@@ -408,13 +416,8 @@ def span_membership(
     """
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
                    ("p_test", p_test, data.n_p, w_test.interval))
-    lifted = data.lifted(w_test.length)
-    b = np.zeros(lifted.shape[:3])
-    b[:, 0] = w_test.samples
-    A = lifted.consistent(p_test.samples, lifted.rank).reshape(b.size, -1)
-    b = b.reshape(-1)
-    z = _lstsq(A, b)[0]
-    residual = float(np.linalg.norm(A @ z - b))
+    u, y = np.hsplit(w_test.samples, [data.n_u])
+    residual = _fit(data.lifted(w_test.length), p_test.samples, u, y)[-1]
     return MembershipResult(member=residual <= tol, residual=residual)
 
 

@@ -27,12 +27,13 @@ STREAMS = {
 }
 
 
-def stream(seed: int, role: int | str) -> np.random.Generator:
-    """Generator for the given role under ``seed``, a Philox key word in ``[0, 2**64)``."""
+def stream(seed: int, role: str) -> np.random.Generator:
+    """Generator for the ``role`` named in ``STREAMS`` under ``seed``, a Philox key word
+    in ``[0, 2**64)``."""
     if not 0 <= int(seed) < 2**64:
         raise InvalidShape(f"seed must be in [0, 2**64), got {seed}")
-    stream_id = STREAMS[role] if isinstance(role, str) else int(role)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], np.uint64)))
+    key = np.array([seed, STREAMS[role]], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def metadata(seed: int) -> dict:

@@ -215,17 +215,18 @@ def trajectory_to_csv(w: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *lines = csv.reader(io.StringIO(text))
+    except ValueError:  # no header to unpack
         raise InvalidShape("empty CSV") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), longer than any number
+        raise InvalidShape(str(exc)) from None
     if not header or header[0] != "t":
         raise InvalidShape(f"expected header starting with 't', got {header!r}")
     dim = len(header) - 1
     times: list[int] = []
     rows: list[list[float]] = []
-    for row in reader:
+    for row in lines:
         if not row:
             continue
         if len(row) != dim + 1:

@@ -280,14 +280,13 @@ def estimate_initial_state(
     O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
     Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
     rhs = vec(y_ini) - Tm @ vec(u_ini)
-    x_bar, s, rank = _lstsq(O, rhs)
+    x_bar, s, rank, residual = _lstsq(O, rhs)
     sigma_min = float(s[-1]) if s.size else 0.0
     if rank < model.n_x:
         raise RankDeficientObservability(
             f"observability evaluation has rank {rank} < n_x={model.n_x} "
             f"(sigma_min={sigma_min:.3e})"
         )
-    residual = float(np.linalg.norm(O @ x_bar - rhs))
     if residual > tol:
         raise InconsistentTrajectory(
             f"initial window residual {residual:.3e} exceeds tol {tol:.3e}"

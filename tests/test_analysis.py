@@ -1,6 +1,7 @@
 """Structural rank analysis and persistence-of-excitation checks."""
 
 import json
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lpvdd import (
     CoeffMatrix,
+    DataRecord,
     InvalidShape,
     LpvSsModel,
     PolyCoeff,
@@ -173,7 +175,8 @@ def test_minimality_of_dense_constant_model():
     m = _constant_ss(A, B, C, np.zeros((1, 1)))
     rep = minimality_report(m, trials=6, seed=4)
     assert rep.minimal
-    assert json.loads(rep.to_json())["minimal"] is True
+    assert {k: v["verdict"] for k, v in asdict(rep).items()} == {
+        "observable": True, "reachable": True}
 
 
 def test_check_pe_zero_input_fails():
@@ -185,7 +188,7 @@ def test_check_pe_zero_input_fails():
     assert rep.extended_input_rank == 0
     # read from the factor of the full lifted Hankel matrix, zero inputs must
     # still give rank 0, not rounding noise that passes the relative cut
-    with_y = check_pe(u, p, 2, y=rand_traj(rng, 1, 10))
+    with_y = DataRecord(u, p, rand_traj(rng, 1, 10)).lifted(2).pe
     assert not with_y.verdict
     assert with_y.extended_input_rank == 0
 
@@ -237,7 +240,7 @@ def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
     rank_in = analysis.numeric_rank(H.reshape(f.shape[:3] + (N,))[:, :, :n_u].reshape(-1, N))[0]
     assert f.pe.extended_input_rank == rank_in
     assert check_pe(u, p, L).extended_input_rank == rank_in
-    assert check_pe(u, p, L, y=y).extended_input_rank == rank_in
+    assert DataRecord(u, p, y).lifted(L).pe.extended_input_rank == rank_in
     if kind == "zero":
         assert rank_in == 0
 
@@ -254,12 +257,12 @@ def test_check_pe_lti_degenerate():
 def test_check_pe_example_data_at_order_seven():
     m = example_verhoek()
     rec = generate_record(m, 40, seed=1)
-    rep = check_pe(rec.u, rec.p, 7, y=rec.y)
+    rep = rec.lifted(7).pe
     assert rep.required == (1 + 2) * 1 * 7 == 21
     assert rep.extended_input_rank == 21
     assert rep.verdict
     assert rep.hankel_rank is not None and rep.hankel_rank >= 21
-    json.loads(rep.to_json())  # serializable
+    json.dumps(asdict(rep))  # serializable
     # the input singular values come from the full factor when y is given
     alone = np.array(check_pe(rec.u, rec.p, 7).singular_values)
     assert np.allclose(rep.singular_values, alone, rtol=0, atol=1e-13 * alone[0])
@@ -287,7 +290,8 @@ def test_check_pe_shape_errors():
 def test_depth_below_one_is_invalid_shape(L):
     # L = 0 read as persistently exciting; L = -1 failed inside numpy
     rec = generate_record(example_verhoek(), 20, 0)
-    for call in (lambda: check_pe(rec.u, rec.p, L), lambda: check_pe(rec.u, rec.p, L, y=rec.y),
+    for call in (lambda: check_pe(rec.u, rec.p, L),
+                 lambda: DataRecord(rec.u, rec.p, rec.y).lifted(L).pe,
                  lambda: rec.lifted(L), lambda: left_nullspace(rec, L)):
         with pytest.raises(InvalidShape, match=f"order L must be >= 1, got {L}"):
             call()
@@ -325,11 +329,12 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
     k = analysis._cut(s_ref)
     z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
 
-    z, s, rank_A = analysis._lstsq(A, b)
+    z, s, rank_A, residual = analysis._lstsq(A, b)
     assert rank_A == k == r
     assert s.shape == s_ref.shape
     assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
     assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+    assert abs(residual - np.linalg.norm(A @ z - b)) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_minimal_random_ss_helper_yields_minimal_models():
@@ -342,17 +347,6 @@ def test_minimal_random_ss_helper_yields_minimal_models():
 def test_structural_rank_rejects_zero_trials():
     with pytest.raises(InvalidShape):
         structural_rank(CoeffMatrix.identity(2, 1), 2, trials=0)
-
-
-def test_pe_report_json_field_names():
-    m = example_verhoek()
-    rec = generate_record(m, 20, seed=2)
-    rep = check_pe(rec.u, rec.p, 3)
-    data = json.loads(rep.to_json())
-    assert set(data) == {
-        "order_L", "extended_input_rank", "required",
-        "hankel_rank", "verdict", "singular_values",
-    }
 
 
 def _shifted_affine_ss(rng, n_x, n_p):
@@ -517,14 +511,14 @@ def test_every_rank_decision_reads_the_one_cut(monkeypatch):
     H = hankel(kron_extend(rec.w, rec.p), 10)
 
     def ranks():
-        pe = check_pe(rec.u, rec.p, 10, y=rec.y)
+        pe = DataRecord(rec.u, rec.p, rec.y).lifted(10).pe  # a fresh factor at each cut
         res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
         rep = minimality_report(ss)
         assert rep.observable.tolerance == rep.reachable.tolerance == analysis.RANK_CUT
         return {
             "numeric_rank": analysis.numeric_rank(H)[0],
-            "check_pe input": pe.extended_input_rank,
-            "check_pe hankel": pe.hankel_rank,
+            "pe input": pe.extended_input_rank,
+            "pe hankel": pe.hankel_rank,
             "left_nullspace": left_nullspace(rec, 10).rank,
             "predict": res.diagnostics["full_stack_rank"],
             "observable": rep.observable.tested_rank,

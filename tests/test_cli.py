@@ -297,6 +297,35 @@ def test_check_ss_model_reports_structural(tmp_path):
     assert payload["structural"]["observable"]["num_trials"] == 20
 
 
+@pytest.mark.parametrize("model", [None, "ss-file", "builtin:verhoek"])
+def test_check_json_tree_is_fixed_and_deterministic(tmp_path, model):
+    _simulate(tmp_path, T=40)
+    argv = ["check", "--data-dir", str(tmp_path / "data"), "--L", "5"]
+    if model == "ss-file":
+        model = str(tmp_path / "m.json")
+        save_model(model, random_affine_ss(np.random.default_rng(1), 2, 1, 1, 2))
+    if model is not None:
+        argv += ["--model", model]
+    runs = [tmp_path / name / "check.json" for name in ("a", "b")]
+    for path in runs:
+        assert main([*argv, "--out-dir", str(path.parent)]) == 0
+    assert runs[0].read_bytes() == runs[1].read_bytes()
+    payload = json.loads(runs[0].read_text())
+    tree = {key: set(value) for key, value in payload.items()}
+    assert tree.pop("pe") == {"order_L", "extended_input_rank", "required", "hankel_rank",
+                              "verdict", "singular_values"}
+    if model is None:
+        assert tree == {}
+    elif model == "builtin:verhoek":
+        assert tree == {"lag_report": {"kind", "n_a", "n_b"}}
+    else:
+        assert tree == {"structural": {"observable", "reachable", "minimal"}}
+        for test in ("observable", "reachable"):
+            assert set(payload["structural"][test]) == {
+                "tested_rank", "required_rank", "num_trials", "pass_count", "tolerance",
+                "verdict"}
+
+
 def test_check_large_ss_model_is_minimal(tmp_path, capsys):
     _simulate(tmp_path, T=40)
     model_path = tmp_path / "m.json"
@@ -695,6 +724,8 @@ def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
 _SS_A_NOT_A_MATRIX = b'{"kind": "ss", "n_p": 1, "A": 5, "B": [], "C": [], "D": []}'
 _SS_NEGATIVE_N_P = (b'{"kind": "ss", "n_p": -1, "A": [[[]]], "B": [[[]]], "C": [[[]]], '
                     b'"D": [[[]]]}')
+# a u.csv whose one sample is 200,000 digits long, over the csv module's field limit
+_U_LONG_FIELD = b"t,u0\n1," + b"1" * 200_000 + b"\n"
 # a 2-state model file that declares 3 states
 _SS_DECLARED_N_X = json.dumps(
     {**model_to_dict(random_affine_ss(np.random.default_rng(0), 2)), "n_x": 3}).encode()
@@ -722,10 +753,12 @@ _TRUTH_FROM_T1 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(1, 8))
     (["predict", "--data-dir", "data", "--query-dir", "query"],
      {"query/y_r_truth.csv": _TRUTH_FROM_T1}, "y_r_truth on steps (1, 7), expected (4, 10)"),
     (["simulate", "--model", "m.json"], {"m.json": _SS_DECLARED_N_X}, "m.json: n_x"),
+    (["check", "--data-dir", "data", "--L", "3"], {"data/u.csv": _U_LONG_FIELD},
+     "u.csv: field larger than field limit"),
 ], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
         "model-matrix-not-a-list", "missing-model", "csv-intervals-differ",
         "model-negative-n-p", "y-ini-one-step-late", "truth-off-the-query-steps",
-        "model-declared-n-x"])
+        "model-declared-n-x", "csv-field-over-the-limit"])
 def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,
                                             named):
     # each reader names its file: no pre-check in the CLI, and no traceback

@@ -492,7 +492,7 @@ def test_max_residual_rejects_signals_of_wrong_dim(L):
 def test_predict_reads_the_excitation_report_of_check_pe():
     rec, q = _record(70), _query()
     pe = rec.lifted(10).pe
-    assert pe == check_pe(rec.u, rec.p, 10, y=rec.y)
+    assert pe == DataRecord(rec.u, rec.p, rec.y).lifted(10).pe
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     assert (res.diagnostics["extended_input_rank"], res.diagnostics["required_input_rank"]) \
         == (pe.extended_input_rank, pe.required) == (30, 30)
@@ -622,7 +622,8 @@ def test_one_wide_svd_per_predict_and_per_check_pe(monkeypatch):
         monkeypatch, lambda: predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r), cols
     )
     assert calls == 1
-    assert _wide_svd_calls(monkeypatch, lambda: check_pe(rec.u, rec.p, L, y=rec.y), cols) == 1
+    fresh = DataRecord(rec.u, rec.p, rec.y)
+    assert _wide_svd_calls(monkeypatch, lambda: fresh.lifted(L).pe, cols) == 1
 
 
 # -- one factor per record and depth ------------------------------------------
@@ -695,7 +696,7 @@ def test_no_svd_of_a_long_record_has_a_record_long_axis(monkeypatch):
     def run():
         assert predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r).verdict == "ok"
         assert check_pe(rec.u, rec.p, L).verdict
-        assert check_pe(rec.u, rec.p, L, y=rec.y).verdict
+        assert DataRecord(rec.u, rec.p, rec.y).lifted(L).pe.verdict
         assert left_nullspace(rec, 7).dimension == 5
         assert span_membership(rec, w, p).member
 
