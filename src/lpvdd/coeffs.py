@@ -16,29 +16,25 @@ which gives the defining identity
 and makes multiplication with the signal shift operator non-commutative,
 as it must be for scheduling-dependent coefficients.
 
-:class:`CoeffMatrix` lifts the scalar calculus entrywise to matrices, with
-matrix products combining entry products and sums.
-
-The symbolic algebra is the specification; numeric code does not run it.
-Each :class:`CoeffMatrix` is lowered once, on first evaluation, to a
-compiled form: the sorted table of the distinct monomials of its entries
-and a coefficient tensor ``C`` of shape ``(n_mono, rows * cols)``, with
-``C[m, i * cols + j]`` the coefficient of monomial ``m`` in entry ``(i, j)``.
-Evaluating along ``p`` at every ``k`` in ``k1..k2`` is then one product
-``Phi(p) @ C``, where ``Phi[k, m]`` is the value of monomial ``m`` at time
-``k`` (:meth:`CoeffMatrix.eval_range`); :meth:`CoeffMatrix.eval` is its
-one-step case.  The compiled form is cached on the instance, whose entries
-are immutable.
+:class:`CoeffMatrix` holds a matrix of such coefficients as one matrix
+polynomial ``sum_m C_m * phi_m``: one real ``(rows, cols)`` array ``C_m`` per
+monomial ``phi_m``, with sums merging the arrays of equal monomials and
+products summing ``C1 @ C2`` into the product monomial.  Its entries are
+:class:`PolyCoeff` views, the scalar specification.  Evaluating along ``p``
+at every ``k`` in ``k1..k2`` is one product ``Phi(p) @ C``, where
+``Phi[k, m]`` is the value of monomial ``m`` at time ``k`` and ``C`` stacks
+the flattened arrays in monomial order (:meth:`CoeffMatrix.eval_range`);
+:meth:`CoeffMatrix.eval` is its one-step case.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, WindowOutOfRange
+from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
 from .signals import Trajectory
 
 __all__ = [
@@ -68,12 +64,7 @@ class SchedVar:
 
 
 def _normalize(terms: dict[Monomial, float]) -> tuple[tuple[float, Monomial], ...]:
-    out = []
-    for mono in sorted(terms):
-        c = terms[mono]
-        if c != 0.0:
-            out.append((float(c), mono))
-    return tuple(out)
+    return tuple((float(terms[mono]), mono) for mono in sorted(terms) if terms[mono] != 0.0)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -256,38 +247,65 @@ class PolyCoeff:
 
 
 class CoeffMatrix:
-    """Matrix of :class:`PolyCoeff` entries sharing one scheduling dimension."""
+    """Matrix polynomial ``sum_m C_m * phi_m`` in shifted scheduling samples.
+
+    ``terms`` maps each monomial ``phi_m``, in sorted order, to its real
+    ``(rows, cols)`` coefficient array ``C_m``: a private, read-only, finite
+    array that is not all zero.  The entries are :class:`PolyCoeff` views.
+    """
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise DimensionMismatch("CoeffMatrix must have at least one entry")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows in CoeffMatrix")
         n_p = rows[0][0].n_p
-        for r in rows:
-            for e in r:
-                if e.n_p != n_p:
-                    raise DimensionMismatch("entries disagree on n_p")
-        self.entries: tuple[tuple[PolyCoeff, ...], ...] = rows
-        self.rows = len(rows)
-        self.cols = ncols
-        self.n_p = n_p
+        if any(e.n_p != n_p for r in rows for e in r):
+            raise DimensionMismatch("entries disagree on n_p")
+        terms = defaultdict(lambda: np.zeros((len(rows), len(rows[0]))))
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                for c, mono in e.terms:
+                    terms[mono][i, j] = c
+        self._hold(terms, len(rows), len(rows[0]), n_p)
+
+    def _hold(self, terms, rows: int, cols: int, n_p: int) -> None:
+        """Keep ``terms`` in monomial order as rows of one private, read-only stack,
+        without -0.0 and without all-zero arrays; :class:`InvalidModel` names a
+        non-finite entry."""
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("CoeffMatrix must have at least one entry")
+        monos = sorted(terms)
+        stack = np.array([terms[mono] for mono in monos], dtype=float).reshape(-1, rows, cols)
+        stack += 0.0
+        if not np.isfinite(stack).all():
+            m, i, j = np.argwhere(~np.isfinite(stack))[0]
+            raise InvalidModel(f"[{i}][{j}]: non-finite coefficient {stack[m, i, j]}")
+        keep = stack.any(axis=(1, 2))
+        stack = stack[keep]
+        stack.flags.writeable = False
+        self.rows, self.cols, self.n_p = rows, cols, n_p
+        self.terms: dict[Monomial, np.ndarray] = dict(
+            zip([mono for mono, k in zip(monos, keep) if k], stack))
+        self._stack = stack.reshape(len(stack), rows * cols)
+
+    @classmethod
+    def _of(cls, terms, rows: int, cols: int, n_p: int) -> "CoeffMatrix":
+        M = cls.__new__(cls)
+        M._hold(terms, rows, cols, n_p)
+        return M
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, values, n_p: int) -> "CoeffMatrix":
         arr = np.atleast_2d(np.asarray(values, dtype=float))
-        return cls(
-            [[PolyCoeff.constant(arr[i, j], n_p) for j in range(arr.shape[1])]
-             for i in range(arr.shape[0])]
-        )
+        return cls._of({(): arr}, arr.shape[0], arr.shape[1], n_p)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, n_p: int) -> "CoeffMatrix":
-        return cls([[PolyCoeff.zero(n_p)] * cols for _ in range(rows)])
+        return cls._of({}, rows, cols, n_p)
 
     @classmethod
     def identity(cls, n: int, n_p: int) -> "CoeffMatrix":
@@ -302,23 +320,12 @@ class CoeffMatrix:
         """
         c0 = np.atleast_2d(np.asarray(const, dtype=float))
         lin = [np.atleast_2d(np.asarray(m, dtype=float)) for m in linear]
-        n_p = len(lin)
         for m in lin:
             if m.shape != c0.shape:
-                raise DimensionMismatch(
-                    f"linear part shape {m.shape} differs from constant {c0.shape}"
-                )
-        out = []
-        for i in range(c0.shape[0]):
-            row = []
-            for j in range(c0.shape[1]):
-                row.append(
-                    PolyCoeff.affine(
-                        c0[i, j], [m[i, j] for m in lin], n_p=n_p, offset=offset
-                    )
-                )
-            out.append(row)
-        return cls(out)
+                raise DimensionMismatch(f"linear part shape {m.shape} differs from "
+                                        f"constant {c0.shape}")
+        terms = {((j + 1, offset, 1),): m for j, m in enumerate(lin)}
+        return cls._of({(): c0, **terms}, c0.shape[0], c0.shape[1], len(lin))
 
     # -- structure -----------------------------------------------------------
 
@@ -326,86 +333,67 @@ class CoeffMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    @cached_property
-    def _compiled(self):
-        """``(monomials, C, window)``: the sorted distinct monomials of the
-        entries, the coefficient tensor ``C`` of shape ``(n_mono, rows * cols)``
-        and the hull of their offsets (None if constant)."""
-        flat = [e for row in self.entries for e in row]
-        monos = sorted({mono for e in flat for _, mono in e.terms})
-        index = {mono: m for m, mono in enumerate(monos)}
-        coeffs = np.zeros((len(monos), len(flat)))
-        for j, e in enumerate(flat):
-            for c, mono in e.terms:
-                coeffs[index[mono], j] = c
-        offsets = [off for mono in monos for _, off, _ in mono]
-        window = (min(offsets), max(offsets)) if offsets else None
-        return monos, coeffs, window
-
     @property
     def window(self) -> tuple[int, int] | None:
-        return self._compiled[2]
+        offsets = [off for mono in self.terms for _, off, _ in mono]
+        return (min(offsets), max(offsets)) if offsets else None
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not self.terms
+
+    @property
+    def entries(self) -> tuple[tuple[PolyCoeff, ...], ...]:
+        return tuple(tuple(self.entry(i, j) for j in range(self.cols))
+                     for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> PolyCoeff:
-        return self.entries[i][j]
+        return PolyCoeff(self.n_p, tuple((C[i, j], mono) for mono, C in self.terms.items()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CoeffMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
+        return (isinstance(other, CoeffMatrix) and self.shape == other.shape
+                and self.n_p == other.n_p and self.terms.keys() == other.terms.keys()
+                and all(np.array_equal(C, other.terms[m]) for m, C in self.terms.items()))
 
     def __repr__(self):
         return f"CoeffMatrix<{self.rows}x{self.cols}, n_p={self.n_p}>"
 
     # -- algebra -------------------------------------------------------------
 
+    def _with(self, terms) -> "CoeffMatrix":
+        return CoeffMatrix._of(terms, self.rows, self.cols, self.n_p)
+
     def shift(self, d: int) -> "CoeffMatrix":
-        return CoeffMatrix([[e.shift(d) for e in row] for row in self.entries])
+        return self._with({tuple((comp, off + d, pw) for comp, off, pw in mono): C
+                           for mono, C in self.terms.items()})
 
     def __add__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"shapes differ: {self.shape} vs {other.shape}")
         if self.n_p != other.n_p:
             raise DimensionMismatch(f"n_p differs: {self.n_p} vs {other.n_p}")
-        return CoeffMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)]
-        )
+        terms = dict(self.terms)
+        for mono, C in other.terms.items():
+            terms[mono] = terms.get(mono, 0.0) + C
+        return self._with(terms)
 
     def __neg__(self) -> "CoeffMatrix":
-        return CoeffMatrix([[-e for e in row] for row in self.entries])
+        return self._with({mono: -C for mono, C in self.terms.items()})
 
     def __sub__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         return self + (-other)
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.shape} by {other.shape}"
-            )
+            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.n_p != other.n_p:
             raise DimensionMismatch(f"n_p differs: {self.n_p} vs {other.n_p}")
-        zero = PolyCoeff.zero(self.n_p)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for l in range(self.cols):
-                    e = self.entries[i][l]
-                    f = other.entries[l][j]
-                    if e.is_zero or f.is_zero:
-                        continue
-                    acc = acc + e * f
-                row.append(acc)
-            out.append(row)
-        return CoeffMatrix(out)
+        terms: dict[Monomial, np.ndarray] = {}
+        for m1, C1 in self.terms.items():
+            for m2, C2 in other.terms.items():
+                key = _mono_mul(m1, m2)
+                terms[key] = terms.get(key, 0.0) + C1 @ C2
+        return CoeffMatrix._of(terms, self.rows, other.cols, self.n_p)
 
     def eval(self, p: Trajectory, k: int) -> np.ndarray:
         """Real matrix obtained by evaluating every entry along ``p`` at ``k``."""
@@ -432,29 +420,36 @@ class CoeffMatrix:
     def _eval_rows(self, samples: np.ndarray, start: int, n: int) -> np.ndarray:
         """Unchecked :meth:`eval_range` from row ``start`` of ``samples`` ``(..., W, n_p)``,
         leading (trial) axes kept: one product ``Phi @ C`` of the monomial values
-        ``Phi[..., k, m]`` with the compiled coefficient tensor."""
-        monos, coeffs, _ = self._compiled
-        phi = np.ones(samples.shape[:-2] + (n, len(monos)))
-        for m, mono in enumerate(monos):
+        ``Phi[..., k, m]`` with the stacked arrays."""
+        phi = np.ones(samples.shape[:-2] + (n, len(self.terms)))
+        for m, mono in enumerate(self.terms):
             for comp, off, pw in mono:
                 phi[..., m] *= samples[..., start + off : start + off + n, comp - 1] ** pw
-        return (phi @ coeffs).reshape(phi.shape[:-1] + (self.rows, self.cols))
+        return (phi @ self._stack).reshape(phi.shape[:-1] + (self.rows, self.cols))
 
     @staticmethod
     def vstack(blocks) -> "CoeffMatrix":
-        blocks = list(blocks)
-        cols = blocks[0].cols
-        if any(b.cols != cols for b in blocks):
-            raise DimensionMismatch("vstack blocks disagree on column count")
-        return CoeffMatrix([row for b in blocks for row in b.entries])
+        return CoeffMatrix._concat(list(blocks), 0, "vstack blocks disagree on column count")
 
     @staticmethod
     def hstack(blocks) -> "CoeffMatrix":
-        blocks = list(blocks)
-        rows = blocks[0].rows
-        if any(b.rows != rows for b in blocks):
-            raise DimensionMismatch("hstack blocks disagree on row count")
-        return CoeffMatrix(
-            [sum((list(b.entries[i]) for b in blocks), []) for i in range(rows)]
-        )
+        return CoeffMatrix._concat(list(blocks), 1, "hstack blocks disagree on row count")
 
+    @staticmethod
+    def _concat(blocks, axis: int, mismatch: str) -> "CoeffMatrix":
+        """``blocks`` joined along ``axis``: each monomial's array holds each block's
+        array of that monomial, and zeros where the block lacks it."""
+        if len({b.shape[1 - axis] for b in blocks}) > 1:
+            raise DimensionMismatch(mismatch)
+        if len({b.n_p for b in blocks}) > 1:
+            raise DimensionMismatch("entries disagree on n_p")
+        shape = list(blocks[0].shape)
+        shape[axis] = sum(b.shape[axis] for b in blocks)
+        terms = defaultdict(lambda: np.zeros(shape))
+        at = 0
+        for b in blocks:
+            part = (slice(None),) * axis + (slice(at, at + b.shape[axis]),)
+            for mono, C in b.terms.items():
+                terms[mono][part] = C
+            at += b.shape[axis]
+        return CoeffMatrix._of(terms, *shape, blocks[0].n_p)

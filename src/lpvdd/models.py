@@ -147,12 +147,8 @@ class LpvIoModel:
 
     @property
     def is_affine(self) -> bool:
-        return all(
-            e.degree <= 1
-            for m in self.a_coeffs + self.b_coeffs
-            for row in m.entries
-            for e in row
-        )
+        return all(sum(pw for _, _, pw in mono) <= 1
+                   for m in self.a_coeffs + self.b_coeffs for mono in m.terms)
 
 
 @dataclass(frozen=True)
@@ -338,10 +334,7 @@ def _entry_to_poly(entry, n_p: int, where: str) -> PolyCoeff:
         mono = tuple(tuple(_json_number(v[k], f"{where}: {k}", InvalidModel, integer=True)
                            for k in ("comp", "offset", "power"))
                      for v in term.get("vars", []))
-        coeff = float(_json_number(term["coeff"], f"{where}: coeff", InvalidModel))
-        if not np.isfinite(coeff):
-            raise InvalidModel(f"{where}: non-finite coefficient {coeff}")
-        terms.append((coeff, mono))
+        terms.append((_json_number(term["coeff"], f"{where}: coeff", InvalidModel), mono))
     return PolyCoeff(n_p, tuple(terms))
 
 
@@ -350,10 +343,12 @@ def _matrix_to_lists(m: CoeffMatrix) -> list:
 
 
 def _matrix_from_lists(data, n_p: int, name: str) -> CoeffMatrix:
-    return CoeffMatrix(
-        [[_entry_to_poly(e, n_p, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
-         for i, row in enumerate(data)]
-    )
+    entries = [[_entry_to_poly(e, n_p, f"{name}[{i}][{j}]") for j, e in enumerate(row)]
+               for i, row in enumerate(data)]
+    try:
+        return CoeffMatrix(entries)
+    except InvalidModel as e:  # "[i][j]: ..." of the one entry at fault
+        raise InvalidModel(f"{name}{e}") from None
 
 
 def model_to_dict(model) -> dict:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lpvdd import (
     CoeffMatrix,
     DimensionMismatch,
+    InvalidModel,
     PolyCoeff,
     Trajectory,
     WindowOutOfRange,
@@ -201,11 +202,13 @@ def test_matrix_dimension_errors():
 
 
 @st.composite
-def coeff_matrices(draw):
+def coeff_matrices(draw, n_p=None, rows=None, cols=None):
     """Polynomial, all-zero and constant matrices over n_p = 0..3; monomials
-    with powers up to 3, repeated variables and offsets in -3..3."""
-    n_p = draw(st.integers(0, 3))
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    with powers up to 3, repeated variables and offsets in -3..3.  A given
+    ``n_p``, ``rows`` or ``cols`` is kept, not drawn."""
+    n_p = draw(st.integers(0, 3)) if n_p is None else n_p
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = draw(st.integers(1, 3)) if cols is None else cols
     kind = draw(st.sampled_from(["poly", "zero", "constant"]))
     if kind == "zero":
         return CoeffMatrix.zeros(rows, cols, n_p)
@@ -264,3 +267,64 @@ def test_eval_range_of_no_times_is_empty():
     M = CoeffMatrix.affine([[1.0, 2.0]], ([[0.5, -1.0]],), offset=-1)
     p = Trajectory(1, np.ones((3, 1)))
     assert M.eval_range(p, 5, 4).shape == (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(-3, 3))
+def test_matrix_algebra_matches_entrywise_scalar_algebra(data, d):
+    M = data.draw(coeff_matrices())
+    n_p, rows, cols = M.n_p, M.rows, M.cols
+    R = data.draw(coeff_matrices(n_p=n_p, rows=cols))
+    S = data.draw(coeff_matrices(n_p=n_p, rows=rows, cols=cols))
+    V = data.draw(coeff_matrices(n_p=n_p, cols=cols))
+    H = data.draw(coeff_matrices(n_p=n_p, rows=rows))
+    e, f, g = M.entries, R.entries, S.entries
+    cases = {
+        "@": (M @ R, [[sum((e[i][l] * f[l][j] for l in range(cols)), PolyCoeff.zero(n_p))
+                       for j in range(R.cols)] for i in range(rows)]),
+        "+": (M + S, [[a + b for a, b in zip(r, q)] for r, q in zip(e, g)]),
+        "-": (M - S, [[a - b for a, b in zip(r, q)] for r, q in zip(e, g)]),
+        "neg": (-M, [[-a for a in r] for r in e]),
+        "shift": (M.shift(d), [[a.shift(d) for a in r] for r in e]),
+        "vstack": (CoeffMatrix.vstack([M, V]), e + V.entries),
+        "hstack": (CoeffMatrix.hstack([M, H]), [r + q for r, q in zip(e, H.entries)]),
+    }
+    for name, (got, want) in cases.items():
+        assert got.shape == (len(want), len(want[0])), name
+        for i, row in enumerate(want):
+            for j, entry in enumerate(row):
+                have = {mono: c for c, mono in got.entry(i, j).terms}
+                ref = {mono: c for c, mono in entry.terms}
+                tol = 1e-12 * max([1.0, *map(abs, ref.values())])
+                for mono in have.keys() | ref.keys():
+                    assert abs(have.get(mono, 0.0) - ref.get(mono, 0.0)) <= tol, (name, i, j)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_is_rejected_naming_its_entry(bad):
+    values = np.array([[0.5, 1.0], [0.0, 0.1]])
+    values[1, 0] = bad
+    with pytest.raises(InvalidModel, match=rf"^\[1\]\[0\]: non-finite coefficient {bad}$"):
+        CoeffMatrix.constant(values, 1)
+    with pytest.raises(InvalidModel, match=r"^\[1\]\[0\]: non-finite"):
+        CoeffMatrix.affine(np.eye(2), [values])
+    poly = [[PolyCoeff.constant(1.0, 2)] * 2, [PolyCoeff.var(2, 2) * bad, PolyCoeff.zero(2)]]
+    with pytest.raises(InvalidModel, match=r"^\[1\]\[0\]: non-finite"):
+        CoeffMatrix(poly)
+
+
+def test_coefficient_arrays_are_private_and_read_only():
+    const, lin = np.array([[1.0, 2.0]]), np.array([[0.5, 0.0]])
+    M = CoeffMatrix.affine(const, [lin], offset=-1)
+    C = CoeffMatrix.constant(const, 1)
+    const[0, 0], lin[0, 1] = 9.0, 9.0
+    assert np.array_equal(M.terms[()], [[1.0, 2.0]])
+    assert np.array_equal(M.terms[((1, -1, 1),)], [[0.5, 0.0]])
+    assert np.array_equal(C.terms[()], [[1.0, 2.0]])
+    for N in (M, C, M @ CoeffMatrix.identity(2, 1), CoeffMatrix.vstack([M, M.shift(1)])):
+        for arr in N.terms.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+    # only monomials with a non-zero coefficient are held
+    assert list((M - M).terms) == [] and (M - M).is_zero

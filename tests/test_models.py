@@ -31,6 +31,9 @@ def test_example_dimensions():
     assert (m.n_a, m.n_b, m.n_p) == (2, 2, 2)
     assert (m.n_u, m.n_y) == (1, 1)
     assert m.is_affine
+    a1 = m.a_coeffs[0]
+    squared = LpvIoModel(a_coeffs=(a1 @ a1, m.a_coeffs[1]), b_coeffs=m.b_coeffs)
+    assert not squared.is_affine
 
 
 def test_example_coefficient_values():
