@@ -86,7 +86,9 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, f
     else:
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
         z = Vt[:rank].T @ ((U[:, :rank].T @ c) / s_T[:rank])
-    return z, s, rank, float(np.linalg.norm(A @ z - b))
+    r = A @ z - b  # normed at a power-of-two scale below 1, where no square overflows
+    e = np.frexp(np.max(np.abs(r), initial=0.0))[1]
+    return z, s, rank, float(np.ldexp(np.linalg.norm(np.ldexp(r, -e)), e))
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.

@@ -16,8 +16,9 @@ check
 Exit codes: 0 success, 2 configuration/input error, 3 numeric failure,
 4 ambiguous prediction, 5 infeasible prediction.
 
-All outputs are deterministic for a fixed seed and are written atomically
-(temp file then rename), so a failed run leaves no partial artifacts.
+All outputs are deterministic for a fixed seed and are written whole or not
+at all, with the mode a plain ``open`` gives, so a failed run leaves no partial
+artifacts; an ``--out-dir`` that cannot be written exits 2 naming it.
 stdout carries a one-line machine-readable JSON summary; the human-readable
 report goes to stderr.
 """
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -37,9 +36,10 @@ import numpy as np
 # Every command loads these; experiments and models load only where a command runs them.
 from . import rng
 from .analysis import minimality_report
-from .errors import LpvError
+from .errors import InvalidShape, LpvError
 from .prediction import DataRecord, predict
-from .signals import Trajectory, _check_windows, read_trajectory_csv, trajectory_to_csv
+from .signals import (Trajectory, _check_windows, _json_text, _write, read_trajectory_csv,
+                      trajectory_to_csv, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -106,23 +106,6 @@ def _resolve_model(name: str):
     return example_verhoek() if name == "builtin:verhoek" else load_model(name)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def _summary(data: dict) -> None:
     print(json.dumps(data, sort_keys=True))
 
@@ -146,16 +129,14 @@ def cmd_simulate(args) -> int:
         scheduling_box=args.scheduling_box,
         provenance=f"model={args.model} seed={args.seed} T={args.T}",
     )
-    outputs = []
     if args.format == "json":
-        _atomic_write(out_dir / "record.json", _json_text(record.to_dict()))
-        outputs.append("record.json")
+        _write(out_dir / "record.json", _json_text(record.to_dict()))
+        outputs = ["record.json"]
     else:
-        for name, traj in (("u", record.u), ("p", record.p), ("y", record.y)):
-            _atomic_write(out_dir / f"{name}.csv", trajectory_to_csv(traj))
-            outputs.append(f"{name}.csv")
+        record.to_csv_dir(out_dir)
+        outputs = ["u.csv", "p.csv", "y.csv"]
         if x is not None:
-            _atomic_write(out_dir / "x.csv", trajectory_to_csv(x))
+            write_trajectory_csv(out_dir / "x.csv", x)
             outputs.append("x.csv")
     meta = {
         "command": "simulate",
@@ -167,7 +148,7 @@ def cmd_simulate(args) -> int:
         "rng": rng.metadata(args.seed),
         "outputs": outputs,
     }
-    _atomic_write(out_dir / "metadata.json", _json_text(meta))
+    _write(out_dir / "metadata.json", _json_text(meta))
     outputs.append("metadata.json")
     _report(f"simulate: wrote {', '.join(outputs)} to {out_dir}")
     _summary({"command": "simulate", "seed": args.seed, "T": args.T, "outputs": outputs})
@@ -178,14 +159,21 @@ def cmd_simulate(args) -> int:
 
 
 def _load_record(args) -> DataRecord:
-    if args.data_bundle:
-        return DataRecord.from_json_bundle(args.data_bundle)
-    if not args.data_dir:
+    """The record, lifted here so that an overflowing ``p (x) w`` names its path."""
+    path = args.data_bundle or args.data_dir
+    if not path:
         raise ConfigError("predict/check needs --data-dir or --data-bundle")
-    return DataRecord.from_csv_dir(args.data_dir)
+    read = DataRecord.from_json_bundle if args.data_bundle else DataRecord.from_csv_dir
+    record = read(path)
+    try:
+        record.lifted_samples
+    except InvalidShape as exc:
+        raise InvalidShape(f"{path}: {exc}") from None
+    return record
 
 
 def _load_query(args) -> dict:
+    """The query windows, keyed by the parameters of :func:`predict`, and the truth."""
     d = Path(args.query_dir)
     out = {name: read_trajectory_csv(d / f"{name}.csv")
            for name in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
@@ -205,31 +193,22 @@ def _plot_data_csv(truth, predicted) -> str:
 def cmd_predict(args) -> int:
     record = _load_record(args)
     query = _load_query(args)
+    truth = query.pop("y_r_truth")
     out_dir = Path(args.out_dir)
-    result = predict(
-        record,
-        query["u_ini"],
-        query["p_ini"],
-        query["y_ini"],
-        query["u_r"],
-        query["p_r"],
-        tol=args.tol,
-        margin_tol=args.margin_tol,
-    )
+    result = predict(record, **query, tol=args.tol, margin_tol=args.margin_tol)
 
     max_err = None
-    truth = query["y_r_truth"]
     if truth is not None:
         _check_windows(("y_r_truth", truth, result.y_r.dim, result.y_r.interval))
         max_err = float(np.max(np.abs(truth.samples - result.y_r.samples)))
 
     payload = result.to_dict()
     payload["max_abs_error"] = max_err
-    _atomic_write(out_dir / "prediction.json", _json_text(payload))
-    _atomic_write(out_dir / "y_r.csv", trajectory_to_csv(result.y_r))
+    _write(out_dir / "prediction.json", _json_text(payload))
+    write_trajectory_csv(out_dir / "y_r.csv", result.y_r)
     outputs = ["prediction.json", "y_r.csv"]
     if truth is not None:
-        _atomic_write(out_dir / "plot_data.csv", _plot_data_csv(truth, result.y_r))
+        _write(out_dir / "plot_data.csv", _plot_data_csv(truth, result.y_r))
         outputs.append("plot_data.csv")
 
     _report(
@@ -282,9 +261,8 @@ def cmd_check(args) -> int:
             # only the lag is reported
             payload["lag_report"] = {"kind": "io", "n_a": model.n_a, "n_b": model.n_b}
             summary["lag"] = model.n_a
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is not None:
-        _atomic_write(out_dir / "check.json", _json_text(payload))
+    if args.out_dir:
+        _write(Path(args.out_dir) / "check.json", _json_text(payload))
     _report(
         f"check: pe={pe.verdict} rank={pe.extended_input_rank}/{pe.required} at L={args.L}"
     )
@@ -354,6 +332,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except LpvError as exc:
         _report(f"input error: {exc}")
+        return EXIT_CONFIG
+    except OSError as exc:  # every reader names its file in an LpvError: a write failed
+        _report(f"error: cannot write {exc.filename}: {exc.strerror}")
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         _report(f"numeric failure: {exc}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
 from .errors import InvalidModel, WindowOutOfRange
-from .signals import Trajectory, _check_windows, _json_number, _read
+from .signals import Trajectory, _check_windows, _json_number, _json_text, _read, _write
 
 __all__ = [
     "LpvSsModel",
@@ -406,9 +406,7 @@ def model_from_dict(data: dict):
 
 
 def save_model(path, model) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, _json_text(model_to_dict(model)))
 
 
 def load_model(path):

@@ -118,7 +118,10 @@ class DataRecord:
     @cached_property
     def lifted_samples(self) -> np.ndarray:
         """Samples of ``kron_extend(w, p)``, made once; its Hankel matrices are views."""
-        return kron_extend(self.w, self.p).samples
+        try:
+            return kron_extend(self.w, self.p).samples
+        except InvalidShape as exc:
+            raise InvalidShape(f"p (x) w: {exc}") from None
 
     def lifted(self, L: int) -> Lifted:
         """The :class:`Lifted` factor of ``H_L(col(w, p (x) w))``, made once per ``L``;
@@ -176,11 +179,8 @@ class DataRecord:
             raise IntervalMismatch(f"{d}: {exc}") from None
 
     def to_csv_dir(self, directory) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(d / "u.csv", self.u)
-        write_trajectory_csv(d / "p.csv", self.p)
-        write_trajectory_csv(d / "y.csv", self.y)
+        for name in "upy":
+            write_trajectory_csv(Path(directory) / f"{name}.csv", getattr(self, name))
 
 
 @dataclass(frozen=True)

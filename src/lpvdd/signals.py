@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,13 +269,36 @@ def _json_number(value, key: str, error, integer: bool = False):
 
 
 def write_trajectory_csv(path, w: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trajectory_to_csv(w))
+    _write(path, trajectory_to_csv(w))
+
+
+def _json_text(data) -> str:
+    """The one JSON layout: indent 2, sorted keys, a trailing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path, text: str) -> None:
+    """The one writer: ``text`` in ``path`` whole or not at all, with the mode a plain
+    ``open`` gives, making the directory.  An :class:`OSError` names it or ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # renamed over path once it holds the text
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # under the umask
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _read(path, parse, error):
     """``parse`` of the text in ``path``; ``error`` naming ``path`` when it cannot be
-    opened, is not UTF-8 or does not parse (a missing key is named too)."""
+    opened, is not UTF-8 or does not parse (a missing key is named too).  Every file
+    lpvdd writes goes through :func:`_write`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())

@@ -298,21 +298,11 @@ def estimate_initial_state(
 def propagate_state(
     model: LpvSsModel, x1, u_ini: Trajectory, p_ini: Trajectory
 ) -> np.ndarray:
-    """State ``x(t_end + 1)`` reached from ``x(t_start) = x1`` under the window.
-
-    Computed from the product form: the state transition product applied to
-    ``x1`` plus, for every input instant, the downstream state-map product
-    applied to the injected input.  Matches the recursive simulator to rounding.
-    """
+    """State ``x(t_end + 1)`` reached from ``x(t_start) = x1`` under the window: the
+    last state of :func:`simulate_ss`, bit for bit (the same coefficients and recursion)."""
     x1 = _initial("x1", x1, (model.n_x,))
     _check_windows(("u_ini", u_ini, model.n_u, None))
     t1, t2 = u_ini.interval
     A = model.A.eval_range(p_ini, t1, t2)
     Bu = np.einsum("kij,kj->ki", model.B.eval_range(p_ini, t1, t2), u_ini.samples)
-    # prod = A(t2) A(t2-1) ... A(k+1)  built backwards
-    acc = np.zeros(model.n_x)
-    prod = np.eye(model.n_x)
-    for i in range(u_ini.length - 1, -1, -1):
-        acc += prod @ Bu[i]
-        prod = prod @ A[i]
-    return prod @ x1 + acc
+    return _affine_recursion(A, Bu, x1)[-1]

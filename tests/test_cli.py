@@ -1,13 +1,17 @@
 """Command-line front end: artifacts, determinism, exit codes."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
 from lpvdd import (
     CoeffMatrix,
+    DataRecord,
     LpvSsModel,
+    Trajectory,
     example_verhoek,
     experiments,
     generate_query,
@@ -255,6 +259,73 @@ def test_predict_no_partial_outputs_on_failure(tmp_path):
         "--query-dir", str(d), "--out-dir", str(out),
     ]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+@pytest.mark.parametrize("command", ["simulate", "check", "predict"])
+def test_an_out_dir_that_cannot_be_made_exits_2_naming_it(tmp_path, capsys, command, where):
+    _simulate(tmp_path, T=70)
+    _write_query(tmp_path / "query")
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker if where == "a file" else blocker / "out"
+    data = ("--data-dir", str(tmp_path / "data"))
+    args = {"simulate": ("--T", "30"), "check": (*data, "--L", "7"),
+            "predict": (*data, "--query-dir", str(tmp_path / "query"))}[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *args, "--out-dir", str(out)]) == 2
+    reason = os.strerror(errno.EEXIST if where == "a file" else errno.ENOTDIR)
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.fixture
+def umask():
+    old = os.umask(0o022)  # not 0o077, under which a private 0o600 file would pass too
+    try:
+        yield 0o022
+    finally:
+        os.umask(old)
+
+
+def test_every_file_written_has_the_mode_a_plain_open_gives(tmp_path, umask):
+    model_path = tmp_path / "lib" / "model.json"
+    save_model(model_path, random_affine_ss(np.random.default_rng(1), 2, 1, 1, 2))
+    generate_record(example_verhoek(), 70, 1).to_csv_dir(tmp_path / "lib" / "data")
+    _write_query(tmp_path / "lib" / "query")  # through write_trajectory_csv
+    data = ("--data-dir", str(tmp_path / "lib" / "data"))
+    for argv in (
+        ("simulate", "--out-dir", str(tmp_path / "csv")),
+        ("simulate", "--format", "json", "--out-dir", str(tmp_path / "json")),
+        ("simulate", "--model", str(model_path), "--out-dir", str(tmp_path / "ss")),
+        ("check", *data, "--model", str(model_path), "--out-dir", str(tmp_path / "check")),
+        ("predict", *data, "--query-dir", str(tmp_path / "lib" / "query"),
+         "--out-dir", str(tmp_path / "predict")),
+    ):
+        assert main(list(argv)) == 0, argv
+    modes = {f.relative_to(tmp_path).as_posix(): f.stat().st_mode & 0o777
+             for f in tmp_path.rglob("*") if f.is_file()}
+    assert len(modes) == 25  # 10 from the library, 15 from the commands
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("command", ["check", "predict"])
+def test_an_overflowing_lift_names_the_record(tmp_path, capsys, command):
+    rec = generate_record(example_verhoek(), 40, 1)
+    p, y = rec.p.samples.copy(), rec.y.samples.copy()
+    p[3] = y[3] = 1e160  # every sample is finite, but p (x) y at step 4 is not
+    bundle = tmp_path / "rec.json"
+    big = DataRecord(rec.u, Trajectory(1, p), Trajectory(1, y))
+    bundle.write_text(json.dumps(big.to_dict()))
+    _write_query(tmp_path / "query")
+    args = {"check": ("--L", "5"), "predict": ("--query-dir", str(tmp_path / "query"),
+                                               "--out-dir", str(tmp_path / "out"))}[command]
+    assert main([command, "--data-bundle", str(bundle), *args]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: {bundle}: p (x) w: non-finite sample at time step 4\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_reports_pe(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""The package: each public name listed once, each module loaded on first use."""
+"""The package: each public name listed once, each module loaded on first use, each
+file written by one writer."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -68,3 +70,56 @@ def test_the_package_exports_each_public_name_of_its_modules_once():
     # a submodule resolves on a bare import, before anything imports it
     assert _python("import lpvdd; print(lpvdd.prediction.hankel.__module__)") == [
         "lpvdd.signals"]
+
+
+def _file_writes(tree, exempt=frozenset()) -> list[int]:
+    """Lines of the nodes of ``tree`` outside ``exempt`` that open a file for writing:
+    ``open`` in a mode other than reading, ``os.open``, ``os.fdopen``, ``write_text``,
+    ``write_bytes``, ``json.dump`` (any ``dump``) or ``tempfile``."""
+    lines = []
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", "")]
+            if "tempfile" in {(name or "").split(".")[0] for name in names}:
+                lines.append(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            write = name in ("open", "fdopen")
+        elif name == "open":  # open(path, mode) or path.open(mode); no mode reads
+            given = [k.value for k in node.keywords if k.arg == "mode"]
+            given += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            mode = given[0] if given else ast.Constant("r")
+            write = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                         and not set(mode.value) & set("wax+"))
+        else:
+            write = name in ("write_text", "write_bytes", "dump")
+        if write:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_one_writer_opens_a_file_for_writing():
+    # every file lpvdd writes goes through signals._write: whole or not at all, with the
+    # mode a plain open gives; a new writer has to call it
+    for code in ('open(p, "w")', 'open(p, mode="a")', 'open(p, "r+")', 'p.open("x")',
+                 "open(p, m)", "os.open(p, 1)", 'os.fdopen(fd, "w")', 'p.write_text("")',
+                 'p.write_bytes(b"")', "json.dump({}, fh)", "import tempfile",
+                 "from tempfile import mkstemp"):
+        assert _file_writes(ast.parse(code)) == [1], code
+    for code in ("open(p)", 'open(p, "r", encoding="utf-8")', 'p.open("rb")',
+                 "json.dumps({})", 'fh.write("")', "os.replace(a, b)"):
+        assert _file_writes(ast.parse(code)) == [], code
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "signals.py":
+            (write,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_write"]
+            assert _file_writes(write)
+            exempt = set(ast.walk(write))
+        assert _file_writes(tree, exempt) == [], path.name

@@ -10,6 +10,7 @@ T = 61; several tests below pin it.
 """
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -846,6 +847,33 @@ def test_data_record_rejects_non_finite_samples(name):
     args = {key: getattr(rec, key) for key in ("u", "p", "y")}
     with pytest.raises(InvalidShape, match="^non-finite sample at time step 40$"):
         DataRecord(**{**args, name: _poisoned(args[name], np.inf)})
+
+
+def test_an_overflowing_lift_names_p_x_w():
+    rec = _record(40)
+    p, y = rec.p.samples.copy(), rec.y.samples.copy()
+    p[3] = y[3] = 1e160  # every sample is finite, but p (x) y at step 4 is not
+    big = DataRecord(rec.u, Trajectory(1, p), Trajectory(1, y))
+    with pytest.raises(InvalidShape, match=r"^p \(x\) w: non-finite sample at time step 4$"):
+        big.lifted(5)
+
+
+def test_the_residual_of_data_near_the_float_range_is_finite():
+    # the squares of u and y scaled by 1e200 overflow: numpy warned (an error here) and
+    # the residual was inf, which prediction.json held as Infinity, not JSON
+    rec, q = _record(200), _query(seed=2)
+
+    def big(w):
+        return Trajectory(w.t_start, 1e200 * w.samples)
+
+    result = predict(DataRecord(big(rec.u), rec.p, big(rec.y)),
+                     big(q.u_ini), q.p_ini, big(q.y_ini), big(q.u_r), q.p_r)
+    assert 1e180 < result.residual < np.inf
+
+    def reject(constant):
+        raise ValueError(constant)
+
+    json.loads(json.dumps(result.to_dict()), parse_constant=reject)
 
 
 def test_second_predict_builds_no_hankel(monkeypatch):

@@ -299,6 +299,17 @@ def test_csv_file_round_trip(tmp_path):
     assert np.array_equal(back.samples, w.samples)
 
 
+def test_a_failed_write_leaves_the_target_and_no_new_file(tmp_path):
+    from lpvdd.signals import _write
+
+    path = tmp_path / "made" / "w.csv"
+    _write(path, "t,ch1\n1,1.0\n")  # makes the directory
+    with pytest.raises(UnicodeEncodeError):  # UTF-8 cannot encode a lone surrogate
+        _write(path, "t,ch1\n" + "2,2.0\n" * 10_000 + "\ud800")
+    assert path.read_bytes() == b"t,ch1\n1,1.0\n"
+    assert [f.name for f in path.parent.iterdir()] == ["w.csv"]
+
+
 def test_rebase_keeps_samples():
     w = Trajectory.from_values([1.0, 2.0], t_start=4)
     r = w.rebase(1)
