@@ -4,8 +4,8 @@ The package makes the Hankel-matrix route to LPV trajectories executable:
 
 * :mod:`lpvdd.coeffs`: exact calculus of polynomial coefficient functions of
   time-shifted scheduling samples.
-* :mod:`lpvdd.signals`: finite trajectories, Hankel matrices, Kronecker
-  extensions.
+* :mod:`lpvdd.signals`: finite trajectories, data records and their CSV and JSON
+  files, Hankel matrices, Kronecker extensions.
 * :mod:`lpvdd.models`: state-space and input-output model forms, kernel
   representations, JSON interchange.
 * :mod:`lpvdd.analysis`: structural observability/reachability and
@@ -15,6 +15,9 @@ The package makes the Hankel-matrix route to LPV trajectories executable:
 * :mod:`lpvdd.prediction`: output prediction, span membership, and
   annihilator extraction from one measured data sequence.
 * :mod:`lpvdd.cli`: command-line front end (``lpvdd simulate|predict|check``).
+
+``coeffs``, ``models``, ``simulation`` and ``experiments`` make the records that
+``analysis`` and ``prediction`` read; they meet only at ``errors``, ``rng``, ``signals``.
 """
 
 from importlib import import_module

@@ -29,14 +29,14 @@ Hankel matrix of full row rank ``(1 + n_p) n_u L``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidShape
 from .rng import stream
-from .signals import Trajectory, _check_windows, _windows, kron_extend
+from .signals import Trajectory, _check_windows, _finite, _windows, kron_extend
 
 if TYPE_CHECKING:
     from .coeffs import CoeffMatrix
@@ -205,20 +205,6 @@ def _obsv_blocks(C: np.ndarray, A: np.ndarray, scaled: bool = False) -> np.ndarr
         prod = unit(A[..., i, :, :] @ prod, A[..., i, :, :])
         blocks.append(C[..., i + 1, :, :] @ prod)
     return unit(np.stack(blocks, axis=-3), C)
-
-
-def _finite(fn):
-    """``fn`` under ``np.errstate``, as the simulators run: a map that diverges on its
-    window raises one :class:`InvalidShape` naming it, where numpy would warn at each
-    overflow and return a non-finite array."""
-    @wraps(fn)
-    @np.errstate(over="ignore", invalid="ignore")
-    def checked(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        if not np.isfinite(out).all():
-            raise InvalidShape(f"{fn.__name__}: the model diverges on this window")
-        return out
-    return checked
 
 
 @_finite

@@ -13,8 +13,8 @@ check
     Report the persistence-of-excitation rank of a record, and structural
     observability/reachability when a state-space model is supplied.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numeric failure,
-4 ambiguous prediction, 5 infeasible prediction.
+Exit codes: 0 success, 2 configuration/input error (an input too large for
+memory too), 3 numeric failure, 4 ambiguous prediction, 5 infeasible prediction.
 
 All outputs are deterministic for a fixed seed and are written whole or not
 at all, with the mode a plain ``open`` gives, so a failed run leaves no partial
@@ -33,13 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Every command loads these; experiments and models load only where a command runs them.
-from . import rng
-from .analysis import minimality_report
+# Every command runs these; every other module loads only where a command runs it.
 from .errors import InvalidShape, LpvError
-from .prediction import DataRecord, predict
-from .signals import (Trajectory, _check_windows, _json_text, _write, read_trajectory_csv,
-                      trajectory_to_csv, write_trajectory_csv)
+from .signals import (DataRecord, Trajectory, _check_windows, _json_text, _write,
+                      read_trajectory_csv, trajectory_to_csv, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,6 +115,7 @@ def _report(msg: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import rng
     from .experiments import _record_and_states
     model = _resolve_model(args.model)
     out_dir = Path(args.out_dir)
@@ -191,6 +189,7 @@ def _plot_data_csv(truth, predicted) -> str:
 
 
 def cmd_predict(args) -> int:
+    from .prediction import predict
     record = _load_record(args)
     query = _load_query(args)
     truth = query.pop("y_r_truth")
@@ -250,6 +249,7 @@ def cmd_check(args) -> int:
         "required": pe.required,
     }
     if args.model:
+        from .analysis import minimality_report
         from .models import LpvIoModel, LpvSsModel
         model = _resolve_model(args.model)
         if isinstance(model, LpvSsModel):
@@ -335,6 +335,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # every reader names its file in an LpvError: a write failed
         _report(f"error: cannot write {exc.filename}: {exc.strerror}")
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an array numpy cannot allocate: a record too long, say
+        _report(f"error: out of memory: {exc}")
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         _report(f"numeric failure: {exc}")

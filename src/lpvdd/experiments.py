@@ -4,7 +4,8 @@ Shared by the command-line front end and the test suite so that an
 experiment is identified by (model, horizon, seed) alone.  Inputs and
 scheduling are drawn i.i.d. uniform from their boxes through the named
 streams of :mod:`lpvdd.rng`; the recorded trajectory starts from a zero
-initial condition, queries from a random one.
+initial condition, queries from a random one.  A record is a
+:class:`~lpvdd.signals.DataRecord`, made without loading the data modules.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidShape
 from .models import LpvIoModel, LpvSsModel
-from .prediction import DataRecord
 from .rng import stream
-from .signals import Trajectory
+from .signals import DataRecord, Trajectory
 from .simulation import simulate_io, simulate_ss
 
 __all__ = ["Query", "generate_record", "generate_query"]

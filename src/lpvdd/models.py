@@ -22,7 +22,7 @@ term by term; see :func:`model_to_dict`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "LpvSsModel",
     "LpvIoModel",
     "KernelRep",
-    "ValidationReport",
-    "validate",
     "example_verhoek",
     "io_to_kernel",
     "random_affine_ss",
@@ -212,36 +210,6 @@ class KernelRep:
             out += np.einsum("kij,kj->ki", r.eval_range(p, k_lo, k_hi),
                              w.restrict(k_lo + s, k_hi + s).samples)
         return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """The issues :func:`validate` found; empty means none."""
-
-    issues: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(model) -> ValidationReport:
-    """The issues a made model may still have; returns a report, never raises.
-
-    Construction rejects every other issue, so only an identically zero leading
-    ``a_i``/``b_i`` of an IO model is left: it is legal and only lowers the order,
-    since the kernel keeps its identity leading block."""
-    issues: list[str] = []
-    if isinstance(model, LpvIoModel):
-        for name, seq in (("a", model.a_coeffs), ("b", model.b_coeffs)):
-            if seq[-1].is_zero:
-                issues.append(f"leading coefficient {name}_{len(seq)} is identically zero")
-    elif not isinstance(model, LpvSsModel):
-        issues.append(f"unknown model type {type(model).__name__}")
-    return ValidationReport(tuple(issues))
 
 
 def example_verhoek() -> LpvIoModel:

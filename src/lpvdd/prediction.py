@@ -19,8 +19,8 @@ permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
 block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
 minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
 future output rows applied to ``z`` give the prediction.  ``H`` is factored
-once per record and depth (:meth:`DataRecord.lifted`, a :class:`Lifted` that
-gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
+once per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted`
+that gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
 left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its
 QR first and no factor has an axis of length ``N``.  A query costs small solves
 on ``K`` (``R x r``) and no work proportional to ``N``: ``g`` is formed the first
@@ -36,35 +36,28 @@ positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import Lifted, _lifted_factor, _lstsq
-from .errors import IntervalMismatch, InvalidShape
+from .analysis import Lifted, _lstsq
 from .signals import (
+    DataRecord,
     Trajectory,
     _check_windows,
-    _json_number,
-    _read,
     _windows,
     hankel,
     kron_extend,
     kron_signal,
-    read_trajectory_csv,
     sched_block_diag,
-    write_trajectory_csv,
 )
 
 if TYPE_CHECKING:
     from .models import KernelRep
 
 __all__ = [
-    "DataRecord",
     "RowPartition",
     "PredictorSystem",
     "PredictionResult",
@@ -75,112 +68,6 @@ __all__ = [
     "span_membership",
     "left_nullspace",
 ]
-
-
-@dataclass(frozen=True)
-class DataRecord:
-    """One measured ``(u, p, y)`` sequence over a shared interval."""
-
-    u: Trajectory
-    p: Trajectory
-    y: Trajectory
-    provenance: str = ""
-    _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
-
-    def __post_init__(self):
-        if not (self.u.interval == self.p.interval == self.y.interval):
-            raise IntervalMismatch(
-                f"u/p/y intervals differ: {self.u.interval}, "
-                f"{self.p.interval}, {self.y.interval}"
-            )
-
-    @property
-    def T(self) -> int:
-        return self.u.length
-
-    @property
-    def n_u(self) -> int:
-        return self.u.dim
-
-    @property
-    def n_p(self) -> int:
-        return self.p.dim
-
-    @property
-    def n_y(self) -> int:
-        return self.y.dim
-
-    @property
-    def w(self) -> Trajectory:
-        """Stacked signal ``col(u, y)``."""
-        return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
-
-    @cached_property
-    def lifted_samples(self) -> np.ndarray:
-        """Samples of ``kron_extend(w, p)``, made once; its Hankel matrices are views."""
-        try:
-            return kron_extend(self.w, self.p).samples
-        except InvalidShape as exc:
-            raise InvalidShape(f"p (x) w: {exc}") from None
-
-    def lifted(self, L: int) -> Lifted:
-        """The :class:`Lifted` factor of ``H_L(col(w, p (x) w))``, made once per ``L``;
-        it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
-        if L not in self._lifted:
-            self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)
-        return self._lifted[L]
-
-    # -- interchange ----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def traj(t: Trajectory) -> dict:
-            return {"t_start": t.t_start, "samples": t.samples.tolist()}
-
-        return {
-            "u": traj(self.u),
-            "p": traj(self.p),
-            "y": traj(self.y),
-            "provenance": self.provenance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DataRecord":
-        def traj(name: str) -> Trajectory:
-            d = data[name]
-            try:
-                samples = np.asarray(d["samples"], dtype=object)
-                for v in samples.flat:
-                    _json_number(v, "samples", InvalidShape)
-                t_start = _json_number(d["t_start"], "t_start", InvalidShape, integer=True)
-                return Trajectory(t_start, samples)
-            except InvalidShape as exc:
-                raise InvalidShape(f"{name}: {exc}") from None
-
-        return cls(
-            u=traj("u"),
-            p=traj("p"),
-            y=traj("y"),
-            provenance=str(data.get("provenance", "")),
-        )
-
-    @classmethod
-    def from_json_bundle(cls, path) -> "DataRecord":
-        """Read a record; :class:`InvalidShape` naming ``path`` when it cannot be opened,
-        is not UTF-8 or is not a JSON record (a missing key is named too)."""
-        return _read(path, lambda text: cls.from_dict(json.loads(text)), InvalidShape)
-
-    @classmethod
-    def from_csv_dir(cls, directory) -> "DataRecord":
-        d = Path(directory)
-        u, p, y = (read_trajectory_csv(d / f"{name}.csv") for name in "upy")
-        try:
-            return cls(u=u, p=p, y=y, provenance=str(d))
-        except IntervalMismatch as exc:
-            raise IntervalMismatch(f"{d}: {exc}") from None
-
-    def to_csv_dir(self, directory) -> None:
-        for name in "upy":
-            write_trajectory_csv(Path(directory) / f"{name}.csv", getattr(self, name))
 
 
 @dataclass(frozen=True)

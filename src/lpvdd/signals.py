@@ -8,7 +8,10 @@ window bookkeeping of initial/future splits checkable instead of silent.
 On top of trajectories this module provides the standard data-driven
 constructions: stacking (``vec``), concatenation, block Hankel matrices,
 Kronecker-extended signals ``col(w, p (x) w)`` and the block-diagonal
-scheduling matrix used to impose Kronecker consistency constraints.
+scheduling matrix used to impose Kronecker consistency constraints.  A
+:class:`DataRecord` is one measured ``(u, p, y)`` sequence: all that the generating
+modules (models, simulation, experiments) hand to the data modules (analysis,
+prediction).  Trajectories and records are read and written here, in CSV and JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,8 +35,12 @@ from .errors import (
     NonAdjacentIntervals,
 )
 
+if TYPE_CHECKING:
+    from .analysis import Lifted
+
 __all__ = [
     "Trajectory",
+    "DataRecord",
     "vec",
     "concat",
     "hankel",
@@ -114,6 +124,20 @@ class Trajectory:
     def rebase(self, t_start: int) -> "Trajectory":
         """Same samples, re-anchored to start at ``t_start``."""
         return Trajectory(t_start, self.samples)
+
+
+def _finite(fn):
+    """``fn`` under ``np.errstate``, as the simulators run: a map that diverges on its
+    window raises one :class:`InvalidShape` naming it, where numpy would warn at each
+    overflow and return a non-finite array."""
+    @wraps(fn)
+    @np.errstate(over="ignore", invalid="ignore")
+    def checked(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if not np.isfinite(out).all():
+            raise InvalidShape(f"{fn.__name__}: the model diverges on this window")
+        return out
+    return checked
 
 
 def vec(w: Trajectory) -> np.ndarray:
@@ -314,3 +338,99 @@ def read_trajectory_csv(path) -> Trajectory:
     """The trajectory in ``path``; :class:`InvalidShape` naming ``path`` when it cannot
     be opened, is not UTF-8 or is not a trajectory CSV."""
     return _read(path, trajectory_from_csv, InvalidShape)
+
+
+@dataclass(frozen=True)
+class DataRecord:
+    """One measured ``(u, p, y)`` sequence over a shared interval."""
+
+    u: Trajectory
+    p: Trajectory
+    y: Trajectory
+    provenance: str = ""
+    _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
+
+    def __post_init__(self):
+        if not (self.u.interval == self.p.interval == self.y.interval):
+            raise IntervalMismatch(
+                f"u/p/y intervals differ: {self.u.interval}, "
+                f"{self.p.interval}, {self.y.interval}"
+            )
+
+    @property
+    def T(self) -> int:
+        return self.u.length
+
+    @property
+    def n_u(self) -> int:
+        return self.u.dim
+
+    @property
+    def n_p(self) -> int:
+        return self.p.dim
+
+    @property
+    def n_y(self) -> int:
+        return self.y.dim
+
+    @property
+    def w(self) -> Trajectory:
+        """Stacked signal ``col(u, y)``."""
+        return Trajectory(self.u.t_start, np.hstack([self.u.samples, self.y.samples]))
+
+    @cached_property
+    def lifted_samples(self) -> np.ndarray:
+        """Samples of ``kron_extend(w, p)``, made once; its Hankel matrices are views."""
+        try:
+            return kron_extend(self.w, self.p).samples
+        except InvalidShape as exc:
+            raise InvalidShape(f"p (x) w: {exc}") from None
+
+    def lifted(self, L: int) -> Lifted:
+        """The :class:`~lpvdd.analysis.Lifted` factor of ``H_L(col(w, p (x) w))``, made
+        once per ``L``; it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
+        if L not in self._lifted:
+            from .analysis import _lifted_factor
+            self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)
+        return self._lifted[L]
+
+    # -- interchange ----------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        data = {name: {"t_start": w.t_start, "samples": w.samples.tolist()}
+                for name, w in zip("upy", (self.u, self.p, self.y))}
+        return dict(data, provenance=self.provenance)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DataRecord":
+        def traj(name: str) -> Trajectory:
+            d = data[name]
+            try:
+                samples = np.asarray(d["samples"], dtype=object)
+                for v in samples.flat:
+                    _json_number(v, "samples", InvalidShape)
+                t_start = _json_number(d["t_start"], "t_start", InvalidShape, integer=True)
+                return Trajectory(t_start, samples)
+            except InvalidShape as exc:
+                raise InvalidShape(f"{name}: {exc}") from None
+
+        return cls(*map(traj, "upy"), provenance=str(data.get("provenance", "")))
+
+    @classmethod
+    def from_json_bundle(cls, path) -> "DataRecord":
+        """Read a record; :class:`InvalidShape` naming ``path`` when it cannot be opened,
+        is not UTF-8 or is not a JSON record (a missing key is named too)."""
+        return _read(path, lambda text: cls.from_dict(json.loads(text)), InvalidShape)
+
+    @classmethod
+    def from_csv_dir(cls, directory) -> "DataRecord":
+        d = Path(directory)
+        u, p, y = (read_trajectory_csv(d / f"{name}.csv") for name in "upy")
+        try:
+            return cls(u=u, p=p, y=y, provenance=str(d))
+        except IntervalMismatch as exc:
+            raise IntervalMismatch(f"{d}: {exc}") from None
+
+    def to_csv_dir(self, directory) -> None:
+        for name in "upy":
+            write_trajectory_csv(Path(directory) / f"{name}.csv", getattr(self, name))

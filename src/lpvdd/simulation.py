@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _finite, _lstsq, obsv_eval
 from .coeffs import CoeffMatrix
 from .errors import (
     DimensionMismatch,
@@ -42,7 +41,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .models import LpvIoModel, LpvSsModel
-from .signals import Trajectory, _check_windows, vec
+from .signals import Trajectory, _check_windows, _finite, vec
 
 __all__ = [
     "SimResult",
@@ -235,6 +234,7 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
     Equals the output of :func:`simulate_ss` started from ``x_tilde`` up to
     round-off.
     """
+    from .analysis import obsv_eval
     x_tilde = _initial("x_tilde", x_tilde, (model.n_x,))
     _check_windows(("u", u, model.n_u, None))
     T = u.length
@@ -269,6 +269,7 @@ def estimate_initial_state(
     :class:`InconsistentTrajectory` when the residual exceeds ``tol`` and
     :class:`InvalidShape` naming a window off its steps.
     """
+    from .analysis import _lstsq, obsv_eval
     _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, model.n_p, None),
                    ("y_ini", y_ini, model.n_y, u_ini.interval))
     T_ini = u_ini.length

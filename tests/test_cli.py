@@ -138,6 +138,16 @@ def test_simulate_reports_a_diverging_model_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_record_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 8 PiB lies beyond the 47-bit user address space: the allocation fails at once, under
+    # any overcommit policy, and touches no memory
+    assert _simulate(tmp_path, T=2**50) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: out of memory: Unable to allocate 8.00 PiB")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "data").exists()
+
+
 def test_simulate_missing_model_file(tmp_path):
     assert main([
         "simulate", "--model", str(tmp_path / "nope.json"),

@@ -1,5 +1,5 @@
-"""The package: each public name listed once, each module loaded on first use, each
-file written by one writer."""
+"""The package: each public name listed once, each module loaded on first use, the
+generating modules apart from the data modules, each file written by one writer."""
 
 import ast
 import importlib
@@ -35,6 +35,10 @@ def _python(code, *args):
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert _python("import sys, lpvdd\n" + _LOADED) == []
+    # the generating side builds records without the data side
+    assert _python("import sys, lpvdd.experiments\n" + _LOADED) == [
+        f"lpvdd.{m}" for m in ("coeffs", "errors", "experiments", "models", "rng",
+                               "signals", "simulation")]
     model = example_verhoek()
     generate_record(model, 70, 1).to_csv_dir(tmp_path / "data")
     q = generate_query(model, 3, 7, 2)
@@ -43,15 +47,82 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         write_trajectory_csv(tmp_path / "query" / f"{name}.csv", getattr(q, name))
     data = ("--data-dir", str(tmp_path / "data"))
     runs = {
-        "check": ("check", *data),
-        "predict": ("predict", *data, "--query-dir", str(tmp_path / "query"),
-                    "--out-dir", str(tmp_path / "out")),
+        ("simulate", "--out-dir", str(tmp_path / "sim")):
+            "coeffs errors experiments models rng signals simulation",
+        ("check", *data): "analysis errors rng signals",
+        ("check", *data, "--model", "builtin:verhoek"):
+            "analysis coeffs errors models rng signals",
+        ("predict", *data, "--query-dir", str(tmp_path / "query"),
+         "--out-dir", str(tmp_path / "out")): "analysis errors prediction rng signals",
     }
-    for command, args in runs.items():
-        loaded = set(_python(_CLI + _LOADED, *args))
-        assert "lpvdd.prediction" in loaded, command
-        assert not loaded & {"lpvdd.coeffs", "lpvdd.models", "lpvdd.simulation",
-                             "lpvdd.experiments"}, command
+    for args, modules in runs.items():
+        loaded = _python(_CLI + _LOADED, *args)
+        assert loaded == [f"lpvdd.{m}" for m in modules.split()], args
+
+
+# The generating modules make records and never import the data modules at module
+# level: the two sides meet only at errors, rng and signals.  signals and cli import
+# only the lpvdd modules listed for them, so each command loads only what it runs.
+_DATA_SIDE = {"analysis", "prediction"}
+_MAY_IMPORT = {"signals": {"errors"}, "cli": {"errors", "signals"}}
+_GENERATING = ("coeffs", "models", "simulation", "experiments")
+
+
+def _module_imports(tree) -> list[tuple[str, int]]:
+    """``(module, line)`` of each lpvdd module that ``tree`` imports at module level,
+    in line order; an import in a function or under ``TYPE_CHECKING`` loads later or
+    never."""
+    later = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            later.update(ast.walk(node))
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            later.update(n for child in node.body for n in ast.walk(child))
+    found = []
+    for node in ast.walk(tree):
+        if node in later:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            names = ["lpvdd." + node.module]  # from .analysis import x
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "lpvdd"):
+            names = ["lpvdd." + alias.name for alias in node.names]  # from . import rng
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        found += [(name.split(".")[1], node.lineno) for name in names
+                  if name.startswith("lpvdd.")]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_module_level_imports_keep_the_layering():
+    code = """\
+import numpy
+from typing import TYPE_CHECKING
+from .analysis import Lifted
+from . import rng, signals
+import lpvdd.prediction
+from lpvdd.models import LpvSsModel
+try:
+    from .coeffs import CoeffMatrix
+except ImportError:
+    pass
+if TYPE_CHECKING:
+    from .simulation import SimResult
+def f():
+    from .experiments import Query
+"""
+    assert _module_imports(ast.parse(code)) == [
+        ("analysis", 3), ("rng", 4), ("signals", 4), ("prediction", 5), ("models", 6),
+        ("coeffs", 8)]
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        allowed = _MAY_IMPORT.get(path.stem)
+        for module, line in _module_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            ok = (module not in _DATA_SIDE if path.stem in _GENERATING
+                  else allowed is None or module in allowed)
+            assert ok, f"{path.name}:{line} imports lpvdd.{module}"
 
 
 def test_the_package_exports_each_public_name_of_its_modules_once():

@@ -1,7 +1,9 @@
-"""Trajectories, Hankel matrices, Kronecker extensions, CSV interchange."""
+"""Trajectories, Hankel matrices, Kronecker extensions, records, CSV and JSON interchange."""
 
 import csv
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lpvdd import (
+    DataRecord,
     DimensionMismatch,
     IntervalMismatch,
     InvalidShape,
@@ -297,6 +300,35 @@ def test_csv_file_round_trip(tmp_path):
     back = read_trajectory_csv(path)
     assert back.interval == (3, 7)
     assert np.array_equal(back.samples, w.samples)
+
+
+@st.composite
+def _records(draw):
+    T = draw(st.integers(1, 40))
+    t_start = draw(st.integers(-10**6, 10**6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals, 1.7e308
+    u, p, y = (Trajectory(t_start, draw(arrays(np.float64, (T, draw(st.integers(0, 3))),
+                                               elements=finite)))
+               for _ in "upy")
+    return DataRecord(u, p, y, provenance=draw(st.text(max_size=20)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rec=_records())
+def test_a_record_round_trips_bitwise_through_both_file_formats(rec):
+    from lpvdd.signals import _json_text, _write
+
+    def same(back):
+        return all(a.interval == b.interval and a.samples.shape == b.samples.shape
+                   and a.samples.tobytes() == b.samples.tobytes()
+                   for a, b in zip((rec.u, rec.p, rec.y), (back.u, back.p, back.y)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rec.to_csv_dir(tmp)
+        assert same(DataRecord.from_csv_dir(tmp))
+        _write(Path(tmp) / "record.json", _json_text(rec.to_dict()))
+        back = DataRecord.from_json_bundle(Path(tmp) / "record.json")
+        assert same(back) and back.provenance == rec.provenance
 
 
 def test_a_failed_write_leaves_the_target_and_no_new_file(tmp_path):
