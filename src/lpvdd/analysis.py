@@ -24,6 +24,9 @@ zero instead: its remainder is rounding, and scaled up it would read as rank.
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
 Hankel matrix of full row rank ``(1 + n_p) n_u L``.
+
+Every rank decision reports one :class:`RankRecord`: the rank, the count it is
+judged against, the singular values it cut and the ``RANK_CUT`` it read.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ if TYPE_CHECKING:
     from .models import LpvSsModel
 
 __all__ = [
+    "RankRecord",
     "Lifted",
     "StructuralRankReport",
-    "PeReport",
     "MinimalityReport",
     "obsv_matrix",
     "reach_matrix",
@@ -56,7 +59,6 @@ __all__ = [
     "is_struct_reachable",
     "minimality_report",
     "check_pe",
-    "numeric_rank",
 ]
 
 
@@ -70,25 +72,48 @@ def _cut(s: np.ndarray):
     return (s > RANK_CUT * s[..., :1]).sum(axis=-1).tolist()
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A``,
-    its rank and the residual ``|A z - b|``; ``z``, ``s`` and the rank from the triangle
-    of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|`` for every ``z``.  At full column
-    rank ``z`` is back-substitution (``solve`` pivots on the diagonal of ``T``), else
-    the minimum-norm solve on the SVD of ``T``."""
+@dataclass(frozen=True)
+class RankRecord:
+    """One rank decision: ``rank`` of the ``singular_values`` exceed ``cut`` times the
+    first, and the decision holds when ``rank`` reaches ``required``.  ``required`` is
+    the row count of an input Hankel matrix (excitation), ``n_x`` (a structural map),
+    the row count ``R`` of the lifted Hankel matrix or the column count of a
+    least-squares solve."""
+
+    rank: int
+    required: int
+    singular_values: tuple[float, ...]
+    cut: float
+
+    @property
+    def verdict(self) -> bool:
+        return self.rank >= self.required
+
+
+def _rank(s: np.ndarray, required: int) -> RankRecord:
+    """:class:`RankRecord` of the singular values ``s``, cut at the ``RANK_CUT`` of now."""
+    return RankRecord(_cut(s), required, tuple(s.tolist()), RANK_CUT)
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, RankRecord, float]:
+    """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`RankRecord` of ``A``
+    against its column count and the residual ``|A z - b|``; ``z`` and the record from
+    the triangle of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|`` for every ``z``.  At
+    full column rank ``z`` is back-substitution (``solve`` pivots on the diagonal of
+    ``T``), else the minimum-norm solve on the SVD of ``T``."""
     n = A.shape[1]
     R = np.linalg.qr(np.column_stack([A, b]), mode="r")
     T, c = R[:n, :n], R[:n, n]
-    s = np.linalg.svd(T, compute_uv=False)
-    rank = _cut(s)
-    if rank == n:
+    record = _rank(np.linalg.svd(T, compute_uv=False), n)
+    if record.verdict:
         z = np.linalg.solve(T, c)
     else:
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
-        z = Vt[:rank].T @ ((U[:, :rank].T @ c) / s_T[:rank])
+        k = record.rank
+        z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
     r = A @ z - b  # normed at a power-of-two scale below 1, where no square overflows
     e = np.frexp(np.max(np.abs(r), initial=0.0))[1]
-    return z, s, rank, float(np.ldexp(np.linalg.norm(np.ldexp(r, -e)), e))
+    return z, record, float(np.ldexp(np.linalg.norm(np.ldexp(r, -e)), e))
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
@@ -126,19 +151,21 @@ class Lifted:
     inputs: np.ndarray
 
     @property
-    def rank(self) -> int:
-        """:func:`_cut` of ``s``, at the ``RANK_CUT`` of each read."""
-        return _cut(self.s)
+    def hankel(self) -> RankRecord:
+        """:class:`RankRecord` of ``s`` against the ``R`` rows of ``H``, at the
+        ``RANK_CUT`` of each read."""
+        return _rank(self.s, len(self.U))
 
     @cached_property
-    def pe(self) -> PeReport:
-        """Excitation report of the input rows, computed on first read."""
-        return _pe_report(self.shape[0], self.inputs, self.rank)
+    def pe(self) -> RankRecord:
+        """Excitation record of the input rows, computed on first read."""
+        return _excitation(self.inputs)
 
     def consistent(self, p: np.ndarray, rank: int) -> np.ndarray:
         """``M(p) U_r S_r`` in the row blocks of ``H``, for the ``(L, n_p)`` scheduling
-        samples ``p`` and the caller's one read of :attr:`rank`: each ``p (x) w`` row
-        minus ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower block-triangular."""
+        samples ``p`` and the rank of the caller's one read of :attr:`hankel`: each
+        ``p (x) w`` row minus ``p(k)`` times its ``w`` row.  ``M(p)`` is unit lower
+        block-triangular."""
         K = (self.U[:, :rank] * self.s[:rank]).reshape(self.shape[:3] + (rank,))
         K[:, 1:] -= p[:, :, None, None] * K[:, :1]
         return K
@@ -154,14 +181,6 @@ def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:
     for a in (U, s, inputs):
         a.setflags(write=False)
     return Lifted(shape, U, s, inputs)
-
-
-def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank from singular values above ``RANK_CUT * sigma_max``; returns (rank, svals)."""
-    if matrix.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return _cut(s), s
 
 
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
@@ -272,14 +291,17 @@ def _shifted_hull(*parts) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StructuralRankReport:
-    """Outcome of a randomized functional-rank test."""
+    """Outcome of a randomized functional-rank test: ``passes`` of the ``trials`` reach
+    the required rank, and ``weakest`` is the :class:`RankRecord` of the first trial of
+    least rank, the one that decides the verdict."""
 
-    tested_rank: int
-    required_rank: int
-    num_trials: int
-    pass_count: int
-    tolerance: float
-    verdict: bool
+    trials: int
+    passes: int
+    weakest: RankRecord
+
+    @property
+    def verdict(self) -> bool:
+        return self.passes == self.trials
 
 
 def _sampled_rank(evaluate, window, n_p, required, trials, seed):
@@ -290,11 +312,10 @@ def _sampled_rank(evaluate, window, n_p, required, trials, seed):
         raise InvalidShape(f"trials must be >= 1, got {trials}")
     lo, hi = window
     P = stream(seed, "trials").uniform(-1.0, 1.0, (trials, hi - lo + 1, n_p))
-    ranks = _cut(np.linalg.svd(evaluate(P, -lo), compute_uv=False))
-    passes = sum(rank >= required for rank in ranks)
-    return StructuralRankReport(
-        tested_rank=max(ranks), required_rank=required, num_trials=trials,
-        pass_count=passes, tolerance=RANK_CUT, verdict=passes == trials)
+    s = np.linalg.svd(evaluate(P, -lo), compute_uv=False)
+    ranks = _cut(s)
+    return StructuralRankReport(trials, sum(rank >= required for rank in ranks),
+                                _rank(s[ranks.index(min(ranks))], required))
 
 
 def structural_rank(
@@ -359,45 +380,18 @@ def minimality_report(
     )
 
 
-@dataclass(frozen=True)
-class PeReport:
-    """Excitation check for the shifted-affine dependency class.
-
-    ``extended_input_rank`` is the rank of the Hankel matrix of
-    ``col(u, p (x) u)`` at depth ``order_L``; the verdict compares it to the
-    full row count ``required = (1 + n_p) n_u L``.  A record's report,
-    ``DataRecord.lifted(L).pe``, also gives in ``hankel_rank`` the rank of the
-    Hankel matrix of the extended full signal ``col(w, p (x) w)``, ``w = col(u, y)``;
-    :func:`check_pe`, of the inputs alone, gives ``None`` there.
-    """
-
-    order_L: int
-    extended_input_rank: int
-    required: int
-    hankel_rank: int | None
-    verdict: bool
-    singular_values: tuple[float, ...]
-
-
-def check_pe(u: Trajectory, p: Trajectory, L: int) -> PeReport:
-    """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``.
+def check_pe(u: Trajectory, p: Trajectory, L: int) -> RankRecord:
+    """Persistence-of-excitation rank check of order ``L`` for ``(u, p)``: the
+    :class:`RankRecord` of the Hankel matrix of ``col(u, p (x) u)`` against its
+    ``(1 + n_p) n_u L`` rows.
 
     The Hankel matrix is read through :func:`_triangle`, so a long record costs QRs
     of blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``.
-    A record's report, with the rank of its lifted Hankel matrix, is read off its one
-    factor: ``DataRecord.lifted(L).pe``."""
+    A record's excitation is read off its one factor: ``DataRecord.lifted(L).pe``."""
     _check_windows(("p", p, None, u.interval))
-    return _pe_report(L, _triangle(_windows(kron_extend(u, p).samples, L)))
+    return _excitation(_triangle(_windows(kron_extend(u, p).samples, L)))
 
 
-def _pe_report(L: int, inputs: np.ndarray, hankel_rank: int | None = None) -> PeReport:
-    """:class:`PeReport` of the input rows ``inputs`` of a depth-``L`` Hankel matrix."""
-    rank, s = numeric_rank(inputs)
-    return PeReport(
-        order_L=L,
-        extended_input_rank=rank,
-        required=inputs.shape[0],
-        hankel_rank=hankel_rank,
-        verdict=rank == inputs.shape[0],
-        singular_values=tuple(float(v) for v in s),
-    )
+def _excitation(inputs: np.ndarray) -> RankRecord:
+    """:class:`RankRecord` of the input rows ``inputs`` of a Hankel matrix."""
+    return _rank(np.linalg.svd(inputs, compute_uv=False), len(inputs))

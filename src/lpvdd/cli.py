@@ -10,8 +10,9 @@ predict
     and write ``prediction.json``, ``y_r.csv`` and, when a truth file is
     present, ``plot_data.csv`` with truth vs. prediction per time step.
 check
-    Report the persistence-of-excitation rank of a record, and structural
-    observability/reachability when a state-space model is supplied.
+    Report the rank records of a record's excitation and of its lifted Hankel
+    matrix, and structural observability/reachability when a state-space model
+    of the record's dimensions is supplied.
 
 Exit codes: 0 success, 2 configuration/input error (an input too large for
 memory too), 3 numeric failure, 4 ambiguous prediction, 5 infeasible prediction.
@@ -239,19 +240,24 @@ def cmd_predict(args) -> int:
 
 def cmd_check(args) -> int:
     record = _load_record(args)
-    pe = record.lifted(args.L).pe
+    lifted = record.lifted(args.L)
+    pe = lifted.pe
 
-    payload: dict = {"pe": asdict(pe)}
+    payload: dict = {"pe": asdict(pe), "hankel": asdict(lifted.hankel)}
     summary: dict = {
         "command": "check",
         "pe": pe.verdict,
-        "extended_input_rank": pe.extended_input_rank,
+        "extended_input_rank": pe.rank,
         "required": pe.required,
     }
     if args.model:
         from .analysis import minimality_report
         from .models import LpvIoModel, LpvSsModel
         model = _resolve_model(args.model)
+        for key in ("n_u", "n_y", "n_p"):
+            if getattr(model, key) != getattr(record, key):
+                raise ConfigError(f"model {args.model}: {key} = {getattr(model, key)}, "
+                                  f"the record's {key} = {getattr(record, key)}")
         if isinstance(model, LpvSsModel):
             report = minimality_report(model, seed=args.seed)
             payload["structural"] = dict(asdict(report), minimal=report.minimal)
@@ -264,7 +270,7 @@ def cmd_check(args) -> int:
     if args.out_dir:
         _write(Path(args.out_dir) / "check.json", _json_text(payload))
     _report(
-        f"check: pe={pe.verdict} rank={pe.extended_input_rank}/{pe.required} at L={args.L}"
+        f"check: pe={pe.verdict} rank={pe.rank}/{pe.required} at L={args.L}"
     )
     _summary(summary)
     return EXIT_OK

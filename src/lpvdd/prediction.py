@@ -20,9 +20,9 @@ block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
 minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
 future output rows applied to ``z`` give the prediction.  ``H`` is factored
 once per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted`
-that gives ``U``, ``S``, the rank ``r``, the excitation report and ``K``).  Only its
-left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its
-QR first and no factor has an axis of length ``N``.  A query costs small solves
+that gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).
+Only its left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of
+its QR first and no factor has an axis of length ``N``.  A query costs small solves
 on ``K`` (``R x r``) and no work proportional to ``N``: ``g`` is formed the first
 time it is read, by one pass over a view of the record's lifted samples.
 
@@ -36,13 +36,13 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import Lifted, _lstsq
+from .analysis import RankRecord, _lstsq
 from .signals import (
     DataRecord,
     Trajectory,
@@ -152,22 +152,20 @@ def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorS
     )
 
 
-def _fit(lifted: Lifted, p: np.ndarray, u: np.ndarray, y: np.ndarray):
-    """Least-squares fit of ``K = M(p) U_r S_r`` (:meth:`Lifted.consistent` at one read
-    of :attr:`Lifted.rank`) to a query window: the ``L`` steps ``u`` in its ``u`` rows,
-    the first ``t`` steps ``y`` in its ``y`` rows and zero targets on its ``p (x) w``
-    rows; its output rows from step ``t`` on are not known.  Returns ``K``, the count of
-    known rows ``A`` and the ``z``, singular values of ``A`` and residual of
-    :func:`_lstsq`: the known rows of the stack are ``A V_r^T``."""
+def _fit(K: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """Least-squares fit of ``K = M(p) U_r S_r`` (:meth:`~lpvdd.analysis.Lifted.consistent`)
+    to a query window: the ``L`` steps ``u`` in its ``u`` rows, the first ``t`` steps
+    ``y`` in its ``y`` rows and zero targets on its ``p (x) w`` rows; its output rows
+    from step ``t`` on are not known.  Returns the count of known rows ``A`` and the
+    ``z``, rank record of ``A`` and residual of :func:`_lstsq`: the known rows of the
+    stack are ``A V_r^T``."""
     t, n_u = len(y), u.shape[1]
-    known = np.ones(lifted.shape[:3], dtype=bool)
+    known = np.ones(K.shape[:3], dtype=bool)
     known[t:, 0, n_u:] = False
-    b = np.zeros(lifted.shape[:3])
+    b = np.zeros(K.shape[:3])
     b[:, 0, :n_u], b[:t, 0, n_u:] = u, y
-    K = lifted.consistent(p, lifted.rank)
     A = K[known]
-    z, s, _, residual = _lstsq(A, b[known])
-    return K, len(A), z, s, residual
+    return (len(A), *_lstsq(A, b[known]))
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,11 @@ class PredictionResult:
     uniqueness margin or the data excitation collapses, and ``"infeasible"``
     when the query is not consistent with the span of the data.
 
-    ``g``, the ``N``-long column combination with ``H g`` the lifted query window, is
-    formed the first time it is read, from what ``_g_from`` keeps: the record's lifted
-    samples, its :class:`Lifted` factor and the ``r``-long solution ``z``.
+    ``diagnostics`` holds the :class:`~lpvdd.analysis.RankRecord` of the lifted Hankel
+    matrix (``hankel``) and of its input rows (``pe``).  ``g``, the ``N``-long column
+    combination with ``H g`` the lifted query window, is formed the first time it is
+    read, from what ``_g_from`` keeps: the record's lifted samples, its
+    :class:`~lpvdd.analysis.Lifted` factor and the ``r``-long solution ``z``.
     """
 
     y_r: Trajectory
@@ -205,7 +205,8 @@ class PredictionResult:
             "residual": self.residual,
             "output_uniqueness_margin": self.output_uniqueness_margin,
             "verdict": self.verdict,
-            "diagnostics": self.diagnostics,
+            "diagnostics": {key: asdict(value) if isinstance(value, RankRecord) else value
+                            for key, value in self.diagnostics.items()},
         }
 
 
@@ -238,19 +239,19 @@ def predict(
                    ("p_r", p_r, data.n_p, r))
 
     lifted = data.lifted(L)
-    pe = lifted.pe
-    K, known_rows, z, s, residual = _fit(
-        lifted, np.vstack([p_ini.samples, p_r.samples]),
-        np.vstack([u_ini.samples, u_r.samples]), y_ini.samples)
+    pe, hankel = lifted.pe, lifted.hankel  # hankel: this query's one read of the cut
+    K = lifted.consistent(np.vstack([p_ini.samples, p_r.samples]), hankel.rank)
+    known_rows, z, fit, residual = _fit(
+        K, np.vstack([u_ini.samples, u_r.samples]), y_ini.samples)
     # The margin is sigma_r of the known rows (0 when there are fewer than r of them).
-    rank_H = K.shape[-1]
-    margin = float(s[-1]) if 0 < rank_H == s.size else 0.0
+    s = fit.singular_values
+    margin = s[-1] if 0 < fit.required == len(s) else 0.0
 
     warnings: list[str] = []
     if not pe.verdict:
         warnings.append(
             f"data not persistently exciting at order {L}: "
-            f"extended input rank {pe.extended_input_rank} < {pe.required}"
+            f"extended input rank {pe.rank} < {pe.required}"
         )
 
     if margin <= margin_tol or not pe.verdict:
@@ -266,9 +267,8 @@ def predict(
         "L": L,
         "col_count": lifted.shape[-1],
         "known_row_count": known_rows,
-        "full_stack_rank": rank_H,
-        "extended_input_rank": pe.extended_input_rank,
-        "required_input_rank": pe.required,
+        "hankel": hankel,
+        "pe": pe,
         "warnings": warnings,
     }
     return PredictionResult(
@@ -304,7 +304,8 @@ def span_membership(
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
                    ("p_test", p_test, data.n_p, w_test.interval))
     u, y = np.hsplit(w_test.samples, [data.n_u])
-    residual = _fit(data.lifted(w_test.length), p_test.samples, u, y)[-1]
+    lifted = data.lifted(w_test.length)
+    residual = _fit(lifted.consistent(p_test.samples, lifted.hankel.rank), u, y)[-1]
     return MembershipResult(member=residual <= tol, residual=residual)
 
 
@@ -314,16 +315,16 @@ class LeftNullspace:
 
     Each basis row, read per window position, is a candidate annihilator of
     the behaviour: a degree ``<= L - 1`` polynomial-in-shift row functional
-    with shifted-affine coefficients.  ``basis`` has orthonormal rows.
+    with shifted-affine coefficients.  ``basis`` has orthonormal rows, ``dimension``
+    of them: the ``R`` rows less the rank of ``hankel``, the matrix's rank record.
     """
 
     basis: np.ndarray
     dimension: int
-    rank: int
+    hankel: RankRecord
     L: int
     n_w: int
     n_p: int
-    singular_values: tuple[float, ...]
 
     def annihilator(self, i: int) -> KernelRep:
         """Basis row ``i`` as a polynomial-in-shift kernel row over ``w``."""
@@ -338,23 +339,14 @@ class LeftNullspace:
         """Largest violation of any basis row on all windows of ``(w, p)``, ``p`` on the
         steps of ``w``; :class:`InvalidShape` names a window off them."""
         _check_windows(("w", w, self.n_w, None), ("p", p, self.n_p, w.interval))
-        if self.dimension == 0:
-            return 0.0
         V = _windows(kron_extend(w, p).samples, self.L)
-        return float(np.max(np.abs(self.basis @ V.T)))
+        return float(np.max(np.abs(self.basis @ V.T), initial=0.0))
 
 
 def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
     lifted = data.lifted(L)
-    rank = lifted.rank
-    basis = lifted.U[:, rank:].T
-    return LeftNullspace(
-        basis=basis,
-        dimension=basis.shape[0],
-        rank=rank,
-        L=L,
-        n_w=data.n_u + data.n_y,
-        n_p=data.n_p,
-        singular_values=tuple(float(v) for v in lifted.s),
-    )
+    hankel = lifted.hankel
+    basis = lifted.U[:, hankel.rank:].T
+    return LeftNullspace(basis=basis, dimension=basis.shape[0], hankel=hankel, L=L,
+                         n_w=data.n_u + data.n_y, n_p=data.n_p)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +43,9 @@ from .errors import (
 )
 from .models import LpvIoModel, LpvSsModel
 from .signals import Trajectory, _check_windows, _finite, vec
+
+if TYPE_CHECKING:
+    from .analysis import RankRecord
 
 __all__ = [
     "SimResult",
@@ -245,12 +249,12 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
 
 @dataclass(frozen=True)
 class InitialStateEstimate:
-    """Least-squares initial state with its uniqueness diagnostics."""
+    """Least-squares initial state, its residual and the rank record of its
+    observability map against ``n_x``: the state is unique when it holds."""
 
     x: np.ndarray
     residual: float
-    sigma_min: float
-    rank: int
+    observability: RankRecord
 
 
 def estimate_initial_state(
@@ -281,18 +285,18 @@ def estimate_initial_state(
     O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
     Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
     rhs = vec(y_ini) - Tm @ vec(u_ini)
-    x_bar, s, rank, residual = _lstsq(O, rhs)
-    sigma_min = float(s[-1]) if s.size else 0.0
-    if rank < model.n_x:
+    x_bar, obsv, residual = _lstsq(O, rhs)
+    if not obsv.verdict:
+        s = obsv.singular_values
         raise RankDeficientObservability(
-            f"observability evaluation has rank {rank} < n_x={model.n_x} "
-            f"(sigma_min={sigma_min:.3e})"
+            f"observability evaluation has rank {obsv.rank} < n_x={model.n_x} "
+            f"(sigma_min={s[-1] if s else 0.0:.3e})"
         )
     if residual > tol:
         raise InconsistentTrajectory(
             f"initial window residual {residual:.3e} exceeds tol {tol:.3e}"
         )
-    return InitialStateEstimate(x=x_bar, residual=residual, sigma_min=sigma_min, rank=rank)
+    return InitialStateEstimate(x=x_bar, residual=residual, observability=obsv)
 
 
 @_finite

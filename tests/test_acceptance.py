@@ -183,13 +183,12 @@ def test_criterion_5_excitation_rank():
     rep = check_pe(rec.u, rec.p, 7)
     zero = Trajectory(1, np.zeros((40, 1)))
     rep0 = check_pe(zero, rec.p, 7)
-    ok = rep.extended_input_rank == 21 == rep.required and rep.verdict and not rep0.verdict
+    ok = rep.rank == 21 == rep.required and rep.verdict and not rep0.verdict
     _verdict(
         5,
         "depth-7 extended input Hankel of T=40 data has rank 21; zero input fails",
         ok,
-        f"rank {rep.extended_input_rank}/{rep.required}, zero-input rank "
-        f"{rep0.extended_input_rank}",
+        f"rank {rep.rank}/{rep.required}, zero-input rank {rep0.rank}",
     )
 
 

@@ -19,6 +19,7 @@ from lpvdd import (
     Trajectory,
     analysis,
     check_pe,
+    estimate_initial_state,
     example_verhoek,
     generate_query,
     generate_record,
@@ -120,10 +121,10 @@ def test_obsv_prefix_property():
 def test_structural_rank_identity_and_zero():
     I = CoeffMatrix.identity(3, n_p=1)
     rep = structural_rank(I, required=3, trials=7, seed=1)
-    assert rep.verdict and rep.pass_count == 7
+    assert rep.verdict and rep.passes == 7
     Z = CoeffMatrix.zeros(2, 2, 1)
     rep0 = structural_rank(Z, required=1, trials=4, seed=1)
-    assert not rep0.verdict and rep0.pass_count == 0
+    assert not rep0.verdict and rep0.passes == 0
 
 
 def test_structural_rank_deterministic_given_seed():
@@ -175,8 +176,8 @@ def test_minimality_of_dense_constant_model():
     m = _constant_ss(A, B, C, np.zeros((1, 1)))
     rep = minimality_report(m, trials=6, seed=4)
     assert rep.minimal
-    assert {k: v["verdict"] for k, v in asdict(rep).items()} == {
-        "observable": True, "reachable": True}
+    assert {k: v["passes"] for k, v in asdict(rep).items()} == {
+        "observable": 6, "reachable": 6}
 
 
 def test_check_pe_zero_input_fails():
@@ -185,12 +186,12 @@ def test_check_pe_zero_input_fails():
     p = rand_traj(rng, 2, 10)
     rep = check_pe(u, p, 2)
     assert not rep.verdict
-    assert rep.extended_input_rank == 0
+    assert rep.rank == 0
     # read from the factor of the full lifted Hankel matrix, zero inputs must
     # still give rank 0, not rounding noise that passes the relative cut
     with_y = DataRecord(u, p, rand_traj(rng, 1, 10)).lifted(2).pe
     assert not with_y.verdict
-    assert with_y.extended_input_rank == 0
+    assert with_y.rank == 0
 
 
 def _parity_record(kind, seed, T):
@@ -233,14 +234,15 @@ def test_trimmed_factor_matches_direct_svd(kind, seed, L, width):
     assert f.s.shape == s_ref.shape
     assert np.max(np.abs(f.s - s_ref)) <= 1e-13 * s_ref[0]
     r = analysis._cut(s_ref)
-    assert f.rank == r
+    assert (f.hankel.rank, f.hankel.required) == (r, n_rows)
     P, P_ref = f.U[:, :r] @ f.U[:, :r].T, U_ref[:, :r] @ U_ref[:, :r].T
     assert np.max(np.abs(P - P_ref), initial=0.0) <= 1e-12
 
-    rank_in = analysis.numeric_rank(H.reshape(f.shape[:3] + (N,))[:, :, :n_u].reshape(-1, N))[0]
-    assert f.pe.extended_input_rank == rank_in
-    assert check_pe(u, p, L).extended_input_rank == rank_in
-    assert DataRecord(u, p, y).lifted(L).pe.extended_input_rank == rank_in
+    H_in = H.reshape(f.shape[:3] + (N,))[:, :, :n_u].reshape(-1, N)
+    rank_in = analysis._cut(np.linalg.svd(H_in, compute_uv=False))
+    assert f.pe.rank == rank_in
+    assert check_pe(u, p, L).rank == rank_in
+    assert DataRecord(u, p, y).lifted(L).pe.rank == rank_in
     if kind == "zero":
         assert rank_in == 0
 
@@ -259,9 +261,9 @@ def test_check_pe_example_data_at_order_seven():
     rec = generate_record(m, 40, seed=1)
     rep = rec.lifted(7).pe
     assert rep.required == (1 + 2) * 1 * 7 == 21
-    assert rep.extended_input_rank == 21
+    assert rep.rank == 21
     assert rep.verdict
-    assert rep.hankel_rank is not None and rep.hankel_rank >= 21
+    assert rec.lifted(7).hankel.rank >= 21
     json.dumps(asdict(rep))  # serializable
     # the input singular values come from the full factor when y is given
     alone = np.array(check_pe(rec.u, rec.p, 7).singular_values)
@@ -329,8 +331,9 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
     k = analysis._cut(s_ref)
     z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
 
-    z, s, rank_A, residual = analysis._lstsq(A, b)
-    assert rank_A == k == r
+    z, record, residual = analysis._lstsq(A, b)
+    assert record.rank == k == r and record.required == cols
+    s = np.array(record.singular_values)
     assert s.shape == s_ref.shape
     assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
     assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
@@ -356,6 +359,12 @@ def _shifted_affine_ss(rng, n_x, n_p):
     return LpvSsModel(A=A, B=B, C=C, D=D)
 
 
+def _counts(rep):
+    """A structural report but the singular values of its weakest trial, which the unit
+    scaling of the blocks on the model route changes."""
+    return rep.trials, rep.passes, rep.weakest.rank, rep.weakest.required, rep.weakest.cut
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
     rng = np.random.default_rng(200 + case)
@@ -373,10 +382,10 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
         monkeypatch.setattr(analysis, name, recording)
 
     O, R = obsv_matrix(m, n_x), reach_matrix(m, n_x)
-    assert is_struct_observable(m, trials=6, seed=seed) == structural_rank(
-        O, n_x, trials=6, seed=seed)
-    assert is_struct_reachable(m, trials=6, seed=seed) == structural_rank(
-        R, n_x, trials=6, seed=seed)
+    assert _counts(is_struct_observable(m, trials=6, seed=seed)) == _counts(
+        structural_rank(O, n_x, trials=6, seed=seed))
+    assert _counts(is_struct_reachable(m, trials=6, seed=seed)) == _counts(
+        structural_rank(R, n_x, trials=6, seed=seed))
     assert drawn == {"_obsv_trials": {O.window or (0, 0)},
                      "_reach_trials": {R.window or (0, 0)}}
 
@@ -396,10 +405,10 @@ def _oracle_case(n_x, n_p, shifted, model_seed):
        seed=st.integers(0, 10**6))
 def test_stacked_trials_match_symbolic_oracle(n_x, n_p, shifted, model_seed, trials, seed):
     m, O, R = _oracle_case(n_x, n_p, shifted, model_seed)
-    assert is_struct_observable(m, trials, seed=seed) == structural_rank(
-        O, n_x, trials, seed=seed)
-    assert is_struct_reachable(m, trials, seed=seed) == structural_rank(
-        R, n_x, trials, seed=seed)
+    assert _counts(is_struct_observable(m, trials, seed=seed)) == _counts(
+        structural_rank(O, n_x, trials, seed=seed))
+    assert _counts(is_struct_reachable(m, trials, seed=seed)) == _counts(
+        structural_rank(R, n_x, trials, seed=seed))
 
 
 def test_minimality_report_takes_one_svd_per_map(monkeypatch):
@@ -443,7 +452,7 @@ def test_larger_stable_models_are_minimal(n_x):
     m = random_affine_ss(np.random.default_rng(0), n_x=n_x, n_u=2, n_y=2, n_p=4)
     rep = minimality_report(m)
     assert rep.minimal
-    assert rep.observable.pass_count == rep.reachable.pass_count == 20
+    assert rep.observable.passes == rep.reachable.passes == 20
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -457,7 +466,7 @@ def test_rank_loss_to_rounding_is_not_minimal(seed):
                    B=CoeffMatrix.constant(rng.normal(size=(2, 1)), 1),
                    C=CoeffMatrix.constant(u[None], 1), D=CoeffMatrix.zeros(1, 1, 1))
     rep = minimality_report(m)
-    assert rep.observable.tested_rank == 1 and rep.reachable.verdict
+    assert rep.observable.weakest.rank == 1 and rep.reachable.verdict
     assert not rep.minimal
 
     # deadbeat in other state coordinates: A(p) = T N(p) T^-1, N(p) strictly lower
@@ -469,7 +478,7 @@ def test_rank_loss_to_rounding_is_not_minimal(seed):
                    C=CoeffMatrix.constant(rng.normal(size=(1, 4)), 1),
                    D=CoeffMatrix.zeros(1, 1, 1))
     rep = minimality_report(m)
-    assert rep.reachable.tested_rank == 1
+    assert rep.reachable.weakest.rank == 1
     assert not rep.minimal
 
 
@@ -500,30 +509,38 @@ def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):
 
 
 def test_every_rank_decision_reads_the_one_cut(monkeypatch):
-    # a coarser RANK_CUT lowers every rank on the same record and model, so no
-    # rank decision binds its own copy of the cut
+    # a coarser RANK_CUT lowers every rank on the same record and model, and each
+    # record carries the cut it was decided at, so no rank decision binds its own copy
     model = example_verhoek()
     rec = generate_record(model, 200, 0)
     q = generate_query(model, 3, 7, 1)
     ss = random_affine_ss(np.random.default_rng(3), 5, 2, 2, 2)
-    H = hankel(kron_extend(rec.w, rec.p), 10)
+    # a one-state observability map has one singular value: full rank at any cut
+    rng = np.random.default_rng(4)
+    scalar = minimal_random_ss(rng, 1, 1, 1, 1)
+    u, p = rand_traj(rng, 1, 3), rand_traj(rng, 1, 3)
+    y = simulate_ss(scalar, np.ones(1), u, p).y
 
-    def ranks():
-        pe = DataRecord(rec.u, rec.p, rec.y).lifted(10).pe  # a fresh factor at each cut
-        res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    def records():
+        fresh = DataRecord(rec.u, rec.p, rec.y)  # a fresh factor at each cut
+        res = predict(fresh, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
         rep = minimality_report(ss)
-        assert rep.observable.tolerance == rep.reachable.tolerance == analysis.RANK_CUT
         return {
-            "numeric_rank": analysis.numeric_rank(H)[0],
-            "pe input": pe.extended_input_rank,
-            "pe hankel": pe.hankel_rank,
-            "left_nullspace": left_nullspace(rec, 10).rank,
-            "predict": res.diagnostics["full_stack_rank"],
-            "observable": rep.observable.tested_rank,
-            "reachable": rep.reachable.tested_rank,
+            "check_pe": check_pe(rec.u, rec.p, 10),
+            "pe": fresh.lifted(10).pe,
+            "hankel": fresh.lifted(10).hankel,
+            "left_nullspace": left_nullspace(fresh, 10).hankel,
+            "predict hankel": res.diagnostics["hankel"],
+            "predict pe": res.diagnostics["pe"],
+            "observable": rep.observable.weakest,
+            "reachable": rep.reachable.weakest,
+            "initial state": estimate_initial_state(scalar, u, p, y).observability,
         }
 
-    fine = ranks()
+    fine = records()
     monkeypatch.setattr(analysis, "RANK_CUT", 0.5)
-    coarse = ranks()
-    assert all(coarse[k] < fine[k] for k in fine), (fine, coarse)
+    coarse = records()
+    assert {k: r.cut for k, r in fine.items()} == dict.fromkeys(fine, 1e-9)
+    assert {k: r.cut for k, r in coarse.items()} == dict.fromkeys(fine, 0.5)
+    assert coarse.pop("initial state").rank == fine.pop("initial state").rank == 1
+    assert all(coarse[k].rank < fine[k].rank for k in fine), (fine, coarse)

@@ -25,10 +25,11 @@ from lpvdd import (
     trajectory_to_csv,
     write_trajectory_csv,
 )
-from lpvdd import cli
+from lpvdd import analysis, cli
 from lpvdd.cli import main
 
 QUERY_NAMES = ("u_ini", "p_ini", "y_ini", "u_r", "p_r")
+RECORD_KEYS = {"rank", "required", "singular_values", "cut"}
 
 
 def _write_query(directory, seed=5, T_ini=3, T_r=7, truth=True):
@@ -346,8 +347,7 @@ def test_check_reports_pe(tmp_path, capsys):
     ])
     assert code == 0
     payload = json.loads((tmp_path / "chk" / "check.json").read_text())
-    assert payload["pe"]["verdict"] is True
-    assert payload["pe"]["extended_input_rank"] == 21
+    assert payload["pe"]["rank"] == payload["pe"]["required"] == 21
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["pe"] is True
 
@@ -375,7 +375,7 @@ def test_check_ss_model_reports_structural(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "chk" / "check.json").read_text())
     assert "structural" in payload
-    assert payload["structural"]["observable"]["num_trials"] == 20
+    assert payload["structural"]["observable"]["trials"] == 20
 
 
 @pytest.mark.parametrize("model", [None, "ss-file", "builtin:verhoek"])
@@ -393,8 +393,7 @@ def test_check_json_tree_is_fixed_and_deterministic(tmp_path, model):
     assert runs[0].read_bytes() == runs[1].read_bytes()
     payload = json.loads(runs[0].read_text())
     tree = {key: set(value) for key, value in payload.items()}
-    assert tree.pop("pe") == {"order_L", "extended_input_rank", "required", "hankel_rank",
-                              "verdict", "singular_values"}
+    assert tree.pop("pe") == tree.pop("hankel") == RECORD_KEYS
     if model is None:
         assert tree == {}
     elif model == "builtin:verhoek":
@@ -402,15 +401,51 @@ def test_check_json_tree_is_fixed_and_deterministic(tmp_path, model):
     else:
         assert tree == {"structural": {"observable", "reachable", "minimal"}}
         for test in ("observable", "reachable"):
-            assert set(payload["structural"][test]) == {
-                "tested_rank", "required_rank", "num_trials", "pass_count", "tolerance",
-                "verdict"}
+            assert set(payload["structural"][test]) == {"trials", "passes", "weakest"}
+            assert set(payload["structural"][test]["weakest"]) == RECORD_KEYS
+
+
+def _rank_records(tree) -> list[dict]:
+    """Every object of a JSON tree with a key of a rank decision."""
+    if not isinstance(tree, dict):
+        return []
+    found = [tree] if any(k in RECORD_KEYS or "rank" in k or "sigma" in k for k in tree) else []
+    return found + [record for value in tree.values() for record in _rank_records(value)]
+
+
+@pytest.mark.parametrize("command, kind, code, count", [
+    ("check", None, 0, 2), ("check", "builtin:verhoek", 0, 2), ("check", "ss-file", 0, 4),
+    ("predict", "ok", 0, 2), ("predict", "ambiguous", 4, 2)])
+def test_every_rank_record_in_the_artifacts_is_one_cut(tmp_path, command, kind, code, count):
+    # each rank decision is written as one record: its rank is the count of its
+    # singular values above its cut times the first, at the one RANK_CUT
+    _simulate(tmp_path, T={"ok": 70, "ambiguous": 25}.get(kind, 40))
+    argv = [command, "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out")]
+    if command == "predict":
+        _write_query(tmp_path / "query")
+        argv += ["--query-dir", str(tmp_path / "query")]
+    elif kind == "ss-file":
+        save_model(tmp_path / "m.json", random_affine_ss(np.random.default_rng(1), 2, 1, 1, 2))
+        argv += ["--model", str(tmp_path / "m.json")]
+    elif kind:
+        argv += ["--model", kind]
+    assert main(argv) == code
+    name = {"check": "check.json", "predict": "prediction.json"}[command]
+    records = _rank_records(json.loads((tmp_path / "out" / name).read_text()))
+    assert len(records) == count
+    for record in records:
+        assert set(record) == RECORD_KEYS
+        s = np.array(record["singular_values"])
+        assert record["cut"] == analysis.RANK_CUT
+        assert record["rank"] == np.sum(s > record["cut"] * s[:1])
 
 
 def test_check_large_ss_model_is_minimal(tmp_path, capsys):
-    _simulate(tmp_path, T=40)
     model_path = tmp_path / "m.json"
     save_model(model_path, random_affine_ss(np.random.default_rng(6), 6, 1, 1, 3))
+    # a record of the model itself: the built-in one has n_p = 2, not 3
+    assert main(["simulate", "--model", str(model_path), "--T", "40",
+                 "--out-dir", str(tmp_path / "data")]) == 0
     code = main([
         "check", "--data-dir", str(tmp_path / "data"), "--L", "5",
         "--model", str(model_path),
@@ -497,6 +532,23 @@ def test_simulate_rejects_inconsistent_model(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "m.json" in err and "A must be square" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, dims, value", [("n_u", (2, 1, 2), 2), ("n_y", (1, 2, 2), 2),
+                                               ("n_p", (1, 1, 3), 3)])
+def test_check_rejects_a_model_of_other_dimensions(tmp_path, capsys, key, dims, value):
+    # the built-in record has n_u = n_y = 1 and n_p = 2
+    _simulate(tmp_path, T=40)
+    model_path = tmp_path / "m.json"
+    save_model(model_path, random_affine_ss(np.random.default_rng(0), 2, *dims))
+    capsys.readouterr()
+    out = tmp_path / "chk"
+    code = main(["check", "--data-dir", str(tmp_path / "data"), "--L", "5",
+                 "--model", str(model_path), "--out-dir", str(out)])
+    record = {"n_u": 1, "n_y": 1, "n_p": 2}[key]
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: model {model_path}: {key} = {value}, the record's {key} = {record}\n")
     assert not out.exists()
 
 

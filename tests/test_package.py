@@ -1,5 +1,6 @@
 """The package: each public name listed once, each module loaded on first use, the
-generating modules apart from the data modules, each file written by one writer."""
+generating modules apart from the data modules, each file written by one writer and
+each rank decision cut and reported in one module."""
 
 import ast
 import importlib
@@ -194,3 +195,39 @@ def test_only_the_one_writer_opens_a_file_for_writing():
             assert _file_writes(write)
             exempt = set(ast.walk(write))
         assert _file_writes(tree, exempt) == [], path.name
+
+
+def _rank_outside_analysis(tree) -> list[int]:
+    """Lines of the nodes of ``tree`` that read ``RANK_CUT`` or declare a dataclass
+    field ``rank``, ``*_rank``, ``sigma_min`` or ``singular_values``."""
+    lines = []
+    for node in ast.walk(tree):
+        if "RANK_CUT" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.alias) and node.name == "RANK_CUT"):
+            lines.append(node.lineno)
+        dataclass = isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for field in node.body if dataclass else ():
+            name = getattr(getattr(field, "target", None), "id", "")
+            if isinstance(field, ast.AnnAssign) and (
+                    name in ("rank", "sigma_min", "singular_values") or name.endswith("_rank")):
+                lines.append(field.lineno)
+    return lines
+
+
+def test_each_rank_decision_is_cut_and_reported_in_analysis():
+    # lpvdd.analysis alone reads the cut and holds ranks and singular values, in its one
+    # RankRecord; every other module reports a rank decision through that record
+    for code in ("x = RANK_CUT", "x = analysis.RANK_CUT", "from .analysis import RANK_CUT",
+                 "@dataclass\nclass A:\n    rank: int",
+                 "@dataclass(frozen=True)\nclass A:\n    full_stack_rank: int",
+                 "@dataclasses.dataclass\nclass A:\n    sigma_min: float",
+                 "@dataclass\nclass A:\n    singular_values: tuple"):
+        assert _rank_outside_analysis(ast.parse(code)), code
+    for code in ("x = RANK_CUTS", "class A:\n    rank: int",
+                 "@dataclass\nclass A:\n    record: RankRecord\n    ranked: int"):
+        assert _rank_outside_analysis(ast.parse(code)) == [], code
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        if path.name != "analysis.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _rank_outside_analysis(tree) == [], path.name

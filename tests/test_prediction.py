@@ -172,7 +172,7 @@ def test_too_short_record_is_reported_infeasible():
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     assert res.verdict == "infeasible"
     assert res.residual > 1e-3
-    assert res.diagnostics["full_stack_rank"] < 5 * 10 + 2
+    assert res.diagnostics["hankel"].rank < 5 * 10 + 2
 
 
 def test_zero_input_data_is_ambiguous():
@@ -185,7 +185,7 @@ def test_zero_input_data_is_ambiguous():
     q = _query(seed=21)
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     assert res.verdict == "ambiguous"
-    assert res.diagnostics["extended_input_rank"] < res.diagnostics["required_input_rank"]
+    assert not res.diagnostics["pe"].verdict
 
 
 def test_prediction_linear_in_query_signals():
@@ -291,7 +291,7 @@ def test_left_nullspace_dimension_at_saturation():
     for seed in (1, 2):
         rec = _record(70, seed=seed)
         ns = left_nullspace(rec, L)
-        assert ns.rank == 5 * L + 2
+        assert ns.hankel.rank == 5 * L + 2
         assert ns.dimension == (1 + 2) * (1 + 1) * L - (5 * L + 2) == L - 2
 
 
@@ -368,7 +368,7 @@ def test_left_nullspace_duality_with_column_span():
     L = 6
     ns = left_nullspace(rec, L)
     H = hankel(kron_extend(rec.w, rec.p), L)
-    assert ns.dimension + ns.rank == H.shape[0]
+    assert ns.dimension + ns.hankel.rank == H.shape[0] == ns.hankel.required
     if ns.dimension:
         assert np.max(np.abs(ns.basis @ H)) <= 1e-9
 
@@ -429,7 +429,7 @@ def test_left_nullspace_of_tall_hankel_is_complete():
     ns = left_nullspace(rec, 7)
     H = hankel(kron_extend(rec.w, rec.p), 7)
     assert H.shape == (42, 14)
-    assert ns.dimension == H.shape[0] - ns.rank
+    assert ns.dimension == H.shape[0] - ns.hankel.rank
     assert np.allclose(ns.basis @ ns.basis.T, np.eye(ns.dimension), atol=1e-12)
     assert np.max(np.abs(ns.basis @ H)) <= 1e-9
 
@@ -480,7 +480,7 @@ def test_membership_rejects_scheduling_of_wrong_dim():
 
 @pytest.mark.parametrize("L", [1, 5])
 def test_max_residual_rejects_signals_of_wrong_dim(L):
-    # checked before the empty-basis shortcut too (L = 1: no annihilator)
+    # checked for an empty basis too (L = 1: no annihilator)
     rec = _record(30)
     ns = left_nullspace(rec, L)
     assert (ns.dimension == 0) == (L == 1)
@@ -495,8 +495,8 @@ def test_predict_reads_the_excitation_report_of_check_pe():
     pe = rec.lifted(10).pe
     assert pe == DataRecord(rec.u, rec.p, rec.y).lifted(10).pe
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    assert (res.diagnostics["extended_input_rank"], res.diagnostics["required_input_rank"]) \
-        == (pe.extended_input_rank, pe.required) == (30, 30)
+    assert res.diagnostics["pe"] == pe
+    assert (pe.rank, pe.required) == (30, 30)
 
 
 # -- factor against the dense stacked system ------------------------------------
@@ -577,7 +577,7 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     if verdict == "ok":
         assert np.max(np.abs(res.y_r.samples - y_r)) <= 1e-9 * (1 + np.max(np.abs(y_r)))
     if kind == "zero":
-        assert res.diagnostics["full_stack_rank"] == 0
+        assert res.diagnostics["hankel"].rank == 0
         assert res.output_uniqueness_margin == 0.0
         assert res.residual == pytest.approx(
             np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
@@ -666,12 +666,12 @@ def test_factor_is_not_shared_between_records(monkeypatch):
     ns = left_nullspace(rec, 7)
     copy = DataRecord(u=rec.u, p=rec.p, y=rec.y, provenance=rec.provenance)
     assert _wide_svd_calls(monkeypatch, lambda: left_nullspace(copy, 7), 64) == 1
-    assert left_nullspace(copy, 7).singular_values == ns.singular_values
+    assert left_nullspace(copy, 7).hankel == ns.hankel
 
     mixed = dataclasses.replace(rec, y=other.y)
     fresh = DataRecord(u=rec.u, p=rec.p, y=other.y)
-    assert left_nullspace(mixed, 7).singular_values == left_nullspace(fresh, 7).singular_values
-    assert left_nullspace(mixed, 7).singular_values != ns.singular_values
+    assert left_nullspace(mixed, 7).hankel == left_nullspace(fresh, 7).hankel
+    assert left_nullspace(mixed, 7).hankel.singular_values != ns.hankel.singular_values
     assert "_lifted" not in repr(rec)
 
 
@@ -733,6 +733,17 @@ def test_max_residual_on_an_empty_basis_builds_no_hankel(monkeypatch):
     assert ns.max_residual_on(rec.w, rec.p) == 0.0
 
 
+def test_max_residual_on_a_window_shorter_than_the_depth_is_invalid_for_any_basis():
+    # an empty basis answered 0.0 for a 1-step window, where a basis raised
+    rec = _record(200)
+    w, p = rec.w.restrict(1, 1), rec.p.restrict(1, 1)
+    for L, dimension in ((2, 0), (3, 1)):
+        ns = left_nullspace(rec, L)
+        assert ns.dimension == dimension
+        with pytest.raises(InvalidShape, match=f"data length 1 shorter than order L={L}"):
+            ns.max_residual_on(w, p)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**16),
@@ -758,7 +769,7 @@ def test_affine_state_space_record_is_not_certified():
     rec = generate_record(model, 1000, 0)
     q = generate_query(model, 3, 7, 1)
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    assert res.diagnostics["full_stack_rank"] > res.diagnostics["known_row_count"]
+    assert res.diagnostics["hankel"].rank > res.diagnostics["known_row_count"]
     assert res.output_uniqueness_margin == 0.0
     assert res.verdict != "ok"
 
@@ -916,9 +927,9 @@ def test_blocked_triangle_matches_the_direct_qr(monkeypatch, kind):
     monkeypatch.setattr(analysis, "BLOCK", rec.T)
     direct, direct_results = run()
     # without input, only the 3 L rows of y and p (x) y are excited
-    assert blocked.rank == direct.rank == (52 if kind == "verhoek" else 30)
+    assert blocked.hankel.rank == direct.hankel.rank == (52 if kind == "verhoek" else 30)
     assert np.max(np.abs(blocked.s - direct.s)) <= 1e-13 * direct.s[0]
-    assert blocked.pe.extended_input_rank == direct.pe.extended_input_rank
+    assert blocked.pe.rank == direct.pe.rank
     for a, b in zip(blocked_results, direct_results):
         assert a.verdict == b.verdict == ("ok" if kind == "verhoek" else "ambiguous")
         assert np.max(np.abs(a.y_r.samples - b.y_r.samples)) <= 1e-13

@@ -291,7 +291,7 @@ def test_estimate_initial_state_recovers_truth():
         est = estimate_initial_state(m, u, p, sim.y)
         assert np.max(np.abs(est.x - x0)) <= 1e-8
         assert est.residual <= 1e-10
-        assert est.sigma_min > 0
+        assert est.observability.verdict and est.observability.singular_values[-1] > 0
 
 
 def test_estimate_initial_state_window_too_short():
