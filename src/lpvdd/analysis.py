@@ -157,9 +157,14 @@ class Lifted:
         return _rank(self.s, len(self.U))
 
     @cached_property
+    def _input_s(self) -> np.ndarray:
+        """Singular values of ``inputs``, computed on first read."""
+        return np.linalg.svd(self.inputs, compute_uv=False)
+
+    @property
     def pe(self) -> RankRecord:
-        """Excitation record of the input rows, computed on first read."""
-        return _excitation(self.inputs)
+        """Excitation record of the input rows, at the ``RANK_CUT`` of each read."""
+        return _rank(self._input_s, len(self.inputs))
 
     def consistent(self, p: np.ndarray, rank: int) -> np.ndarray:
         """``M(p) U_r S_r`` in the row blocks of ``H``, for the ``(L, n_p)`` scheduling
@@ -389,9 +394,5 @@ def check_pe(u: Trajectory, p: Trajectory, L: int) -> RankRecord:
     of blocks of its windows and small SVDs, none with an axis of length ``T - L + 1``.
     A record's excitation is read off its one factor: ``DataRecord.lifted(L).pe``."""
     _check_windows(("p", p, None, u.interval))
-    return _excitation(_triangle(_windows(kron_extend(u, p).samples, L)))
-
-
-def _excitation(inputs: np.ndarray) -> RankRecord:
-    """:class:`RankRecord` of the input rows ``inputs`` of a Hankel matrix."""
-    return _rank(np.linalg.svd(inputs, compute_uv=False), len(inputs))
+    F = _triangle(_windows(kron_extend(u, p).samples, L))
+    return _rank(np.linalg.svd(F, compute_uv=False), len(F))

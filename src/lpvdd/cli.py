@@ -159,11 +159,9 @@ def cmd_simulate(args) -> int:
 
 def _load_record(args) -> DataRecord:
     """The record, lifted here so that an overflowing ``p (x) w`` names its path."""
-    path = args.data_bundle or args.data_dir
-    if not path:
-        raise ConfigError("predict/check needs --data-dir or --data-bundle")
-    read = DataRecord.from_json_bundle if args.data_bundle else DataRecord.from_csv_dir
-    record = read(path)
+    bundle = args.data_bundle is not None
+    path = args.data_bundle if bundle else args.data_dir
+    record = (DataRecord.from_json_bundle if bundle else DataRecord.from_csv_dir)(path)
     try:
         record.lifted_samples
     except InvalidShape as exc:
@@ -311,16 +309,17 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     pred = _subcommand(sub, "predict", cmd_predict, ("tol", "margin_tol"), config,
                        "predict a query continuation from data")
-    pred.add_argument("--data-dir", dest="data_dir")
-    pred.add_argument("--data-bundle", dest="data_bundle")
     pred.add_argument("--query-dir", required=True, dest="query_dir")
     pred.add_argument("--out-dir", required=True, dest="out_dir")
 
     chk = _subcommand(sub, "check", cmd_check, ("model", "seed", "L"), config,
                       "excitation and structural checks")
-    chk.add_argument("--data-dir", dest="data_dir")
-    chk.add_argument("--data-bundle", dest="data_bundle")
     chk.add_argument("--out-dir", dest="out_dir")
+
+    for command in (pred, chk):  # exactly one record source
+        source = command.add_mutually_exclusive_group(required=True)
+        source.add_argument("--data-dir", dest="data_dir")
+        source.add_argument("--data-bundle", dest="data_bundle")
 
     return parser
 

@@ -38,7 +38,6 @@ from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
 from .signals import Trajectory
 
 __all__ = [
-    "SchedVar",
     "PolyCoeff",
     "CoeffMatrix",
 ]
@@ -46,21 +45,6 @@ __all__ = [
 # A monomial is a sorted tuple of (component, offset, power) triples with
 # power >= 1; the empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class SchedVar:
-    """One scheduling variable ``p_component(k + offset)``.
-
-    ``component`` is 1-based; ``offset`` is a signed time shift.
-    """
-
-    component: int
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.component < 1:
-            raise DimensionMismatch(f"component must be >= 1, got {self.component}")
 
 
 def _normalize(terms: dict[Monomial, float]) -> tuple[tuple[float, Monomial], ...]:
@@ -113,28 +97,14 @@ class PolyCoeff:
     @classmethod
     def var(cls, component: int, n_p: int, offset: int = 0) -> "PolyCoeff":
         """The coordinate function ``p_component(k + offset)``."""
-        return cls.monomial(1.0, [SchedVar(component, offset)], n_p)
+        return cls.monomial(1.0, [(component, offset, 1)], n_p)
 
     @classmethod
     def monomial(cls, coeff: float, variables, n_p: int) -> "PolyCoeff":
-        """Single term ``coeff * prod(variables)``.
-
-        ``variables`` may mix :class:`SchedVar` instances (power 1) and
-        ``(component, offset, power)`` triples; repeats multiply.
+        """Single term ``coeff * prod(variables)`` of ``(component, offset, power)``
+        triples; repeats multiply.
         """
-        mono = tuple(
-            (v.component, v.offset, 1) if isinstance(v, SchedVar) else tuple(v)
-            for v in variables
-        )
-        return cls(n_p, ((float(coeff), mono),))
-
-    @classmethod
-    def affine(cls, const: float, linear, n_p: int, offset: int = 0) -> "PolyCoeff":
-        """``const + sum_j linear[j] * p_{j+1}(k + offset)``."""
-        terms = [(float(const), ())]
-        for j, c in enumerate(linear):
-            terms.append((float(c), ((j + 1, offset, 1),)))
-        return cls(n_p, tuple(terms))
+        return cls(n_p, ((float(coeff), tuple(map(tuple, variables))),))
 
     # -- structure -----------------------------------------------------------
 

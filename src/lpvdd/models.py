@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
-from .errors import InvalidModel, WindowOutOfRange
+from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
 from .signals import Trajectory, _check_windows, _json_number, _json_text, _read, _write
 
 __all__ = [
@@ -303,7 +303,10 @@ def _entry_to_poly(entry, n_p: int, where: str) -> PolyCoeff:
                            for k in ("comp", "offset", "power"))
                      for v in term.get("vars", []))
         terms.append((_json_number(term["coeff"], f"{where}: coeff", InvalidModel), mono))
-    return PolyCoeff(n_p, tuple(terms))
+    try:
+        return PolyCoeff(n_p, tuple(terms))
+    except DimensionMismatch as e:  # a component or power out of range
+        raise InvalidModel(f"{where}: {e}") from None
 
 
 def _matrix_to_lists(m: CoeffMatrix) -> list:

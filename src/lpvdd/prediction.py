@@ -124,10 +124,8 @@ class RowPartition:
 class PredictorSystem:
     """Stacked Hankel system evaluated at a query scheduling window."""
 
-    L: int
     matrix: np.ndarray
     row_partition: RowPartition
-    col_count: int
 
 
 def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorSystem:
@@ -147,9 +145,7 @@ def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorS
     Py = sched_block_diag(p_query, data.n_y)
     matrix = np.vstack([Hu, Hpu - Pu @ Hu, Hy, Hpy - Py @ Hy])
     part = RowPartition(L=L, n_u=data.n_u, n_p=data.n_p, n_y=data.n_y)
-    return PredictorSystem(
-        L=L, matrix=matrix, row_partition=part, col_count=matrix.shape[1]
-    )
+    return PredictorSystem(matrix=matrix, row_partition=part)
 
 
 def _fit(K: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -320,11 +316,14 @@ class LeftNullspace:
     """
 
     basis: np.ndarray
-    dimension: int
     hankel: RankRecord
     L: int
     n_w: int
     n_p: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     def annihilator(self, i: int) -> KernelRep:
         """Basis row ``i`` as a polynomial-in-shift kernel row over ``w``."""
@@ -347,6 +346,5 @@ def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
     lifted = data.lifted(L)
     hankel = lifted.hankel
-    basis = lifted.U[:, hankel.rank:].T
-    return LeftNullspace(basis=basis, dimension=basis.shape[0], hankel=hankel, L=L,
+    return LeftNullspace(basis=lifted.U[:, hankel.rank:].T, hankel=hankel, L=L,
                          n_w=data.n_u + data.n_y, n_p=data.n_p)

@@ -66,8 +66,7 @@ class SimResult:
     """Simulation output: ``y`` over the requested interval, ``x`` one step longer."""
 
     y: Trajectory
-    x: Trajectory | None
-    domain: tuple[int, int]
+    x: Trajectory
 
 
 def _initial(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -137,7 +136,7 @@ def simulate_ss(
     Bu = np.einsum("kij,kj->ki", B, u.samples)
     xs = _affine_recursion(A, Bu, x0)
     ys = np.einsum("kij,kj->ki", C, xs[:-1]) + np.einsum("kij,kj->ki", D, u.samples)
-    return SimResult(y=Trajectory(t1, ys), x=Trajectory(t1, xs), domain=(t1, t2))
+    return SimResult(y=Trajectory(t1, ys), x=Trajectory(t1, xs))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in simulate_ss

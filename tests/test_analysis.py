@@ -510,7 +510,8 @@ def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):
 
 def test_every_rank_decision_reads_the_one_cut(monkeypatch):
     # a coarser RANK_CUT lowers every rank on the same record and model, and each
-    # record carries the cut it was decided at, so no rank decision binds its own copy
+    # record carries the cut it was decided at, so no rank decision binds its own copy;
+    # the record is factored at the first cut, so its memo must keep no cut either
     model = example_verhoek()
     rec = generate_record(model, 200, 0)
     q = generate_query(model, 3, 7, 1)
@@ -522,14 +523,13 @@ def test_every_rank_decision_reads_the_one_cut(monkeypatch):
     y = simulate_ss(scalar, np.ones(1), u, p).y
 
     def records():
-        fresh = DataRecord(rec.u, rec.p, rec.y)  # a fresh factor at each cut
-        res = predict(fresh, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
         rep = minimality_report(ss)
         return {
             "check_pe": check_pe(rec.u, rec.p, 10),
-            "pe": fresh.lifted(10).pe,
-            "hankel": fresh.lifted(10).hankel,
-            "left_nullspace": left_nullspace(fresh, 10).hankel,
+            "pe": rec.lifted(10).pe,
+            "hankel": rec.lifted(10).hankel,
+            "left_nullspace": left_nullspace(rec, 10).hankel,
             "predict hankel": res.diagnostics["hankel"],
             "predict pe": res.diagnostics["pe"],
             "observable": rep.observable.weakest,

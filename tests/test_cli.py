@@ -487,6 +487,59 @@ def test_check_rejects_nan_coefficient_in_model(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_names_the_model_entry_of_a_bad_term(tmp_path, capsys):
+    _simulate(tmp_path, T=40)
+    model_path = tmp_path / "m.json"
+    data = model_to_dict(example_verhoek())
+    data["a_coeffs"][0][0][0][1]["vars"][0]["comp"] = 3
+    model_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "chk"
+    code = main(["check", "--data-dir", str(tmp_path / "data"), "--L", "5",
+                 "--model", str(model_path), "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"input error: {model_path}: a_coeffs[0][0][0]: component 3 outside [1, 2]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "predict"])
+@pytest.mark.parametrize("sources", [("--data-dir", "--data-bundle"), ()],
+                         ids=["both", "neither"])
+def test_record_comes_from_exactly_one_source(tmp_path, capsys, command, sources):
+    # valid records in both formats and a valid query, so the flags are the only fault
+    assert _simulate(tmp_path, T=70) == 0
+    assert _simulate(tmp_path, out="jb", T=70, extra=("--format", "json")) == 0
+    _write_query(tmp_path / "query")
+    capsys.readouterr()
+    paths = {"--data-dir": tmp_path / "data", "--data-bundle": tmp_path / "jb" / "record.json"}
+    out = tmp_path / "out"
+    argv = [command, *(a for flag in sources for a in (flag, str(paths[flag]))),
+            "--out-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--query-dir", str(tmp_path / "query")] if command == "predict" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --data-bundle: not allowed with argument --data-dir" if sources else
+            "one of the arguments --data-dir --data-bundle is required") in captured.err
+    assert not out.exists()
+
+
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    assert _simulate(tmp_path, T=40) == 0
+    capsys.readouterr()
+
+    def fail(record, L):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(DataRecord, "lifted", fail)
+    out = tmp_path / "chk"
+    assert main(["check", "--data-dir", str(tmp_path / "data"), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr() == ("", "numeric failure: SVD did not converge\n")
+    assert not out.exists()
+
+
 def _bundle(**u):
     """A T = 3 record whose ``u`` has the keys ``u``; the rest is well formed."""
     good = {"t_start": 1, "samples": [[0.0], [1.0], [0.0]]}

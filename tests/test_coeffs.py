@@ -29,17 +29,18 @@ def test_single_variable_reads_off_sample():
     assert c.eval(p, 2) == 2.0
 
 
-def test_schedvar_monomial_constructor():
-    from lpvdd import SchedVar
-
-    c = PolyCoeff.monomial(2.0, [SchedVar(1), SchedVar(2, offset=-1)], n_p=2)
+def test_monomial_constructor_takes_triples():
+    c = PolyCoeff.monomial(2.0, [(1, 0, 1), (2, -1, 1)], n_p=2)
     p = Trajectory.from_values([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     assert c.eval(p, 2) == 2.0 * 2.0 * 4.0
     # repeated variables collapse into powers
-    sq = PolyCoeff.monomial(1.0, [SchedVar(1), SchedVar(1)], n_p=1)
-    assert sq.degree == 2
-    with pytest.raises(DimensionMismatch):
-        SchedVar(0)
+    sq = PolyCoeff.monomial(1.0, [(1, 0, 1), (1, 0, 1)], n_p=1)
+    assert sq == PolyCoeff.monomial(1.0, [(1, 0, 2)], n_p=1) and sq.degree == 2
+    assert PolyCoeff.var(2, n_p=2, offset=-1) == PolyCoeff.monomial(1.0, [(2, -1, 1)], 2)
+    with pytest.raises(DimensionMismatch, match=r"component 0 outside \[1, 1\]"):
+        PolyCoeff.var(0, n_p=1)
+    with pytest.raises(DimensionMismatch, match="power must be >= 1, got 0"):
+        PolyCoeff.monomial(1.0, [(1, 0, 0)], n_p=1)
 
 
 def test_two_term_polynomial_hand_value():

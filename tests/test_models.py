@@ -18,6 +18,7 @@ from lpvdd import (
     example_verhoek,
     generate_record,
     io_to_kernel,
+    load_model,
     model_from_dict,
     model_to_dict,
     random_affine_ss,
@@ -218,6 +219,19 @@ def test_model_from_dict_rejects_negative_scheduling_dim():
         named = key if key == "n_p" else f"A[0][0]: {key}"
         with pytest.raises(InvalidModel, match=re.escape(f"{named} must be a JSON")):
             model_from_dict(bad)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("comp", 3, "component 3 outside [1, 2]"), ("comp", 0, "component 0 outside [1, 2]"),
+    ("power", 0, "power must be >= 1, got 0")])
+def test_load_model_names_the_entry_of_a_bad_term(tmp_path, key, value, message):
+    path = tmp_path / "m.json"
+    data = model_to_dict(example_verhoek())
+    data["a_coeffs"][0][0][0][1]["vars"][0][key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidModel) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: a_coeffs[0][0][0]: {message}"
 
 
 def test_kernel_rejects_zero_leading_coefficient():

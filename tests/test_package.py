@@ -215,6 +215,22 @@ def _rank_outside_analysis(tree) -> list[int]:
     return lines
 
 
+def _cached_rank_records(tree) -> list[int]:
+    """Lines of the ``cached_property`` methods of ``tree`` that return a ``RankRecord``:
+    annotated so, or returning a ``RankRecord(...)`` or ``_rank(...)`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or not any(
+                "cached_property" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        calls = [ast.unparse(r.value.func).split(".")[-1] for r in ast.walk(node)
+                 if isinstance(r, ast.Return) and isinstance(r.value, ast.Call)]
+        if "RankRecord" in ast.unparse(node.returns or ast.Constant(None)) or {
+                "RankRecord", "_rank"} & set(calls):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_each_rank_decision_is_cut_and_reported_in_analysis():
     # lpvdd.analysis alone reads the cut and holds ranks and singular values, in its one
     # RankRecord; every other module reports a rank decision through that record
@@ -227,7 +243,16 @@ def test_each_rank_decision_is_cut_and_reported_in_analysis():
     for code in ("x = RANK_CUTS", "class A:\n    rank: int",
                  "@dataclass\nclass A:\n    record: RankRecord\n    ranked: int"):
         assert _rank_outside_analysis(ast.parse(code)) == [], code
+    # a memoised record would keep the cut of its first read: memoise singular values
+    for code in ("@cached_property\ndef pe(self) -> RankRecord:\n    return f(self)",
+                 "@functools.cached_property\ndef pe(self):\n    return _rank(s, 1)",
+                 "@cached_property\ndef pe(self):\n    return analysis.RankRecord(1, 1, (), 0)"):
+        assert _cached_rank_records(ast.parse(code)) == [2], code
+    for code in ("@cached_property\ndef s(self) -> np.ndarray:\n    return svd(self.x)",
+                 "@property\ndef pe(self) -> RankRecord:\n    return _rank(self.s, 1)"):
+        assert _cached_rank_records(ast.parse(code)) == [], code
     for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _cached_rank_records(tree) == [], path.name
         if path.name != "analysis.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
             assert _rank_outside_analysis(tree) == [], path.name

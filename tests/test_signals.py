@@ -264,6 +264,15 @@ def test_csv_rejects_malformed():
         trajectory_from_csv("t,ch1\n1,1.0\n3,2.0\n")
     with pytest.raises(InvalidShape):
         trajectory_from_csv("t,ch1\n")
+    with pytest.raises(InvalidShape, match="^empty CSV$"):
+        trajectory_from_csv("")
+    with pytest.raises(InvalidShape, match="^row has 3 fields, expected 2$"):
+        trajectory_from_csv("t,ch1\n1,1.0\n2,2.0,3.0\n")
+
+
+def test_csv_skips_blank_lines():
+    w = trajectory_from_csv("t,ch1\n\n4,1.0\n\n5,2.0\n\n")
+    assert w.interval == (4, 5) and w.samples.tolist() == [[1.0], [2.0]]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "abc"])

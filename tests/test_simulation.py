@@ -64,7 +64,7 @@ def test_geometric_decay():
     sim = simulate_ss(m, [1.0], u, p)
     assert np.allclose(sim.y.samples.ravel(), [1.0, 0.5, 0.25], atol=0)
     assert sim.x.length == 4 and sim.y.length == 3
-    assert sim.domain == (1, 3)
+    assert sim.y.interval == (1, 3)
 
 
 def test_superposition_in_input():
@@ -304,6 +304,18 @@ def test_estimate_initial_state_window_too_short():
         estimate_initial_state(m, u, p, y)
 
 
+def test_estimate_initial_state_rejects_an_unobservable_model():
+    # C = [1 0] never sees the second state of A = 0.5 I: the map has rank 1 at any length
+    m = LpvSsModel(A=CoeffMatrix.constant(0.5 * np.eye(2), 1),
+                   B=CoeffMatrix.constant([[1.0], [1.0]], 1),
+                   C=CoeffMatrix.constant([[1.0, 0.0]], 1), D=CoeffMatrix.zeros(1, 1, 1))
+    rng = np.random.default_rng(15)
+    u, p = rand_traj(rng, 1, 4), rand_traj(rng, 1, 4)
+    y = simulate_ss(m, np.ones(2), u, p).y
+    with pytest.raises(RankDeficientObservability, match="rank 1 < n_x=2"):
+        estimate_initial_state(m, u, p, y)
+
+
 def test_estimate_initial_state_detects_perturbation():
     rng = np.random.default_rng(16)
     m = minimal_random_ss(rng, 2, 1, 1, 1)
@@ -503,6 +515,12 @@ def test_seeds_from_two_to_the_63_are_distinct_keys():
         warnings.simplefilter("error")
         draws = [stream(s, "input").random(2) for s in (2**63, 2**63 + 5, 2**64 - 1)]
     assert len({d.tobytes() for d in draws}) == 3
+
+
+def test_stream_rejects_a_seed_past_one_key_word():
+    with pytest.raises(InvalidShape) as exc:
+        stream(2**64, "input")
+    assert str(exc.value) == f"seed must be in [0, 2**64), got {2**64}"
 
 
 def test_generate_query_takes_per_channel_input_boxes():
