@@ -65,6 +65,11 @@ __all__ = [
 # The relative rank cut of every rank decision: a singular value counts when it
 # exceeds RANK_CUT times the largest.  Read at call time, never bound as a default.
 RANK_CUT = 1e-9
+# Scheduling windows drawn per structural rank test.
+TRIALS = 20
+# The residual tolerance of span_membership and estimate_initial_state, and the
+# default of predict's tol and margin_tol.
+TOL = 1e-7
 
 
 def _cut(s: np.ndarray):
@@ -188,6 +193,12 @@ def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:
     return Lifted(shape, U, s, inputs)
 
 
+def _check_order(n: int) -> None:
+    """:class:`InvalidShape` unless the order ``n`` of a window map is at least 1."""
+    if n < 1:
+        raise InvalidShape(f"n must be >= 1, got {n}")
+
+
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     """n-step observability matrix function: block rows ``o_1, ..., o_n``.
 
@@ -196,8 +207,7 @@ def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     ``k + i - 1`` back through the state transitions.
     """
     from .coeffs import CoeffMatrix
-    if n < 1:
-        raise InvalidShape(f"n must be >= 1, got {n}")
+    _check_order(n)
     blocks = [model.C]
     for _ in range(n - 1):
         blocks.append(blocks[-1].shift(1) @ model.A)
@@ -211,8 +221,7 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     backward-shifted ``r_i``.
     """
     from .coeffs import CoeffMatrix
-    if n < 1:
-        raise InvalidShape(f"n must be >= 1, got {n}")
+    _check_order(n)
     blocks = [model.B]
     for _ in range(n - 1):
         blocks.append(model.A @ blocks[-1].shift(-1))
@@ -241,6 +250,7 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     test's copy: ``estimate_initial_state`` solves least squares on this map,
     and scaling its block rows would change the weighting.
     """
+    _check_order(n)
     C = model.C.eval_range(p, k, k + n - 1)
     A = model.A.eval_range(p, k, k + n - 2)
     return _obsv_blocks(C, A).reshape(n * model.n_y, model.n_x)
@@ -253,6 +263,7 @@ def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     Block column ``i`` equals ``A(k) ... A(k-i+2) B(k-i+1)``, the evaluation
     of :func:`reach_matrix`, computed by the recursion.
     """
+    _check_order(n)
     B = model.B.eval_range(p, k - n + 1, k)[::-1]  # B[i] is B(k - i)
     A = model.A.eval_range(p, k - n + 2, k)[::-1]
     return _obsv_blocks(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(-1, model.n_x).T
@@ -309,55 +320,47 @@ class StructuralRankReport:
         return self.passes == self.trials
 
 
-def _sampled_rank(evaluate, window, n_p, required, trials, seed):
+def _sampled_rank(evaluate, window, n_p, required, seed):
     """Every trial of :func:`structural_rank` at once: ``P`` holds all windows, drawn in
     one call (the values of one draw per trial); ``evaluate(P, i)`` stacks the maps at
     ``k = 0`` (row ``i`` of ``P``), with blocks at unit norm on the model route; one SVD."""
-    if trials < 1:
-        raise InvalidShape(f"trials must be >= 1, got {trials}")
     lo, hi = window
-    P = stream(seed, "trials").uniform(-1.0, 1.0, (trials, hi - lo + 1, n_p))
+    P = stream(seed, "trials").uniform(-1.0, 1.0, (TRIALS, hi - lo + 1, n_p))
     s = np.linalg.svd(evaluate(P, -lo), compute_uv=False)
     ranks = _cut(s)
-    return StructuralRankReport(trials, sum(rank >= required for rank in ranks),
+    return StructuralRankReport(TRIALS, sum(rank >= required for rank in ranks),
                                 _rank(s[ranks.index(min(ranks))], required))
 
 
-def structural_rank(
-    M: CoeffMatrix, required: int, trials: int = 20, seed: int = 0
-) -> StructuralRankReport:
+def structural_rank(M: CoeffMatrix, required: int, seed: int = 0) -> StructuralRankReport:
     """Randomized check that ``M`` has rank >= ``required`` generically.
 
-    Evaluates ``M`` at ``k = 0`` for ``trials`` scheduling windows drawn
+    Evaluates ``M`` at ``k = 0`` for ``TRIALS`` scheduling windows drawn
     i.i.d. uniform on ``[-1, 1]`` (per component, per needed offset).  The
     verdict requires the numeric rank to reach ``required`` on every trial.
     """
     return _sampled_rank(lambda P, i: M._eval_rows(P, i, 1)[:, 0], M.window or (0, 0),
-                         M.n_p, required, trials, seed)
+                         M.n_p, required, seed)
 
 
-def is_struct_observable(
-    model: LpvSsModel, trials: int = 20, seed: int = 0
-) -> StructuralRankReport:
+def is_struct_observable(model: LpvSsModel, seed: int = 0) -> StructuralRankReport:
     """Full column rank of the ``n_x``-step observability matrix, generically.
 
     Same draws as ``structural_rank(obsv_matrix(model, n_x), n_x)``, evaluated
     by the recursion of :func:`obsv_eval` with each block row scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
-    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p, n, trials, seed)
+    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p, n, seed)
 
 
-def is_struct_reachable(
-    model: LpvSsModel, trials: int = 20, seed: int = 0
-) -> StructuralRankReport:
+def is_struct_reachable(model: LpvSsModel, seed: int = 0) -> StructuralRankReport:
     """Full row rank of the ``n_x``-step reachability matrix, generically.
 
     Same draws as ``structural_rank(reach_matrix(model, n_x), n_x)``, evaluated
     by the recursion of :func:`reach_eval` with each block column scaled to unit norm."""
     n = model.n_x
     window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
-    return _sampled_rank(partial(_reach_trials, model), window, model.n_p, n, trials, seed)
+    return _sampled_rank(partial(_reach_trials, model), window, model.n_p, n, seed)
 
 
 @dataclass(frozen=True)
@@ -376,12 +379,10 @@ class MinimalityReport:
         return self.observable.verdict and self.reachable.verdict
 
 
-def minimality_report(
-    model: LpvSsModel, trials: int = 20, seed: int = 0
-) -> MinimalityReport:
+def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
     return MinimalityReport(
-        observable=is_struct_observable(model, trials, seed),
-        reachable=is_struct_reachable(model, trials, seed),
+        observable=is_struct_observable(model, seed),
+        reachable=is_struct_reachable(model, seed),
     )
 
 

@@ -87,10 +87,6 @@ class PolyCoeff:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_p: int) -> "PolyCoeff":
-        return cls(n_p, ())
-
-    @classmethod
     def constant(cls, value: float, n_p: int) -> "PolyCoeff":
         return cls(n_p, ((float(value), ()),))
 
@@ -111,18 +107,6 @@ class PolyCoeff:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def constant_value(self) -> float:
-        for coeff, mono in self.terms:
-            if mono == ():
-                return coeff
-        return 0.0
-
-    @property
-    def degree(self) -> int:
-        """Total degree (0 for constants and the zero polynomial)."""
-        return max((sum(pw for _, _, pw in mono) for _, mono in self.terms), default=0)
 
     @property
     def window(self) -> tuple[int, int] | None:

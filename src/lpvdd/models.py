@@ -143,11 +143,6 @@ class LpvIoModel:
     def n_p(self) -> int:
         return self.a_coeffs[0].n_p
 
-    @property
-    def is_affine(self) -> bool:
-        return all(sum(pw for _, _, pw in mono) <= 1
-                   for m in self.a_coeffs + self.b_coeffs for mono in m.terms)
-
 
 @dataclass(frozen=True)
 class KernelRep:

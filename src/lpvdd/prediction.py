@@ -42,7 +42,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import RankRecord, _lstsq
+from .analysis import TOL, RankRecord, _lstsq
+from .errors import InvalidShape
 from .signals import (
     DataRecord,
     Trajectory,
@@ -213,8 +214,8 @@ def predict(
     y_ini: Trajectory,
     u_r: Trajectory,
     p_r: Trajectory,
-    tol: float = 1e-7,
-    margin_tol: float = 1e-7,
+    tol: float = TOL,
+    margin_tol: float = TOL,
 ) -> PredictionResult:
     """Predict the future outputs of a query trajectory from recorded data.
 
@@ -226,8 +227,12 @@ def predict(
     ``T_ini`` must reach the lag of the data-generating system for the
     continuation to be unique, and the record must be long and exciting
     enough for its Hankel span to cover the query; shortfalls surface as the
-    ``ambiguous``/``infeasible`` verdicts and in the diagnostics.
+    ``ambiguous``/``infeasible`` verdicts and in the diagnostics.  ``tol`` and
+    ``margin_tol`` lie in ``[0, inf)``, else :class:`InvalidShape` names them.
     """
+    for name, value in (("tol", tol), ("margin_tol", margin_tol)):
+        if not 0 <= value < np.inf:  # NaN fails too
+            raise InvalidShape(f"{name} must be in [0, inf), got {value}")
     T_ini, T_r, t, n_u = u_ini.length, u_r.length, u_ini.t_end, data.n_u
     L, ini, r = T_ini + T_r, u_ini.interval, (t + 1, t + T_r)
     _check_windows(("u_ini", u_ini, n_u, None), ("y_ini", y_ini, data.n_y, ini),
@@ -289,20 +294,20 @@ def span_membership(
     data: DataRecord,
     w_test: Trajectory,
     p_test: Trajectory,
-    tol: float = 1e-7,
 ) -> MembershipResult:
     """Test whether a window lies in the data span at the test scheduling.
 
     The window ``w_test = col(u, y)`` of length ``L`` is a member when some column
     combination of the measured Hankel blocks reproduces it while satisfying the
-    Kronecker consistency constraints built from ``p_test`` on the steps of ``w_test``.
+    Kronecker consistency constraints built from ``p_test`` on the steps of ``w_test``,
+    to a residual of at most ``TOL``.
     """
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
                    ("p_test", p_test, data.n_p, w_test.interval))
     u, y = np.hsplit(w_test.samples, [data.n_u])
     lifted = data.lifted(w_test.length)
     residual = _fit(lifted.consistent(p_test.samples, lifted.hankel.rank), u, y)[-1]
-    return MembershipResult(member=residual <= tol, residual=residual)
+    return MembershipResult(member=residual <= TOL, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,6 @@ class Trajectory:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    @classmethod
-    def from_values(cls, values, t_start: int = 1) -> "Trajectory":
-        """Build from a list of scalars or vectors starting at ``t_start``."""
-        return cls(t_start, np.asarray(values, dtype=float))
-
     @property
     def length(self) -> int:
         return self.samples.shape[0]

@@ -190,6 +190,12 @@ def impulse_coeff(model: LpvSsModel, n: int) -> CoeffMatrix:
     return acc @ model.B
 
 
+def _check_t1(t1: int) -> None:
+    """:class:`DimensionMismatch` unless the Toeplitz window ``t1`` is at least 1 step."""
+    if t1 < 1:
+        raise DimensionMismatch(f"t1 must be >= 1, got {t1}")
+
+
 def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     """Lower block-triangular matrix of impulse-response coefficients.
 
@@ -197,8 +203,7 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     forward-shifted ``j - 1`` times, so that evaluation at window start maps
     ``vec(u)`` to the zero-state response ``vec(y)``.
     """
-    if t1 < 1:
-        raise DimensionMismatch(f"t1 must be >= 1, got {t1}")
+    _check_t1(t1)
     h = [impulse_coeff(model, n) for n in range(t1)]
     zero = CoeffMatrix.zeros(model.n_y, model.n_u, model.n_p)
     rows = []
@@ -211,6 +216,7 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
 @_finite
 def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated impulse-response Toeplitz matrix at window start ``k``."""
+    _check_t1(t1)
     n_y, n_u = model.n_y, model.n_u
     A = model.A.eval_range(p, k + 1, k + t1 - 2)  # A[i - 1] is A(k + i)
     B = model.B.eval_range(p, k, k + t1 - 1)
@@ -261,7 +267,6 @@ def estimate_initial_state(
     u_ini: Trajectory,
     p_ini: Trajectory,
     y_ini: Trajectory,
-    tol: float = 1e-7,
 ) -> InitialStateEstimate:
     """Recover ``x(t_start)`` from an initial window of the trajectory.
 
@@ -269,10 +274,10 @@ def estimate_initial_state(
     squares.  Raises :class:`RankDeficientObservability` when the window is
     shorter than the lag bound ``n_x``, the safe sufficient choice, or when
     the evaluated observability map is numerically rank deficient,
-    :class:`InconsistentTrajectory` when the residual exceeds ``tol`` and
+    :class:`InconsistentTrajectory` when the residual exceeds ``TOL`` and
     :class:`InvalidShape` naming a window off its steps.
     """
-    from .analysis import _lstsq, obsv_eval
+    from .analysis import TOL, _lstsq, obsv_eval
     _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, model.n_p, None),
                    ("y_ini", y_ini, model.n_y, u_ini.interval))
     T_ini = u_ini.length
@@ -291,9 +296,9 @@ def estimate_initial_state(
             f"observability evaluation has rank {obsv.rank} < n_x={model.n_x} "
             f"(sigma_min={s[-1] if s else 0.0:.3e})"
         )
-    if residual > tol:
+    if residual > TOL:
         raise InconsistentTrajectory(
-            f"initial window residual {residual:.3e} exceeds tol {tol:.3e}"
+            f"initial window residual {residual:.3e} exceeds tol {TOL:.3e}"
         )
     return InitialStateEstimate(x=x_bar, residual=residual, observability=obsv)
 

@@ -59,6 +59,6 @@ def minimal_random_ss(
     """Random affine state-space model filtered for structural minimality."""
     for _ in range(max_draws):
         model = random_affine_ss(rng, n_x, n_u, n_y, n_p)
-        if minimality_report(model, trials=5, seed=int(rng.integers(1 << 30))).minimal:
+        if minimality_report(model, seed=int(rng.integers(1 << 30))).minimal:
             return model
     raise AssertionError("could not draw a structurally minimal model")

@@ -37,6 +37,7 @@ from lpvdd import (
     simulate_ss,
     structural_rank,
 )
+from lpvdd.analysis import TRIALS
 from lpvdd.rng import stream
 
 
@@ -120,10 +121,10 @@ def test_obsv_prefix_property():
 
 def test_structural_rank_identity_and_zero():
     I = CoeffMatrix.identity(3, n_p=1)
-    rep = structural_rank(I, required=3, trials=7, seed=1)
-    assert rep.verdict and rep.passes == 7
+    rep = structural_rank(I, required=3, seed=1)
+    assert rep.verdict and rep.passes == TRIALS
     Z = CoeffMatrix.zeros(2, 2, 1)
-    rep0 = structural_rank(Z, required=1, trials=4, seed=1)
+    rep0 = structural_rank(Z, required=1, seed=1)
     assert not rep0.verdict and rep0.passes == 0
 
 
@@ -131,8 +132,8 @@ def test_structural_rank_deterministic_given_seed():
     rng = np.random.default_rng(6)
     m = random_affine_ss(rng, n_x=2, n_u=1, n_y=1, n_p=2)
     M = obsv_matrix(m, 2)
-    r1 = structural_rank(M, 2, trials=9, seed=42)
-    r2 = structural_rank(M, 2, trials=9, seed=42)
+    r1 = structural_rank(M, 2, seed=42)
+    r2 = structural_rank(M, 2, seed=42)
     assert r1 == r2
 
 
@@ -147,21 +148,21 @@ def test_structural_observability_of_generic_two_state_siso():
         p = rand_traj(rng, 1, 4, t_start=-1)
         dets.append(abs(np.linalg.det(O.eval(p, 0))))
     assert max(dets) > 1e-9
-    assert is_struct_observable(m, trials=20, seed=3).verdict
+    assert is_struct_observable(m, seed=3).verdict
 
 
 def test_autonomous_model_not_reachable():
     rng = np.random.default_rng(8)
     m0 = random_affine_ss(rng, n_x=2, n_u=1, n_y=1, n_p=1)
     m = LpvSsModel(A=m0.A, B=CoeffMatrix.zeros(2, 1, 1), C=m0.C, D=m0.D)
-    assert not is_struct_reachable(m, trials=5, seed=0).verdict
+    assert not is_struct_reachable(m, seed=0).verdict
 
 
 def test_blind_model_not_observable():
     rng = np.random.default_rng(9)
     m0 = random_affine_ss(rng, n_x=2, n_u=1, n_y=1, n_p=1)
     m = LpvSsModel(A=m0.A, B=m0.B, C=CoeffMatrix.zeros(1, 2, 1), D=m0.D)
-    assert not is_struct_observable(m, trials=5, seed=0).verdict
+    assert not is_struct_observable(m, seed=0).verdict
 
 
 def test_minimality_of_dense_constant_model():
@@ -174,10 +175,10 @@ def test_minimality_of_dense_constant_model():
         if np.linalg.matrix_rank(kal_o) == 3 and np.linalg.matrix_rank(kal_r) == 3:
             break
     m = _constant_ss(A, B, C, np.zeros((1, 1)))
-    rep = minimality_report(m, trials=6, seed=4)
+    rep = minimality_report(m, seed=4)
     assert rep.minimal
     assert {k: v["passes"] for k, v in asdict(rep).items()} == {
-        "observable": 6, "reachable": 6}
+        "observable": TRIALS, "reachable": TRIALS}
 
 
 def test_check_pe_zero_input_fails():
@@ -343,13 +344,8 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
 def test_minimal_random_ss_helper_yields_minimal_models():
     rng = np.random.default_rng(14)
     m = minimal_random_ss(rng, n_x=3, n_u=2, n_y=2, n_p=2)
-    rep = minimality_report(m, trials=5, seed=11)
+    rep = minimality_report(m, seed=11)
     assert rep.minimal
-
-
-def test_structural_rank_rejects_zero_trials():
-    with pytest.raises(InvalidShape):
-        structural_rank(CoeffMatrix.identity(2, 1), 2, trials=0)
 
 
 def _shifted_affine_ss(rng, n_x, n_p):
@@ -382,10 +378,10 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
         monkeypatch.setattr(analysis, name, recording)
 
     O, R = obsv_matrix(m, n_x), reach_matrix(m, n_x)
-    assert _counts(is_struct_observable(m, trials=6, seed=seed)) == _counts(
-        structural_rank(O, n_x, trials=6, seed=seed))
-    assert _counts(is_struct_reachable(m, trials=6, seed=seed)) == _counts(
-        structural_rank(R, n_x, trials=6, seed=seed))
+    assert _counts(is_struct_observable(m, seed=seed)) == _counts(
+        structural_rank(O, n_x, seed=seed))
+    assert _counts(is_struct_reachable(m, seed=seed)) == _counts(
+        structural_rank(R, n_x, seed=seed))
     assert drawn == {"_obsv_trials": {O.window or (0, 0)},
                      "_reach_trials": {R.window or (0, 0)}}
 
@@ -401,14 +397,13 @@ def _oracle_case(n_x, n_p, shifted, model_seed):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(n_x=st.integers(1, 6), n_p=st.integers(0, 3), shifted=st.booleans(),
-       model_seed=st.integers(0, 2), trials=st.sampled_from([1, 3, 20]),
-       seed=st.integers(0, 10**6))
-def test_stacked_trials_match_symbolic_oracle(n_x, n_p, shifted, model_seed, trials, seed):
+       model_seed=st.integers(0, 2), seed=st.integers(0, 10**6))
+def test_stacked_trials_match_symbolic_oracle(n_x, n_p, shifted, model_seed, seed):
     m, O, R = _oracle_case(n_x, n_p, shifted, model_seed)
-    assert _counts(is_struct_observable(m, trials, seed=seed)) == _counts(
-        structural_rank(O, n_x, trials, seed=seed))
-    assert _counts(is_struct_reachable(m, trials, seed=seed)) == _counts(
-        structural_rank(R, n_x, trials, seed=seed))
+    assert _counts(is_struct_observable(m, seed=seed)) == _counts(
+        structural_rank(O, n_x, seed=seed))
+    assert _counts(is_struct_reachable(m, seed=seed)) == _counts(
+        structural_rank(R, n_x, seed=seed))
 
 
 def test_minimality_report_takes_one_svd_per_map(monkeypatch):
@@ -420,11 +415,11 @@ def test_minimality_report_takes_one_svd_per_map(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert minimality_report(m, trials=20).minimal
-    assert calls == [(20, 10, 5), (20, 10, 5)]  # reachability map is stacked transposed
+    assert minimality_report(m).minimal
+    assert calls == [(TRIALS, 10, 5), (TRIALS, 10, 5)]  # reachability map stacked transposed
     calls.clear()
-    assert structural_rank(obsv_matrix(m, 2), 2, trials=20).verdict
-    assert calls == [(20, 4, 5)]
+    assert structural_rank(obsv_matrix(m, 2), 2).verdict
+    assert calls == [(TRIALS, 4, 5)]
 
 
 def test_stacked_windows_equal_sequential_draws(monkeypatch):
@@ -437,11 +432,11 @@ def test_stacked_windows_equal_sequential_draws(monkeypatch):
         return real(model, P, i)
 
     monkeypatch.setattr(analysis, "_obsv_trials", recording)
-    is_struct_observable(m, trials=20, seed=5)
+    is_struct_observable(m, seed=5)
     (P,) = seen
     lo, hi = obsv_matrix(m, 3).window
     rng = stream(5, "trials")
-    expected = [rng.uniform(-1.0, 1.0, (hi - lo + 1, 2)) for _ in range(20)]
+    expected = [rng.uniform(-1.0, 1.0, (hi - lo + 1, 2)) for _ in range(TRIALS)]
     assert np.array_equal(P, np.stack(expected))
 
 
@@ -503,7 +498,7 @@ def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):
     obsv_matrix(m, 2).entry(0, 0).eval(rand_traj(rng, 2, 3, t_start=-1), 0)
     assert calls == ["__matmul__", "eval"]  # the counters see the symbolic route
     calls.clear()
-    assert minimality_report(m, trials=4).minimal
+    assert minimality_report(m).minimal
     simulate_ss(m, np.zeros(4), rand_traj(rng, 2, 50), rand_traj(rng, 2, 50))
     assert calls == []
 

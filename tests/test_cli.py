@@ -730,6 +730,13 @@ def test_tolerance_flag_rejected_at_the_boundary(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_tolerance_flags_default_to_the_library_constant():
+    # cli loads no analysis at import, so its defaults are literals pinned here
+    args = cli.build_parser().parse_args(
+        ["predict", "--data-dir", "d", "--query-dir", "q", "--out-dir", "o"])
+    assert args.tol == args.margin_tol == analysis.TOL
+
+
 def test_config_tol_accepts_an_integer(tmp_path):
     assert _simulate(tmp_path, T=70) == 0
     _write_query(tmp_path / "query")

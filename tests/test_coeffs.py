@@ -25,17 +25,17 @@ def test_constant_ignores_scheduling():
 
 def test_single_variable_reads_off_sample():
     c = PolyCoeff.var(1, n_p=1)
-    p = Trajectory.from_values([[1.0], [2.0], [3.0]])
+    p = Trajectory(1, [[1.0], [2.0], [3.0]])
     assert c.eval(p, 2) == 2.0
 
 
 def test_monomial_constructor_takes_triples():
     c = PolyCoeff.monomial(2.0, [(1, 0, 1), (2, -1, 1)], n_p=2)
-    p = Trajectory.from_values([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    p = Trajectory(1, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     assert c.eval(p, 2) == 2.0 * 2.0 * 4.0
     # repeated variables collapse into powers
     sq = PolyCoeff.monomial(1.0, [(1, 0, 1), (1, 0, 1)], n_p=1)
-    assert sq == PolyCoeff.monomial(1.0, [(1, 0, 2)], n_p=1) and sq.degree == 2
+    assert sq == PolyCoeff.monomial(1.0, [(1, 0, 2)], n_p=1)
     assert PolyCoeff.var(2, n_p=2, offset=-1) == PolyCoeff.monomial(1.0, [(2, -1, 1)], 2)
     with pytest.raises(DimensionMismatch, match=r"component 0 outside \[1, 1\]"):
         PolyCoeff.var(0, n_p=1)
@@ -46,7 +46,7 @@ def test_monomial_constructor_takes_triples():
 def test_two_term_polynomial_hand_value():
     # p1(k) * p2(k-1) + 2 at k=2 with p1=(1,2,3), p2=(4,5,6)
     c = PolyCoeff.var(1, n_p=2) * PolyCoeff.var(2, n_p=2, offset=-1) + 2.0
-    p = Trajectory.from_values([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    p = Trajectory(1, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     assert c.eval(p, 2) == pytest.approx(2 * 4 + 2, abs=0)
 
     # direct substitution oracle over every admissible k
@@ -88,14 +88,14 @@ def test_shift_eval_commutation_is_exact():
 def test_noncommutativity_witness():
     # any non-constant coefficient over non-constant scheduling
     c = PolyCoeff.var(1, n_p=1)
-    p = Trajectory.from_values([[1.0], [5.0]])
+    p = Trajectory(1, [[1.0], [5.0]])
     assert c.shift(1).eval(p, 1) != c.eval(p, 1)
 
 
 def test_mul_by_zero_annihilates():
     rng = np.random.default_rng(4)
     c = rand_poly(rng, 2)
-    assert (c * PolyCoeff.zero(2)).is_zero
+    assert (c * PolyCoeff(2)).is_zero
 
 
 def test_add_negate_gives_zero():
@@ -199,6 +199,38 @@ def test_matrix_dimension_errors():
         CoeffMatrix.zeros(2, 2, 1) @ CoeffMatrix.zeros(2, 2, 2)
 
 
+_ONE, _TWO = PolyCoeff.constant(1.0, 1), PolyCoeff.constant(1.0, 2)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CoeffMatrix([]), "CoeffMatrix must have at least one entry"),
+    (lambda: CoeffMatrix([[]]), "CoeffMatrix must have at least one entry"),
+    (lambda: CoeffMatrix([[_ONE, _ONE], [_ONE]]), "ragged rows in CoeffMatrix"),
+    (lambda: CoeffMatrix([[_ONE, _TWO]]), "entries disagree on n_p"),
+    (lambda: CoeffMatrix.zeros(2, 3, 1) + CoeffMatrix.zeros(3, 2, 1),
+     r"shapes differ: \(2, 3\) vs \(3, 2\)"),
+    (lambda: CoeffMatrix.zeros(2, 2, 1) + CoeffMatrix.zeros(2, 2, 2), "n_p differs: 1 vs 2"),
+    (lambda: CoeffMatrix.vstack([CoeffMatrix.zeros(1, 2, 1), CoeffMatrix.zeros(1, 3, 1)]),
+     "vstack blocks disagree on column count"),
+    (lambda: CoeffMatrix.hstack([CoeffMatrix.zeros(1, 2, 1), CoeffMatrix.zeros(2, 2, 1)]),
+     "hstack blocks disagree on row count"),
+    (lambda: CoeffMatrix.vstack([CoeffMatrix.zeros(1, 2, 1), CoeffMatrix.zeros(1, 2, 2)]),
+     "entries disagree on n_p"),
+    (lambda: CoeffMatrix.affine([[1.0, 2.0]], ([[1.0]],)),
+     r"linear part shape \(1, 1\) differs from constant \(1, 2\)"),
+    (lambda: PolyCoeff.var(1, n_p=1) + PolyCoeff.var(1, n_p=2), "n_p differs: 1 vs 2"),
+])
+def test_ill_formed_coefficients_are_not_made(make, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        make()
+
+
+def test_poly_minus_a_number_subtracts_a_constant():
+    c = PolyCoeff.var(1, n_p=1)
+    assert c - 2 == c + PolyCoeff.constant(-2.0, 1)
+    assert (c - 2.5).eval(Trajectory(1, [[4.0]]), 1) == 1.5
+
+
 # -- compiled evaluation -------------------------------------------------------
 
 
@@ -281,7 +313,7 @@ def test_matrix_algebra_matches_entrywise_scalar_algebra(data, d):
     H = data.draw(coeff_matrices(n_p=n_p, rows=rows))
     e, f, g = M.entries, R.entries, S.entries
     cases = {
-        "@": (M @ R, [[sum((e[i][l] * f[l][j] for l in range(cols)), PolyCoeff.zero(n_p))
+        "@": (M @ R, [[sum((e[i][l] * f[l][j] for l in range(cols)), PolyCoeff(n_p))
                        for j in range(R.cols)] for i in range(rows)]),
         "+": (M + S, [[a + b for a, b in zip(r, q)] for r, q in zip(e, g)]),
         "-": (M - S, [[a - b for a, b in zip(r, q)] for r, q in zip(e, g)]),
@@ -309,7 +341,7 @@ def test_non_finite_coefficient_is_rejected_naming_its_entry(bad):
         CoeffMatrix.constant(values, 1)
     with pytest.raises(InvalidModel, match=r"^\[1\]\[0\]: non-finite"):
         CoeffMatrix.affine(np.eye(2), [values])
-    poly = [[PolyCoeff.constant(1.0, 2)] * 2, [PolyCoeff.var(2, 2) * bad, PolyCoeff.zero(2)]]
+    poly = [[PolyCoeff.constant(1.0, 2)] * 2, [PolyCoeff.var(2, 2) * bad, PolyCoeff(2)]]
     with pytest.raises(InvalidModel, match=r"^\[1\]\[0\]: non-finite"):
         CoeffMatrix(poly)
 

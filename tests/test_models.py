@@ -15,6 +15,7 @@ from lpvdd import (
     LpvIoModel,
     LpvSsModel,
     Trajectory,
+    WindowOutOfRange,
     example_verhoek,
     generate_record,
     io_to_kernel,
@@ -30,10 +31,9 @@ def test_example_dimensions():
     m = example_verhoek()
     assert (m.n_a, m.n_b, m.n_p) == (2, 2, 2)
     assert (m.n_u, m.n_y) == (1, 1)
-    assert m.is_affine
-    a1 = m.a_coeffs[0]
-    squared = LpvIoModel(a_coeffs=(a1 @ a1, m.a_coeffs[1]), b_coeffs=m.b_coeffs)
-    assert not squared.is_affine
+    # affine: every monomial is a constant or a single first power
+    assert {sum(pw for _, _, pw in mono)
+            for c in m.a_coeffs + m.b_coeffs for mono in c.terms} == {0, 1}
 
 
 def test_example_coefficient_values():
@@ -170,7 +170,7 @@ def test_static_degenerate_kernel():
         b_coeffs=(CoeffMatrix.constant([[b1]], 0),),
     )
     # a zero leading coefficient is legal: it only lowers the order
-    u = Trajectory.from_values([1.0, 2.0, 3.0])
+    u = Trajectory(1, [1.0, 2.0, 3.0])
     p = Trajectory(1, np.zeros((3, 0)))
     y = simulate_io(m, u, p, y_init=[[0.0]])
     assert np.allclose(y.samples[1:, 0], b1 * u.samples[:-1, 0])
@@ -243,6 +243,23 @@ def test_kernel_rejects_zero_leading_coefficient():
         KernelRep((eye_row, zero))
 
 
+def test_empty_models_are_not_made():
+    b = example_verhoek().b_coeffs
+    with pytest.raises(InvalidModel, match="^IO model needs at least one a and one b "):
+        LpvIoModel((), b)
+    with pytest.raises(InvalidModel, match="^kernel needs at least one coefficient$"):
+        KernelRep(())
+    with pytest.raises(InvalidModel, match="^cannot serialize str$"):
+        model_to_dict("builtin:verhoek")
+
+
+def test_kernel_residual_needs_an_admissible_time():
+    # a second-order kernel has no admissible time on a two-step window
+    rng = np.random.default_rng(2)
+    with pytest.raises(WindowOutOfRange, match="^no admissible evaluation times "):
+        io_to_kernel(example_verhoek()).residual(rand_traj(rng, 2, 2), rand_traj(rng, 2, 2))
+
+
 def test_ill_formed_kernel_is_not_made():
     # a coefficient unlike r_0 was made, then failed inside numpy's einsum in residual
     r_0 = CoeffMatrix.constant([[1.0, 0.0]], 1)
@@ -274,7 +291,7 @@ def test_example_coefficient_literals_bitwise():
 
     def terms_of(mat):
         entry = mat.entry(0, 0)
-        const = entry.constant_value
+        const = {mono: c for c, mono in entry.terms}.get((), 0.0)
         linear = {mono[0][0]: c for c, mono in entry.terms if mono}
         return (const, linear.get(1, 0.0), linear.get(2, 0.0))
 

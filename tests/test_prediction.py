@@ -324,7 +324,7 @@ def test_left_nullspace_contains_shifted_kernel_rows():
             base = pos * n_ext
             for j in range(R.n_w):
                 e = coeff.entry(0, j)
-                row[base + j] += e.constant_value
+                row[base + j] += {mono: c for c, mono in e.terms}.get((), 0.0)
                 for c, mono in e.terms:
                     if mono:
                         (comp, off, pw) = mono[0]
@@ -827,6 +827,25 @@ def test_predict_rejects_non_finite_queries(name, value):
     k = args[name].t_end
     with pytest.raises(InvalidShape, match=f"^non-finite sample at time step {k}$"):
         predict(rec, **{**args, name: _poisoned(args[name], value)})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", ["tol", "margin_tol"])
+def test_predict_rejects_a_tolerance_outside_zero_to_inf(name, value):
+    # a NaN tol read an infeasible query "ok", a NaN margin_tol skipped the margin test
+    rec, q = _record(100), _query(seed=3)
+    with pytest.raises(InvalidShape, match=f"^{name} must be in \\[0, inf\\), got {value}$"):
+        predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r, **{name: value})
+
+
+def test_predict_tolerance_defaults_to_the_one_constant():
+    rec, q = _record(200), _query(seed=3)
+    y_off = Trajectory(q.y_ini.t_start, q.y_ini.samples + 1.0)
+    args = (rec, q.u_ini, q.p_ini, y_off, q.u_r, q.p_r)
+    res = predict(*args)
+    assert res.verdict == "infeasible" and res.residual > analysis.TOL
+    assert predict(*args, tol=res.residual).verdict == "ok"
+    assert predict(*args, tol=analysis.TOL, margin_tol=analysis.TOL).to_dict() == res.to_dict()
 
 
 @pytest.mark.parametrize("name", ["w_test", "p_test"])

@@ -31,26 +31,32 @@ from lpvdd import (
 
 
 def test_vec_scalar_trajectory():
-    w = Trajectory.from_values([1.0, 2.0, 3.0])
+    w = Trajectory(1, [1.0, 2.0, 3.0])
     assert np.array_equal(vec(w), [1.0, 2.0, 3.0])
 
 
 def test_vec_stacks_samples():
-    w = Trajectory.from_values([[1.0, 2.0], [3.0, 4.0]])
+    w = Trajectory(1, [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(vec(w), [1.0, 2.0, 3.0, 4.0])
 
 
+def test_trajectory_needs_a_step():
+    with pytest.raises(InvalidShape, match=r"^samples must be \(T, dim\) with T >= 1, "
+                                           r"got \(0, 1\)$"):
+        Trajectory(1, np.zeros((0, 1)))
+
+
 def test_concat_basic_and_errors():
-    w1 = Trajectory.from_values([1.0, 2.0], t_start=1)
-    w2 = Trajectory.from_values([3.0], t_start=3)
+    w1 = Trajectory(1, [1.0, 2.0])
+    w2 = Trajectory(3, [3.0])
     w = concat(w1, w2)
     assert w.interval == (1, 3)
     assert np.array_equal(vec(w), [1.0, 2.0, 3.0])
 
     with pytest.raises(NonAdjacentIntervals):
-        concat(w1, Trajectory.from_values([9.0], t_start=5))
+        concat(w1, Trajectory(5, [9.0]))
     with pytest.raises(DimensionMismatch):
-        concat(w1, Trajectory.from_values([[1.0, 2.0]], t_start=3))
+        concat(w1, Trajectory(3, [[1.0, 2.0]]))
 
 
 def test_vec_concat_property():
@@ -66,7 +72,7 @@ def test_vec_concat_property():
 
 
 def test_hankel_forced_by_definition():
-    w = Trajectory.from_values([1.0, 2.0, 3.0, 4.0, 5.0])
+    w = Trajectory(1, [1.0, 2.0, 3.0, 4.0, 5.0])
     H = hankel(w, 2)
     assert np.array_equal(H, [[1, 2, 3, 4], [2, 3, 4, 5]])
 
@@ -105,7 +111,7 @@ def test_hankel_shift_structure():
 
 
 def test_hankel_shape_errors():
-    w = Trajectory.from_values([1.0, 2.0, 3.0])
+    w = Trajectory(1, [1.0, 2.0, 3.0])
     with pytest.raises(InvalidShape):
         hankel(w, 4)
     with pytest.raises(InvalidShape):
@@ -113,8 +119,8 @@ def test_hankel_shape_errors():
 
 
 def test_kron_extend_sample_value():
-    w = Trajectory.from_values([2.0])
-    p = Trajectory.from_values([[3.0, 4.0]])
+    w = Trajectory(1, [2.0])
+    p = Trajectory(1, [[3.0, 4.0]])
     ext = kron_extend(w, p)
     assert np.array_equal(ext.samples[0], [2.0, 6.0, 8.0])
 
@@ -156,7 +162,7 @@ def test_hankel_of_extended_signal_regroups_to_plain_hankel():
 
 
 def test_sched_block_diag_single_block():
-    p = Trajectory.from_values([[2.0, 3.0]])
+    p = Trajectory(1, [[2.0, 3.0]])
     assert np.array_equal(sched_block_diag(p, 1), [[2.0], [3.0]])
 
 
@@ -185,7 +191,7 @@ def test_zero_dim_scheduling_degenerates():
 
 
 def test_trajectory_accessors_and_restrict():
-    w = Trajectory.from_values([10.0, 20.0, 30.0], t_start=5)
+    w = Trajectory(5, [10.0, 20.0, 30.0])
     assert w.t_end == 7
     assert w.value(6) == 20.0
     sub = w.restrict(6, 7)
@@ -197,7 +203,7 @@ def test_trajectory_accessors_and_restrict():
 
 
 def test_trajectory_samples_are_immutable():
-    w = Trajectory.from_values([1.0, 2.0])
+    w = Trajectory(1, [1.0, 2.0])
     with pytest.raises(ValueError):
         w.samples[0] = 9.0
 
@@ -352,7 +358,7 @@ def test_a_failed_write_leaves_the_target_and_no_new_file(tmp_path):
 
 
 def test_rebase_keeps_samples():
-    w = Trajectory.from_values([1.0, 2.0], t_start=4)
+    w = Trajectory(4, [1.0, 2.0])
     r = w.rebase(1)
     assert r.interval == (1, 2)
     assert np.array_equal(r.samples, w.samples)

@@ -22,12 +22,15 @@ from lpvdd import (
     example_verhoek,
     generate_query,
     generate_record,
+    experiments,
     impulse_coeff,
+    io_to_kernel,
     obsv_eval,
     obsv_matrix,
     propagate_state,
     random_affine_ss,
     reach_eval,
+    reach_matrix,
     response_map,
     simulate_io,
     simulate_ss,
@@ -150,10 +153,22 @@ def test_simulate_io_identity_recursion_is_zero():
     assert not zero_model_y.samples.any()
 
 
+def test_simulate_io_needs_n_a_steps():
+    m = example_verhoek()
+    u, p = Trajectory(1, np.zeros((1, 1))), Trajectory(1, np.zeros((1, 2)))
+    with pytest.raises(WindowOutOfRange, match="^interval of length 1 shorter than n_a=2$"):
+        simulate_io(m, u, p, y_init=np.zeros((2, 1)))
+
+
+def test_experiments_simulate_only_the_two_model_forms():
+    with pytest.raises(TypeError, match="^unsupported model type KernelRep$"):
+        experiments._simulate(io_to_kernel(example_verhoek()), None, None, None)
+
+
 def test_simulate_io_frozen_scheduling_matches_lti_recursion():
     # with p identically zero only the constant parts act
     m = example_verhoek()
-    u = Trajectory.from_values([[1.0], [0.0], [0.0], [0.0], [0.0]])
+    u = Trajectory(1, [[1.0], [0.0], [0.0], [0.0], [0.0]])
     p = Trajectory(1, np.zeros((5, 2)))
     y = simulate_io(m, u, p, y_init=np.zeros((2, 1))).samples.ravel()
     # hand recursion: y(k) = -1*y(k-1) - 0.5*y(k-2) + 0.5*u(k-1) + 0.2*u(k-2)
@@ -239,6 +254,27 @@ def test_toeplitz_eval_matches_symbolic():
     sym = toeplitz(m, T).eval(p, 1)
     num = toeplitz_eval(m, T, p, 1)
     assert np.max(np.abs(sym - num)) < 1e-12
+
+
+@pytest.mark.parametrize("t1", [0, -2])
+def test_toeplitz_maps_reject_a_window_below_one_step(t1):
+    # toeplitz_eval gave a 0 x 0 array at 0 and numpy's ValueError at -2
+    m = random_affine_ss(np.random.default_rng(10), 2, 1, 1, 1)
+    p = rand_traj(np.random.default_rng(10), 1, 6, t_start=-2)
+    for evaluate in (lambda: toeplitz(m, t1), lambda: toeplitz_eval(m, t1, p, 1)):
+        with pytest.raises(DimensionMismatch, match=f"^t1 must be >= 1, got {t1}$"):
+            evaluate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_window_maps_reject_an_order_below_one(n):
+    # obsv_eval and reach_eval raised a bare IndexError at 0
+    m = random_affine_ss(np.random.default_rng(11), 2, 1, 1, 1)
+    p = rand_traj(np.random.default_rng(11), 1, 6, t_start=-2)
+    for evaluate in (lambda: obsv_matrix(m, n), lambda: reach_matrix(m, n),
+                     lambda: obsv_eval(m, n, p, 1), lambda: reach_eval(m, n, p, 1)):
+        with pytest.raises(InvalidShape, match=f"^n must be >= 1, got {n}$"):
+            evaluate()
 
 
 def test_obsv_eval_matches_symbolic():
