@@ -138,7 +138,7 @@ def _triangle(V: np.ndarray) -> np.ndarray:
     return (blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lifted:
     """Factor of ``H = H_L(col(w, p (x) w))``: all that is read of the lifted Hankel.
 

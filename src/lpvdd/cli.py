@@ -36,7 +36,7 @@ import numpy as np
 
 # Every command runs these; every other module loads only where a command runs it.
 from .errors import InvalidShape, LpvError
-from .signals import (DataRecord, Trajectory, _check_windows, _json_text, _write,
+from .signals import (DataRecord, Trajectory, _check_windows, _json_text, _read, _write,
                       read_trajectory_csv, trajectory_to_csv, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -73,11 +73,7 @@ _KEYS = {
 
 def _read_config(args) -> dict:
     """The values of ``args.config``, each a key the subcommand reads, of its JSON type."""
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # both decode errors are ValueErrors
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    data = _read(args.config, json.loads, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"config {args.config}: expected a JSON object")
     read = _KEYS.keys() & vars(args).keys()

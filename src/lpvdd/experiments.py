@@ -86,10 +86,9 @@ def generate_record(
     seed: int,
     input_box=None,
     scheduling_box=None,
-    provenance: str = "",
 ) -> DataRecord:
     """Simulate one measured record from zero initial conditions."""
-    return _record_and_states(model, T, seed, input_box, scheduling_box, provenance)[0]
+    return _record_and_states(model, T, seed, input_box, scheduling_box)[0]
 
 
 @dataclass(frozen=True)

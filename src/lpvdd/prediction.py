@@ -6,7 +6,8 @@ trajectory can be read off a stacked Hankel system: the measured signals and
 their Kronecker extensions ``p (x) u``, ``p (x) y`` supply the columns, and
 block-diagonal matrices built from the *query* scheduling impose that any
 column combination is Kronecker-consistent with the query.  The stacked
-system (:func:`build_predictor`, the specification) is
+system (:func:`build_predictor`, the specification; its :class:`PredictorSystem`
+holds the four blocks as ``u``, ``pu``, ``y`` and ``py``) is
 
     [ H_L(u)                          ]       [ vec(u_query) ]
     [ H_L(p (x) u) - P_u H_L(u)       ]  g =  [ 0            ]
@@ -59,7 +60,6 @@ if TYPE_CHECKING:
     from .models import KernelRep
 
 __all__ = [
-    "RowPartition",
     "PredictorSystem",
     "PredictionResult",
     "MembershipResult",
@@ -71,82 +71,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RowPartition:
-    """Row index bookkeeping of the stacked predictor matrix.
-
-    Blocks appear in the order: input rows, input constraint rows, output
-    rows, output constraint rows.  Within the input/output blocks, rows are
-    grouped per window position, so an initial-window split at ``T_ini`` is
-    a prefix of the block.
-    """
-
-    L: int
-    n_u: int
-    n_p: int
-    n_y: int
-
-    @property
-    def u_rows(self) -> slice:
-        return slice(0, self.n_u * self.L)
-
-    @property
-    def u_constraint_rows(self) -> slice:
-        return slice(self.u_rows.stop, (1 + self.n_p) * self.n_u * self.L)
-
-    @property
-    def y_rows(self) -> slice:
-        start = self.u_constraint_rows.stop
-        return slice(start, start + self.n_y * self.L)
-
-    @property
-    def y_constraint_rows(self) -> slice:
-        return slice(self.y_rows.stop, self.total_rows)
-
-    @property
-    def total_rows(self) -> int:
-        return (1 + self.n_p) * (self.n_u + self.n_y) * self.L
-
-    def y_initial_rows(self, T_ini: int) -> np.ndarray:
-        """Absolute indices of the output rows for window steps 1..T_ini."""
-        base = self.y_rows.start
-        return np.arange(base, base + self.n_y * T_ini)
-
-    def y_future_rows(self, T_ini: int) -> np.ndarray:
-        """Absolute indices of the output rows for window steps T_ini+1..L."""
-        return np.arange(self.y_rows.start + self.n_y * T_ini, self.y_rows.stop)
-
-    def known_rows(self, T_ini: int) -> np.ndarray:
-        """All row indices except the future output rows."""
-        return np.delete(np.arange(self.total_rows), self.y_future_rows(T_ini))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictorSystem:
-    """Stacked Hankel system evaluated at a query scheduling window."""
+    """Stacked Hankel system at a query scheduling window, as its four blocks: ``u`` is
+    ``H_L(u)``, ``pu`` is ``H_L(p (x) u) - P_u H_L(u)``, ``y`` is ``H_L(y)`` and ``py``
+    is ``H_L(p (x) y) - P_y H_L(y)``.  Each lists its rows one window step at a time,
+    so the first ``n_y T_ini`` rows of ``y`` are the outputs of the initial window."""
 
-    matrix: np.ndarray
-    row_partition: RowPartition
+    u: np.ndarray
+    pu: np.ndarray
+    y: np.ndarray
+    py: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.vstack([self.u, self.pu, self.y, self.py])
 
 
-def build_predictor(data: DataRecord, p_query: Trajectory, L: int) -> PredictorSystem:
-    """Assemble the four-block stacked system for a query scheduling window.
+def build_predictor(data: DataRecord, p_query: Trajectory) -> PredictorSystem:
+    """Assemble the four-block stacked system of depth ``L = p_query.length``.
 
     Hankel blocks use the measured signals (including measured-scheduling
     Kronecker products); the block-diagonal consistency matrices are built
     from the query scheduling ``p_query``.
     """
-    t = p_query.t_start
-    _check_windows(("p_query", p_query, data.n_p, (t, t + L - 1)))
-    Hu = hankel(data.u, L)
-    Hy = hankel(data.y, L)
-    Hpu = hankel(kron_signal(data.u, data.p), L)
-    Hpy = hankel(kron_signal(data.y, data.p), L)
-    Pu = sched_block_diag(p_query, data.n_u)
-    Py = sched_block_diag(p_query, data.n_y)
-    matrix = np.vstack([Hu, Hpu - Pu @ Hu, Hy, Hpy - Py @ Hy])
-    part = RowPartition(L=L, n_u=data.n_u, n_p=data.n_p, n_y=data.n_y)
-    return PredictorSystem(matrix=matrix, row_partition=part)
+    _check_windows(("p_query", p_query, data.n_p, None))
+    L = p_query.length
+    Hu, Hy = hankel(data.u, L), hankel(data.y, L)
+    Pu, Py = sched_block_diag(p_query, data.n_u), sched_block_diag(p_query, data.n_y)
+    return PredictorSystem(u=Hu, pu=hankel(kron_signal(data.u, data.p), L) - Pu @ Hu,
+                           y=Hy, py=hankel(kron_signal(data.y, data.p), L) - Py @ Hy)
 
 
 def _fit(K: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -310,7 +264,7 @@ def span_membership(
     return MembershipResult(member=residual <= TOL, residual=residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeftNullspace:
     """Numeric left null space of the extended Hankel matrix.
 

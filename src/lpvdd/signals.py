@@ -81,6 +81,11 @@ class Trajectory:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.t_start == other.t_start and np.array_equal(self.samples, other.samples)
+
     @property
     def length(self) -> int:
         return self.samples.shape[0]

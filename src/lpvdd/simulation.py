@@ -252,7 +252,7 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
     return O @ x_tilde + Tm @ vec(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialStateEstimate:
     """Least-squares initial state, its residual and the rank record of its
     observability map against ``n_x``: the state is unique when it holds."""

@@ -897,16 +897,17 @@ def test_check_depth_below_one_exits_config(tmp_path, capsys, how):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--data-bundle", "--model"])
+@pytest.mark.parametrize("flag", ["--data-bundle", "--model", "--config"])
 def test_directory_given_as_file_exits_config(tmp_path, capsys, flag):
     assert _simulate(tmp_path, T=70) == 0
     folder = tmp_path / "folder.json"
     folder.mkdir()
     capsys.readouterr()
     out = tmp_path / "out"
-    argv = (["check", "--data-bundle", str(folder), "--out-dir", str(out)]
-            if flag == "--data-bundle" else
-            ["simulate", "--model", str(folder), "--out-dir", str(out)])
+    argv = {"--data-bundle": ["check", "--data-bundle", str(folder), "--out-dir", str(out)],
+            "--model": ["simulate", "--model", str(folder), "--out-dir", str(out)],
+            "--config": ["check", "--data-dir", str(tmp_path / "data"), "--config",
+                         str(folder), "--out-dir", str(out)]}[flag]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "folder.json" in captured.err, captured.err
@@ -938,6 +939,8 @@ _TRUTH_FROM_T1 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(1, 8))
     (["simulate", "--model", "m.json"], {"m.json": b"[1, 2]"}, "m.json"),
     (["simulate", "--model", "m.json"], {"m.json": _SS_A_NOT_A_MATRIX}, "m.json"),
     (["simulate", "--model", "absent.json"], {}, "absent.json"),
+    (["check", "--data-dir", "data", "--config", "absent.json"], {},
+     "error: absent.json: No such file or directory"),
     (["check", "--data-dir", "data", "--L", "3"], {"data/y.csv": _Y_FROM_T2},
      "data: u/p/y intervals differ"),
     (["simulate", "--model", "m.json"], {"m.json": _SS_NEGATIVE_N_P}, "m.json: n_p"),
@@ -949,7 +952,7 @@ _TRUTH_FROM_T1 = b"t,y0\n" + b"".join(b"%d,0.0\n" % t for t in range(1, 8))
     (["check", "--data-dir", "data", "--L", "3"], {"data/u.csv": _U_LONG_FIELD},
      "u.csv: field larger than field limit"),
 ], ids=["non-utf8-data", "missing-query-file", "non-utf8-config", "model-not-an-object",
-        "model-matrix-not-a-list", "missing-model", "csv-intervals-differ",
+        "model-matrix-not-a-list", "missing-model", "missing-config", "csv-intervals-differ",
         "model-negative-n-p", "y-ini-one-step-late", "truth-off-the-query-steps",
         "model-declared-n-x", "csv-field-over-the-limit"])
 def test_unreadable_input_file_exits_config(tmp_path, capsys, monkeypatch, argv, files,

@@ -1,6 +1,6 @@
 """The package: each public name listed once, each module loaded on first use, the
-generating modules apart from the data modules, each file written by one writer and
-each rank decision cut and reported in one module."""
+generating modules apart from the data modules, each file written by one writer,
+each rank decision cut and reported in one module and no ``==`` raising on an array."""
 
 import ast
 import importlib
@@ -10,10 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpvdd
-from lpvdd import example_verhoek, generate_query, generate_record, write_trajectory_csv
+from lpvdd import (Trajectory, build_predictor, estimate_initial_state, example_verhoek,
+                   generate_query, generate_record, left_nullspace, predict, random_affine_ss,
+                   simulate_ss, write_trajectory_csv)
 
 SRC = str(Path(lpvdd.__file__).resolve().parents[1])
 
@@ -195,6 +198,65 @@ def test_only_the_one_writer_opens_a_file_for_writing():
             assert _file_writes(write)
             exempt = set(ast.walk(write))
         assert _file_writes(tree, exempt) == [], path.name
+
+
+def _array_tuple_eq(tree) -> list[int]:
+    """Lines of the dataclasses of ``tree`` that declare a field annotated ``np.ndarray``
+    and keep the ``__eq__`` that ``dataclass`` generates: it compares the fields as one
+    tuple, which raises on two arrays of more than one element."""
+    lines = []
+    for node in ast.walk(tree):
+        decorators = [d for d in getattr(node, "decorator_list", ())
+                      if "dataclass" in ast.unparse(d)]
+        if not isinstance(node, ast.ClassDef) or not decorators:
+            continue
+        arrays = any(isinstance(f, ast.AnnAssign) and "np.ndarray" in ast.unparse(f.annotation)
+                     for f in node.body)
+        own_eq = any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body)
+        no_eq = any(k.arg == "eq" and ast.unparse(k.value) == "False"
+                    for d in decorators if isinstance(d, ast.Call) for k in d.keywords)
+        if arrays and not (own_eq or no_eq):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_dataclass_compares_arrays_as_a_tuple():
+    # a record of arrays compares by identity (eq=False) or defines its own __eq__, as
+    # Trajectory does, so that no == in lpvdd raises on an array
+    for code in ("@dataclass\nclass A:\n    x: np.ndarray",
+                 "@dataclass(frozen=True)\nclass A:\n    x: tuple[np.ndarray, ...]",
+                 "@dataclasses.dataclass(eq=True)\nclass A:\n    x: np.ndarray"):
+        assert _array_tuple_eq(ast.parse(code)) == [2], code
+    for code in ("@dataclass(frozen=True, eq=False)\nclass A:\n    x: np.ndarray",
+                 "@dataclass\nclass A:\n    x: np.ndarray\n    def __eq__(self, o):\n"
+                 "        return True",
+                 "@dataclass\nclass A:\n    x: tuple[float, ...]",
+                 "class A:\n    x: np.ndarray"):
+        assert _array_tuple_eq(ast.parse(code)) == [], code
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        assert _array_tuple_eq(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
+
+
+def test_records_compare_by_value_or_identity_without_raising():
+    # records of signals compare their samples; a record of bare arrays is equal only
+    # to itself
+    model = example_verhoek()
+    rec, q, q5 = (generate_record(model, 70, 1), generate_query(model, 3, 7, 4),
+                  generate_query(model, 3, 7, 5))
+    assert rec == generate_record(model, 70, 1) != generate_record(model, 70, 2)
+    assert q == generate_query(model, 3, 7, 4) != q5
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert res == predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert res != predict(rec, q5.u_ini, q5.p_ini, q5.y_ini, q5.u_r, q5.p_r)
+    ss, p = random_affine_ss(np.random.default_rng(0), 2), Trajectory(1, rec.p.samples[:, 0])
+    sim = simulate_ss(ss, np.zeros(2), rec.u, p)
+    assert sim == simulate_ss(ss, np.zeros(2), rec.u, p)
+    assert sim != simulate_ss(ss, np.ones(2), rec.u, p)
+    u, p, y = (w.restrict(1, 3) for w in (rec.u, p, sim.y))
+    for make in (lambda: estimate_initial_state(ss, u, p, y), lambda: rec.lifted(7),
+                 lambda: build_predictor(rec, q.p_r), lambda: left_nullspace(rec, 7)):
+        first, second = make(), make()
+        assert first == first and (first == second) == (first is second)
 
 
 def _rank_outside_analysis(tree) -> list[int]:

@@ -62,22 +62,21 @@ def _stack(u, y):
 # -- predictor assembly ----------------------------------------------------
 
 
+def _known_rows(system, ini):
+    """The rows of the stack that a query fixes: all but the outputs after the first
+    ``ini`` output rows, in stack order."""
+    return np.vstack([system.u, system.pu, system.y[:ini], system.py])
+
+
 def test_predictor_row_count_and_partition():
     rec = _record(40)
     L = 7
-    ps = build_predictor(rec, rec.p.restrict(1, L).rebase(1), L)
-    part = ps.row_partition
-    assert ps.matrix.shape == ((1 + 2) * (1 + 1) * L, 40 - L + 1)
-    assert part.total_rows == 6 * L
-    assert part.u_rows == slice(0, L)
-    assert part.u_constraint_rows == slice(L, 3 * L)
-    assert part.y_rows == slice(3 * L, 4 * L)
-    assert part.y_constraint_rows == slice(4 * L, 6 * L)
-    assert list(part.y_initial_rows(3)) == [3 * L, 3 * L + 1, 3 * L + 2]
-    assert len(part.y_future_rows(3)) == L - 3
-    assert len(part.known_rows(3)) == 6 * L - (L - 3)
-    future = set(part.y_future_rows(3).tolist())
-    assert part.known_rows(3).tolist() == [i for i in range(6 * L) if i not in future]
+    ps = build_predictor(rec, rec.p.restrict(1, L).rebase(1))
+    N = 40 - L + 1
+    assert ps.matrix.shape == ((1 + 2) * (1 + 1) * L, N)
+    assert [b.shape for b in (ps.u, ps.pu, ps.y, ps.py)] == [(L, N), (2 * L, N), (L, N),
+                                                             (2 * L, N)]
+    assert _known_rows(ps, 3).shape == (6 * L - (L - 3), N)
 
 
 def test_constraint_rows_vanish_on_matching_column():
@@ -87,10 +86,9 @@ def test_constraint_rows_vanish_on_matching_column():
     L = 5
     for j in (0, 3, 11):
         p_q = rec.p.restrict(1 + j, j + L).rebase(1)
-        ps = build_predictor(rec, p_q, L)
-        col = ps.matrix[:, j]
-        assert np.max(np.abs(col[ps.row_partition.u_constraint_rows])) < 1e-14
-        assert np.max(np.abs(col[ps.row_partition.y_constraint_rows])) < 1e-14
+        ps = build_predictor(rec, p_q)
+        assert np.max(np.abs(ps.pu[:, j])) < 1e-14
+        assert np.max(np.abs(ps.py[:, j])) < 1e-14
 
 
 def test_predictor_lti_degenerate_has_empty_constraints():
@@ -106,20 +104,19 @@ def test_predictor_lti_degenerate_has_empty_constraints():
     y = simulate_io(model, u, p, y_init=[[0.0]])
     rec = DataRecord(u=u, p=p, y=y)
     L = 4
-    ps = build_predictor(rec, p.restrict(1, L), L)
+    ps = build_predictor(rec, p.restrict(1, L))
     assert ps.matrix.shape[0] == 2 * L
     assert np.array_equal(ps.matrix[:L], hankel(u, L))
     assert np.array_equal(ps.matrix[L:], hankel(y, L))
 
 
 def test_build_predictor_shape_errors():
+    # the depth is the query window's length: one longer than the record has no window
     rec = _record(20)
     with pytest.raises(InvalidShape):
-        build_predictor(rec, rec.p.restrict(1, 5), 25)
-    with pytest.raises(InvalidShape):
-        build_predictor(rec, rec.p.restrict(1, 5), 7)
+        build_predictor(rec, rand_traj(np.random.default_rng(1), 2, 21))
     with pytest.raises(DimensionMismatch):
-        build_predictor(rec, rand_traj(np.random.default_rng(1), 3, 5), 5)
+        build_predictor(rec, rand_traj(np.random.default_rng(1), 3, 5))
 
 
 # -- prediction --------------------------------------------------------------
@@ -440,11 +437,11 @@ def test_margin_is_sigma_min_of_known_rows_on_full_row_space():
         q = _query(seed=seed + 900)
         res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
         p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(q.u_ini.length + 1))
-        system = build_predictor(rec, p_bar, p_bar.length)
+        system = build_predictor(rec, p_bar)
         M = system.matrix
         _, s, Vt = np.linalg.svd(M, full_matrices=True)
         V = Vt[: int(np.sum(s > 1e-9 * s[0]))].T
-        A = M[system.row_partition.known_rows(q.u_ini.length)]
+        A = _known_rows(system, rec.n_y * q.u_ini.length)
         oracle = np.linalg.svd(A @ V, compute_uv=False)[-1]
         assert oracle > 0
         assert abs(res.output_uniqueness_margin - oracle) <= 1e-12 * oracle
@@ -507,13 +504,12 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
     T_ini, T_r = q.u_ini.length, q.u_r.length
     L = T_ini + T_r
     p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(T_ini + 1))
-    system = build_predictor(rec, p_bar, L)
-    M, part = system.matrix, system.row_partition
-    b = np.zeros(part.total_rows)
-    b[part.u_rows] = np.concatenate([q.u_ini.samples.ravel(), q.u_r.samples.ravel()])
-    b[part.y_initial_rows(T_ini)] = q.y_ini.samples.ravel()
-    known = part.known_rows(T_ini)
-    A, b = M[known], b[known]
+    system = build_predictor(rec, p_bar)
+    M, ini = system.matrix, rec.n_y * T_ini
+    A = _known_rows(system, ini)
+    b = np.concatenate([q.u_ini.samples.ravel(), q.u_r.samples.ravel(),
+                        np.zeros(len(system.pu)), q.y_ini.samples.ravel(),
+                        np.zeros(len(system.py))])
     g = np.linalg.pinv(A, rcond=rtol) @ b
     residual = float(np.linalg.norm(A @ g - b))
     _, s, Vt = np.linalg.svd(M)
@@ -528,7 +524,7 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
         verdict = "infeasible"
     else:
         verdict = "ok"
-    y_r = (M[part.y_future_rows(T_ini)] @ g).reshape(T_r, rec.n_y)
+    y_r = (system.y[ini:] @ g).reshape(T_r, rec.n_y)
     return y_r, residual, margin, verdict, float(np.linalg.norm(M, 2))
 
 
@@ -587,6 +583,30 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     p = concat(q.p_ini, q.p_r)
     dense = _dense_membership_residual(rec, w, p)
     assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+
+
+_DENSE_SS = random_affine_ss(np.random.default_rng(5), 3, 2, 2, 2)
+
+
+@pytest.mark.parametrize("model, T, L", [
+    (example_verhoek(), 70, 7),  # N < 4 R: the factor of H itself
+    (_DENSE_SS, 600, 6),  # the QR of one block of windows
+    (_DENSE_SS, 5000, 4),  # TSQR of two blocks
+])
+def test_consistent_rows_are_the_specification_blocks(model, T, L):
+    # K = M(p) U_r S_r, so K S_r^-1 U_r^T H = M(p) H: the build_predictor stack, row by
+    # row, in K's (L, 1 + n_p, n_w) layout
+    rec = generate_record(model, T, 1)
+    p = np.random.default_rng(2).uniform(-1, 1, (L, rec.n_p))
+    lifted, system = rec.lifted(L), build_predictor(rec, Trajectory(1, p))
+    r, n_u = lifted.hankel.rank, rec.n_u
+    H = hankel(kron_extend(rec.w, rec.p), L)
+    MH = lifted.consistent(p, r) @ ((lifted.U[:, :r] / lifted.s[:r]).T @ H)
+    blocks = (MH[:, 0, :n_u], MH[:, 1:, :n_u], MH[:, 0, n_u:], MH[:, 1:, n_u:])
+    for got, want in zip(blocks, (system.u, system.pu, system.y, system.py)):
+        got = got.reshape(-1, H.shape[1])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(H, 2)
 
 
 def _factor_shapes(monkeypatch, fn):

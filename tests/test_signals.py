@@ -208,6 +208,15 @@ def test_trajectory_samples_are_immutable():
         w.samples[0] = 9.0
 
 
+def test_trajectories_compare_by_start_and_samples():
+    # a different start, value, length or dimension compares unequal, and no == raises
+    w = Trajectory(1, np.ones((3, 1)))
+    assert w == Trajectory(1, np.ones((3, 1))) and not w != Trajectory(1, np.ones((3, 1)))
+    for other in (Trajectory(2, np.ones((3, 1))), Trajectory(1, [1.0, 2.0, 1.0]),
+                  Trajectory(1, np.ones((4, 1))), Trajectory(1, np.ones((3, 2))), "w"):
+        assert w != other and not w == other
+
+
 def test_csv_round_trip_exact():
     rng = np.random.default_rng(9)
     w = rand_traj(rng, 3, 7, t_start=-2)
