@@ -11,8 +11,8 @@ predict
     present, ``plot_data.csv`` with truth vs. prediction per time step.
 check
     Report the rank records of a record's excitation and of its lifted Hankel
-    matrix, and structural observability/reachability when a state-space model
-    of the record's dimensions is supplied.
+    matrix, and structural observability/reachability when a model of the
+    record's dimensions is supplied (an IO model through its realization).
 
 Exit codes: 0 success, 2 configuration/input error (an input too large for
 memory too), 3 numeric failure, 4 ambiguous prediction, 5 infeasible prediction.
@@ -246,21 +246,18 @@ def cmd_check(args) -> int:
     }
     if args.model:
         from .analysis import minimality_report
-        from .models import LpvIoModel, LpvSsModel
+        from .models import LpvIoModel
         model = _resolve_model(args.model)
         for key in ("n_u", "n_y", "n_p"):
             if getattr(model, key) != getattr(record, key):
                 raise ConfigError(f"model {args.model}: {key} = {getattr(model, key)}, "
                                   f"the record's {key} = {getattr(record, key)}")
-        if isinstance(model, LpvSsModel):
-            report = minimality_report(model, seed=args.seed)
-            payload["structural"] = dict(asdict(report), minimal=report.minimal)
-            summary["minimal"] = report.minimal
-        elif isinstance(model, LpvIoModel):
-            # structural checks need a state-space realization; for IO form
-            # only the lag is reported
-            payload["lag_report"] = {"kind": "io", "n_a": model.n_a, "n_b": model.n_b}
+        if isinstance(model, LpvIoModel):
             summary["lag"] = model.n_a
+            model = model.realization
+        report = minimality_report(model, seed=args.seed)
+        payload["structural"] = dict(asdict(report), minimal=report.minimal)
+        summary["minimal"] = report.minimal
     if args.out_dir:
         _write(Path(args.out_dir) / "check.json", _json_text(payload))
     _report(

@@ -309,6 +309,9 @@ class CoeffMatrix:
                 and self.n_p == other.n_p and self.terms.keys() == other.terms.keys()
                 and all(np.array_equal(C, other.terms[m]) for m, C in self.terms.items()))
 
+    def __hash__(self):  # the stack holds no -0.0
+        return hash((self.shape, self.n_p, tuple(self.terms), self._stack.tobytes()))
+
     def __repr__(self):
         return f"CoeffMatrix<{self.rows}x{self.cols}, n_p={self.n_p}>"
 

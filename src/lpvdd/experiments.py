@@ -54,19 +54,14 @@ def _boxes(box, dim: int, name: str):
 
 
 def _simulate(model, u: Trajectory, p: Trajectory, init):
-    """Outputs and, of a state-space model, the states (``None`` for IO form)."""
+    """Outputs and, of a state-space model, the states (``None`` for IO form) from the
+    initial condition ``init(shape)``, of the shape of ``y_init`` or of ``x0``."""
     if isinstance(model, LpvIoModel):
-        return simulate_io(model, u, p, init), None
+        return simulate_io(model, u, p, init((model.n_a, model.n_y))), None
     if isinstance(model, LpvSsModel):
-        sim = simulate_ss(model, init, u, p)
+        sim = simulate_ss(model, init((model.n_x,)), u, p)
         return sim.y, sim.x
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _zero_init(model):
-    if isinstance(model, LpvIoModel):
-        return np.zeros((model.n_a, model.n_y))
-    return np.zeros(model.n_x)
 
 
 def _record_and_states(model, T, seed, input_box=None, scheduling_box=None, provenance=""):
@@ -75,7 +70,7 @@ def _record_and_states(model, T, seed, input_box=None, scheduling_box=None, prov
     u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
     p = _uniform_traj(stream(seed, "scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
-    y, x = _simulate(model, u, p, _zero_init(model))
+    y, x = _simulate(model, u, p, np.zeros)
     record = DataRecord(u=u, p=p, y=y, provenance=provenance or f"seed={seed}, T={T}")
     return record, x
 
@@ -122,10 +117,8 @@ def generate_query(
     u = _uniform_traj(stream(seed, "query_input"), boxes, L)
     p = _uniform_traj(stream(seed, "query_scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), L)
-    init_rng = stream(seed, "query_init")
     lo, hi = min(b[0] for b in boxes), max(b[1] for b in boxes)
-    init = init_rng.uniform(lo, hi, np.shape(_zero_init(model)))
-    y, _ = _simulate(model, u, p, init)
+    y, _ = _simulate(model, u, p, lambda size: stream(seed, "query_init").uniform(lo, hi, size))
     return Query(
         u_ini=u.restrict(1, T_ini),
         p_ini=p.restrict(1, T_ini),

@@ -6,10 +6,9 @@ Two representation forms are supported:
   ``x(k+1) = A(p,k) x(k) + B(p,k) u(k)``, ``y(k) = C(p,k) x(k) + D(p,k) u(k)``
   where each coefficient matrix is a :class:`~lpvdd.coeffs.CoeffMatrix`.
 
-* :class:`LpvIoModel`: input-output recursion with unit leading output
-  coefficient,
-  ``y(k) + sum_i a_i(p(k-i)) y(k-i) = sum_j b_j(p(k-j)) u(k-j)``,
-  where ``a_i``/``b_j`` depend only on scheduling samples at offset ``-i``.
+* :class:`LpvIoModel`: input-output recursion with unit leading output coefficient,
+  ``y(k) + sum_i a_i(p(k-i)) y(k-i) = sum_j b_j(p(k-j)) u(k-j)``, where ``a_i``/``b_j``
+  read scheduling only at offset ``-i``; it runs as its state-space ``realization``.
 
 :func:`io_to_kernel` rewrites an IO model as a polynomial-in-shift kernel
 acting on the stacked signal ``w = col(u, y)``, which is the algebraic form
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +142,20 @@ class LpvIoModel:
     @property
     def n_p(self) -> int:
         return self.a_coeffs[0].n_p
+
+    @cached_property
+    def realization(self) -> LpvSsModel:
+        """The observer form, made once: ``y(k) = x_1(k)`` and
+        ``x_i(k+1) = x_{i+1}(k) - a~_i(k) y(k) + b~_i(k) u(k)``, ``a~_i = a_i.shift(i)`` and
+        ``b~_i`` likewise (zero past ``n_b``).  So ``n_x = n_a n_y`` and every coefficient
+        reads p only at ``k`` (Tóth, Abbas & Werner, IEEE TCST 20(1), 2012)."""
+        n_y, n_u, n_p, n_x = self.n_y, self.n_u, self.n_p, self.n_a * self.n_y
+        C = CoeffMatrix.constant(np.eye(n_y, n_x), n_p)
+        a = CoeffMatrix.vstack([m.shift(i) for i, m in enumerate(self.a_coeffs, start=1)])
+        b = ([m.shift(i) for i, m in enumerate(self.b_coeffs, start=1)]
+             + [CoeffMatrix.zeros(n_y, n_u, n_p) for _ in range(self.n_a - self.n_b)])
+        return LpvSsModel(A=CoeffMatrix.constant(np.eye(n_x, k=n_y), n_p) - a @ C,
+                          B=CoeffMatrix.vstack(b), C=C, D=CoeffMatrix.zeros(n_y, n_u, n_p))
 
 
 @dataclass(frozen=True)

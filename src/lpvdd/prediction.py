@@ -141,6 +141,7 @@ class PredictionResult:
     verdict: str
     diagnostics: dict = field(default_factory=dict)
     _g_from: tuple = field(default=(), compare=False, repr=False)
+    __hash__ = None  # diagnostics is a dict
 
     @cached_property
     def g(self) -> np.ndarray:

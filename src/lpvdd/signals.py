@@ -86,6 +86,9 @@ class Trajectory:
             return NotImplemented
         return self.t_start == other.t_start and np.array_equal(self.samples, other.samples)
 
+    def __hash__(self):  # + 0.0: -0.0 equals 0.0
+        return hash((self.t_start, self.samples.shape, (self.samples + 0.0).tobytes()))
+
     @property
     def length(self) -> int:
         return self.samples.shape[0]

@@ -15,10 +15,10 @@ Numeric code evaluates them along a concrete scheduling trajectory
 the model's coefficients, each read once over the whole time range through
 the one evaluator :meth:`~lpvdd.coeffs.CoeffMatrix.eval_range`.  The two
 routes agree because shifting a coefficient commutes with evaluation.  The
-simulators read their coefficients the same way and share one affine state
-recursion, run in blocks of fixed length: the block transitions and the
-states inside the blocks are each one pass vectorised over the blocks, and
-only the block starts are chained step by step.
+simulators read their coefficients the same way and run one affine state
+recursion, an IO model on its state-space ``realization``, in blocks of fixed
+length: the block transitions and the states inside the blocks are each one
+pass vectorised over the blocks, and only the block starts are chained step by step.
 
 Initial-state estimation solves the window equation above for ``x1`` by a
 singular-value least squares solve, reporting the smallest singular value of
@@ -141,35 +141,24 @@ def simulate_ss(
 
 @np.errstate(over="ignore", invalid="ignore")  # as in simulate_ss
 def simulate_io(model: LpvIoModel, u: Trajectory, p: Trajectory, y_init) -> Trajectory:
-    """Solve the IO recursion forward over ``u``'s interval.
-
-    ``y_init`` supplies the first ``n_a`` output samples; the recursion fills
-    ``y(k)`` for ``k = t_start + n_a, ..., t_end`` (the unit leading
-    coefficient means no linear solve is needed).
-    """
+    """Run the IO model's ``realization`` over ``u``'s interval, reading ``p`` on
+    ``[t_start, t_end - 1]``.  ``y_init`` gives the first ``n_a`` outputs: ``n_a`` deadbeat
+    steps ``x(k+1) = A(k) x^(k) + B(k) u(k)``, ``x^(k)`` being ``x(k)`` with its first
+    block set to ``y_init[k]``, map them to the state at ``t_start + n_a``."""
     y_init = _initial("y_init", y_init, (model.n_a, model.n_y))
     _check_windows(("u", u, model.n_u, None))
     t1, t2 = u.interval
-    T, n_a = u.length, model.n_a
+    T, n_a, n_y = u.length, model.n_a, model.n_y
     if T < n_a:
         raise WindowOutOfRange(f"interval of length {T} shorter than n_a={n_a}")
-    ys = np.empty((T, model.n_y))
+    ss = model.realization
+    A = ss.A.eval_range(p, t1, t2 - 1)
+    b = np.einsum("kij,kj->ki", ss.B.eval_range(p, t1, t2 - 1), u.samples[:-1])
+    # a deadbeat step reads y_init for x_1: that block column of A moves into b
+    b[:n_a] += np.einsum("kij,kj->ki", A[:n_a, :, :n_y], y_init[: T - 1])
+    A[:n_a, :, :n_y] = 0.0
+    ys = _affine_recursion(A, b, np.zeros(ss.n_x))[:, :n_y]
     ys[:n_a] = y_init
-    if T == n_a:
-        return Trajectory(t1, ys)
-    k1, n_y = t1 + n_a, model.n_y
-    # companion state z(k) = col(y(k-1), ..., y(k-n_a)):
-    # z(k+1) = [[-a_1(k) ... -a_{n_a}(k)], [I 0]] z(k) + col(input terms, 0)
-    N = n_a * n_y
-    F = np.zeros((T - n_a, N, N))
-    F[:, :n_y] = -np.concatenate([m.eval_range(p, k1, t2) for m in model.a_coeffs],
-                                 axis=2)
-    F[:, n_y:, : N - n_y] = np.eye(N - n_y)
-    g = np.zeros((T - n_a, N))
-    for lag, b in enumerate(model.b_coeffs, start=1):
-        g[:, :n_y] += np.einsum("kij,kj->ki", b.eval_range(p, k1, t2),
-                                u.restrict(k1 - lag, t2 - lag).samples)
-    ys[n_a:] = _affine_recursion(F, g, y_init[::-1].reshape(-1))[1:, :n_y]
     return Trajectory(t1, ys)
 
 

@@ -352,16 +352,19 @@ def test_check_reports_pe(tmp_path, capsys):
     assert summary["pe"] is True
 
 
-def test_check_io_model_reports_lag_only(tmp_path, capsys):
+def test_check_io_model_reports_its_realization_and_lag(tmp_path, capsys):
     _simulate(tmp_path, T=40)
+    capsys.readouterr()
     code = main([
         "check", "--data-dir", str(tmp_path / "data"), "--L", "7",
         "--model", "builtin:verhoek", "--out-dir", str(tmp_path / "chk"),
     ])
     assert code == 0
     payload = json.loads((tmp_path / "chk" / "check.json").read_text())
-    assert payload["lag_report"] == {"kind": "io", "n_a": 2, "n_b": 2}
-    assert "structural" not in payload
+    assert payload["structural"]["minimal"] is True
+    assert payload["structural"]["observable"]["weakest"]["required"] == 2
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["minimal"] is True and summary["lag"] == 2
 
 
 def test_check_ss_model_reports_structural(tmp_path):
@@ -396,8 +399,6 @@ def test_check_json_tree_is_fixed_and_deterministic(tmp_path, model):
     assert tree.pop("pe") == tree.pop("hankel") == RECORD_KEYS
     if model is None:
         assert tree == {}
-    elif model == "builtin:verhoek":
-        assert tree == {"lag_report": {"kind", "n_a", "n_b"}}
     else:
         assert tree == {"structural": {"observable", "reachable", "minimal"}}
         for test in ("observable", "reachable"):
@@ -414,7 +415,7 @@ def _rank_records(tree) -> list[dict]:
 
 
 @pytest.mark.parametrize("command, kind, code, count", [
-    ("check", None, 0, 2), ("check", "builtin:verhoek", 0, 2), ("check", "ss-file", 0, 4),
+    ("check", None, 0, 2), ("check", "builtin:verhoek", 0, 4), ("check", "ss-file", 0, 4),
     ("predict", "ok", 0, 2), ("predict", "ambiguous", 4, 2)])
 def test_every_rank_record_in_the_artifacts_is_one_cut(tmp_path, command, kind, code, count):
     # each rank decision is written as one record: its rank is the count of its

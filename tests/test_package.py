@@ -1,6 +1,7 @@
 """The package: each public name listed once, each module loaded on first use, the
 generating modules apart from the data modules, each file written by one writer,
-each rank decision cut and reported in one module and no ``==`` raising on an array."""
+each rank decision cut and reported in one module and no ``==`` or ``hash`` raising on
+an array."""
 
 import ast
 import importlib
@@ -15,8 +16,9 @@ import pytest
 
 import lpvdd
 from lpvdd import (Trajectory, build_predictor, estimate_initial_state, example_verhoek,
-                   generate_query, generate_record, left_nullspace, predict, random_affine_ss,
-                   simulate_ss, write_trajectory_csv)
+                   generate_query, generate_record, io_to_kernel, left_nullspace,
+                   model_from_dict, model_to_dict, predict, random_affine_ss, simulate_ss,
+                   write_trajectory_csv)
 
 SRC = str(Path(lpvdd.__file__).resolve().parents[1])
 
@@ -257,6 +259,27 @@ def test_records_compare_by_value_or_identity_without_raising():
                  lambda: build_predictor(rec, q.p_r), lambda: left_nullspace(rec, 7)):
         first, second = make(), make()
         assert first == first and (first == second) == (first is second)
+
+
+def test_records_hash_by_value_or_say_they_have_no_hash():
+    # a record that compares by value hashes by value, so equal records are one dict key;
+    # one that holds a dict says so by its type: its __hash__ is None
+    model = example_verhoek()
+    rec, q = generate_record(model, 70, 1), generate_query(model, 3, 7, 4)
+    ss, p = random_affine_ss(np.random.default_rng(0), 2), Trajectory(1, rec.p.samples[:, 0])
+    pairs = [(Trajectory(1, [[0.0], [1.0]]), Trajectory(1, [[-0.0], [1.0]])),
+             (rec, generate_record(model, 70, 1)), (q, generate_query(model, 3, 7, 4)),
+             (simulate_ss(ss, np.zeros(2), rec.u, p), simulate_ss(ss, np.zeros(2), rec.u, p)),
+             (ss, model_from_dict(model_to_dict(ss))), (model, example_verhoek()),
+             (io_to_kernel(model), io_to_kernel(example_verhoek())), (ss.A, -(-ss.A))]
+    for first, second in pairs:
+        assert first == second and first is not second, type(first)
+        assert hash(first) == hash(second) and {first: 1}[second] == 1, type(first)
+    assert hash(rec) != hash(generate_record(model, 70, 2))
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert type(res).__hash__ is None
+    with pytest.raises(TypeError, match="unhashable type: 'PredictionResult'"):
+        hash(res)
 
 
 def _rank_outside_analysis(tree) -> list[int]:

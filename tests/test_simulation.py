@@ -25,6 +25,7 @@ from lpvdd import (
     experiments,
     impulse_coeff,
     io_to_kernel,
+    minimality_report,
     obsv_eval,
     obsv_matrix,
     propagate_state,
@@ -511,9 +512,11 @@ def _random_io(rng, n_y, n_a, n_b, n_u, n_p):
     )
 
 
-# T - n_a recursion steps on n_a n_y companion states
+# T - 1 steps of the realization on n_a n_y states, the first n_a deadbeat: T = 16, 17
+# and 18 put 15, 16 and 17 steps against the 16-step block
 @pytest.mark.parametrize("n_y, n_a, T", [
-    (1, 1, 1), (2, 3, 3), (2, 3, 4), (2, 3, 18), (2, 3, 19), (2, 3, 20), (1, 2, 70),
+    (1, 1, 1), (2, 3, 3), (2, 3, 4), (2, 3, 16), (2, 3, 17), (2, 3, 18), (2, 3, 19),
+    (2, 3, 20), (1, 2, 70),
     (2, 3, 97), (2, 3, 1000), (2, 3, 2000), (5, 5, 1000)])
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(n_p=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
@@ -527,6 +530,44 @@ def test_simulate_io_matches_per_step_loop(n_y, n_a, T, n_p, seed):
     T2 = n_a + (T - n_a) // 3
     short = simulate_io(m, u.restrict(1, T2), p, y_init).samples
     assert np.array_equal(short, y[:T2])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n_y=st.integers(1, 5), n_a=st.integers(1, 5), n_p=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_realization_is_the_io_model_in_state_space(n_y, n_a, n_p, seed):
+    # the observer form: n_a n_y states, static dependence, made once, and from any
+    # state an output that the IO recursion continues
+    rng = np.random.default_rng(seed)
+    m = _random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
+    ss = m.realization
+    assert ss is m.realization and ss.n_x == n_a * n_y
+    assert all(M.window in (None, (0, 0)) for M in (ss.A, ss.B, ss.C, ss.D))
+    u, p = rand_traj(rng, 2, 40), rand_traj(rng, n_p, 40)
+    y = simulate_ss(ss, rng.uniform(-1, 1, ss.n_x), u, p).y.samples
+    ref = _loop_io(m, u, p, y[:n_a])
+    assert np.max(np.abs(y - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_realization_minimality():
+    m = example_verhoek()
+    assert minimality_report(m.realization).minimal
+    zero = CoeffMatrix.zeros(1, 1, 2)
+    lag_one = LpvIoModel(a_coeffs=(m.a_coeffs[0], zero), b_coeffs=(m.b_coeffs[0], zero))
+    report = minimality_report(lag_one.realization)
+    assert report.observable.verdict and not report.reachable.verdict
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_estimate_initial_state_serves_io_queries(seed):
+    # on the realization, the initial window pins the state that continues the query
+    ss = example_verhoek().realization
+    q = generate_query(example_verhoek(), 3, 7, seed)
+    x1 = estimate_initial_state(ss, q.u_ini, q.p_ini, q.y_ini).x
+    x = propagate_state(ss, x1, q.u_ini, q.p_ini)
+    y_r = simulate_ss(ss, x, q.u_r, q.p_r).y
+    assert y_r.interval == q.y_r_truth.interval
+    assert np.max(np.abs(y_r.samples - q.y_r_truth.samples)) <= 1e-12
 
 
 @pytest.mark.parametrize("key,box", [
