@@ -7,19 +7,22 @@ drawn scheduling windows and the numeric rank is inspected at each draw.  A
 generic full-rank property fails only on a measure-zero set of draws, so the
 verdict demands success on every trial; a single structured failure is worth
 surfacing rather than averaging away.  All trials run as one stack: one
-draw, one evaluation with a leading trial axis, one SVD.
+draw, one evaluation with a leading trial axis, one SVD per map.
 
 The symbolic observability and reachability matrices (:func:`obsv_matrix`,
 :func:`reach_matrix`) are the specification; their entries have up to
-``(1 + n_p)^(n - 1)`` terms.  Observability and reachability tests evaluate
-the same maps by their numeric recursions (:func:`obsv_eval`,
-:func:`reach_eval`) at the same drawn windows, since shifting a coefficient
-commutes with evaluating it.  They put the running ``A(k)`` product, then each
-block row (observability) or block column (reachability), at unit norm before
-the cut.  That keeps the rank and stops the decay of the products in stable
-models of order >= 24 from reading as rank loss (Paige, IEEE TAC 1981).  A
-product that cancels to below the cut, relative to its factors, is set to
-zero instead: its remainder is rounding, and scaled up it would read as rank.
+``(1 + n_p)^(n - 1)`` terms.  :func:`minimality_report` evaluates the same maps
+by their numeric recursions (:func:`obsv_eval`, :func:`reach_eval`) at the same
+drawn windows, since shifting a coefficient commutes with evaluating it.  Both
+maps run through one recursion: the running ``A(k)`` products of the
+observability trials and of the (transposed) reachability trials form one
+stack, and each map then takes its own blocks and its one SVD.  The running
+product, then each block row (observability) or block column (reachability),
+is put at unit norm before the cut.  That keeps the rank and stops the decay of
+the products in stable models of order >= 24 from reading as rank loss (Paige,
+IEEE TAC 1981).  A product that cancels to below the cut, relative to its
+factors, is set to zero instead: its remainder is rounding, and scaled up it
+would read as rank.
 
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
@@ -32,7 +35,7 @@ judged against, the singular values it cut and the ``RANK_CUT`` it read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,8 +58,6 @@ __all__ = [
     "obsv_eval",
     "reach_eval",
     "structural_rank",
-    "is_struct_observable",
-    "is_struct_reachable",
     "minimality_report",
     "check_pe",
 ]
@@ -228,16 +229,14 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-def _obsv_blocks(C: np.ndarray, A: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis -3
-    (leading axes broadcast); of transposed ``B``, ``A``: transposed reachability blocks.
-    ``scaled`` puts each product at unit norm (:func:`_unit`)."""
-    unit = _unit if scaled else (lambda X, F: X)
-    blocks, prod = [C[..., 0, :, :]], np.eye(C.shape[-1])
-    for i in range(A.shape[-3]):
-        prod = unit(A[..., i, :, :] @ prod, A[..., i, :, :])
-        blocks.append(C[..., i + 1, :, :] @ prod)
-    return unit(np.stack(blocks, axis=-3), C)
+def _obsv_blocks(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis 0;
+    of transposed ``B``, ``A``: transposed reachability blocks."""
+    blocks, prod = [C[0]], np.eye(C.shape[-1])
+    for i in range(len(A)):
+        prod = A[i] @ prod
+        blocks.append(C[i + 1] @ prod)
+    return np.stack(blocks)
 
 
 @_finite
@@ -246,9 +245,9 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
 
     Block row ``i`` equals ``C(k+i-1) A(k+i-2) ... A(k)``; computed by the
     recursion directly, which agrees with evaluating :func:`obsv_matrix`
-    because shifts commute with evaluation.  Unscaled, unlike the structural
-    test's copy: ``estimate_initial_state`` solves least squares on this map,
-    and scaling its block rows would change the weighting.
+    because shifts commute with evaluation.  Unscaled, unlike the recursion of
+    :func:`minimality_report`: ``estimate_initial_state`` solves least squares on
+    this map, and scaling its block rows would change the weighting.
     """
     _check_order(n)
     C = model.C.eval_range(p, k, k + n - 1)
@@ -275,22 +274,6 @@ def _unit(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.einsum("...ij,...ij->...", X, X))[..., None, None]
     scale = np.sqrt(np.einsum("...ij,...ij->...", F, F))[..., None, None]
     return X * ((norm > RANK_CUT * scale) / np.where(norm > 0, norm, 1.0))
-
-
-def _obsv_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
-    """Observability maps at ``k = 0``, block rows at unit norm, of windows ``P``."""
-    n = model.n_x
-    O = _obsv_blocks(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1),
-                     scaled=True)
-    return O.reshape(len(P), -1, n)
-
-
-def _reach_trials(model: LpvSsModel, P: np.ndarray, i: int) -> np.ndarray:
-    """Transposed reachability maps, as :func:`_obsv_trials`: same singular values."""
-    n = model.n_x
-    B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
-    A = model.A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
-    return _obsv_blocks(B, A, scaled=True).reshape(len(P), -1, n)
 
 
 def _shifted_hull(*parts) -> tuple[int, int]:
@@ -320,13 +303,16 @@ class StructuralRankReport:
         return self.passes == self.trials
 
 
-def _sampled_rank(evaluate, window, n_p, required, seed):
-    """Every trial of :func:`structural_rank` at once: ``P`` holds all windows, drawn in
-    one call (the values of one draw per trial); ``evaluate(P, i)`` stacks the maps at
-    ``k = 0`` (row ``i`` of ``P``), with blocks at unit norm on the model route; one SVD."""
+def _draw(window: tuple[int, int], n_p: int, seed: int) -> tuple[np.ndarray, int]:
+    """The ``TRIALS`` scheduling windows ``P`` of a structural test, drawn in one call
+    (the values of one draw per trial), and the row of ``P`` that is time 0."""
     lo, hi = window
-    P = stream(seed, "trials").uniform(-1.0, 1.0, (TRIALS, hi - lo + 1, n_p))
-    s = np.linalg.svd(evaluate(P, -lo), compute_uv=False)
+    return stream(seed, "trials").uniform(-1.0, 1.0, (TRIALS, hi - lo + 1, n_p)), -lo
+
+
+def _report(maps: np.ndarray, required: int) -> StructuralRankReport:
+    """:class:`StructuralRankReport` of the ``TRIALS`` stacked ``maps``: one SVD."""
+    s = np.linalg.svd(maps, compute_uv=False)
     ranks = _cut(s)
     return StructuralRankReport(TRIALS, sum(rank >= required for rank in ranks),
                                 _rank(s[ranks.index(min(ranks))], required))
@@ -339,28 +325,8 @@ def structural_rank(M: CoeffMatrix, required: int, seed: int = 0) -> StructuralR
     i.i.d. uniform on ``[-1, 1]`` (per component, per needed offset).  The
     verdict requires the numeric rank to reach ``required`` on every trial.
     """
-    return _sampled_rank(lambda P, i: M._eval_rows(P, i, 1)[:, 0], M.window or (0, 0),
-                         M.n_p, required, seed)
-
-
-def is_struct_observable(model: LpvSsModel, seed: int = 0) -> StructuralRankReport:
-    """Full column rank of the ``n_x``-step observability matrix, generically.
-
-    Same draws as ``structural_rank(obsv_matrix(model, n_x), n_x)``, evaluated
-    by the recursion of :func:`obsv_eval` with each block row scaled to unit norm."""
-    n = model.n_x
-    window = _shifted_hull((model.C, range(n)), (model.A, range(n - 1)))
-    return _sampled_rank(partial(_obsv_trials, model), window, model.n_p, n, seed)
-
-
-def is_struct_reachable(model: LpvSsModel, seed: int = 0) -> StructuralRankReport:
-    """Full row rank of the ``n_x``-step reachability matrix, generically.
-
-    Same draws as ``structural_rank(reach_matrix(model, n_x), n_x)``, evaluated
-    by the recursion of :func:`reach_eval` with each block column scaled to unit norm."""
-    n = model.n_x
-    window = _shifted_hull((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
-    return _sampled_rank(partial(_reach_trials, model), window, model.n_p, n, seed)
+    P, i = _draw(M.window or (0, 0), M.n_p, seed)
+    return _report(M._eval_rows(P, i, 1)[:, 0], required)
 
 
 @dataclass(frozen=True)
@@ -380,10 +346,30 @@ class MinimalityReport:
 
 
 def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
-    return MinimalityReport(
-        observable=is_struct_observable(model, seed),
-        reachable=is_struct_reachable(model, seed),
-    )
+    """Structural observability and reachability of ``model``: the draws of
+    ``structural_rank(obsv_matrix(model, n_x), n_x)`` and of the same test of
+    :func:`reach_matrix`, evaluated by the recursions of :func:`obsv_eval` and of
+    :func:`reach_eval` (transposed, which keeps the singular values) with the running
+    product and each block at unit norm.  The ``A(k)`` products of both maps' trials
+    run as one stack; each map keeps its own blocks and SVD, since padding the narrower
+    blocks to stack them would move singular values."""
+    n, A = model.n_x, model.A
+    P, i = _draw(_shifted_hull((model.C, range(n)), (A, range(n - 1))), model.n_p, seed)
+    C, A_o = model.C._eval_rows(P, i, n), A._eval_rows(P, i, n - 1)
+    P, i = _draw(_shifted_hull((model.B, range(0, -n, -1)), (A, range(0, 1 - n, -1))),
+                 model.n_p, seed)
+    # B[:, j] is B(-j)^T and A_r[:, j] is A(-j)^T
+    B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
+    A_r = A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
+    A = np.concatenate([A_o, A_r])  # observability trials, then reachability trials
+    blocks, prod = ([C[:, 0]], [B[:, 0]]), np.eye(n)
+    for j in range(n - 1):
+        prod = _unit(A[:, j] @ prod, A[:, j])
+        blocks[0].append(C[:, j + 1] @ prod[:TRIALS])
+        blocks[1].append(B[:, j + 1] @ prod[TRIALS:])
+    observable, reachable = (_report(_unit(np.stack(b, axis=1), M).reshape(TRIALS, -1, n), n)
+                             for b, M in zip(blocks, (C, B)))
+    return MinimalityReport(observable, reachable)
 
 
 def check_pe(u: Trajectory, p: Trajectory, L: int) -> RankRecord:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from lpvdd import (
     CoeffMatrix,
+    LpvIoModel,
     LpvSsModel,
     PolyCoeff,
     Trajectory,
@@ -62,3 +63,21 @@ def minimal_random_ss(
         if minimality_report(model, seed=int(rng.integers(1 << 30))).minimal:
             return model
     raise AssertionError("could not draw a structurally minimal model")
+
+
+def random_io(rng, n_y: int, n_a: int, n_b: int, n_u: int, n_p: int) -> LpvIoModel:
+    """Random shifted-affine IO model; the sum of the ``a_i`` norms is below 1, so long
+    horizons stay bounded."""
+    scale = 0.9 / (n_a * n_y * (1 + n_p))
+
+    def coeff(rows, cols, lag, s):
+        return CoeffMatrix.affine(
+            rng.uniform(-s, s, (rows, cols)),
+            [rng.uniform(-s, s, (rows, cols)) for _ in range(n_p)],
+            offset=-lag,
+        )
+
+    return LpvIoModel(
+        a_coeffs=tuple(coeff(n_y, n_y, i, scale) for i in range(1, n_a + 1)),
+        b_coeffs=tuple(coeff(n_y, n_u, j, 1.0) for j in range(1, n_b + 1)),
+    )

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import minimal_random_ss, rand_traj
+from conftest import minimal_random_ss, rand_traj, random_io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +24,6 @@ from lpvdd import (
     generate_query,
     generate_record,
     hankel,
-    is_struct_observable,
-    is_struct_reachable,
     kron_extend,
     left_nullspace,
     minimality_report,
@@ -148,21 +146,21 @@ def test_structural_observability_of_generic_two_state_siso():
         p = rand_traj(rng, 1, 4, t_start=-1)
         dets.append(abs(np.linalg.det(O.eval(p, 0))))
     assert max(dets) > 1e-9
-    assert is_struct_observable(m, seed=3).verdict
+    assert minimality_report(m, seed=3).observable.verdict
 
 
 def test_autonomous_model_not_reachable():
     rng = np.random.default_rng(8)
     m0 = random_affine_ss(rng, n_x=2, n_u=1, n_y=1, n_p=1)
     m = LpvSsModel(A=m0.A, B=CoeffMatrix.zeros(2, 1, 1), C=m0.C, D=m0.D)
-    assert not is_struct_reachable(m, seed=0).verdict
+    assert not minimality_report(m, seed=0).reachable.verdict
 
 
 def test_blind_model_not_observable():
     rng = np.random.default_rng(9)
     m0 = random_affine_ss(rng, n_x=2, n_u=1, n_y=1, n_p=1)
     m = LpvSsModel(A=m0.A, B=m0.B, C=CoeffMatrix.zeros(1, 2, 1), D=m0.D)
-    assert not is_struct_observable(m, seed=0).verdict
+    assert not minimality_report(m, seed=0).observable.verdict
 
 
 def test_minimality_of_dense_constant_model():
@@ -368,22 +366,18 @@ def test_numeric_structural_route_matches_symbolic_oracle(case, monkeypatch):
     m = _shifted_affine_ss(rng, n_x, n_p) if case % 2 else random_affine_ss(
         rng, n_x, int(rng.integers(1, 3)), int(rng.integers(1, 3)), n_p)
     seed = int(rng.integers(1000))
-    drawn = {}
-    for name in ("_obsv_trials", "_reach_trials"):
-        def recording(model, P, i, real=getattr(analysis, name), name=name):
-            # row i of the stacked windows is time 0
-            drawn.setdefault(name, set()).add((-i, -i + P.shape[1] - 1))
-            return real(model, P, i)
+    drawn = []
 
-        monkeypatch.setattr(analysis, name, recording)
+    def recording(window, n_p, seed, real=analysis._draw):
+        drawn.append(window)
+        return real(window, n_p, seed)
 
+    monkeypatch.setattr(analysis, "_draw", recording)
+    rep = minimality_report(m, seed=seed)
     O, R = obsv_matrix(m, n_x), reach_matrix(m, n_x)
-    assert _counts(is_struct_observable(m, seed=seed)) == _counts(
-        structural_rank(O, n_x, seed=seed))
-    assert _counts(is_struct_reachable(m, seed=seed)) == _counts(
-        structural_rank(R, n_x, seed=seed))
-    assert drawn == {"_obsv_trials": {O.window or (0, 0)},
-                     "_reach_trials": {R.window or (0, 0)}}
+    assert drawn == [O.window or (0, 0), R.window or (0, 0)]
+    assert _counts(rep.observable) == _counts(structural_rank(O, n_x, seed=seed))
+    assert _counts(rep.reachable) == _counts(structural_rank(R, n_x, seed=seed))
 
 
 @lru_cache(maxsize=None)
@@ -400,10 +394,59 @@ def _oracle_case(n_x, n_p, shifted, model_seed):
        model_seed=st.integers(0, 2), seed=st.integers(0, 10**6))
 def test_stacked_trials_match_symbolic_oracle(n_x, n_p, shifted, model_seed, seed):
     m, O, R = _oracle_case(n_x, n_p, shifted, model_seed)
-    assert _counts(is_struct_observable(m, seed=seed)) == _counts(
-        structural_rank(O, n_x, seed=seed))
-    assert _counts(is_struct_reachable(m, seed=seed)) == _counts(
-        structural_rank(R, n_x, seed=seed))
+    rep = minimality_report(m, seed=seed)
+    assert _counts(rep.observable) == _counts(structural_rank(O, n_x, seed=seed))
+    assert _counts(rep.reachable) == _counts(structural_rank(R, n_x, seed=seed))
+
+
+def _per_map_report(model, seed):
+    """Reference of :func:`minimality_report`: each map by its own draw and its own
+    unit-scaled recursion of the ``A(k)`` products, one map after the other."""
+    n = model.n_x
+
+    def draw(*parts):
+        lo, hi = analysis._shifted_hull(*parts)
+        P = stream(seed, "trials").uniform(-1.0, 1.0, (TRIALS, hi - lo + 1, model.n_p))
+        return P, -lo
+
+    def report(C, A):
+        blocks, prod = [C[:, 0]], np.eye(n)
+        for j in range(n - 1):
+            prod = analysis._unit(A[:, j] @ prod, A[:, j])
+            blocks.append(C[:, j + 1] @ prod)
+        O = analysis._unit(np.stack(blocks, axis=1), C).reshape(TRIALS, -1, n)
+        s = np.linalg.svd(O, compute_uv=False)
+        ranks = analysis._cut(s)
+        return analysis.StructuralRankReport(
+            TRIALS, sum(r >= n for r in ranks), analysis._rank(s[ranks.index(min(ranks))], n))
+
+    P, i = draw((model.C, range(n)), (model.A, range(n - 1)))
+    observable = report(model.C._eval_rows(P, i, n), model.A._eval_rows(P, i, n - 1))
+    P, i = draw((model.B, range(0, -n, -1)), (model.A, range(0, 1 - n, -1)))
+
+    def backward(M, count):  # M(0)^T, M(-1)^T, ..., M(1 - count)^T
+        return M._eval_rows(P, i - count + 1, count)[:, ::-1].swapaxes(-1, -2)
+
+    return analysis.MinimalityReport(observable, report(backward(model.B, n),
+                                                        backward(model.A, n - 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n_x=st.integers(1, 6), n_u=st.integers(1, 3), n_y=st.integers(1, 3),
+       n_p=st.integers(0, 2), form=st.sampled_from(["ss", "shifted", "io"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_minimality_report_equals_the_per_map_recursion(n_x, n_u, n_y, n_p, form, seed):
+    # the stacked recursion runs both maps' products as one stack and must not move a
+    # singular value: with n_u != n_y neither map's blocks are padded to the other's
+    rng = np.random.default_rng(seed)
+    if form == "io":
+        n_a = max(1, n_x // n_y)
+        m = random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), n_u, n_p).realization
+    else:
+        m = random_affine_ss(rng, n_x, n_u, n_y, n_p)
+        if form == "shifted":
+            m = LpvSsModel(*(M.shift(int(rng.integers(-2, 3))) for M in (m.A, m.B, m.C, m.D)))
+    assert minimality_report(m, seed) == _per_map_report(m, seed)
 
 
 def test_minimality_report_takes_one_svd_per_map(monkeypatch):
@@ -427,17 +470,18 @@ def test_stacked_windows_equal_sequential_draws(monkeypatch):
     m = LpvSsModel(A=m.A.shift(-1), B=m.B, C=m.C.shift(2), D=m.D)
     seen = []
 
-    def recording(model, P, i, real=analysis._obsv_trials):
+    def recording(window, n_p, seed, real=analysis._draw):
+        P, i = real(window, n_p, seed)
         seen.append(P.copy())
-        return real(model, P, i)
+        return P, i
 
-    monkeypatch.setattr(analysis, "_obsv_trials", recording)
-    is_struct_observable(m, seed=5)
-    (P,) = seen
-    lo, hi = obsv_matrix(m, 3).window
-    rng = stream(5, "trials")
-    expected = [rng.uniform(-1.0, 1.0, (hi - lo + 1, 2)) for _ in range(TRIALS)]
-    assert np.array_equal(P, np.stack(expected))
+    monkeypatch.setattr(analysis, "_draw", recording)
+    minimality_report(m, seed=5)
+    for P, M in zip(seen, (obsv_matrix(m, 3), reach_matrix(m, 3)), strict=True):
+        lo, hi = M.window
+        rng = stream(5, "trials")
+        expected = [rng.uniform(-1.0, 1.0, (hi - lo + 1, 2)) for _ in range(TRIALS)]
+        assert np.array_equal(P, np.stack(expected))
 
 
 @pytest.mark.parametrize("n_x", [24, 32])

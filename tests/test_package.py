@@ -1,10 +1,11 @@
 """The package: each public name listed once, each module loaded on first use, the
 generating modules apart from the data modules, each file written by one writer,
-each rank decision cut and reported in one module and no ``==`` or ``hash`` raising on
-an array."""
+each rank decision cut and reported in one module, no ``==`` or ``hash`` raising on
+an array and each span that the benchmark traces still in the library."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -341,3 +342,24 @@ def test_each_rank_decision_is_cut_and_reported_in_analysis():
         assert _cached_rank_records(tree) == [], path.name
         if path.name != "analysis.py":
             assert _rank_outside_analysis(tree) == [], path.name
+
+
+def _perfbench(name):
+    """The benchmark module ``perfbench/<name>.py``, loaded from its file."""
+    path = Path(SRC).parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_resolves():
+    # the tracer wraps each span by name when a traced run starts; a renamed or removed
+    # library function fails here instead of crashing that run
+    spans = _perfbench("bench").traced_spans()
+    resolve = _perfbench("tracer").resolve
+    assert spans
+    for name in spans:
+        owner, attr = resolve(name)
+        held = owner.__dict__ if isinstance(owner, type) else vars(owner)
+        assert callable(held.get(attr)), name

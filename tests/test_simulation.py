@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import minimal_random_ss, rand_traj
+from conftest import minimal_random_ss, rand_traj, random_io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -495,23 +495,6 @@ def test_simulate_ss_matches_per_step_loop(n_x, T, n_p, seed):
     assert np.array_equal(short.x.samples, sim.x.samples[: T2 + 1])
 
 
-def _random_io(rng, n_y, n_a, n_b, n_u, n_p):
-    # sum of the a_i norms below 1, so long horizons stay bounded
-    scale = 0.9 / (n_a * n_y * (1 + n_p))
-
-    def coeff(rows, cols, lag, s):
-        return CoeffMatrix.affine(
-            rng.uniform(-s, s, (rows, cols)),
-            [rng.uniform(-s, s, (rows, cols)) for _ in range(n_p)],
-            offset=-lag,
-        )
-
-    return LpvIoModel(
-        a_coeffs=tuple(coeff(n_y, n_y, i, scale) for i in range(1, n_a + 1)),
-        b_coeffs=tuple(coeff(n_y, n_u, j, 1.0) for j in range(1, n_b + 1)),
-    )
-
-
 # T - 1 steps of the realization on n_a n_y states, the first n_a deadbeat: T = 16, 17
 # and 18 put 15, 16 and 17 steps against the 16-step block
 @pytest.mark.parametrize("n_y, n_a, T", [
@@ -522,7 +505,7 @@ def _random_io(rng, n_y, n_a, n_b, n_u, n_p):
 @given(n_p=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 def test_simulate_io_matches_per_step_loop(n_y, n_a, T, n_p, seed):
     rng = np.random.default_rng(seed)
-    m = _random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
+    m = random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
     u, p = rand_traj(rng, 2, T), rand_traj(rng, n_p, T)
     y_init = rng.uniform(-1, 1, (n_a, n_y))
     y = simulate_io(m, u, p, y_init).samples
@@ -539,7 +522,7 @@ def test_realization_is_the_io_model_in_state_space(n_y, n_a, n_p, seed):
     # the observer form: n_a n_y states, static dependence, made once, and from any
     # state an output that the IO recursion continues
     rng = np.random.default_rng(seed)
-    m = _random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
+    m = random_io(rng, n_y, n_a, int(rng.integers(1, n_a + 1)), 2, n_p)
     ss = m.realization
     assert ss is m.realization and ss.n_x == n_a * n_y
     assert all(M.window in (None, (0, 0)) for M in (ss.A, ss.B, ss.C, ss.D))
