@@ -12,9 +12,9 @@ draw, one evaluation with a leading trial axis, one SVD per map.
 The symbolic observability and reachability matrices (:func:`obsv_matrix`,
 :func:`reach_matrix`) are the specification; their entries have up to
 ``(1 + n_p)^(n - 1)`` terms.  :func:`minimality_report` evaluates the same maps
-by their numeric recursions (:func:`obsv_eval`, :func:`reach_eval`) at the same
-drawn windows, since shifting a coefficient commutes with evaluating it.  Both
-maps run through one recursion: the running ``A(k)`` products of the
+by their numeric recursion at the same drawn windows, since shifting a
+coefficient commutes with evaluating it.  Both maps run through one recursion:
+the running ``A(k)`` products of the
 observability trials and of the (transposed) reachability trials form one
 stack, and each map then takes its own blocks and its one SVD.  The running
 product, then each block row (observability) or block column (reachability),
@@ -56,7 +56,6 @@ __all__ = [
     "obsv_matrix",
     "reach_matrix",
     "obsv_eval",
-    "reach_eval",
     "structural_rank",
     "minimality_report",
     "check_pe",
@@ -229,16 +228,6 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-def _obsv_blocks(C: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Blocks ``C[i] A[i-1] ... A[0]`` of evaluated ``C``, ``A``, stacked on axis 0;
-    of transposed ``B``, ``A``: transposed reachability blocks."""
-    blocks, prod = [C[0]], np.eye(C.shape[-1])
-    for i in range(len(A)):
-        prod = A[i] @ prod
-        blocks.append(C[i + 1] @ prod)
-    return np.stack(blocks)
-
-
 @_finite
 def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated ``n``-step observability map at time ``k``.
@@ -252,20 +241,11 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     _check_order(n)
     C = model.C.eval_range(p, k, k + n - 1)
     A = model.A.eval_range(p, k, k + n - 2)
-    return _obsv_blocks(C, A).reshape(n * model.n_y, model.n_x)
-
-
-@_finite
-def reach_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
-    """Evaluated ``n``-step reachability map at time ``k``.
-
-    Block column ``i`` equals ``A(k) ... A(k-i+2) B(k-i+1)``, the evaluation
-    of :func:`reach_matrix`, computed by the recursion.
-    """
-    _check_order(n)
-    B = model.B.eval_range(p, k - n + 1, k)[::-1]  # B[i] is B(k - i)
-    A = model.A.eval_range(p, k - n + 2, k)[::-1]
-    return _obsv_blocks(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(-1, model.n_x).T
+    blocks, prod = [C[0]], np.eye(model.n_x)
+    for i in range(n - 1):
+        prod = A[i] @ prod
+        blocks.append(C[i + 1] @ prod)
+    return np.stack(blocks).reshape(n * model.n_y, model.n_x)
 
 
 def _unit(X: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -348,11 +328,11 @@ class MinimalityReport:
 def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
     """Structural observability and reachability of ``model``: the draws of
     ``structural_rank(obsv_matrix(model, n_x), n_x)`` and of the same test of
-    :func:`reach_matrix`, evaluated by the recursions of :func:`obsv_eval` and of
-    :func:`reach_eval` (transposed, which keeps the singular values) with the running
-    product and each block at unit norm.  The ``A(k)`` products of both maps' trials
-    run as one stack; each map keeps its own blocks and SVD, since padding the narrower
-    blocks to stack them would move singular values."""
+    :func:`reach_matrix`, evaluated by the recursion of :func:`obsv_eval` (on the
+    transposed ``B`` and ``A`` for reachability, which keeps the singular values) with
+    the running product and each block at unit norm.  The ``A(k)`` products of both
+    maps' trials run as one stack; each map keeps its own blocks and SVD, since padding
+    the narrower blocks to stack them would move singular values."""
     n, A = model.n_x, model.A
     P, i = _draw(_shifted_hull((model.C, range(n)), (A, range(n - 1))), model.n_p, seed)
     C, A_o = model.C._eval_rows(P, i, n), A._eval_rows(P, i, n - 1)

@@ -116,14 +116,8 @@ def cmd_simulate(args) -> int:
     from .experiments import _record_and_states
     model = _resolve_model(args.model)
     out_dir = Path(args.out_dir)
-    record, x = _record_and_states(
-        model,
-        args.T,
-        args.seed,
-        input_box=args.input_box,
-        scheduling_box=args.scheduling_box,
-        provenance=f"model={args.model} seed={args.seed} T={args.T}",
-    )
+    record, x = _record_and_states(model, args.T, args.seed, args.input_box,
+                                   args.scheduling_box)
     if args.format == "json":
         _write(out_dir / "record.json", _json_text(record.to_dict()))
         outputs = ["record.json"]

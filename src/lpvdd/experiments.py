@@ -64,15 +64,14 @@ def _simulate(model, u: Trajectory, p: Trajectory, init):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _record_and_states(model, T, seed, input_box=None, scheduling_box=None, provenance=""):
+def _record_and_states(model, T, seed, input_box=None, scheduling_box=None):
     """:func:`generate_record` and the states of its one simulation run (``None`` for
     IO form), which ``lpvdd simulate`` writes to ``x.csv``."""
     u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
     p = _uniform_traj(stream(seed, "scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
     y, x = _simulate(model, u, p, np.zeros)
-    record = DataRecord(u=u, p=p, y=y, provenance=provenance or f"seed={seed}, T={T}")
-    return record, x
+    return DataRecord(u=u, p=p, y=y), x
 
 
 def generate_record(

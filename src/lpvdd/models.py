@@ -270,7 +270,13 @@ def random_affine_ss(
 
     The state matrix family is scaled so that short-horizon simulations stay
     numerically tame; generic draws are structurally observable/reachable.
+    :class:`DimensionMismatch` naming the dimension unless ``n_x``, ``n_u`` and ``n_y``
+    are at least 1 and ``n_p`` at least 0.
     """
+    for name, dim, least in (("n_x", n_x, 1), ("n_u", n_u, 1), ("n_y", n_y, 1),
+                             ("n_p", n_p, 0)):
+        if dim < least:
+            raise DimensionMismatch(f"{name} must be >= {least}, got {dim}")
 
     def affine_mat(rows, cols, scale=1.0):
         const = rng.uniform(-1, 1, (rows, cols)) * scale

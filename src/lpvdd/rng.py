@@ -15,11 +15,10 @@ from .errors import InvalidShape
 
 GENERATOR_NAME = "philox4x64-10"
 
-# Fixed role table; new roles must be appended, never renumbered.
+# Fixed role table; new roles must be appended, never renumbered (id 2 is retired).
 STREAMS = {
     "input": 0,
     "scheduling": 1,
-    "init": 2,
     "query_input": 3,
     "query_scheduling": 4,
     "query_init": 5,
@@ -28,8 +27,10 @@ STREAMS = {
 
 
 def stream(seed: int, role: str) -> np.random.Generator:
-    """Generator for the ``role`` named in ``STREAMS`` under ``seed``, a Philox key word
-    in ``[0, 2**64)``."""
+    """Generator for the ``role`` named in ``STREAMS`` under ``seed``, a Philox key word:
+    an integer, not a ``bool``, in ``[0, 2**64)``."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise InvalidShape(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise InvalidShape(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, STREAMS[role]], np.uint64)

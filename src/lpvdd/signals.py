@@ -124,10 +124,6 @@ class Trajectory:
             )
         return Trajectory(t1, self.samples[t1 - self.t_start : t2 - self.t_start + 1])
 
-    def rebase(self, t_start: int) -> "Trajectory":
-        """Same samples, re-anchored to start at ``t_start``."""
-        return Trajectory(t_start, self.samples)
-
 
 def _finite(fn):
     """``fn`` under ``np.errstate``, as the simulators run: a map that diverges on its
@@ -350,7 +346,6 @@ class DataRecord:
     u: Trajectory
     p: Trajectory
     y: Trajectory
-    provenance: str = ""
     _lifted: dict = field(default_factory=dict, compare=False, repr=False, init=False)
 
     def __post_init__(self):
@@ -400,9 +395,8 @@ class DataRecord:
     # -- interchange ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = {name: {"t_start": w.t_start, "samples": w.samples.tolist()}
+        return {name: {"t_start": w.t_start, "samples": w.samples.tolist()}
                 for name, w in zip("upy", (self.u, self.p, self.y))}
-        return dict(data, provenance=self.provenance)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DataRecord":
@@ -417,7 +411,7 @@ class DataRecord:
             except InvalidShape as exc:
                 raise InvalidShape(f"{name}: {exc}") from None
 
-        return cls(*map(traj, "upy"), provenance=str(data.get("provenance", "")))
+        return cls(*map(traj, "upy"))
 
     @classmethod
     def from_json_bundle(cls, path) -> "DataRecord":
@@ -430,7 +424,7 @@ class DataRecord:
         d = Path(directory)
         u, p, y = (read_trajectory_csv(d / f"{name}.csv") for name in "upy")
         try:
-            return cls(u=u, p=p, y=y, provenance=str(d))
+            return cls(u=u, p=p, y=y)
         except IntervalMismatch as exc:
             raise IntervalMismatch(f"{d}: {exc}") from None
 

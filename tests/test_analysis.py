@@ -30,7 +30,6 @@ from lpvdd import (
     obsv_matrix,
     predict,
     random_affine_ss,
-    reach_eval,
     reach_matrix,
     simulate_ss,
     structural_rank,
@@ -521,12 +520,16 @@ def test_rank_loss_to_rounding_is_not_minimal(seed):
     assert not rep.minimal
 
 
-def test_reach_eval_matches_symbolic():
+def test_reach_matrix_eval_matches_block_products():
     rng = np.random.default_rng(16)
     m = _shifted_affine_ss(rng, 3, 2)
     R = reach_matrix(m, 4)
     p = rand_traj(rng, 2, 20, t_start=-10)
-    assert np.allclose(reach_eval(m, 4, p, 3), R.eval(p, 3), rtol=0, atol=1e-13)
+    blocks, prod = [], np.eye(m.n_x)
+    for i in range(4):  # block column i + 1 is A(3) ... A(4 - i) B(3 - i)
+        blocks.append(prod @ m.B.eval(p, 3 - i))
+        prod = prod @ m.A.eval(p, 3 - i)
+    assert np.allclose(R.eval(p, 3), np.hstack(blocks), rtol=0, atol=1e-13)
 
 
 def test_minimality_and_simulation_skip_the_symbolic_algebra(monkeypatch):

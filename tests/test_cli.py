@@ -184,7 +184,8 @@ def test_predict_writes_the_query_times(tmp_path):
     q = _write_query(tmp_path / "query")
     for name in (*QUERY_NAMES, "y_r_truth"):
         w = getattr(q, name)
-        write_trajectory_csv(tmp_path / "query" / f"{name}.csv", w.rebase(w.t_start + 100))
+        write_trajectory_csv(tmp_path / "query" / f"{name}.csv",
+                             Trajectory(w.t_start + 100, w.samples))
     assert main([
         "predict", "--data-dir", str(tmp_path / "data"),
         "--query-dir", str(tmp_path / "query"), "--out-dir", str(tmp_path / "out"),

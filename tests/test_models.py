@@ -253,6 +253,24 @@ def test_empty_models_are_not_made():
         model_to_dict("builtin:verhoek")
 
 
+@pytest.mark.parametrize("dims,message", [
+    ((0, 1, 1, 1), "n_x must be >= 1, got 0"), ((-1, 1, 1, 1), "n_x must be >= 1, got -1"),
+    ((2, 0, 1, 1), "n_u must be >= 1, got 0"), ((2, 1, 0, 1), "n_y must be >= 1, got 0"),
+    ((2, 1, -2, 1), "n_y must be >= 1, got -2"), ((2, 1, 1, -1), "n_p must be >= 0, got -1"),
+])
+def test_random_affine_ss_names_a_dimension_out_of_range(dims, message):
+    # n_x = 0 raised ZeroDivisionError, n_x = -1 numpy's ValueError, n_u = 0 a
+    # DimensionMismatch that named no argument
+    with pytest.raises(DimensionMismatch) as exc:
+        random_affine_ss(np.random.default_rng(0), *dims)
+    assert str(exc.value) == message
+
+
+def test_random_affine_ss_without_scheduling_is_constant():
+    m = random_affine_ss(np.random.default_rng(0), 2, 1, 1, 0)
+    assert (m.n_x, m.n_u, m.n_y, m.n_p) == (2, 1, 1, 0) and m.A.window is None
+
+
 def test_kernel_residual_needs_an_admissible_time():
     # a second-order kernel has no admissible time on a two-step window
     rng = np.random.default_rng(2)

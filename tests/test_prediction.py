@@ -71,7 +71,7 @@ def _known_rows(system, ini):
 def test_predictor_row_count_and_partition():
     rec = _record(40)
     L = 7
-    ps = build_predictor(rec, rec.p.restrict(1, L).rebase(1))
+    ps = build_predictor(rec, Trajectory(1, rec.p.restrict(1, L).samples))
     N = 40 - L + 1
     assert ps.matrix.shape == ((1 + 2) * (1 + 1) * L, N)
     assert [b.shape for b in (ps.u, ps.pu, ps.y, ps.py)] == [(L, N), (2 * L, N), (L, N),
@@ -85,7 +85,7 @@ def test_constraint_rows_vanish_on_matching_column():
     rec = _record(30)
     L = 5
     for j in (0, 3, 11):
-        p_q = rec.p.restrict(1 + j, j + L).rebase(1)
+        p_q = Trajectory(1, rec.p.restrict(1 + j, j + L).samples)
         ps = build_predictor(rec, p_q)
         assert np.max(np.abs(ps.pu[:, j])) < 1e-14
         assert np.max(np.abs(ps.py[:, j])) < 1e-14
@@ -239,8 +239,8 @@ def test_membership_of_data_window():
     for j in (0, 9):
         res = span_membership(
             rec,
-            w.restrict(1 + j, j + L).rebase(1),
-            rec.p.restrict(1 + j, j + L).rebase(1),
+            Trajectory(1, w.restrict(1 + j, j + L).samples),
+            Trajectory(1, rec.p.restrict(1 + j, j + L).samples),
         )
         assert res.member and res.residual <= 1e-10
 
@@ -407,12 +407,32 @@ def test_data_record_csv_dir_round_trip(tmp_path):
     assert back.u.interval == rec.u.interval
 
 
+def test_a_record_read_back_from_either_file_format_is_equal_and_hashes_equal(tmp_path):
+    # a record is its samples: one read from a CSV directory once held the
+    # directory's path as well, and compared and hashed unequal to its source
+    rec = _record(50)
+    rec.to_csv_dir(tmp_path / "d")
+    signals._write(tmp_path / "record.json", signals._json_text(rec.to_dict()))
+    for back in (DataRecord.from_csv_dir(tmp_path / "d"),
+                 DataRecord.from_json_bundle(tmp_path / "record.json")):
+        assert back == rec and hash(back) == hash(rec)
+    assert DataRecord(rec.u, rec.p, rec.y) == rec
+
+
+def test_a_record_json_with_a_provenance_key_reads_to_the_same_record(tmp_path):
+    # record.json files of earlier versions carry a "provenance" string beside u, p, y
+    rec = _record(20)
+    text = signals._json_text(dict(rec.to_dict(), provenance="model=builtin:verhoek seed=1 T=20"))
+    signals._write(tmp_path / "record.json", text)
+    assert DataRecord.from_json_bundle(tmp_path / "record.json") == rec
+
+
 def test_data_record_rejects_interval_mismatch():
     from lpvdd import IntervalMismatch
 
     rec = _record(10)
     with pytest.raises(IntervalMismatch):
-        DataRecord(u=rec.u, p=rec.p, y=rec.y.rebase(2))
+        DataRecord(u=rec.u, p=rec.p, y=Trajectory(2, rec.y.samples))
 
 
 def test_left_nullspace_requires_enough_data():
@@ -436,7 +456,8 @@ def test_margin_is_sigma_min_of_known_rows_on_full_row_space():
     for seed in range(5):
         q = _query(seed=seed + 900)
         res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-        p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(q.u_ini.length + 1))
+        p_bar = concat(Trajectory(1, q.p_ini.samples),
+                       Trajectory(q.u_ini.length + 1, q.p_r.samples))
         system = build_predictor(rec, p_bar)
         M = system.matrix
         _, s, Vt = np.linalg.svd(M, full_matrices=True)
@@ -503,7 +524,7 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
     """``predict`` on the literal :func:`build_predictor` stack."""
     T_ini, T_r = q.u_ini.length, q.u_r.length
     L = T_ini + T_r
-    p_bar = concat(q.p_ini.rebase(1), q.p_r.rebase(T_ini + 1))
+    p_bar = concat(Trajectory(1, q.p_ini.samples), Trajectory(T_ini + 1, q.p_r.samples))
     system = build_predictor(rec, p_bar)
     M, ini = system.matrix, rec.n_y * T_ini
     A = _known_rows(system, ini)
@@ -684,7 +705,7 @@ def test_nullspace_and_membership_share_one_factor(monkeypatch):
 def test_factor_is_not_shared_between_records(monkeypatch):
     rec, other = _record(70, seed=1), _record(70, seed=2)
     ns = left_nullspace(rec, 7)
-    copy = DataRecord(u=rec.u, p=rec.p, y=rec.y, provenance=rec.provenance)
+    copy = DataRecord(u=rec.u, p=rec.p, y=rec.y)
     assert _wide_svd_calls(monkeypatch, lambda: left_nullspace(copy, 7), 64) == 1
     assert left_nullspace(copy, 7).hankel == ns.hankel
 
@@ -804,8 +825,9 @@ def test_shifted_time_axis_moves_only_the_labels(d, e, seed, late, step):
     # a query at t = 101... got y_r labelled 4...; a window off the query's axis read ok
     rec, q = _record(70), _query(seed=seed)
     query = {key: getattr(q, key) for key in ("u_ini", "p_ini", "y_ini", "u_r", "p_r")}
-    moved = {key: w.rebase(w.t_start + d) for key, w in query.items()}
-    rec_moved = DataRecord(*(w.rebase(w.t_start + e) for w in (rec.u, rec.p, rec.y)))
+    moved = {key: Trajectory(w.t_start + d, w.samples) for key, w in query.items()}
+    rec_moved = DataRecord(*(Trajectory(w.t_start + e, w.samples)
+                             for w in (rec.u, rec.p, rec.y)))
     ref = predict(rec, **query)
     assert ref.y_r.interval == q.u_r.interval
     for data, args, shift in ((rec, moved, d), (rec_moved, query, 0)):
@@ -815,17 +837,18 @@ def test_shifted_time_axis_moves_only_the_labels(d, e, seed, late, step):
         assert res.residual == ref.residual
         assert res.output_uniqueness_margin == ref.output_uniqueness_margin
         assert res.y_r.interval == (ref.y_r.t_start + shift, ref.y_r.t_end + shift)
-    moved[late] = moved[late].rebase(moved[late].t_start + step)
+    moved[late] = Trajectory(moved[late].t_start + step, moved[late].samples)
     with pytest.raises(InvalidShape, match=f"{late} on steps"):
         predict(rec, **moved)
 
     w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
     p = concat(q.p_ini, q.p_r)
     member = span_membership(rec, w, p)
-    assert span_membership(rec, w.rebase(1 + d), p.rebase(1 + d)) == member
+    assert span_membership(rec, Trajectory(1 + d, w.samples),
+                           Trajectory(1 + d, p.samples)) == member
     assert span_membership(rec_moved, w, p) == member
     with pytest.raises(InvalidShape, match="p_test on steps"):
-        span_membership(rec, w, p.rebase(1 + step))
+        span_membership(rec, w, Trajectory(1 + step, p.samples))
 
 
 # -- the windows of one lifted signal; the triangle by blocks ----------------

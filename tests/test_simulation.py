@@ -30,7 +30,6 @@ from lpvdd import (
     obsv_matrix,
     propagate_state,
     random_affine_ss,
-    reach_eval,
     reach_matrix,
     response_map,
     simulate_io,
@@ -269,11 +268,11 @@ def test_toeplitz_maps_reject_a_window_below_one_step(t1):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_window_maps_reject_an_order_below_one(n):
-    # obsv_eval and reach_eval raised a bare IndexError at 0
+    # obsv_eval raised a bare IndexError at 0
     m = random_affine_ss(np.random.default_rng(11), 2, 1, 1, 1)
     p = rand_traj(np.random.default_rng(11), 1, 6, t_start=-2)
     for evaluate in (lambda: obsv_matrix(m, n), lambda: reach_matrix(m, n),
-                     lambda: obsv_eval(m, n, p, 1), lambda: reach_eval(m, n, p, 1)):
+                     lambda: obsv_eval(m, n, p, 1)):
         with pytest.raises(InvalidShape, match=f"^n must be >= 1, got {n}$"):
             evaluate()
 
@@ -583,6 +582,24 @@ def test_stream_rejects_a_seed_past_one_key_word():
     assert str(exc.value) == f"seed must be in [0, 2**64), got {2**64}"
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.9, -0.5, 0.7, True, "1", np.float64(1.0)])
+def test_a_seed_that_is_not_an_integer_is_rejected(seed):
+    # cast to a key word, each drew the samples of seed 0 or 1
+    message = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(InvalidShape) as exc:
+        generate_record(example_verhoek(), 50, seed)
+    assert str(exc.value) == message
+    with pytest.raises(InvalidShape) as exc:
+        minimality_report(example_verhoek().realization, seed=seed)
+    assert str(exc.value) == message
+
+
+def test_a_numpy_integer_seed_draws_as_the_int():
+    model = example_verhoek()
+    assert generate_record(model, 50, np.int64(1)) == generate_record(model, 50, 1)
+    assert generate_record(model, 5, np.uint64(2**64 - 1)) == generate_record(model, 5, 2**64 - 1)
+
+
 def test_generate_query_takes_per_channel_input_boxes():
     # the initial state is drawn from the hull of the boxes; one box is its own hull
     model = random_affine_ss(np.random.default_rng(0), 2, 2, 1, 1)
@@ -598,7 +615,6 @@ def test_generate_query_takes_per_channel_input_boxes():
 _T = 800  # x(k+1) = 3 x(k) + u(k) passes the float range from step 647 on
 _DIVERGING_MAPS = {
     "obsv_eval": lambda m, u, p: obsv_eval(m, _T, p, 1),
-    "reach_eval": lambda m, u, p: reach_eval(m, _T, p, _T),
     "toeplitz_eval": lambda m, u, p: toeplitz_eval(m, _T, p, 1),
     "response_map": lambda m, u, p: response_map(m, [0.0], u, p),
     "propagate_state": lambda m, u, p: propagate_state(m, [0.0], u, p),
