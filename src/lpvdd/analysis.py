@@ -34,6 +34,7 @@ judged against, the singular values it cut and the ``RANK_CUT`` it read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -100,14 +101,15 @@ def _rank(s: np.ndarray, required: int) -> RankRecord:
     return RankRecord(_cut(s), required, tuple(s.tolist()), RANK_CUT)
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, RankRecord, float]:
+def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, RankRecord, float]:
     """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`RankRecord` of ``A``
-    against its column count and the residual ``|A z - b|``; ``z`` and the record from
-    the triangle of ``[A b] = Q [T c]``: ``|A z - b| = |T z - c|`` for every ``z``.  At
-    full column rank ``z`` is back-substitution (``solve`` pivots on the diagonal of
-    ``T``), else the minimum-norm solve on the SVD of ``T``."""
-    n = A.shape[1]
-    R = np.linalg.qr(np.column_stack([A, b]), mode="r")
+    against its column count and the residual ``|A z - b|``, from the triangle of
+    ``Ab = [A b] = Q [T c; 0 rho]``: ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every
+    ``z`` (``rho`` is empty unless ``A`` is tall), summed by ``hypot``, which cannot
+    overflow.  At full column rank ``z`` is back-substitution (``solve`` pivots on the
+    diagonal of ``T``), else the minimum-norm solve on the SVD of ``T``."""
+    n = Ab.shape[1] - 1
+    R = np.linalg.qr(Ab, mode="r")
     T, c = R[:n, :n], R[:n, n]
     record = _rank(np.linalg.svd(T, compute_uv=False), n)
     if record.verdict:
@@ -116,9 +118,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, RankRecord, float]
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
         k = record.rank
         z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
-    r = A @ z - b  # normed at a power-of-two scale below 1, where no square overflows
-    e = np.frexp(np.max(np.abs(r), initial=0.0))[1]
-    return z, record, float(np.ldexp(np.linalg.norm(np.ldexp(r, -e)), e))
+    return z, record, math.hypot(*(T @ z - c), *R[n:, n])
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.

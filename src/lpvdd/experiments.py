@@ -53,6 +53,13 @@ def _boxes(box, dim: int, name: str):
     return [tuple(b) for b in box]
 
 
+def _check_horizons(**horizons) -> None:
+    """:class:`InvalidShape` naming the first horizon that is not an integer ``>= 1``."""
+    for name, T in horizons.items():
+        if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
+            raise InvalidShape(f"{name} must be an integer >= 1, got {T!r}")
+
+
 def _simulate(model, u: Trajectory, p: Trajectory, init):
     """Outputs and, of a state-space model, the states (``None`` for IO form) from the
     initial condition ``init(shape)``, of the shape of ``y_init`` or of ``x0``."""
@@ -67,6 +74,7 @@ def _simulate(model, u: Trajectory, p: Trajectory, init):
 def _record_and_states(model, T, seed, input_box=None, scheduling_box=None):
     """:func:`generate_record` and the states of its one simulation run (``None`` for
     IO form), which ``lpvdd simulate`` writes to ``x.csv``."""
+    _check_horizons(T=T)
     u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
     p = _uniform_traj(stream(seed, "scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
@@ -81,7 +89,7 @@ def generate_record(
     input_box=None,
     scheduling_box=None,
 ) -> DataRecord:
-    """Simulate one measured record from zero initial conditions."""
+    """Simulate one measured record of ``T >= 1`` steps from zero initial conditions."""
     return _record_and_states(model, T, seed, input_box, scheduling_box)[0]
 
 
@@ -109,8 +117,10 @@ def generate_query(
 
     The initial condition is drawn uniformly from the hull of the input boxes
     through the ``query_init`` stream, so the query exercises a generic point
-    of the behaviour rather than the zero response.
+    of the behaviour rather than the zero response.  :class:`InvalidShape` names a
+    horizon that is not an integer ``>= 1``.
     """
+    _check_horizons(T_ini=T_ini, T_r=T_r)
     L = T_ini + T_r
     boxes = _boxes(input_box, model.n_u, "input_box")
     u = _uniform_traj(stream(seed, "query_input"), boxes, L)

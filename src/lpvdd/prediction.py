@@ -108,15 +108,15 @@ def _fit(K: np.ndarray, u: np.ndarray, y: np.ndarray):
     to a query window: the ``L`` steps ``u`` in its ``u`` rows, the first ``t`` steps
     ``y`` in its ``y`` rows and zero targets on its ``p (x) w`` rows; its output rows
     from step ``t`` on are not known.  Returns the count of known rows ``A`` and the
-    ``z``, rank record of ``A`` and residual of :func:`_lstsq`: the known rows of the
-    stack are ``A V_r^T``."""
-    t, n_u = len(y), u.shape[1]
+    ``z``, rank record of ``A`` and residual of :func:`_lstsq` on ``[A b]``, gathered in
+    one pass with their targets ``b``: the known rows of the stack are ``A V_r^T``."""
+    t, n_u, r = len(y), u.shape[1], K.shape[-1]
     known = np.ones(K.shape[:3], dtype=bool)
     known[t:, 0, n_u:] = False
-    b = np.zeros(K.shape[:3])
-    b[:, 0, :n_u], b[:t, 0, n_u:] = u, y
-    A = K[known]
-    return (len(A), *_lstsq(A, b[known]))
+    Kb = np.zeros(K.shape[:3] + (r + 1,))
+    Kb[..., :r], Kb[:, 0, :n_u, r], Kb[:t, 0, n_u:, r] = K, u, y
+    Ab = Kb[known]
+    return (len(Ab), *_lstsq(Ab))
 
 
 @dataclass(frozen=True)
@@ -196,20 +196,15 @@ def predict(
 
     lifted = data.lifted(L)
     pe, hankel = lifted.pe, lifted.hankel  # hankel: this query's one read of the cut
-    K = lifted.consistent(np.vstack([p_ini.samples, p_r.samples]), hankel.rank)
+    K = lifted.consistent(np.concatenate([p_ini.samples, p_r.samples]), hankel.rank)
     known_rows, z, fit, residual = _fit(
-        K, np.vstack([u_ini.samples, u_r.samples]), y_ini.samples)
+        K, np.concatenate([u_ini.samples, u_r.samples]), y_ini.samples)
     # The margin is sigma_r of the known rows (0 when there are fewer than r of them).
     s = fit.singular_values
     margin = s[-1] if 0 < fit.required == len(s) else 0.0
 
-    warnings: list[str] = []
-    if not pe.verdict:
-        warnings.append(
-            f"data not persistently exciting at order {L}: "
-            f"extended input rank {pe.rank} < {pe.required}"
-        )
-
+    warnings = [] if pe.verdict else [f"data not persistently exciting at order {L}: "
+                                      f"extended input rank {pe.rank} < {pe.required}"]
     if margin <= margin_tol or not pe.verdict:
         verdict = "ambiguous"
     elif residual > tol:
@@ -217,16 +212,9 @@ def predict(
     else:
         verdict = "ok"
 
-    diagnostics = {
-        "T_ini": T_ini,
-        "T_r": T_r,
-        "L": L,
-        "col_count": lifted.shape[-1],
-        "known_row_count": known_rows,
-        "hankel": hankel,
-        "pe": pe,
-        "warnings": warnings,
-    }
+    diagnostics = {"T_ini": T_ini, "T_r": T_r, "L": L, "col_count": lifted.shape[-1],
+                   "known_row_count": known_rows, "hankel": hankel, "pe": pe,
+                   "warnings": warnings}
     return PredictionResult(
         y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
         residual=residual,

@@ -20,9 +20,9 @@ recursion, an IO model on its state-space ``realization``, in blocks of fixed
 length: the block transitions and the states inside the blocks are each one
 pass vectorised over the blocks, and only the block starts are chained step by step.
 
-Initial-state estimation solves the window equation above for ``x1`` by a
-singular-value least squares solve, reporting the smallest singular value of
-the evaluated observability map as the uniqueness diagnostic.
+Initial-state estimation solves the window equation above for ``x1`` by the one
+least-squares solve of :mod:`lpvdd.analysis`, reporting the rank record of the
+evaluated observability map as the uniqueness diagnostic.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def estimate_initial_state(
 ) -> InitialStateEstimate:
     """Recover ``x(t_start)`` from an initial window of the trajectory.
 
-    Solves the window response equation for the initial state by SVD least
+    Solves the window response equation for the initial state by least
     squares.  Raises :class:`RankDeficientObservability` when the window is
     shorter than the lag bound ``n_x``, the safe sufficient choice, or when
     the evaluated observability map is numerically rank deficient,
@@ -278,7 +278,7 @@ def estimate_initial_state(
     O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
     Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
     rhs = vec(y_ini) - Tm @ vec(u_ini)
-    x_bar, obsv, residual = _lstsq(O, rhs)
+    x_bar, obsv, residual = _lstsq(np.column_stack([O, rhs]))
     if not obsv.verdict:
         s = obsv.singular_values
         raise RankDeficientObservability(

@@ -329,13 +329,19 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
     k = analysis._cut(s_ref)
     z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
 
-    z, record, residual = analysis._lstsq(A, b)
+    z, record, residual = analysis._lstsq(np.column_stack([A, b]))
     assert record.rank == k == r and record.required == cols
     s = np.array(record.singular_values)
     assert s.shape == s_ref.shape
     assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
     assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
     assert abs(residual - np.linalg.norm(A @ z - b)) <= 1e-13 * np.linalg.norm(b)
+    # the residual is summed without squares: at 2**600 they would overflow, at 2**-600
+    # underflow, and the residual still scales with the data
+    for k in (600, -600):
+        residual_k = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))[-1]
+        assert np.isfinite(residual_k)
+        assert abs(residual_k - np.ldexp(residual, k)) <= 1e-13 * np.ldexp(np.linalg.norm(b), k)
 
 
 def test_minimal_random_ss_helper_yields_minimal_models():

@@ -344,6 +344,36 @@ def test_each_rank_decision_is_cut_and_reported_in_analysis():
             assert _rank_outside_analysis(tree) == [], path.name
 
 
+def _linalg_calls(tree) -> list[int]:
+    """Lines of the nodes of ``tree`` that call a ``linalg`` function or import from
+    ``linalg``; naming one, as ``except np.linalg.LinAlgError`` does, is no call."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                ast.unparse(node.func.value).split(".")[-1] == "linalg"):
+            lines.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and "linalg" in [
+                *(node.module or "").split("."), *(a.name for a in node.names)]:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_analysis_calls_linalg():
+    # lpvdd.analysis holds the one least-squares/rank helper; every other module reaches
+    # LAPACK through it and names np.linalg only to catch its error
+    for code in ("np.linalg.solve(A, b)", "z = numpy.linalg.qr(A)[0]",
+                 "f(np.linalg.svd(A, compute_uv=False))", "from numpy.linalg import svd",
+                 "from numpy import linalg"):
+        assert _linalg_calls(ast.parse(code)), code
+    for code in ("try:\n    f()\nexcept np.linalg.LinAlgError:\n    pass",
+                 "solve(A, b)", "np.dot(A, b)", "from .analysis import _lstsq"):
+        assert _linalg_calls(ast.parse(code)) == [], code
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        if path.name != "analysis.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _linalg_calls(tree) == [], path.name
+
+
 def _perfbench(name):
     """The benchmark module ``perfbench/<name>.py``, loaded from its file."""
     path = Path(SRC).parent / "perfbench" / f"{name}.py"

@@ -997,19 +997,6 @@ def test_blocked_triangle_matches_the_direct_qr(monkeypatch, kind):
         assert np.max(np.abs(a.y_r.samples - b.y_r.samples)) <= 1e-13
 
 
-def test_next_query_allocates_no_more_than_g():
-    rec, q = _record(40_000), _query(seed=3)
-    predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    tracemalloc.start()
-    try:
-        result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.verdict == "ok"
-    assert peak <= result.g.nbytes + 2**20, (peak, result.g.nbytes)
-
-
 def test_g_is_formed_on_first_read():
     rec, q = _record(400), _query(seed=3)
     result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)

@@ -600,6 +600,22 @@ def test_a_numpy_integer_seed_draws_as_the_int():
     assert generate_record(model, 5, np.uint64(2**64 - 1)) == generate_record(model, 5, 2**64 - 1)
 
 
+_HORIZONS = {
+    "T": lambda T: generate_record(example_verhoek(), T, 1),
+    "T_ini": lambda T: generate_query(example_verhoek(), T, 7, 1),
+    "T_r": lambda T: generate_query(example_verhoek(), 3, T, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HORIZONS))
+@pytest.mark.parametrize("value", [0, -3, 2.5, True])
+def test_a_horizon_that_is_not_a_positive_integer_is_named(name, value):
+    # a horizon off the integers >= 1 fails before any draw, naming the argument
+    with pytest.raises(InvalidShape) as exc:
+        _HORIZONS[name](value)
+    assert str(exc.value) == f"{name} must be an integer >= 1, got {value}"
+
+
 def test_generate_query_takes_per_channel_input_boxes():
     # the initial state is drawn from the hull of the boxes; one box is its own hull
     model = random_affine_ss(np.random.default_rng(0), 2, 2, 1, 1)
