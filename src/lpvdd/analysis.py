@@ -11,10 +11,11 @@ draw, one evaluation with a leading trial axis, one SVD per map.
 
 The symbolic observability and reachability matrices (:func:`obsv_matrix`,
 :func:`reach_matrix`) are the specification; their entries have up to
-``(1 + n_p)^(n - 1)`` terms.  :func:`minimality_report` evaluates the same maps
-by their numeric recursion at the same drawn windows, since shifting a
-coefficient commutes with evaluating it.  Both maps run through one recursion:
-the running ``A(k)`` products of the
+``(1 + n_p)^(n - 1)`` terms.  Along one given trajectory the observability map
+is a window map of :mod:`lpvdd.simulation` (:func:`~lpvdd.simulation.obsv_eval`).
+:func:`minimality_report` evaluates the same maps by their numeric recursion at
+the same drawn windows, since shifting a coefficient commutes with evaluating
+it.  Both maps run through one recursion: the running ``A(k)`` products of the
 observability trials and of the (transposed) reachability trials form one
 stack, and each map then takes its own blocks and its one SVD.  The running
 product, then each block row (observability) or block column (reachability),
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidShape
 from .rng import stream
-from .signals import Trajectory, _check_windows, _finite, _windows, kron_extend
+from .signals import Trajectory, _check_windows, _windows, kron_extend
 
 if TYPE_CHECKING:
     from .coeffs import CoeffMatrix
@@ -56,7 +57,6 @@ __all__ = [
     "MinimalityReport",
     "obsv_matrix",
     "reach_matrix",
-    "obsv_eval",
     "structural_rank",
     "minimality_report",
     "check_pe",
@@ -228,26 +228,6 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-@_finite
-def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
-    """Evaluated ``n``-step observability map at time ``k``.
-
-    Block row ``i`` equals ``C(k+i-1) A(k+i-2) ... A(k)``; computed by the
-    recursion directly, which agrees with evaluating :func:`obsv_matrix`
-    because shifts commute with evaluation.  Unscaled, unlike the recursion of
-    :func:`minimality_report`: ``estimate_initial_state`` solves least squares on
-    this map, and scaling its block rows would change the weighting.
-    """
-    _check_order(n)
-    C = model.C.eval_range(p, k, k + n - 1)
-    A = model.A.eval_range(p, k, k + n - 2)
-    blocks, prod = [C[0]], np.eye(model.n_x)
-    for i in range(n - 1):
-        prod = A[i] @ prod
-        blocks.append(C[i + 1] @ prod)
-    return np.stack(blocks).reshape(n * model.n_y, model.n_x)
-
-
 def _unit(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Each matrix of ``X = F G``, ``|G|_2 <= 1``, at unit Frobenius norm, or zero where
     its norm is at most ``RANK_CUT |F|``: a product that cancels below the cut is rounding."""
@@ -328,9 +308,10 @@ class MinimalityReport:
 def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
     """Structural observability and reachability of ``model``: the draws of
     ``structural_rank(obsv_matrix(model, n_x), n_x)`` and of the same test of
-    :func:`reach_matrix`, evaluated by the recursion of :func:`obsv_eval` (on the
-    transposed ``B`` and ``A`` for reachability, which keeps the singular values) with
-    the running product and each block at unit norm.  The ``A(k)`` products of both
+    :func:`reach_matrix`, evaluated by the recursion of
+    :func:`~lpvdd.simulation.obsv_eval` (on the transposed ``B`` and ``A`` for
+    reachability, which keeps the singular values) with the running product and each
+    block at unit norm.  The ``A(k)`` products of both
     maps' trials run as one stack; each map keeps its own blocks and SVD, since padding
     the narrower blocks to stack them would move singular values."""
     n, A = model.n_x, model.A

@@ -178,7 +178,10 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
 
 def _windows(X: np.ndarray, t1: int) -> np.ndarray:
     """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
-    row ``j`` is the window ``X[j : j + t1]``, flattened.  The one check of a depth."""
+    row ``j`` is the window ``X[j : j + t1]``, flattened.  The one check of a depth: an
+    ``int`` or ``np.integer``, not a ``bool``, in ``[1, len(X)]``."""
+    if isinstance(t1, bool) or not isinstance(t1, (int, np.integer)):
+        raise InvalidShape(f"order L must be an integer, got {t1!r}")
     if not 1 <= t1 <= len(X):
         raise InvalidShape(f"data length {len(X)} shorter than order L={t1}" if t1 >= 1
                            else f"order L must be >= 1, got {t1}")
@@ -387,6 +390,7 @@ class DataRecord:
     def lifted(self, L: int) -> Lifted:
         """The :class:`~lpvdd.analysis.Lifted` factor of ``H_L(col(w, p (x) w))``, made
         once per ``L``; it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
+        _windows(self.lifted_samples, L)  # L is checked before the memo reads it
         if L not in self._lifted:
             from .analysis import _lifted_factor
             self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)

@@ -10,19 +10,19 @@ where ``O_T`` stacks the step-wise output maps of the free response and
 coefficients.  The symbolic :class:`~lpvdd.coeffs.CoeffMatrix`
 constructions (:func:`impulse_coeff`, :func:`toeplitz`, and the
 observability matrix from :mod:`lpvdd.analysis`) are their specification.
-Numeric code evaluates them along a concrete scheduling trajectory
-(:func:`~lpvdd.analysis.obsv_eval`, :func:`toeplitz_eval`) by recursions on
-the model's coefficients, each read once over the whole time range through
-the one evaluator :meth:`~lpvdd.coeffs.CoeffMatrix.eval_range`.  The two
-routes agree because shifting a coefficient commutes with evaluation.  The
-simulators read their coefficients the same way and run one affine state
-recursion, an IO model on its state-space ``realization``, in blocks of fixed
-length: the block transitions and the states inside the blocks are each one
-pass vectorised over the blocks, and only the block starts are chained step by step.
+Numeric code evaluates ``[O_T | T_T]`` along a concrete scheduling trajectory by
+one recursion on the model's coefficients, each read once over the window through
+:meth:`~lpvdd.coeffs.CoeffMatrix.eval_range`; :func:`obsv_eval`, :func:`toeplitz_eval`
+and :func:`response_map` read it.  The two routes agree because shifting a
+coefficient commutes with evaluation.  The simulators read their coefficients the
+same way and run one affine state recursion, an IO model on its state-space
+``realization``, in blocks of fixed length: the block transitions and the states
+inside the blocks are each one pass vectorised over the blocks, and only the block
+starts are chained step by step.
 
 Initial-state estimation solves the window equation above for ``x1`` by the one
-least-squares solve of :mod:`lpvdd.analysis`, reporting the rank record of the
-evaluated observability map as the uniqueness diagnostic.
+least-squares solve of :mod:`lpvdd.analysis` on one evaluation of ``[O_T | T_T]``,
+reporting the rank record of its observability part as the uniqueness diagnostic.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "simulate_io",
     "impulse_coeff",
     "toeplitz",
+    "obsv_eval",
     "toeplitz_eval",
     "response_map",
     "InitialStateEstimate",
@@ -202,27 +203,41 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     return CoeffMatrix.vstack(rows)
 
 
+def _window(model: LpvSsModel, T: int, p: Trajectory, k: int) -> np.ndarray:
+    """``[O_T | T_T]`` at window start ``k``, unchecked: it maps ``col(x(k), vec(u))`` to
+    ``vec(y)``, and the carry ``X``, ``[I | 0]`` at first, maps it to the state at
+    ``k + i``.  Reads ``A``, ``B`` on ``[k, k+T-2]`` and ``C``, ``D`` on ``[k, k+T-1]``."""
+    n_x, n_y, n_u = model.n_x, model.n_y, model.n_u
+    A, B = (M.eval_range(p, k, k + T - 2) for M in (model.A, model.B))
+    C, D = (M.eval_range(p, k, k + T - 1) for M in (model.C, model.D))
+    out = np.zeros((T * n_y, n_x + T * n_u))
+    X = np.eye(n_x, n_x + T * n_u)
+    for i in range(T):
+        rows, j = slice(i * n_y, (i + 1) * n_y), n_x + i * n_u  # j: the columns of u(k+i)
+        out[rows, :j] = C[i] @ X[:, :j]
+        out[rows, j : j + n_u] = D[i]
+        if i < T - 1:
+            X[:, :j] = A[i] @ X[:, :j]
+            X[:, j : j + n_u] = B[i]
+    return out
+
+
+@_finite
+def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
+    """Evaluated ``n``-step observability map at time ``k``, the window map's first
+    ``n_x`` columns: block row ``i`` is ``C(k+i-1) A(k+i-2) ... A(k)``.  Unscaled, unlike
+    the recursion of :func:`~lpvdd.analysis.minimality_report`: least squares on it
+    (:func:`estimate_initial_state`) would weigh scaled block rows differently."""
+    from .analysis import _check_order
+    _check_order(n)
+    return _window(model, n, p, k)[:, : model.n_x]
+
+
 @_finite
 def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarray:
-    """Evaluated impulse-response Toeplitz matrix at window start ``k``."""
+    """Evaluated impulse-response Toeplitz matrix at ``k``: the window map past ``n_x``."""
     _check_t1(t1)
-    n_y, n_u = model.n_y, model.n_u
-    A = model.A.eval_range(p, k + 1, k + t1 - 2)  # A[i - 1] is A(k + i)
-    B = model.B.eval_range(p, k, k + t1 - 1)
-    C = model.C.eval_range(p, k + 1, k + t1 - 1)  # C[i - 1] is C(k + i)
-    D = model.D.eval_range(p, k, k + t1 - 1)
-    out = np.zeros((t1 * n_y, t1 * n_u))
-    # carry holds the block columns A(k+i-1) ... A(k+j+1) B(k+j), j < i
-    carry = np.zeros((model.n_x, 0))
-    for i in range(t1):
-        rows = slice(i * n_y, (i + 1) * n_y)
-        if i:
-            out[rows, : i * n_u] = C[i - 1] @ carry
-            if i < t1 - 1:
-                carry = A[i - 1] @ carry
-        out[rows, i * n_u : (i + 1) * n_u] = D[i]
-        carry = np.hstack([carry, B[i]])
-    return out
+    return _window(model, t1, p, k)[:, model.n_x :]
 
 
 @_finite
@@ -232,13 +247,9 @@ def response_map(model: LpvSsModel, x_tilde, u: Trajectory, p: Trajectory) -> np
     Equals the output of :func:`simulate_ss` started from ``x_tilde`` up to
     round-off.
     """
-    from .analysis import obsv_eval
     x_tilde = _initial("x_tilde", x_tilde, (model.n_x,))
     _check_windows(("u", u, model.n_u, None))
-    T = u.length
-    O = obsv_eval.__wrapped__(model, T, p, u.t_start)  # unchecked: the sum is checked
-    Tm = toeplitz_eval.__wrapped__(model, T, p, u.t_start)
-    return O @ x_tilde + Tm @ vec(u)
+    return _window(model, u.length, p, u.t_start) @ np.concatenate([x_tilde, vec(u)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,23 +277,25 @@ def estimate_initial_state(
     :class:`InconsistentTrajectory` when the residual exceeds ``TOL`` and
     :class:`InvalidShape` naming a window off its steps.
     """
-    from .analysis import TOL, _lstsq, obsv_eval
+    from .analysis import TOL, _lstsq
     _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, model.n_p, None),
                    ("y_ini", y_ini, model.n_y, u_ini.interval))
-    T_ini = u_ini.length
-    if T_ini < model.n_x:
+    T_ini, n_x = u_ini.length, model.n_x
+    if T_ini < n_x:
         raise RankDeficientObservability(
-            f"window length {T_ini} below lag bound {model.n_x}; "
+            f"window length {T_ini} below lag bound {n_x}; "
             "initial state not uniquely determined"
         )
-    O = obsv_eval(model, T_ini, p_ini, u_ini.t_start)
-    Tm = toeplitz_eval(model, T_ini, p_ini, u_ini.t_start)
-    rhs = vec(y_ini) - Tm @ vec(u_ini)
-    x_bar, obsv, residual = _lstsq(np.column_stack([O, rhs]))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the window maps
+        W = _window(model, T_ini, p_ini, u_ini.t_start)
+        Ab = np.column_stack([W[:, :n_x], vec(y_ini) - W[:, n_x:] @ vec(u_ini)])
+    if not np.isfinite(Ab).all():
+        raise InvalidShape("estimate_initial_state: the model diverges on this window")
+    x_bar, obsv, residual = _lstsq(Ab)
     if not obsv.verdict:
         s = obsv.singular_values
         raise RankDeficientObservability(
-            f"observability evaluation has rank {obsv.rank} < n_x={model.n_x} "
+            f"observability evaluation has rank {obsv.rank} < n_x={n_x} "
             f"(sigma_min={s[-1] if s else 0.0:.3e})"
         )
     if residual > TOL:

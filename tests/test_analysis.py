@@ -1,6 +1,7 @@
 """Structural rank analysis and persistence-of-excitation checks."""
 
 import json
+import re
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -295,6 +296,27 @@ def test_depth_below_one_is_invalid_shape(L):
                  lambda: rec.lifted(L), lambda: left_nullspace(rec, L)):
         with pytest.raises(InvalidShape, match=f"order L must be >= 1, got {L}"):
             call()
+
+
+_DEPTH_CALLS = {
+    "check_pe": lambda rec, L: check_pe(rec.u, rec.p, L),
+    "left_nullspace": left_nullspace,
+    "lifted": lambda rec, L: rec.lifted(L),
+    # the memo holds the L = 1 factor, which True hashes and compares as
+    "lifted after lifted(1)": lambda rec, L: (rec.lifted(1), rec.lifted(L)),
+}
+
+
+@pytest.mark.parametrize("name", _DEPTH_CALLS)
+@pytest.mark.parametrize("L", [True, False, 2.5, np.float64(2.0)])
+def test_a_depth_that_is_not_an_integer_is_invalid_shape(name, L):
+    # True ran as L = 1 (or came back from the memo as its factor), the others raised
+    # a bare TypeError inside numpy
+    rec = generate_record(example_verhoek(), 20, 0)
+    message = f"order L must be an integer, got {L!r}"
+    with pytest.raises(InvalidShape, match=f"^{re.escape(message)}$"):
+        _DEPTH_CALLS[name](rec, L)
+    assert check_pe(rec.u, rec.p, np.int64(2)) == check_pe(rec.u, rec.p, 2)
 
 
 @pytest.mark.parametrize("name", ["u", "p", "y"])

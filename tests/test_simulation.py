@@ -246,14 +246,21 @@ def test_toeplitz_zero_state_response_oracle():
         assert np.max(np.abs(Tm.eval(p, 1) @ vec(u) - vec(y_sim))) < 1e-10
 
 
+def _symbolic_cases(rng, n_x, n_u, n_y, n_p):
+    """``(model, T, p)``: an offset-0 model at ``T = 3`` and ``T = 1``, the same model on a
+    shifted window and an IO realization, each ``p`` wide enough for the symbolic map at 1."""
+    m = random_affine_ss(rng, n_x, n_u, n_y, n_p)
+    shifted = LpvSsModel(A=m.A.shift(1), B=m.B.shift(-2), C=m.C.shift(2), D=m.D.shift(-1))
+    io = random_io(rng, n_y, 2, 2, n_u, n_p).realization
+    return [(model, T, rand_traj(rng, n_p, 2 * T + 8, t_start=-4))
+            for model, T in ((m, 3), (m, 1), (shifted, 3), (io, 3))]
+
+
 def test_toeplitz_eval_matches_symbolic():
-    rng = np.random.default_rng(10)
-    m = random_affine_ss(rng, 2, 2, 2, 1)
-    T = 3
-    p = rand_traj(rng, 1, 2 * T, t_start=0)
-    sym = toeplitz(m, T).eval(p, 1)
-    num = toeplitz_eval(m, T, p, 1)
-    assert np.max(np.abs(sym - num)) < 1e-12
+    for m, T, p in _symbolic_cases(np.random.default_rng(10), 2, 2, 2, 1):
+        sym = toeplitz(m, T).eval(p, 1)
+        num = toeplitz_eval(m, T, p, 1)
+        assert np.max(np.abs(sym - num)) < 1e-12
 
 
 @pytest.mark.parametrize("t1", [0, -2])
@@ -278,12 +285,11 @@ def test_window_maps_reject_an_order_below_one(n):
 
 
 def test_obsv_eval_matches_symbolic():
-    rng = np.random.default_rng(11)
-    m = random_affine_ss(rng, 3, 1, 2, 2)
-    p = rand_traj(rng, 2, 8, t_start=0)
-    sym = obsv_matrix(m, 4).eval(p, 1)
-    num = obsv_eval(m, 4, p, 1)
-    assert np.max(np.abs(sym - num)) < 1e-12
+    cases = _symbolic_cases(np.random.default_rng(11), 3, 1, 2, 2)
+    for m, T, p in [(cases[0][0], 4, cases[0][2])] + cases:
+        sym = obsv_matrix(m, T).eval(p, 1)
+        num = obsv_eval(m, T, p, 1)
+        assert np.max(np.abs(sym - num)) < 1e-12
 
 
 def test_response_map_trivial_cases():
@@ -328,6 +334,20 @@ def test_estimate_initial_state_recovers_truth():
         assert np.max(np.abs(est.x - x0)) <= 1e-8
         assert est.residual <= 1e-10
         assert est.observability.verdict and est.observability.singular_values[-1] > 0
+
+
+def test_estimate_initial_state_reads_each_coefficient_once(monkeypatch):
+    # one evaluated [O_T | T_T]: A, B, C and D each read once (A and C were read twice)
+    rng = np.random.default_rng(14)
+    m = minimal_random_ss(rng, 2, 1, 1, 1)
+    u, p = rand_traj(rng, 1, 4), rand_traj(rng, 1, 4)
+    y = simulate_ss(m, rng.normal(size=2), u, p).y
+    calls = []
+    eval_rows = CoeffMatrix._eval_rows
+    monkeypatch.setattr(CoeffMatrix, "_eval_rows",
+                        lambda self, *args: calls.append(self) or eval_rows(self, *args))
+    estimate_initial_state(m, u, p, y)
+    assert sorted(map(id, calls)) == sorted(map(id, (m.A, m.B, m.C, m.D)))
 
 
 def test_estimate_initial_state_window_too_short():
@@ -634,6 +654,7 @@ _DIVERGING_MAPS = {
     "toeplitz_eval": lambda m, u, p: toeplitz_eval(m, _T, p, 1),
     "response_map": lambda m, u, p: response_map(m, [0.0], u, p),
     "propagate_state": lambda m, u, p: propagate_state(m, [0.0], u, p),
+    "estimate_initial_state": lambda m, u, p: estimate_initial_state(m, u, p, u),
 }
 
 
