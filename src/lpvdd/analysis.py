@@ -144,10 +144,11 @@ class Lifted:
 
     ``shape`` is the ``(L, 1 + n_p, n_w, N)`` block shape of ``H``, the row layout of
     :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w`` (``1 + j``), then
-    the channel of ``w``.  ``U`` (``R x R``) is its complete left basis and ``s`` its
-    singular values.  ``inputs`` are its ``u``, ``p (x) u`` rows after :func:`_triangle`:
-    they have the singular values of the input Hankel matrix, and exactly-zero inputs
-    stay exactly zero in them, where those rows of ``U S`` would turn them into rounding.
+    the channel of ``w``.  ``U`` (``R x R``) is its complete left basis (``U_r`` spans its
+    image, ``U[:, r:]`` its left kernel) and ``s`` its singular values.  ``inputs`` are its
+    ``u``, ``p (x) u`` rows after :func:`_triangle`: they have the singular values of the
+    input Hankel matrix, and exactly-zero inputs stay exactly zero in them, where those
+    rows of ``U S`` would turn them into rounding.
     """
 
     shape: tuple[int, int, int, int]
@@ -179,6 +180,17 @@ class Lifted:
         K = (self.U[:, :rank] * self.s[:rank]).reshape(self.shape[:3] + (rank,))
         K[:, 1:] -= p[:, :, None, None] * K[:, :1]
         return K
+
+    def distance(self, p: np.ndarray, rank: int, w: np.ndarray) -> float:
+        """Distance of ``b = col(w, 0)``, ``w`` an ``(L, n_w)`` window, to the span of
+        :meth:`consistent`: ``M(p) = I - E``, ``E^2 = 0``, so ``Y = M(p)^-T U[:, rank:]``
+        (each ``w`` row plus ``p_j(k)`` times its ``p_j (x) w`` row) spans the complement,
+        and the distance is ``|c|`` for ``[Y b] = Q [T c; 0 rho]``, summed by ``hypot``."""
+        d = len(self.U) - rank
+        Yb = np.zeros(self.shape[:3] + (d + 1,))
+        Yb[..., :d], Yb[:, 0, :, d] = self.U[:, rank:].reshape(self.shape[:3] + (d,)), w
+        Yb[:, 0, :, :d] += np.einsum("lj,ljwd->lwd", p, Yb[:, 1:, :, :d])
+        return math.hypot(*np.linalg.qr(Yb.reshape(len(self.U), -1), mode="r")[:d, d])
 
 
 def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:

@@ -1,38 +1,37 @@
 """Data-driven output prediction from one measured trajectory.
 
-Given a single recorded ``(u, p, y)`` sequence of a scheduling-dependent
-system with shifted-affine coefficients, the continuation of a fresh query
-trajectory can be read off a stacked Hankel system: the measured signals and
-their Kronecker extensions ``p (x) u``, ``p (x) y`` supply the columns, and
-block-diagonal matrices built from the *query* scheduling impose that any
-column combination is Kronecker-consistent with the query.  The stacked
-system (:func:`build_predictor`, the specification; its :class:`PredictorSystem`
-holds the four blocks as ``u``, ``pu``, ``y`` and ``py``) is
+Given a single recorded ``(u, p, y)`` sequence of a scheduling-dependent system with
+shifted-affine coefficients, the continuation of a fresh query trajectory can be read off
+a stacked Hankel system: the measured signals and their Kronecker extensions
+``p (x) u``, ``p (x) y`` supply the columns, and block-diagonal matrices built from the
+*query* scheduling impose that any column combination is Kronecker-consistent with the
+query.  The stacked system (:func:`build_predictor`, the specification; its
+:class:`PredictorSystem` holds the four blocks as ``u``, ``pu``, ``y`` and ``py``) is
 
     [ H_L(u)                          ]       [ vec(u_query) ]
     [ H_L(p (x) u) - P_u H_L(u)       ]  g =  [ 0            ]
     [ H_L(y)                          ]       [ vec(y_query) ]
     [ H_L(p (x) y) - P_y H_L(y)       ]       [ 0             ]
 
-where only the initial portion of ``vec(y_query)`` is known.  Up to a row
-permutation it is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank
-``r``) comes from the record alone and ``M(p)`` is unit lower
-block-triangular.  :func:`predict` works on ``K = M(p) U_r S_r``: the
-minimum-norm solution ``z`` on its known rows gives ``g = V_r z``, and its
-future output rows applied to ``z`` give the prediction.  ``H`` is factored
-once per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted`
-that gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).
-Only its left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of
-its QR first and no factor has an axis of length ``N``.  A query costs small solves
-on ``K`` (``R x r``) and no work proportional to ``N``: ``g`` is formed the first
-time it is read, by one pass over a view of the record's lifted samples.
+where only the initial portion of ``vec(y_query)`` is known.  Up to a row permutation it
+is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank ``r``) comes from the record
+alone and ``M(p)`` is unit lower block-triangular.  :func:`predict` works on
+``K = M(p) U_r S_r``: the minimum-norm solution ``z`` on its known rows gives
+``g = V_r z``, and its future output rows applied to ``z`` give the prediction.
+:func:`span_membership`, whose rows are all known, needs no ``z``: it reads the window's
+distance to ``col(K)`` off the complement ``M(p)^-T U[:, r:]``.  ``H`` is factored once
+per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted` that
+gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).  Only its
+left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR first
+and no factor has an axis of length ``N``.  A query costs small solves on ``K``
+(``R x r``) and no work proportional to ``N``: ``g`` is formed the first time it is
+read, by one pass over a view of the record's lifted samples.
 
-Uniqueness of the recovered outputs is certified by a margin: the ``r``-th
-singular value of the known rows of ``K``, and 0 when there are fewer than
-``r`` known rows.  ``K`` has full column rank ``r``, so a column
-combination that changes no known row changes the future output rows; the
-future outputs are determined by the data exactly when the margin is
-positive.
+Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singular
+value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.
+``K`` has full column rank ``r``, so a column combination that changes no known row
+changes the future output rows; the future outputs are determined by the data exactly
+when the margin is positive.
 """
 
 from __future__ import annotations
@@ -101,22 +100,6 @@ def build_predictor(data: DataRecord, p_query: Trajectory) -> PredictorSystem:
     Pu, Py = sched_block_diag(p_query, data.n_u), sched_block_diag(p_query, data.n_y)
     return PredictorSystem(u=Hu, pu=hankel(kron_signal(data.u, data.p), L) - Pu @ Hu,
                            y=Hy, py=hankel(kron_signal(data.y, data.p), L) - Py @ Hy)
-
-
-def _fit(K: np.ndarray, u: np.ndarray, y: np.ndarray):
-    """Least-squares fit of ``K = M(p) U_r S_r`` (:meth:`~lpvdd.analysis.Lifted.consistent`)
-    to a query window: the ``L`` steps ``u`` in its ``u`` rows, the first ``t`` steps
-    ``y`` in its ``y`` rows and zero targets on its ``p (x) w`` rows; its output rows
-    from step ``t`` on are not known.  Returns the count of known rows ``A`` and the
-    ``z``, rank record of ``A`` and residual of :func:`_lstsq` on ``[A b]``, gathered in
-    one pass with their targets ``b``: the known rows of the stack are ``A V_r^T``."""
-    t, n_u, r = len(y), u.shape[1], K.shape[-1]
-    known = np.ones(K.shape[:3], dtype=bool)
-    known[t:, 0, n_u:] = False
-    Kb = np.zeros(K.shape[:3] + (r + 1,))
-    Kb[..., :r], Kb[:, 0, :n_u, r], Kb[:t, 0, n_u:, r] = K, u, y
-    Ab = Kb[known]
-    return (len(Ab), *_lstsq(Ab))
 
 
 @dataclass(frozen=True)
@@ -196,9 +179,13 @@ def predict(
 
     lifted = data.lifted(L)
     pe, hankel = lifted.pe, lifted.hankel  # hankel: this query's one read of the cut
-    K = lifted.consistent(np.concatenate([p_ini.samples, p_r.samples]), hankel.rank)
-    known_rows, z, fit, residual = _fit(
-        K, np.concatenate([u_ini.samples, u_r.samples]), y_ini.samples)
+    K = lifted.consistent(np.concatenate([p_ini.samples, p_r.samples]), rank := hankel.rank)
+    known = np.ones(K.shape[:3], dtype=bool)  # [A b] is Kb[known]: K's rows and targets
+    known[T_ini:, 0, n_u:] = False  # less the outputs from step T_ini on, to be predicted
+    Kb = np.zeros(K.shape[:3] + (rank + 1,))
+    Kb[..., :rank], Kb[:T_ini, 0, n_u:, rank] = K, y_ini.samples
+    Kb[:, 0, :n_u, rank] = np.concatenate([u_ini.samples, u_r.samples])
+    z, fit, residual = _lstsq(Ab := Kb[known])
     # The margin is sigma_r of the known rows (0 when there are fewer than r of them).
     s = fit.singular_values
     margin = s[-1] if 0 < fit.required == len(s) else 0.0
@@ -213,7 +200,7 @@ def predict(
         verdict = "ok"
 
     diagnostics = {"T_ini": T_ini, "T_r": T_r, "L": L, "col_count": lifted.shape[-1],
-                   "known_row_count": known_rows, "hankel": hankel, "pe": pe,
+                   "known_row_count": len(Ab), "hankel": hankel, "pe": pe,
                    "warnings": warnings}
     return PredictionResult(
         y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
@@ -243,13 +230,14 @@ def span_membership(
     The window ``w_test = col(u, y)`` of length ``L`` is a member when some column
     combination of the measured Hankel blocks reproduces it while satisfying the
     Kronecker consistency constraints built from ``p_test`` on the steps of ``w_test``,
-    to a residual of at most ``TOL``.
+    to a residual of at most ``TOL``: its distance to the span, with no fit
+    (:meth:`~lpvdd.analysis.Lifted.distance`), and where ``M(p) U_r S_r`` is rank
+    deficient at ``RANK_CUT``, to its full span, not that of its leading directions.
     """
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
                    ("p_test", p_test, data.n_p, w_test.interval))
-    u, y = np.hsplit(w_test.samples, [data.n_u])
     lifted = data.lifted(w_test.length)
-    residual = _fit(lifted.consistent(p_test.samples, lifted.hankel.rank), u, y)[-1]
+    residual = lifted.distance(p_test.samples, lifted.hankel.rank, w_test.samples)
     return MembershipResult(member=residual <= TOL, residual=residual)
 
 

@@ -14,6 +14,6 @@ def _python_block(heading: str) -> str:
 
 def test_library_quick_start_prints_what_it_says(capsys):
     exec(_python_block("## Library quick start"), {})
-    pe, verdict, error, dimension = capsys.readouterr().out.splitlines()
-    assert (pe, verdict, dimension) == ("True", "ok", "5")
+    pe, verdict, error, dimension, member = capsys.readouterr().out.splitlines()
+    assert (pe, verdict, dimension, member) == ("True", "ok", "5", "True")
     assert float(error) < 1e-13

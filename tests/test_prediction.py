@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import rand_traj
+from conftest import rand_traj, random_io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -600,10 +600,25 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
             np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
         )
 
-    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    # the true window (a member once the record saturates) and a non-member: any residual
+    # that vanishes on the span passes the first, only the distance to it the second
     p = concat(q.p_ini, q.p_r)
-    dense = _dense_membership_residual(rec, w, p)
-    assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+    for y_r in (q.y_r_truth.samples, q.y_r_truth.samples + 0.5):
+        w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, Trajectory(q.u_r.t_start, y_r)))
+        dense = _dense_membership_residual(rec, w, p)
+        assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+
+
+def test_membership_with_an_empty_left_kernel_is_exact():
+    # the depth-3 lifted Hankel of this model has full row rank R = 48, so no annihilator
+    # exists and every window is a member: the complement is empty and the residual 0.0
+    rec = generate_record(random_affine_ss(np.random.default_rng(0), 6, 2, 2, 3), 400, 0)
+    assert left_nullspace(rec, 3).dimension == 0
+    rng = np.random.default_rng(1)
+    w, p = rand_traj(rng, 4, 3), rand_traj(rng, 3, 3)
+    res = span_membership(rec, w, p)
+    assert res.member and res.residual == 0.0
+    assert _dense_membership_residual(rec, w, p) <= 1e-9
 
 
 _DENSE_SS = random_affine_ss(np.random.default_rng(5), 3, 2, 2, 2)
@@ -745,11 +760,26 @@ def test_no_svd_of_a_long_record_has_a_record_long_axis(monkeypatch):
     shapes = _factor_shapes(monkeypatch, run)
     assert max(max(shape) for shape in shapes["svd"]) <= 6 * L
     # predict and span_membership share one factor; left_nullspace has its own depth.
-    # The other QRs are those of the small known-row systems [A b].
+    # The other QRs are those of predict's known rows [A b] and of span_membership's [Y b].
     long = {rec.T - L + 1, rec.T - 7 + 1}
     assert sorted(shape for shape in shapes["qr"] if long & set(shape)) == sorted(
         [(rec.T - L + 1, 6 * L), (rec.T - L + 1, 3 * L),
          (rec.T - L + 1, 6 * L), (rec.T - 7 + 1, 6 * 7)])
+
+
+@pytest.mark.parametrize("n_p", [1, 4])
+def test_membership_on_a_factored_record_makes_one_small_qr(monkeypatch, n_p):
+    # a window known in full is read against the complement of M(p) U_r S_r: one QR of
+    # [Y b], Y the n_y L - n_x columns of the left kernel at p, whatever n_p; no fit
+    model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
+    rec, q = generate_record(model, 400, 1), generate_query(model, 2, 4, 2)
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p, L = concat(q.p_ini, q.p_r), w.length
+    assert rec.lifted(L).shape[:3] == (L, 1 + n_p, 2)  # factored before the count
+    results = []
+    shapes = _factor_shapes(monkeypatch, lambda: results.append(span_membership(rec, w, p)))
+    assert results[0].member
+    assert shapes == {"svd": [], "qr": [(2 * (1 + n_p) * L, 1 * L - 2 + 1)]}
 
 
 @pytest.mark.parametrize("T", [70, 400])
@@ -947,6 +977,18 @@ def test_the_residual_of_data_near_the_float_range_is_finite():
         raise ValueError(constant)
 
     json.loads(json.dumps(result.to_dict()), parse_constant=reject)
+
+
+@pytest.mark.parametrize("scale", [(1e200, 1.0), (1.0, 1e150)])
+def test_membership_of_windows_near_the_float_range_is_a_finite_no(scale):
+    # w scaled by 1e200, or p by 1e150 (M(p) U_r S_r then has rank 14 of 37 at RANK_CUT,
+    # and the residual is the distance to its full span): no overflow, warning or error
+    rec, q = _record(70), _query(seed=61, T_ini=3, T_r=4)
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    p = concat(q.p_ini, q.p_r)
+    res = span_membership(rec, Trajectory(1, scale[0] * w.samples),
+                          Trajectory(1, scale[1] * p.samples))
+    assert not res.member and 1.0 < res.residual < np.inf
 
 
 def test_second_predict_builds_no_hankel(monkeypatch):
