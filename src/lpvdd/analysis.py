@@ -35,6 +35,7 @@ judged against, the singular values it cut and the ``RANK_CUT`` it read.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,24 +102,50 @@ def _rank(s: np.ndarray, required: int) -> RankRecord:
     return RankRecord(_cut(s), required, tuple(s.tolist()), RANK_CUT)
 
 
-def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, RankRecord, float]:
-    """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`RankRecord` of ``A``
-    against its column count and the residual ``|A z - b|``, from the triangle of
-    ``Ab = [A b] = Q [T c; 0 rho]``: ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every
-    ``z`` (``rho`` is empty unless ``A`` is tall), summed by ``hypot``, which cannot
-    overflow.  At full column rank ``z`` is back-substitution (``solve`` pivots on the
-    diagonal of ``T``), else the minimum-norm solve on the SVD of ``T``."""
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """The triangle ``T`` of a least-squares solve, its ``floor`` (:func:`_lstsq`) and its
+    singular values ``s``, computed on first read."""
+
+    T: np.ndarray
+    floor: float
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return np.linalg.svd(self.T, compute_uv=False)
+
+    @property
+    def margin(self) -> float:
+        """``sigma_min(T)``, 0 unless ``T`` is square and not empty."""
+        return float(self.s[-1]) if 0 < len(self.T) == self.T.shape[1] else 0.0
+
+
+def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, _Fit, float]:
+    """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`_Fit` of ``A`` and the
+    residual ``|A z - b|``, from the triangle of ``Ab = [A b] = Q [T c; 0 rho]``:
+    ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every ``z`` (``rho`` is empty unless ``A``
+    is tall), summed by ``hypot``, which cannot overflow.  A square ``T`` has one LU solve
+    of ``Ts = 2^-e T`` (``|Ts| < 1``: no norm over- or underflows) against ``[2^-e c | I]``:
+    ``z`` and ``1/|T^-1|_F <= sigma_min(T)`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 8).  Above ``2 RANK_CUT |T|_F >= 2 RANK_CUT sigma_max(T)``
+    that bound is the ``floor``: full column rank, certified with no SVD.  Else the floor
+    is 0, the rank is cut on ``s`` and below it ``z`` is the minimum-norm SVD solve."""
     n = Ab.shape[1] - 1
     R = np.linalg.qr(Ab, mode="r")
     T, c = R[:n, :n], R[:n, n]
-    record = _rank(np.linalg.svd(T, compute_uv=False), n)
-    if record.verdict:
-        z = np.linalg.solve(T, c)
-    else:
+    z, floor = None, 0.0
+    if 0 < n == len(T):
+        e, B = math.frexp(np.abs(T).max())[1], np.eye(n, n + 1, 1)
+        with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):
+            B[:, 0], Ts = np.ldexp(c, -e), np.ldexp(T, -e)
+            X = np.linalg.solve(Ts, B)  # [z | Ts^-1]; a singular T raises
+            z, bound = X[:, 0], 1 / np.linalg.norm(X[:, 1:])
+            floor = np.ldexp(bound, e) if bound > 2 * RANK_CUT * np.linalg.norm(Ts) else 0.0
+    fit = _Fit(T, floor)
+    if not floor and ((k := _cut(fit.s)) < n or z is None):
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
-        k = record.rank
         z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
-    return z, record, math.hypot(*(T @ z - c), *R[n:, n])
+    return z, fit, math.hypot(*(T @ z - c), *R[n:, n])
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.

@@ -216,11 +216,8 @@ def cmd_predict(args) -> int:
             "outputs": outputs,
         }
     )
-    if result.verdict == "ambiguous":
-        return EXIT_AMBIGUOUS
-    if result.verdict == "infeasible":
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    exits = {"ambiguous": EXIT_AMBIGUOUS, "infeasible": EXIT_INFEASIBLE}
+    return exits.get(result.verdict, EXIT_OK)
 
 
 # -- check ---------------------------------------------------------------------

@@ -76,9 +76,7 @@ class PolyCoeff:
             key = _mono_mul(mono, ())  # sorts and merges repeated variables
             for comp, off, pw in key:
                 if comp < 1 or comp > self.n_p:
-                    raise DimensionMismatch(
-                        f"component {comp} outside [1, {self.n_p}]"
-                    )
+                    raise DimensionMismatch(f"component {comp} outside [1, {self.n_p}]")
                 if pw < 1:
                     raise DimensionMismatch(f"power must be >= 1, got {pw}")
             acc[key] = acc.get(key, 0.0) + float(coeff)
@@ -112,18 +110,15 @@ class PolyCoeff:
     def window(self) -> tuple[int, int] | None:
         """Tight hull ``[d_min, d_max]`` of offsets, or None if constant."""
         offsets = [off for _, mono in self.terms for _, off, _ in mono]
-        if not offsets:
-            return None
-        return (min(offsets), max(offsets))
+        return (min(offsets), max(offsets)) if offsets else None
 
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, p: Trajectory, k: int) -> float:
         """Value of the coefficient along scheduling ``p`` at time ``k``."""
         if p.dim != self.n_p:
-            raise DimensionMismatch(
-                f"scheduling dim {p.dim} does not match coefficient n_p {self.n_p}"
-            )
+            raise DimensionMismatch(f"scheduling dim {p.dim} does not match coefficient "
+                                    f"n_p {self.n_p}")
         win = self.window
         if win is not None and not p.covers(k + win[0], k + win[1]):
             raise WindowOutOfRange(
@@ -146,11 +141,8 @@ class PolyCoeff:
         """Add ``d`` to every offset (time re-indexing of all arguments)."""
         if d == 0:
             return self
-        terms = tuple(
-            (coeff, tuple((comp, off + d, pw) for comp, off, pw in mono))
-            for coeff, mono in self.terms
-        )
-        return PolyCoeff(self.n_p, terms)
+        return PolyCoeff(self.n_p, tuple((c, tuple((j, off + d, pw) for j, off, pw in mono))
+                                         for c, mono in self.terms))
 
     def _check_np(self, other: "PolyCoeff") -> None:
         if self.n_p != other.n_p:
@@ -174,9 +166,7 @@ class PolyCoeff:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return PolyCoeff(
-                self.n_p, tuple((c * float(other), m) for c, m in self.terms)
-            )
+            return PolyCoeff(self.n_p, tuple((c * float(other), m) for c, m in self.terms))
         self._check_np(other)
         acc: dict[Monomial, float] = {}
         for c1, m1 in self.terms:
@@ -362,9 +352,8 @@ class CoeffMatrix:
         Empty when ``k2 < k1``.
         """
         if p.dim != self.n_p:
-            raise DimensionMismatch(
-                f"scheduling dim {p.dim} does not match coefficient n_p {self.n_p}"
-            )
+            raise DimensionMismatch(f"scheduling dim {p.dim} does not match coefficient "
+                                    f"n_p {self.n_p}")
         win = self.window
         n = max(k2 - k1 + 1, 0)
         if n and win is not None and not p.covers(k1 + win[0], k2 + win[1]):

@@ -82,13 +82,8 @@ def _record_and_states(model, T, seed, input_box=None, scheduling_box=None):
     return DataRecord(u=u, p=p, y=y), x
 
 
-def generate_record(
-    model,
-    T: int,
-    seed: int,
-    input_box=None,
-    scheduling_box=None,
-) -> DataRecord:
+def generate_record(model, T: int, seed: int, input_box=None,
+                    scheduling_box=None) -> DataRecord:
     """Simulate one measured record of ``T >= 1`` steps from zero initial conditions."""
     return _record_and_states(model, T, seed, input_box, scheduling_box)[0]
 
@@ -105,14 +100,8 @@ class Query:
     y_r_truth: Trajectory
 
 
-def generate_query(
-    model,
-    T_ini: int,
-    T_r: int,
-    seed: int,
-    input_box=None,
-    scheduling_box=None,
-) -> Query:
+def generate_query(model, T_ini: int, T_r: int, seed: int, input_box=None,
+                   scheduling_box=None) -> Query:
     """Simulate a fresh length ``T_ini + T_r`` trajectory and split it.
 
     The initial condition is drawn uniformly from the hull of the input boxes
@@ -128,11 +117,6 @@ def generate_query(
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), L)
     lo, hi = min(b[0] for b in boxes), max(b[1] for b in boxes)
     y, _ = _simulate(model, u, p, lambda size: stream(seed, "query_init").uniform(lo, hi, size))
-    return Query(
-        u_ini=u.restrict(1, T_ini),
-        p_ini=p.restrict(1, T_ini),
-        y_ini=y.restrict(1, T_ini),
-        u_r=u.restrict(T_ini + 1, L),
-        p_r=p.restrict(T_ini + 1, L),
-        y_r_truth=y.restrict(T_ini + 1, L),
-    )
+    return Query(u_ini=u.restrict(1, T_ini), p_ini=p.restrict(1, T_ini),
+                 y_ini=y.restrict(1, T_ini), u_r=u.restrict(T_ini + 1, L),
+                 p_r=p.restrict(T_ini + 1, L), y_r_truth=y.restrict(T_ini + 1, L))

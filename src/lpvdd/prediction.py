@@ -31,7 +31,10 @@ Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singu
 value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.
 ``K`` has full column rank ``r``, so a column combination that changes no known row
 changes the future output rows; the future outputs are determined by the data exactly
-when the margin is positive.
+when the margin is positive.  The verdict needs only a bound on it: the floor
+``1/|T^-1|_F`` of the triangle ``T`` of the known rows (:func:`~lpvdd.analysis._lstsq`)
+decides a query with no SVD where it exceeds twice ``margin_tol``; the margin itself,
+like ``g``, is formed the first time it is read.
 """
 
 from __future__ import annotations
@@ -113,23 +116,28 @@ class PredictionResult:
 
     ``diagnostics`` holds the :class:`~lpvdd.analysis.RankRecord` of the lifted Hankel
     matrix (``hankel``) and of its input rows (``pe``).  ``g``, the ``N``-long column
-    combination with ``H g`` the lifted query window, is formed the first time it is
-    read, from what ``_g_from`` keeps: the record's lifted samples, its
-    :class:`~lpvdd.analysis.Lifted` factor and the ``r``-long solution ``z``.
+    combination with ``H g`` the lifted query window, and ``output_uniqueness_margin``
+    are formed the first time they are read, so ``==`` compares neither, from what
+    ``_from`` keeps: the record's lifted samples, its :class:`~lpvdd.analysis.Lifted`
+    factor, the ``r``-long solution ``z`` and the triangle of the known rows.
     """
 
     y_r: Trajectory
     residual: float
-    output_uniqueness_margin: float
     verdict: str
     diagnostics: dict = field(default_factory=dict)
-    _g_from: tuple = field(default=(), compare=False, repr=False)
+    _from: tuple = field(default=(), compare=False, repr=False)
     __hash__ = None  # diagnostics is a dict
+
+    @cached_property
+    def output_uniqueness_margin(self) -> float:
+        """``sigma_r`` of the known rows of ``K``, 0 when there are fewer than ``r``."""
+        return self._from[3].margin
 
     @cached_property
     def g(self) -> np.ndarray:
         """``g = V_r z`` with ``V_r = H^T U_r S_r^-1``; ``H^T`` is a view of the samples."""
-        X, lifted, z = self._g_from
+        X, lifted, z, _ = self._from
         c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
         return np.einsum("nk,k->n", _windows(X, lifted.shape[0]), c)
 
@@ -186,13 +194,10 @@ def predict(
     Kb[..., :rank], Kb[:T_ini, 0, n_u:, rank] = K, y_ini.samples
     Kb[:, 0, :n_u, rank] = np.concatenate([u_ini.samples, u_r.samples])
     z, fit, residual = _lstsq(Ab := Kb[known])
-    # The margin is sigma_r of the known rows (0 when there are fewer than r of them).
-    s = fit.singular_values
-    margin = s[-1] if 0 < fit.required == len(s) else 0.0
 
     warnings = [] if pe.verdict else [f"data not persistently exciting at order {L}: "
                                       f"extended input rank {pe.rank} < {pe.required}"]
-    if margin <= margin_tol or not pe.verdict:
+    if not pe.verdict or fit.floor <= 2 * margin_tol and fit.margin <= margin_tol:
         verdict = "ambiguous"
     elif residual > tol:
         verdict = "infeasible"
@@ -202,14 +207,9 @@ def predict(
     diagnostics = {"T_ini": T_ini, "T_r": T_r, "L": L, "col_count": lifted.shape[-1],
                    "known_row_count": len(Ab), "hankel": hankel, "pe": pe,
                    "warnings": warnings}
-    return PredictionResult(
-        y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
-        residual=residual,
-        output_uniqueness_margin=margin,
-        verdict=verdict,
-        diagnostics=diagnostics,
-        _g_from=(data.lifted_samples, lifted, z),
-    )
+    return PredictionResult(y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
+                            residual=residual, verdict=verdict, diagnostics=diagnostics,
+                            _from=(data.lifted_samples, lifted, z, fit))
 
 
 @dataclass(frozen=True)

@@ -162,12 +162,8 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
     ``i + j - 2`` from the trajectory start, so column ``j`` stacks the
     window of ``t1`` samples starting there.
     """
-    T = w.length
-    if t1 < 1:
-        raise InvalidShape(f"t1 must be positive, got {t1}")
-    cols = T - t1 + 1
-    if cols < 1:
-        raise InvalidShape(f"t1={t1} too large for trajectory of length {T}")
+    _check_depth(t1, w.length)
+    cols = w.length - t1 + 1
     # One slice copy per block row: t1 steps, each vectorised over the columns.
     d = w.dim
     data = np.empty((t1, d, cols))
@@ -176,15 +172,20 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
     return data.reshape(t1 * d, cols)
 
 
+def _check_depth(L, T: int) -> None:
+    """The one check of a depth ``L`` of ``T`` samples: :class:`InvalidShape` unless it is
+    an ``int`` or ``np.integer``, not a ``bool``, in ``[1, T]``."""
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
+        raise InvalidShape(f"order L must be an integer, got {L!r}")
+    if not 1 <= L <= T:
+        raise InvalidShape(f"data length {T} shorter than order L={L}" if L >= 1
+                           else f"order L must be >= 1, got {L}")
+
+
 def _windows(X: np.ndarray, t1: int) -> np.ndarray:
     """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
-    row ``j`` is the window ``X[j : j + t1]``, flattened.  The one check of a depth: an
-    ``int`` or ``np.integer``, not a ``bool``, in ``[1, len(X)]``."""
-    if isinstance(t1, bool) or not isinstance(t1, (int, np.integer)):
-        raise InvalidShape(f"order L must be an integer, got {t1!r}")
-    if not 1 <= t1 <= len(X):
-        raise InvalidShape(f"data length {len(X)} shorter than order L={t1}" if t1 >= 1
-                           else f"order L must be >= 1, got {t1}")
+    row ``j`` is the window ``X[j : j + t1]``, flattened."""
+    _check_depth(t1, len(X))
     X = np.ascontiguousarray(X)
     return np.lib.stride_tricks.as_strided(
         X, (len(X) - t1 + 1, t1 * X.shape[1]), X.strides, writeable=False)
@@ -390,7 +391,7 @@ class DataRecord:
     def lifted(self, L: int) -> Lifted:
         """The :class:`~lpvdd.analysis.Lifted` factor of ``H_L(col(w, p (x) w))``, made
         once per ``L``; it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
-        _windows(self.lifted_samples, L)  # L is checked before the memo reads it
+        _check_depth(L, len(self.lifted_samples))  # before the memo reads L
         if L not in self._lifted:
             from .analysis import _lifted_factor
             self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)

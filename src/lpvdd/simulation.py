@@ -277,7 +277,7 @@ def estimate_initial_state(
     :class:`InconsistentTrajectory` when the residual exceeds ``TOL`` and
     :class:`InvalidShape` naming a window off its steps.
     """
-    from .analysis import TOL, _lstsq
+    from .analysis import TOL, _lstsq, _rank
     _check_windows(("u_ini", u_ini, model.n_u, None), ("p_ini", p_ini, model.n_p, None),
                    ("y_ini", y_ini, model.n_y, u_ini.interval))
     T_ini, n_x = u_ini.length, model.n_x
@@ -291,8 +291,8 @@ def estimate_initial_state(
         Ab = np.column_stack([W[:, :n_x], vec(y_ini) - W[:, n_x:] @ vec(u_ini)])
     if not np.isfinite(Ab).all():
         raise InvalidShape("estimate_initial_state: the model diverges on this window")
-    x_bar, obsv, residual = _lstsq(Ab)
-    if not obsv.verdict:
+    x_bar, fit, residual = _lstsq(Ab)
+    if not (obsv := _rank(fit.s, n_x)).verdict:
         s = obsv.singular_values
         raise RankDeficientObservability(
             f"observability evaluation has rank {obsv.rank} < n_x={n_x} "

@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import asdict
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,27 +332,33 @@ def test_check_pe_rejects_non_finite_samples(name):
         check_pe(L=5, **{**args, name: Trajectory(1, samples)})
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    rows=st.integers(1, 12),
-    cols=st.integers(1, 12),
-    rank=st.integers(0, 12),
-    seed=st.integers(0, 2**16),
-)
-def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
-    # tall, square and wide A of any rank down to all-zero, singular values in
-    # [0.1, 1] on its range, so the two routes differ by rounding only
+def _ranked(rows, cols, rank, seed):
+    """``A`` (``rows x cols``) of rank ``min(rank, rows, cols)`` down to all-zero, singular
+    values in [0.1, 1] on its range, ``b`` and the rank."""
     rng = np.random.default_rng(seed)
     r = min(rank, rows, cols)
     Q1 = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :r]
     Q2 = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :r]
     A = (Q1 * rng.uniform(0.1, 1.0, r)) @ Q2.T
-    b = rng.standard_normal(rows)
+    return A, rng.standard_normal(rows), r
+
+
+_SHAPES = dict(rows=st.integers(1, 12), cols=st.integers(1, 12), rank=st.integers(0, 12),
+               seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_SHAPES)
+def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
+    # tall, square and wide A of any rank down to all-zero, singular values in
+    # [0.1, 1] on its range, so the two routes differ by rounding only
+    A, b, r = _ranked(rows, cols, rank, seed)
     U, s_ref, Vt = np.linalg.svd(A, full_matrices=False)
     k = analysis._cut(s_ref)
     z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
 
-    z, record, residual = analysis._lstsq(np.column_stack([A, b]))
+    z, fit, residual = analysis._lstsq(np.column_stack([A, b]))
+    record = analysis._rank(fit.s, cols)
     assert record.rank == k == r and record.required == cols
     s = np.array(record.singular_values)
     assert s.shape == s_ref.shape
@@ -364,6 +371,30 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
         residual_k = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))[-1]
         assert np.isfinite(residual_k)
         assert abs(residual_k - np.ldexp(residual, k)) <= 1e-13 * np.ldexp(np.linalg.norm(b), k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_SHAPES)
+def test_lstsq_floor_certifies_full_rank_without_an_svd(rows, cols, rank, seed):
+    # the floor 1/|T^-1|_F is set only where it exceeds 2 RANK_CUT |T|_F: then the SVD cut
+    # reads full rank and sigma_min is at least the floor; it is set at every full column
+    # rank here (condition <= 10) and at every scale, since T is scaled by a power of two
+    A, b, r = _ranked(rows, cols, rank, seed)
+    floor = analysis._lstsq(np.column_stack([A, b]))[1].floor
+    for k in (0, 600, -600):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            z, fit, _ = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))
+        assert (fit.floor > 0) == (r == cols <= rows), k
+        assert svd.call_count == (0 if fit.floor > 0 else 1 + (r < cols))
+        s = np.linalg.svd(fit.T, compute_uv=False)
+        if fit.floor > 0:
+            assert analysis._cut(s) == cols
+            # 1/|T^-1|_F <= sigma_min, with equality at one column: allow its rounding
+            assert s[-1] >= fit.floor * (1 - 4 * np.finfo(float).eps)
+            norm = np.ldexp(np.linalg.norm(np.ldexp(fit.T, -k)), k)  # |T|_F, no overflow
+            assert fit.floor > 2 * analysis.RANK_CUT * norm
+            assert abs(fit.floor - np.ldexp(floor, k)) <= 1e-13 * np.ldexp(floor, k)
+        assert np.all(np.isfinite(z))
 
 
 def test_minimal_random_ss_helper_yields_minimal_models():

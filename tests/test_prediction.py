@@ -599,6 +599,15 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         assert res.residual == pytest.approx(
             np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
         )
+    # the verdict skips the margin's SVD only where the floor 1/|T^-1|_F exceeds twice
+    # margin_tol: at margin_tol = sigma_r (1 +- 1e-3) it cannot, so those queries read it
+    sigma, tols = res.output_uniqueness_margin, [0.0]
+    if sigma > 1e-9 * (1 + scale):  # resolved beyond the margins' 1e-12 (1 + scale) gap
+        tols += [sigma * (1 - 1e-3), sigma * (1 + 1e-3)]
+    for margin_tol in tols:
+        at_tol = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r, margin_tol=margin_tol)
+        assert at_tol.verdict == _dense_oracle(rec, q, margin_tol=margin_tol)[3], margin_tol
+        assert at_tol.output_uniqueness_margin == sigma
 
     # the true window (a member once the record saturates) and a non-member: any residual
     # that vanishes on the span passes the first, only the distance to it the second
@@ -607,6 +616,27 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, Trajectory(q.u_r.t_start, y_r)))
         dense = _dense_membership_residual(rec, w, p)
         assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+
+
+def test_predict_on_a_factored_record_makes_no_svd_until_the_margin_is_read(monkeypatch):
+    # the verdict reads the floor 1/|T^-1|_F of the known rows' triangle, not its SVD; the
+    # margin, sigma_r of that r x r triangle, is one values-only SVD on its first read
+    rec, q = _record(400), _query(seed=3)
+    rec.lifted(q.u_ini.length + q.u_r.length).pe  # factor the record and its input rows
+    svd, calls = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert res.verdict == "ok" and calls == []
+    r = res.diagnostics["hankel"].rank
+    margin = res.output_uniqueness_margin
+    assert calls == [((r, r), {"compute_uv": False})]
+    assert res.output_uniqueness_margin == margin and len(calls) == 1
+    assert margin > 2 * lpvdd.analysis.TOL
 
 
 def test_membership_with_an_empty_left_kernel_is_exact():
@@ -1044,7 +1074,7 @@ def test_g_is_formed_on_first_read():
     result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     assert "g" not in vars(result)
     L = q.u_ini.length + q.u_r.length
-    lifted, z = rec.lifted(L), result._g_from[2]
+    lifted, z = rec.lifted(L), result._from[2]
     c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
     eager = np.einsum("nk,k->n", signals._windows(rec.lifted_samples, L), c)
     assert np.array_equal(result.g, eager)
