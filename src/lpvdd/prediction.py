@@ -14,63 +14,45 @@ query.  The stacked system (:func:`build_predictor`, the specification; its
     [ H_L(p (x) y) - P_y H_L(y)       ]       [ 0             ]
 
 where only the initial portion of ``vec(y_query)`` is known.  Up to a row permutation it
-is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank ``r``) comes from the record
-alone and ``M(p)`` is unit lower block-triangular.  :func:`predict` works on
-``K = M(p) U_r S_r``: the minimum-norm solution ``z`` on its known rows gives
-``g = V_r z``, and its future output rows applied to ``z`` give the prediction.
-:func:`span_membership`, whose rows are all known, needs no ``z``: it reads the window's
-distance to ``col(K)`` off the complement ``M(p)^-T U[:, r:]``.  ``H`` is factored once
-per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted` that
-gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).  Only its
-left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR first
-and no factor has an axis of length ``N``.  A query costs small solves on ``K``
-(``R x r``) and no work proportional to ``N``: ``g`` is formed the first time it is
-read, by one pass over a view of the record's lifted samples.
+is ``M(p) H``, ``M(p)`` unit lower block-triangular, and ``H = H_L(col(w, p (x) w))``
+``= U S V^T`` (rank ``r``) comes from the record alone: it is factored once per record and
+depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted`) through the ``R x R``
+triangle of its QR, so no factor has an axis of length ``N``.  A window is a trajectory
+exactly when it lies in the span of ``K = M(p) U_r S_r``, that is when the left kernel
+``Y = M(p)^-T U[:, r:]`` annihilates it.  :func:`span_membership` reads a window's
+distance off ``Y``, and :func:`predict` fills in the ``m = n_y T_r`` future outputs that
+bring the query window nearest ``col(K)`` (:meth:`~lpvdd.analysis.Lifted.complete`): a
+``d x m`` fit, ``d = R - r``, with no work that grows with ``N``, ``r`` or ``n_p``.
 
-Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singular
-value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.
-``K`` has full column rank ``r``, so a column combination that changes no known row
-changes the future output rows; the future outputs are determined by the data exactly
-when the margin is positive.  The verdict needs only a bound on it: the floor
-``1/|T^-1|_F`` of the triangle ``T`` of the known rows (:func:`~lpvdd.analysis._lstsq`)
-decides a query with no SVD where it exceeds twice ``margin_tol``; the margin itself,
-like ``g``, is formed the first time it is read.
+The outputs are unique when the known rows of ``K`` have full column rank ``r``; their
+``r``-th singular value is the ``output_uniqueness_margin``.  It is at least
+``sigma_min(K) sigma_min(Q_Y^T F) >= floor s_r / (1 + max_k |p(k)|)`` (``F``: the unit
+columns of the unknown rows; ``floor = 1/|T^-1|_F`` of the fit's triangle ``T``,
+:func:`~lpvdd.analysis._lstsq`), which decides the verdict where it exceeds twice
+``margin_tol``.  Otherwise :func:`predict` runs the minimum-norm fit ``z`` on the known
+rows of ``K``, whose own floor or margin decides; that fit also gives ``g = V_r z`` and
+the margin, each formed the first time it is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import TOL, RankRecord, _lstsq
+from .analysis import TOL, Lifted, RankRecord, _lstsq
 from .errors import InvalidShape
-from .signals import (
-    DataRecord,
-    Trajectory,
-    _check_windows,
-    _windows,
-    hankel,
-    kron_extend,
-    kron_signal,
-    sched_block_diag,
-)
+from .signals import (DataRecord, Trajectory, _check_windows, _windows, hankel, kron_extend,
+                      kron_signal, sched_block_diag)
 
 if TYPE_CHECKING:
     from .models import KernelRep
 
-__all__ = [
-    "PredictorSystem",
-    "PredictionResult",
-    "MembershipResult",
-    "LeftNullspace",
-    "build_predictor",
-    "predict",
-    "span_membership",
-    "left_nullspace",
-]
+__all__ = ["PredictorSystem", "PredictionResult", "MembershipResult", "LeftNullspace",
+           "build_predictor", "predict", "span_membership", "left_nullspace"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +99,9 @@ class PredictionResult:
     ``diagnostics`` holds the :class:`~lpvdd.analysis.RankRecord` of the lifted Hankel
     matrix (``hankel``) and of its input rows (``pe``).  ``g``, the ``N``-long column
     combination with ``H g`` the lifted query window, and ``output_uniqueness_margin``
-    are formed the first time they are read, so ``==`` compares neither, from what
-    ``_from`` keeps: the record's lifted samples, its :class:`~lpvdd.analysis.Lifted`
-    factor, the ``r``-long solution ``z`` and the triangle of the known rows.
+    are formed the first time they are read, so ``==`` compares neither, from the
+    known-row fit that ``_from`` holds or can run: the record's lifted samples, the fit's
+    inputs and, where ``predict`` ran it, the fit.
     """
 
     y_r: Trajectory
@@ -130,14 +112,19 @@ class PredictionResult:
     __hash__ = None  # diagnostics is a dict
 
     @cached_property
+    def _known(self) -> tuple:
+        """``(K, z, fit, residual)``: ``predict``'s known-row fit, else run on first read."""
+        return self._from[2] or _known_fit(*self._from[1])
+
+    @cached_property
     def output_uniqueness_margin(self) -> float:
         """``sigma_r`` of the known rows of ``K``, 0 when there are fewer than ``r``."""
-        return self._from[3].margin
+        return self._known[2].margin
 
     @cached_property
     def g(self) -> np.ndarray:
         """``g = V_r z`` with ``V_r = H^T U_r S_r^-1``; ``H^T`` is a view of the samples."""
-        X, lifted, z, _ = self._from
+        X, lifted, z = self._from[0], self._from[1][0], self._known[1]
         c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
         return np.einsum("nk,k->n", _windows(X, lifted.shape[0]), c)
 
@@ -187,29 +174,41 @@ def predict(
 
     lifted = data.lifted(L)
     pe, hankel = lifted.pe, lifted.hankel  # hankel: this query's one read of the cut
-    K = lifted.consistent(np.concatenate([p_ini.samples, p_r.samples]), rank := hankel.rank)
-    known = np.ones(K.shape[:3], dtype=bool)  # [A b] is Kb[known]: K's rows and targets
-    known[T_ini:, 0, n_u:] = False  # less the outputs from step T_ini on, to be predicted
-    Kb = np.zeros(K.shape[:3] + (rank + 1,))
-    Kb[..., :rank], Kb[:T_ini, 0, n_u:, rank] = K, y_ini.samples
-    Kb[:, 0, :n_u, rank] = np.concatenate([u_ini.samples, u_r.samples])
-    z, fit, residual = _lstsq(Ab := Kb[known])
+    p, rank = np.concatenate([p_ini.samples, p_r.samples]), hankel.rank
+    w = np.zeros((L, n_u + data.n_y))  # the query window, 0 at the outputs to predict
+    w[:, :n_u], w[:T_ini, n_u:] = np.concatenate([u_ini.samples, u_r.samples]), y_ini.samples
+    unknown = np.zeros(w.shape, dtype=bool)
+    unknown[T_ini:, n_u:] = True
+    # sigma_min(M(p)) >= 1 / (1 + max_k |p(k)|), summed by hypot: no overflow, no warning
+    bound = rank and lifted.s[rank - 1] / (1 + max(math.hypot(*pk) for pk in p.tolist()))
+    fit_from, fitted, floor, ambiguous = (lifted, p, rank, w, unknown), (), 0.0, False
+    if pe.verdict and bound > 2 * margin_tol:  # else no floor <= 1 can certify
+        y, floor, residual = lifted.complete(p, rank, w, unknown)
+    if floor * bound <= 2 * margin_tol:  # not certified: the known-row fit decides
+        K, z, fit, residual = fitted = _known_fit(*fit_from)
+        y = K[T_ini:, 0, n_u:] @ z
+        ambiguous = not pe.verdict or fit.floor <= 2 * margin_tol and fit.margin <= margin_tol
 
     warnings = [] if pe.verdict else [f"data not persistently exciting at order {L}: "
                                       f"extended input rank {pe.rank} < {pe.required}"]
-    if not pe.verdict or fit.floor <= 2 * margin_tol and fit.margin <= margin_tol:
-        verdict = "ambiguous"
-    elif residual > tol:
-        verdict = "infeasible"
-    else:
-        verdict = "ok"
-
+    verdict = "ambiguous" if ambiguous else "infeasible" if residual > tol else "ok"
     diagnostics = {"T_ini": T_ini, "T_r": T_r, "L": L, "col_count": lifted.shape[-1],
-                   "known_row_count": len(Ab), "hankel": hankel, "pe": pe,
-                   "warnings": warnings}
-    return PredictionResult(y_r=Trajectory(u_r.t_start, K[T_ini:, 0, n_u:] @ z),
+                   "known_row_count": len(lifted.U) - data.n_y * T_r, "hankel": hankel,
+                   "pe": pe, "warnings": warnings}
+    return PredictionResult(y_r=Trajectory(u_r.t_start, np.reshape(y, (T_r, -1))),
                             residual=residual, verdict=verdict, diagnostics=diagnostics,
-                            _from=(data.lifted_samples, lifted, z, fit))
+                            _from=(data.lifted_samples, fit_from, fitted))
+
+
+def _known_fit(lifted: Lifted, p: np.ndarray, rank: int, w: np.ndarray, unknown: np.ndarray):
+    """``K = M(p) U_r S_r`` and :func:`~lpvdd.analysis._lstsq` of its known rows (all but
+    the window's ``unknown``) against those of ``col(w, 0)``: ``(K, z, fit, residual)``."""
+    K = lifted.consistent(p, rank)
+    known = np.ones(K.shape[:3], dtype=bool)
+    known[:, 0] = ~unknown
+    Kb = np.zeros(K.shape[:3] + (rank + 1,))  # [A b] is Kb[known]
+    Kb[..., :rank], Kb[:, 0, :, rank] = K, w
+    return (K, *_lstsq(Kb[known]))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,8 @@ def span_membership(
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),
                    ("p_test", p_test, data.n_p, w_test.interval))
     lifted = data.lifted(w_test.length)
-    residual = lifted.distance(p_test.samples, lifted.hankel.rank, w_test.samples)
+    residual = lifted.complete(p_test.samples, lifted.hankel.rank, w_test.samples,
+                               np.zeros(w_test.samples.shape, dtype=bool))[2]
     return MembershipResult(member=residual <= TOL, residual=residual)
 
 

@@ -34,32 +34,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coeffs import CoeffMatrix
-from .errors import (
-    DimensionMismatch,
-    InconsistentTrajectory,
-    InvalidShape,
-    RankDeficientObservability,
-    WindowOutOfRange,
-)
+from .errors import (DimensionMismatch, InconsistentTrajectory, InvalidShape,
+                     RankDeficientObservability, WindowOutOfRange)
 from .models import LpvIoModel, LpvSsModel
 from .signals import Trajectory, _check_windows, _finite, vec
 
 if TYPE_CHECKING:
     from .analysis import RankRecord
 
-__all__ = [
-    "SimResult",
-    "simulate_ss",
-    "simulate_io",
-    "impulse_coeff",
-    "toeplitz",
-    "obsv_eval",
-    "toeplitz_eval",
-    "response_map",
-    "InitialStateEstimate",
-    "estimate_initial_state",
-    "propagate_state",
-]
+__all__ = ["SimResult", "simulate_ss", "simulate_io", "impulse_coeff", "toeplitz",
+           "obsv_eval", "toeplitz_eval", "response_map", "InitialStateEstimate",
+           "estimate_initial_state", "propagate_state"]
 
 
 @dataclass(frozen=True)
@@ -203,13 +188,15 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     return CoeffMatrix.vstack(rows)
 
 
-def _window(model: LpvSsModel, T: int, p: Trajectory, k: int) -> np.ndarray:
-    """``[O_T | T_T]`` at window start ``k``, unchecked: it maps ``col(x(k), vec(u))`` to
-    ``vec(y)``, and the carry ``X``, ``[I | 0]`` at first, maps it to the state at
-    ``k + i``.  Reads ``A``, ``B`` on ``[k, k+T-2]`` and ``C``, ``D`` on ``[k, k+T-1]``."""
-    n_x, n_y, n_u = model.n_x, model.n_y, model.n_u
-    A, B = (M.eval_range(p, k, k + T - 2) for M in (model.A, model.B))
-    C, D = (M.eval_range(p, k, k + T - 1) for M in (model.C, model.D))
+def _window(model: LpvSsModel, T: int, p: Trajectory, k: int, inputs=True) -> np.ndarray:
+    """``[O_T | T_T]`` at window start ``k`` (only ``O_T`` with no ``inputs``), unchecked:
+    it maps ``col(x(k), vec(u))`` to ``vec(y)``, and the carry ``X``, ``[I | 0]`` at
+    first, maps it to the state at ``k + i``.  Reads ``A`` on ``[k, k+T-2]`` and ``C`` on
+    ``[k, k+T-1]``, and with ``inputs`` ``B`` and ``D`` on the same steps."""
+    n_x, n_y, n_u = model.n_x, model.n_y, model.n_u if inputs else 0
+    A, C = model.A.eval_range(p, k, k + T - 2), model.C.eval_range(p, k, k + T - 1)
+    B, D = ((model.B.eval_range(p, k, k + T - 2), model.D.eval_range(p, k, k + T - 1))
+            if inputs else (np.zeros((T, n_x, 0)), np.zeros((T, n_y, 0))))
     out = np.zeros((T * n_y, n_x + T * n_u))
     X = np.eye(n_x, n_x + T * n_u)
     for i in range(T):
@@ -230,7 +217,7 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     (:func:`estimate_initial_state`) would weigh scaled block rows differently."""
     from .analysis import _check_order
     _check_order(n)
-    return _window(model, n, p, k)[:, : model.n_x]
+    return _window(model, n, p, k, inputs=False)
 
 
 @_finite

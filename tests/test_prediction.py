@@ -564,9 +564,14 @@ _LTI = LpvIoModel(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+_IO = {n_p: random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
+       for n_p in (4, 16)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["verhoek", "lti", "zero"]),
+    kind=st.sampled_from(["verhoek", "lti", "zero", "io4", "io16", "dense", "noise8",
+                          "noise2", "p10"]),
     seed=st.integers(0, 2**16),
     T_ini=st.integers(1, 4),
     T_r=st.integers(1, 6),
@@ -574,25 +579,45 @@ _LTI = LpvIoModel(
 )
 def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     # extra spans tall records (T - L + 1 below the 6 L stacked rows of the
-    # built-in model) and saturated wide ones
+    # built-in model) and saturated wide ones; a random_io record at n_p = 4 or 16
+    # saturates from T = (2 n_p + 2) L + 1 on, so it starts 5 steps short of that
     L = T_ini + T_r
     T = L + extra
-    if kind == "lti":
-        rec = generate_record(_LTI, T, seed)
-        q = generate_query(_LTI, T_ini, T_r, seed + 1)
+    model = {"lti": _LTI, "io4": _IO[4], "io16": _IO[16], "dense": _DENSE_SS}.get(kind)
+    if kind.startswith("io"):
+        T = (2 * model.n_p + 2) * L - 5 + extra
+    if model is not None:
+        rec = generate_record(model, T, seed)
+        q = generate_query(model, T_ini, T_r, seed + 1)
     else:
         rec = _record(T, seed=seed)
         if kind == "zero":
             zeros = Trajectory(1, np.zeros((T, 1)))
             rec = DataRecord(u=zeros, p=rec.p, y=zeros)
+        if kind.startswith("noise"):  # output noise of 1e-8 or 1e-2: full row rank
+            noise = 10.0 ** -int(kind[5:]) * np.random.default_rng(seed).normal(size=(T, 1))
+            rec = DataRecord(u=rec.u, p=rec.p, y=Trajectory(1, rec.y.samples + noise))
         q = _query(seed=seed + 1, T_ini=T_ini, T_r=T_r)
+        if kind == "p10":  # a query scheduling 10 times the record's: sigma_min(M(p)) < 1
+            q = dataclasses.replace(q, p_ini=Trajectory(1, 10 * q.p_ini.samples),
+                                    p_r=Trajectory(q.p_r.t_start, 10 * q.p_r.samples))
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     y_r, residual, margin, verdict, scale = _dense_oracle(rec, q)
+    # noise of 1e-8 puts the record's noise directions at the cut, where the dense stack's
+    # pinv (rcond 1e-9) and RANK_CUT on H keep different spans: residuals then differ by
+    # about 1e-8, so they are checked against the known-row fit, which has H's span
+    near_cut = kind == "noise8"
     assert res.verdict == verdict
+    if near_cut:
+        residual = res._known[3]
     assert abs(res.residual - residual) <= 1e-9 * (1 + residual)
     assert abs(res.output_uniqueness_margin - margin) <= 1e-12 * (1 + scale)
     if verdict == "ok":
         assert np.max(np.abs(res.y_r.samples - y_r)) <= 1e-9 * (1 + np.max(np.abs(y_r)))
+    if kind.startswith("noise") and res.diagnostics["hankel"].rank == 6 * L:
+        # no left kernel (d = 0): predict ran today's known-row fit, and y_r is its own
+        K, z = res._known[:2]
+        assert np.array_equal(res.y_r.samples, K[T_ini:, 0, 1:] @ z)
     if kind == "zero":
         assert res.diagnostics["hankel"].rank == 0
         assert res.output_uniqueness_margin == 0.0
@@ -614,8 +639,12 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     p = concat(q.p_ini, q.p_r)
     for y_r in (q.y_r_truth.samples, q.y_r_truth.samples + 0.5):
         w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, Trajectory(q.u_r.t_start, y_r)))
+        member = span_membership(rec, w, p)
+        if near_cut:  # an empty left kernel spans nothing: every window is a member
+            assert member.residual == 0.0 or res.diagnostics["hankel"].rank < 6 * L
+            continue
         dense = _dense_membership_residual(rec, w, p)
-        assert abs(span_membership(rec, w, p).residual - dense) <= 1e-9 * (1 + dense)
+        assert abs(member.residual - dense) <= 1e-9 * (1 + dense)
 
 
 def test_predict_on_a_factored_record_makes_no_svd_until_the_margin_is_read(monkeypatch):
@@ -675,9 +704,9 @@ def test_consistent_rows_are_the_specification_blocks(model, T, L):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(H, 2)
 
 
-def _factor_shapes(monkeypatch, fn):
-    """Operand shapes of the ``np.linalg.svd`` and ``np.linalg.qr`` calls of ``fn()``."""
-    shapes = {"svd": [], "qr": []}
+def _factor_shapes(monkeypatch, fn, names=("svd", "qr")):
+    """Operand shapes of the ``np.linalg`` calls ``names`` (``svd`` and ``qr``) of ``fn()``."""
+    shapes = {name: [] for name in names}
 
     def recording(name, real):
         def call(a, *args, **kwargs):
@@ -810,6 +839,37 @@ def test_membership_on_a_factored_record_makes_one_small_qr(monkeypatch, n_p):
     shapes = _factor_shapes(monkeypatch, lambda: results.append(span_membership(rec, w, p)))
     assert results[0].member
     assert shapes == {"svd": [], "qr": [(2 * (1 + n_p) * L, 1 * L - 2 + 1)]}
+
+
+@pytest.mark.parametrize("n_p", [1, 16])
+def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkeypatch, n_p):
+    # the m = n_y T_r future outputs are the unknowns of a window read against the
+    # complement of M(p) U_r S_r: one QR of [Y F b] (R x (d + m + 1), d = n_y L - n_x
+    # whatever n_p) and the fit on its top d rows, one d x (m + 1) QR and an m x m solve;
+    # no SVD and nothing with r columns.  The known-row fit runs on the first read of the
+    # margin or of g, once
+    model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
+    L, m = 7, 4
+    rec, q = generate_record(model, 4 * 2 * (1 + n_p) * L + L, 1), generate_query(model, 3, m, 2)
+    lifted = rec.lifted(L)
+    lifted.pe  # factor the record and its input rows before the count
+    R, r = len(lifted.U), lifted.hankel.rank
+    d = R - r
+    assert d == L - 2
+    results, names = [], ("svd", "qr", "solve")
+    shapes = _factor_shapes(monkeypatch, lambda: results.append(
+        predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)), names)
+    res = results[0]
+    assert res.verdict == "ok"
+    assert shapes == {"svd": [], "qr": [(R, d + m + 1), (d, m + 1)], "solve": [(m, m)]}
+    assert "_known" not in vars(res)
+    # the first read runs the known-row fit: the QR of [A b] and the r x r LU solve of its
+    # floor, then the margin's values-only SVD; g and a second read reuse it
+    shapes = _factor_shapes(monkeypatch, lambda: res.output_uniqueness_margin, names)
+    assert shapes == {"svd": [(r, r)], "qr": [(R - m, r + 1)], "solve": [(r, r)]}
+    shapes = _factor_shapes(monkeypatch, lambda: (res.g, res.output_uniqueness_margin), names)
+    assert shapes == {"svd": [], "qr": [], "solve": []}
+    assert res.output_uniqueness_margin > 2 * lpvdd.analysis.TOL
 
 
 @pytest.mark.parametrize("T", [70, 400])
@@ -1021,6 +1081,29 @@ def test_membership_of_windows_near_the_float_range_is_a_finite_no(scale):
     assert not res.member and 1.0 < res.residual < np.inf
 
 
+@pytest.mark.parametrize("scale, verdict", [
+    ((1.0, 1e150, 1.0), "ambiguous"),  # 1 + max_k |p(k)| ~ 1e150: the certificate reads 0
+    ((1e200, 1.0, 1e200), "infeasible"),  # residual ~1e184, rounding at this scale
+    ((1e-6, 1.0, 1e6), "infeasible"),
+    ((1.0, 1e6, 1e6), "infeasible"),
+])
+def test_predict_on_data_far_off_unit_scale_keeps_its_verdict(scale, verdict):
+    # record and query scaled alike (u, p, y): the certificate s_r / (1 + max_k |p(k)|) and
+    # the kernel read neither overflow nor warn, and the verdicts are those of the known-row
+    # fit alone
+    rec, q = _record(400), _query(seed=5)
+
+    def sc(w, i):
+        return Trajectory(w.t_start, scale[i] * w.samples)
+
+    big = DataRecord(sc(rec.u, 0), sc(rec.p, 1), sc(rec.y, 2))
+    for margin_tol in (lpvdd.analysis.TOL, 0.0):
+        res = predict(big, sc(q.u_ini, 0), sc(q.p_ini, 1), sc(q.y_ini, 2), sc(q.u_r, 0),
+                      sc(q.p_r, 1), margin_tol=margin_tol)
+        assert res.verdict == verdict
+        assert 0.0 < res.residual < np.inf and np.isfinite(res.y_r.samples).all()
+
+
 def test_second_predict_builds_no_hankel(monkeypatch):
     rec, q = _record(400), _query(seed=3)
     first = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
@@ -1074,7 +1157,7 @@ def test_g_is_formed_on_first_read():
     result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     assert "g" not in vars(result)
     L = q.u_ini.length + q.u_r.length
-    lifted, z = rec.lifted(L), result._from[2]
+    lifted, z = rec.lifted(L), result._known[1]  # the known-row fit, run on this read
     c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
     eager = np.einsum("nk,k->n", signals._windows(rec.lifted_samples, L), c)
     assert np.array_equal(result.g, eager)

@@ -39,6 +39,7 @@ from lpvdd import (
     vec,
 )
 from lpvdd.rng import stream
+from lpvdd.simulation import _window
 
 
 def _scalar_lti(a, b, c, d):
@@ -348,6 +349,21 @@ def test_estimate_initial_state_reads_each_coefficient_once(monkeypatch):
                         lambda self, *args: calls.append(self) or eval_rows(self, *args))
     estimate_initial_state(m, u, p, y)
     assert sorted(map(id, calls)) == sorted(map(id, (m.A, m.B, m.C, m.D)))
+
+
+def test_obsv_eval_reads_only_a_and_c(monkeypatch):
+    # O_T alone: no T_T columns, so B and D are not read (nor need p where only they do)
+    rng = np.random.default_rng(14)
+    m = minimal_random_ss(rng, 2, 1, 1, 1)
+    p = rand_traj(rng, 1, 6)
+    full = _window(m, 6, p, 1)
+    calls = []
+    eval_rows = CoeffMatrix._eval_rows
+    monkeypatch.setattr(CoeffMatrix, "_eval_rows",
+                        lambda self, *args: calls.append(self) or eval_rows(self, *args))
+    O = obsv_eval(m, 6, p, 1)
+    assert sorted(map(id, calls)) == sorted(map(id, (m.A, m.C)))
+    assert np.max(np.abs(O - full[:, :2])) <= 1e-13 * np.max(np.abs(full))
 
 
 def test_estimate_initial_state_window_too_short():
