@@ -120,7 +120,7 @@ class _Fit:
         return float(self.s[-1]) if 0 < len(self.T) == self.T.shape[1] else 0.0
 
 
-def _lstsq(Ab: np.ndarray, svd: bool = True) -> tuple[np.ndarray | None, _Fit, float]:
+def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, _Fit, float]:
     """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`_Fit` of ``A`` and the
     residual ``|A z - b|``, from the triangle of ``Ab = [A b] = Q [T c; 0 rho]``:
     ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every ``z`` (``rho`` is empty unless ``A``
@@ -129,8 +129,7 @@ def _lstsq(Ab: np.ndarray, svd: bool = True) -> tuple[np.ndarray | None, _Fit, f
     ``z`` and ``1/|T^-1|_F <= sigma_min(T)`` (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 8).  Above ``2 RANK_CUT |T|_F >= 2 RANK_CUT sigma_max(T)``
     that bound is the ``floor``: full column rank, certified with no SVD.  Else the floor
-    is 0, the rank is cut on ``s`` and below it ``z`` is the minimum-norm SVD solve, or with
-    no ``svd`` that of the LU (None, with residual inf, where it fails)."""
+    is 0, the rank is cut on ``s`` and below it ``z`` is the minimum-norm SVD solve."""
     n = Ab.shape[1] - 1
     R = np.linalg.qr(Ab, mode="r")
     T, c = R[:n, :n], R[:n, n]
@@ -143,10 +142,10 @@ def _lstsq(Ab: np.ndarray, svd: bool = True) -> tuple[np.ndarray | None, _Fit, f
             z, bound = X[:, 0], 1 / np.linalg.norm(X[:, 1:])
             floor = np.ldexp(bound, e) if bound > 2 * RANK_CUT * np.linalg.norm(Ts) else 0.0
     fit = _Fit(T, floor)
-    if not floor and svd and ((k := _cut(fit.s)) < n or z is None):
+    if not floor and ((k := _cut(fit.s)) < n or z is None):
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
         z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
-    return z, fit, math.inf if z is None else math.hypot(*(T @ z - c), *R[n:, n])
+    return z, fit, math.hypot(*(T @ z - c), *R[n:, n])
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
@@ -216,8 +215,8 @@ class Lifted:
         ``Y = M(p)^-T U[:, rank:]`` (each ``w`` row plus ``p_j(k)`` times its ``p_j (x) w``
         row) spans its complement, and ``b + F x`` (``F``: a unit column per unknown row)
         lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F b] = Q R`` gives ``Q_Y^T [F b]`` as
-        ``R[:d, d:]``, ``d = R - rank``, where :func:`_lstsq` fits ``x`` with no SVD: the
-        floor is 0 if ``m > d``, and a window known in full (``m = 0``) needs no fit."""
+        ``R[:d, d:]``, ``d = R - rank``, where :func:`_lstsq` fits ``x``: the floor is 0 if
+        ``m > d``, and a window known in full (``m = 0``) needs no fit."""
         shape, d, m = self.shape[:3], len(self.U) - rank, int(unknown.sum())
         if m > d:  # no m x m triangle
             return None, 0.0, math.inf
@@ -229,7 +228,7 @@ class Lifted:
         if not m:
             return np.zeros(0), 0.0, math.hypot(*G[:, 0])
         G[:, m] *= -1  # min |Q_Y^T F x - (-Q_Y^T b)|
-        x, fit, residual = _lstsq(G, svd=False)
+        x, fit, residual = _lstsq(G)
         return x, fit.floor, residual
 
 

@@ -14,24 +14,32 @@ query.  The stacked system (:func:`build_predictor`, the specification; its
     [ H_L(p (x) y) - P_y H_L(y)       ]       [ 0             ]
 
 where only the initial portion of ``vec(y_query)`` is known.  Up to a row permutation it
-is ``M(p) H``, ``M(p)`` unit lower block-triangular, and ``H = H_L(col(w, p (x) w))``
-``= U S V^T`` (rank ``r``) comes from the record alone: it is factored once per record and
-depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted`) through the ``R x R``
-triangle of its QR, so no factor has an axis of length ``N``.  A window is a trajectory
-exactly when it lies in the span of ``K = M(p) U_r S_r``, that is when the left kernel
-``Y = M(p)^-T U[:, r:]`` annihilates it.  :func:`span_membership` reads a window's
-distance off ``Y``, and :func:`predict` fills in the ``m = n_y T_r`` future outputs that
-bring the query window nearest ``col(K)`` (:meth:`~lpvdd.analysis.Lifted.complete`): a
-``d x m`` fit, ``d = R - r``, with no work that grows with ``N``, ``r`` or ``n_p``.
+is ``M(p) H``: ``H = H_L(col(w, p (x) w)) = U S V^T`` (rank ``r``) comes from the record
+alone and ``M(p)`` is unit lower block-triangular.  A window is a trajectory exactly when
+it lies in the span of ``K = M(p) U_r S_r``, that is when the left kernel
+``Y = M(p)^-T U[:, r:]`` annihilates it.  :func:`span_membership` reads the window's
+distance to ``col(K)`` off ``Y``; :func:`predict` fills in the ``m = n_y T_r`` future
+outputs that bring the query window nearest ``col(K)``
+(:meth:`~lpvdd.analysis.Lifted.complete`), and the minimum-norm solution ``z`` on the
+known rows of ``K`` gives ``g = V_r z``.  ``H`` is factored once
+per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted` that
+gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).  Only its
+left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR first
+and no factor has an axis of length ``N``.  A query costs a ``d x m`` fit on ``Y``
+(``d = R - r``) and no work that grows with ``N``, ``r`` or ``n_p``: ``g`` is formed the
+first time it is read, by one pass over a view of the record's lifted samples.
 
-The outputs are unique when the known rows of ``K`` have full column rank ``r``; their
-``r``-th singular value is the ``output_uniqueness_margin``.  It is at least
-``sigma_min(K) sigma_min(Q_Y^T F) >= floor s_r / (1 + max_k |p(k)|)`` (``F``: the unit
-columns of the unknown rows; ``floor = 1/|T^-1|_F`` of the fit's triangle ``T``,
-:func:`~lpvdd.analysis._lstsq`), which decides the verdict where it exceeds twice
-``margin_tol``.  Otherwise :func:`predict` runs the minimum-norm fit ``z`` on the known
-rows of ``K``, whose own floor or margin decides; that fit also gives ``g = V_r z`` and
-the margin, each formed the first time it is read.
+Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singular
+value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.
+``K`` has full column rank ``r``, so a column combination that changes no known row
+changes the future output rows; the future outputs are determined by the data exactly
+when the margin is positive.  The verdict needs only a bound on it.  The margin is at
+least ``sigma_min(K) sigma_min(Q_Y^T F) >= floor s_r / (1 + max_k |p(k)|)``, ``F`` the
+unit columns of the unknown rows and ``floor = 1/|T^-1|_F`` of the triangle ``T`` of
+the kernel's fit (:func:`~lpvdd.analysis._lstsq`), which decides a query with no SVD
+where it exceeds twice ``margin_tol``.  Otherwise :func:`predict` runs the minimum-norm
+fit ``z`` on the known rows of ``K``, whose own floor decides, or else its margin; that
+fit also gives ``g`` and the margin itself, each formed the first time it is read.
 """
 
 from __future__ import annotations
@@ -45,14 +53,30 @@ import numpy as np
 
 from .analysis import TOL, Lifted, RankRecord, _lstsq
 from .errors import InvalidShape
-from .signals import (DataRecord, Trajectory, _check_windows, _windows, hankel, kron_extend,
-                      kron_signal, sched_block_diag)
+from .signals import (
+    DataRecord,
+    Trajectory,
+    _check_windows,
+    _windows,
+    hankel,
+    kron_extend,
+    kron_signal,
+    sched_block_diag,
+)
 
 if TYPE_CHECKING:
     from .models import KernelRep
 
-__all__ = ["PredictorSystem", "PredictionResult", "MembershipResult", "LeftNullspace",
-           "build_predictor", "predict", "span_membership", "left_nullspace"]
+__all__ = [
+    "PredictorSystem",
+    "PredictionResult",
+    "MembershipResult",
+    "LeftNullspace",
+    "build_predictor",
+    "predict",
+    "span_membership",
+    "left_nullspace",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +254,7 @@ def span_membership(
     combination of the measured Hankel blocks reproduces it while satisfying the
     Kronecker consistency constraints built from ``p_test`` on the steps of ``w_test``,
     to a residual of at most ``TOL``: its distance to the span, with no fit
-    (:meth:`~lpvdd.analysis.Lifted.distance`), and where ``M(p) U_r S_r`` is rank
+    (:meth:`~lpvdd.analysis.Lifted.complete`), and where ``M(p) U_r S_r`` is rank
     deficient at ``RANK_CUT``, to its full span, not that of its leading directions.
     """
     _check_windows(("w_test", w_test, data.n_u + data.n_y, None),

@@ -34,17 +34,32 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .coeffs import CoeffMatrix
-from .errors import (DimensionMismatch, InconsistentTrajectory, InvalidShape,
-                     RankDeficientObservability, WindowOutOfRange)
+from .errors import (
+    DimensionMismatch,
+    InconsistentTrajectory,
+    InvalidShape,
+    RankDeficientObservability,
+    WindowOutOfRange,
+)
 from .models import LpvIoModel, LpvSsModel
 from .signals import Trajectory, _check_windows, _finite, vec
 
 if TYPE_CHECKING:
     from .analysis import RankRecord
 
-__all__ = ["SimResult", "simulate_ss", "simulate_io", "impulse_coeff", "toeplitz",
-           "obsv_eval", "toeplitz_eval", "response_map", "InitialStateEstimate",
-           "estimate_initial_state", "propagate_state"]
+__all__ = [
+    "SimResult",
+    "simulate_ss",
+    "simulate_io",
+    "impulse_coeff",
+    "toeplitz",
+    "obsv_eval",
+    "toeplitz_eval",
+    "response_map",
+    "InitialStateEstimate",
+    "estimate_initial_state",
+    "propagate_state",
+]
 
 
 @dataclass(frozen=True)

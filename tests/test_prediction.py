@@ -558,6 +558,24 @@ def _dense_membership_residual(rec, w, p, rtol=1e-9):
     return float(np.linalg.norm(A @ (np.linalg.pinv(A, rcond=rtol) @ b) - b))
 
 
+def _cut_fit(rec, w, p, unknown, cut):
+    """Distance of ``col(w, 0)``, less its ``unknown`` samples, to the span of the known
+    rows ``A`` of ``M(p) U_r S_r``, the span ``H``'s own cut keeps, and ``sigma_r(A)``: the
+    projection off the QR of ``A``, or with a ``cut`` the fit on a ``pinv`` at ``RANK_CUT``."""
+    lifted = rec.lifted(len(w))
+    K = lifted.consistent(p, rank := lifted.hankel.rank)
+    b, known = np.zeros(K.shape[:3]), np.ones(K.shape[:3], dtype=bool)
+    b[:, 0], known[:, 0] = w, ~unknown
+    A, b = K[known], b[known]
+    s = np.linalg.svd(A, compute_uv=False)
+    margin = float(s[rank - 1]) if 0 < rank <= s.size else 0.0
+    if cut:
+        z = np.linalg.pinv(A, rcond=analysis.RANK_CUT) @ b
+        return float(np.linalg.norm(A @ z - b)), margin
+    Q = np.linalg.qr(A)[0]
+    return float(np.linalg.norm(b - Q @ (Q.T @ b))), margin
+
+
 _LTI = LpvIoModel(
     a_coeffs=(CoeffMatrix.constant([[-0.4]], 0),),
     b_coeffs=(CoeffMatrix.constant([[0.8]], 0),),
@@ -568,7 +586,7 @@ _IO = {n_p: random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_
        for n_p in (4, 16)}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=180, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["verhoek", "lti", "zero", "io4", "io16", "dense", "noise8",
                           "noise2", "p10"]),
@@ -605,11 +623,18 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     y_r, residual, margin, verdict, scale = _dense_oracle(rec, q)
     # noise of 1e-8 puts the record's noise directions at the cut, where the dense stack's
     # pinv (rcond 1e-9) and RANK_CUT on H keep different spans: residuals then differ by
-    # about 1e-8, so they are checked against the known-row fit, which has H's span
+    # about 1e-8 and margins by up to 2e-8, so both are checked against a dense fit on the
+    # span H's cut keeps
     near_cut = kind == "noise8"
     assert res.verdict == verdict
     if near_cut:
-        residual = res._known[3]
+        w = np.hstack([np.concatenate([q.u_ini.samples, q.u_r.samples]),
+                       np.concatenate([q.y_ini.samples, np.zeros((T_r, 1))])])
+        unknown = np.zeros(w.shape, dtype=bool)
+        unknown[T_ini:, 1:] = True
+        p = np.concatenate([q.p_ini.samples, q.p_r.samples])
+        # the known rows pin the outputs unless ambiguous, which cuts them as the fit does
+        residual, margin = _cut_fit(rec, w, p, unknown, cut=verdict == "ambiguous")
     assert abs(res.residual - residual) <= 1e-9 * (1 + residual)
     assert abs(res.output_uniqueness_margin - margin) <= 1e-12 * (1 + scale)
     if verdict == "ok":
@@ -640,10 +665,10 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     for y_r in (q.y_r_truth.samples, q.y_r_truth.samples + 0.5):
         w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, Trajectory(q.u_r.t_start, y_r)))
         member = span_membership(rec, w, p)
-        if near_cut:  # an empty left kernel spans nothing: every window is a member
-            assert member.residual == 0.0 or res.diagnostics["hankel"].rank < 6 * L
-            continue
-        dense = _dense_membership_residual(rec, w, p)
+        if near_cut and res.diagnostics["hankel"].rank == 6 * L:
+            assert member.residual == 0.0  # an empty left kernel: every window is a member
+        dense = (_cut_fit(rec, w.samples, p.samples, np.zeros(w.samples.shape, bool), False)[0]
+                 if near_cut else _dense_membership_residual(rec, w, p))
         assert abs(member.residual - dense) <= 1e-9 * (1 + dense)
 
 
