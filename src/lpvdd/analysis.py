@@ -35,7 +35,6 @@ judged against, the singular values it cut and the ``RANK_CUT`` it read.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,50 +101,24 @@ def _rank(s: np.ndarray, required: int) -> RankRecord:
     return RankRecord(_cut(s), required, tuple(s.tolist()), RANK_CUT)
 
 
-@dataclass(frozen=True, eq=False)
-class _Fit:
-    """The triangle ``T`` of a least-squares solve, its ``floor`` (:func:`_lstsq`) and its
-    singular values ``s``, computed on first read."""
-
-    T: np.ndarray
-    floor: float
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return np.linalg.svd(self.T, compute_uv=False)
-
-    @property
-    def margin(self) -> float:
-        """``sigma_min(T)``, 0 unless ``T`` is square and not empty."""
-        return float(self.s[-1]) if 0 < len(self.T) == self.T.shape[1] else 0.0
-
-
-def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, _Fit, float]:
-    """Minimum-norm ``z`` minimising ``|A z - b|``, the :class:`_Fit` of ``A`` and the
-    residual ``|A z - b|``, from the triangle of ``Ab = [A b] = Q [T c; 0 rho]``:
+def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A`` and
+    the residual ``|A z - b|``, from the triangle of ``Ab = [A b] = Q [T c; 0 rho]``:
     ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every ``z`` (``rho`` is empty unless ``A``
-    is tall), summed by ``hypot``, which cannot overflow.  A square ``T`` has one LU solve
-    of ``Ts = 2^-e T`` (``|Ts| < 1``: no norm over- or underflows) against ``[2^-e c | I]``:
-    ``z`` and ``1/|T^-1|_F <= sigma_min(T)`` (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 8).  Above ``2 RANK_CUT |T|_F >= 2 RANK_CUT sigma_max(T)``
-    that bound is the ``floor``: full column rank, certified with no SVD.  Else the floor
-    is 0, the rank is cut on ``s`` and below it ``z`` is the minimum-norm SVD solve."""
+    is tall), summed by ``hypot``, which cannot overflow.  ``s`` are those of ``T``, and the
+    rank is cut on them (Golub and Van Loan, Matrix Computations, section 5.5): at full
+    column rank ``z`` is the LU solve of the square ``T``, below it the minimum-norm SVD
+    solve."""
     n = Ab.shape[1] - 1
     R = np.linalg.qr(Ab, mode="r")
     T, c = R[:n, :n], R[:n, n]
-    z, floor = None, 0.0
-    if 0 < n == len(T):
-        e, B = math.frexp(np.abs(T).max())[1], np.eye(n, n + 1, 1)
-        with np.errstate(over="ignore"), contextlib.suppress(np.linalg.LinAlgError):
-            B[:, 0], Ts = np.ldexp(c, -e), np.ldexp(T, -e)
-            X = np.linalg.solve(Ts, B)  # [z | Ts^-1]; a singular T raises
-            z, bound = X[:, 0], 1 / np.linalg.norm(X[:, 1:])
-            floor = np.ldexp(bound, e) if bound > 2 * RANK_CUT * np.linalg.norm(Ts) else 0.0
-    fit = _Fit(T, floor)
-    if not floor and ((k := _cut(fit.s)) < n or z is None):
+    s = np.linalg.svd(T, compute_uv=False)
+    if 0 < (k := _cut(s)) == n == len(T):
+        z = np.linalg.solve(T, c)
+    else:
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
         z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
-    return z, fit, math.hypot(*(T @ z - c), *R[n:, n])
+    return z, s, math.hypot(*(T @ z - c), *R[n:, n])
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
@@ -209,14 +182,15 @@ class Lifted:
         return K
 
     def complete(self, p: np.ndarray, rank: int, w: np.ndarray, unknown: np.ndarray):
-        """``(x, floor, residual)`` of the ``m`` samples ``x`` under the mask ``unknown`` of
+        """``(x, sigma, residual)`` of the ``m`` samples ``x`` under the mask ``unknown`` of
         the ``(L, n_w)`` window ``w`` (0 there) that bring ``b = col(w, 0)`` nearest the
         span of :meth:`consistent`.  ``M(p) = I - E``, ``E^2 = 0``, so
         ``Y = M(p)^-T U[:, rank:]`` (each ``w`` row plus ``p_j(k)`` times its ``p_j (x) w``
         row) spans its complement, and ``b + F x`` (``F``: a unit column per unknown row)
         lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F b] = Q R`` gives ``Q_Y^T [F b]`` as
-        ``R[:d, d:]``, ``d = R - rank``, where :func:`_lstsq` fits ``x``: the floor is 0 if
-        ``m > d``, and a window known in full (``m = 0``) needs no fit."""
+        ``R[:d, d:]``, ``d = R - rank``, where :func:`_lstsq` fits ``x``: ``sigma`` is the
+        ``sigma_min`` of its ``m x m`` triangle, 0 if ``m > d``, and a window known in
+        full (``m = 0``) needs no fit."""
         shape, d, m = self.shape[:3], len(self.U) - rank, int(unknown.sum())
         if m > d:  # no m x m triangle
             return None, 0.0, math.inf
@@ -228,8 +202,8 @@ class Lifted:
         if not m:
             return np.zeros(0), 0.0, math.hypot(*G[:, 0])
         G[:, m] *= -1  # min |Q_Y^T F x - (-Q_Y^T b)|
-        x, fit, residual = _lstsq(G)
-        return x, fit.floor, residual
+        x, s, residual = _lstsq(G)
+        return x, float(s[-1]), residual
 
 
 def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:

@@ -34,12 +34,13 @@ value of the known rows of ``K``, and 0 when there are fewer than ``r`` known ro
 ``K`` has full column rank ``r``, so a column combination that changes no known row
 changes the future output rows; the future outputs are determined by the data exactly
 when the margin is positive.  The verdict needs only a bound on it.  The margin is at
-least ``sigma_min(K) sigma_min(Q_Y^T F) >= floor s_r / (1 + max_k |p(k)|)``, ``F`` the
-unit columns of the unknown rows and ``floor = 1/|T^-1|_F`` of the triangle ``T`` of
-the kernel's fit (:func:`~lpvdd.analysis._lstsq`), which decides a query with no SVD
-where it exceeds twice ``margin_tol``.  Otherwise :func:`predict` runs the minimum-norm
-fit ``z`` on the known rows of ``K``, whose own floor decides, or else its margin; that
-fit also gives ``g`` and the margin itself, each formed the first time it is read.
+least ``sigma_min(K) sigma_min(Q_Y^T F) >= sigma s_r / (1 + max_k |p(k)|)``, ``F`` the
+unit columns of the unknown rows and ``sigma`` the least singular value of the ``m x m``
+triangle of the kernel's fit (:func:`~lpvdd.analysis._lstsq`), which decides a query
+with no ``r x r`` work where the bound exceeds twice ``margin_tol``.  Otherwise
+:func:`predict` runs the minimum-norm fit ``z`` on the known rows of ``K``, and its
+margin decides; that fit also gives ``g`` and the margin itself, each formed the first
+time it is read.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ class PredictionResult:
     combination with ``H g`` the lifted query window, and ``output_uniqueness_margin``
     are formed the first time they are read, so ``==`` compares neither, from the
     known-row fit that ``_from`` holds or can run: the record's lifted samples, the fit's
-    inputs and, where ``predict`` ran it, the fit.
+    inputs and, where ``predict`` ran it, the fit.  The fit is one QR, the values-only
+    SVD of its ``r x r`` triangle and one solve (a second SVD, with vectors, below rank
+    ``r``).
     """
 
     y_r: Trajectory
@@ -137,13 +140,13 @@ class PredictionResult:
 
     @cached_property
     def _known(self) -> tuple:
-        """``(K, z, fit, residual)``: ``predict``'s known-row fit, else run on first read."""
+        """``(K, z, margin, residual)``: the known-row fit ``predict`` ran, else run now."""
         return self._from[2] or _known_fit(*self._from[1])
 
     @cached_property
     def output_uniqueness_margin(self) -> float:
         """``sigma_r`` of the known rows of ``K``, 0 when there are fewer than ``r``."""
-        return self._known[2].margin
+        return self._known[2]
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -205,13 +208,13 @@ def predict(
     unknown[T_ini:, n_u:] = True
     # sigma_min(M(p)) >= 1 / (1 + max_k |p(k)|), summed by hypot: no overflow, no warning
     bound = rank and lifted.s[rank - 1] / (1 + max(math.hypot(*pk) for pk in p.tolist()))
-    fit_from, fitted, floor, ambiguous = (lifted, p, rank, w, unknown), (), 0.0, False
-    if pe.verdict and bound > 2 * margin_tol:  # else no floor <= 1 can certify
-        y, floor, residual = lifted.complete(p, rank, w, unknown)
-    if floor * bound <= 2 * margin_tol:  # not certified: the known-row fit decides
-        K, z, fit, residual = fitted = _known_fit(*fit_from)
+    fit_from, fitted, sigma, ambiguous = (lifted, p, rank, w, unknown), (), 0.0, False
+    if pe.verdict and bound > 2 * margin_tol:  # else no sigma <= 1 can certify
+        y, sigma, residual = lifted.complete(p, rank, w, unknown)
+    if sigma * bound <= 2 * margin_tol:  # not certified: the known-row fit decides
+        K, z, margin, residual = fitted = _known_fit(*fit_from)
         y = K[T_ini:, 0, n_u:] @ z
-        ambiguous = not pe.verdict or fit.floor <= 2 * margin_tol and fit.margin <= margin_tol
+        ambiguous = not pe.verdict or margin <= margin_tol
 
     warnings = [] if pe.verdict else [f"data not persistently exciting at order {L}: "
                                       f"extended input rank {pe.rank} < {pe.required}"]
@@ -226,13 +229,15 @@ def predict(
 
 def _known_fit(lifted: Lifted, p: np.ndarray, rank: int, w: np.ndarray, unknown: np.ndarray):
     """``K = M(p) U_r S_r`` and :func:`~lpvdd.analysis._lstsq` of its known rows (all but
-    the window's ``unknown``) against those of ``col(w, 0)``: ``(K, z, fit, residual)``."""
+    the window's ``unknown``) against those of ``col(w, 0)``: ``(K, z, margin, residual)``,
+    the margin ``sigma_r`` of those rows, 0 when there are fewer than ``r``."""
     K = lifted.consistent(p, rank)
     known = np.ones(K.shape[:3], dtype=bool)
     known[:, 0] = ~unknown
     Kb = np.zeros(K.shape[:3] + (rank + 1,))  # [A b] is Kb[known]
     Kb[..., :rank], Kb[:, 0, :, rank] = K, w
-    return (K, *_lstsq(Kb[known]))
+    z, s, residual = _lstsq(Kb[known])
+    return K, z, float(s[-1]) if 0 < len(s) == rank else 0.0, residual
 
 
 @dataclass(frozen=True)

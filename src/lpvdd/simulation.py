@@ -293,12 +293,11 @@ def estimate_initial_state(
         Ab = np.column_stack([W[:, :n_x], vec(y_ini) - W[:, n_x:] @ vec(u_ini)])
     if not np.isfinite(Ab).all():
         raise InvalidShape("estimate_initial_state: the model diverges on this window")
-    x_bar, fit, residual = _lstsq(Ab)
-    if not (obsv := _rank(fit.s, n_x)).verdict:
-        s = obsv.singular_values
+    x_bar, s, residual = _lstsq(Ab)
+    if not (obsv := _rank(s, n_x)).verdict:
         raise RankDeficientObservability(
             f"observability evaluation has rank {obsv.rank} < n_x={n_x} "
-            f"(sigma_min={s[-1] if s else 0.0:.3e})"
+            f"(sigma_min={s[-1] if s.size else 0.0:.3e})"
         )
     if residual > TOL:
         raise InconsistentTrajectory(

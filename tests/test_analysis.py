@@ -357,8 +357,8 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
     k = analysis._cut(s_ref)
     z_ref = Vt[:k].T @ ((U[:, :k].T @ b) / s_ref[:k])
 
-    z, fit, residual = analysis._lstsq(np.column_stack([A, b]))
-    record = analysis._rank(fit.s, cols)
+    z, s, residual = analysis._lstsq(np.column_stack([A, b]))
+    record = analysis._rank(s, cols)
     assert record.rank == k == r and record.required == cols
     s = np.array(record.singular_values)
     assert s.shape == s_ref.shape
@@ -375,26 +375,23 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(**_SHAPES)
-def test_lstsq_floor_certifies_full_rank_without_an_svd(rows, cols, rank, seed):
-    # the floor 1/|T^-1|_F is set only where it exceeds 2 RANK_CUT |T|_F: then the SVD cut
-    # reads full rank and sigma_min is at least the floor; it is set at every full column
-    # rank here (condition <= 10) and at every scale, since T is scaled by a power of two
+def test_lstsq_solves_at_full_rank_and_cuts_below_it(rows, cols, rank, seed):
+    # the rank is cut on the values-only SVD of T: at full column rank (condition <= 10
+    # here) z is one LU solve, below it the minimum-norm solve takes a second SVD with
+    # vectors; at every scale, with the same rank, z and s scaled with the data
     A, b, r = _ranked(rows, cols, rank, seed)
-    floor = analysis._lstsq(np.column_stack([A, b]))[1].floor
+    z_ref, s_ref, _ = analysis._lstsq(np.column_stack([A, b]))
+    full = r == cols <= rows
     for k in (0, 600, -600):
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            z, fit, _ = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))
-        assert (fit.floor > 0) == (r == cols <= rows), k
-        assert svd.call_count == (0 if fit.floor > 0 else 1 + (r < cols))
-        s = np.linalg.svd(fit.T, compute_uv=False)
-        if fit.floor > 0:
-            assert analysis._cut(s) == cols
-            # 1/|T^-1|_F <= sigma_min, with equality at one column: allow its rounding
-            assert s[-1] >= fit.floor * (1 - 4 * np.finfo(float).eps)
-            norm = np.ldexp(np.linalg.norm(np.ldexp(fit.T, -k)), k)  # |T|_F, no overflow
-            assert fit.floor > 2 * analysis.RANK_CUT * norm
-            assert abs(fit.floor - np.ldexp(floor, k)) <= 1e-13 * np.ldexp(floor, k)
+        with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+              mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve):
+            z, s, _ = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))
+        assert svd.call_count == 1 + (not full) and solve.call_count == full, k
+        assert svd.call_args_list[0].kwargs == {"compute_uv": False}
+        assert analysis._cut(s) == r
         assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+        assert np.max(np.abs(s - np.ldexp(s_ref, k))) <= 1e-13 * np.ldexp(s_ref[0], k)
 
 
 def test_minimal_random_ss_helper_yields_minimal_models():

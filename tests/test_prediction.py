@@ -627,12 +627,18 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     # span H's cut keeps
     near_cut = kind == "noise8"
     assert res.verdict == verdict
+    w = np.hstack([np.concatenate([q.u_ini.samples, q.u_r.samples]),
+                   np.concatenate([q.y_ini.samples, np.zeros((T_r, rec.n_y))])])
+    unknown = np.zeros(w.shape, dtype=bool)
+    unknown[T_ini:, rec.n_u:] = True
+    p = np.concatenate([q.p_ini.samples, q.p_r.samples])
+    # the certificate is sound: sigma_min(Q_Y^T F) s_r / (1 + max_k |p(k)|) bounds the margin
+    lifted, rank = rec.lifted(L), res.diagnostics["hankel"].rank
+    if rank:
+        sigma = lifted.complete(p, rank, w, unknown)[1]
+        bound = sigma * lifted.s[rank - 1] / (1 + np.linalg.norm(p, axis=1).max())
+        assert bound <= res.output_uniqueness_margin * (1 + 1e-12)
     if near_cut:
-        w = np.hstack([np.concatenate([q.u_ini.samples, q.u_r.samples]),
-                       np.concatenate([q.y_ini.samples, np.zeros((T_r, 1))])])
-        unknown = np.zeros(w.shape, dtype=bool)
-        unknown[T_ini:, 1:] = True
-        p = np.concatenate([q.p_ini.samples, q.p_r.samples])
         # the known rows pin the outputs unless ambiguous, which cuts them as the fit does
         residual, margin = _cut_fit(rec, w, p, unknown, cut=verdict == "ambiguous")
     assert abs(res.residual - residual) <= 1e-9 * (1 + residual)
@@ -649,8 +655,8 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         assert res.residual == pytest.approx(
             np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
         )
-    # the verdict skips the margin's SVD only where the floor 1/|T^-1|_F exceeds twice
-    # margin_tol: at margin_tol = sigma_r (1 +- 1e-3) it cannot, so those queries read it
+    # the verdict skips the known-row fit only where that bound exceeds twice margin_tol:
+    # at margin_tol = sigma_r (1 +- 1e-3) it cannot, so those queries read the margin
     sigma, tols = res.output_uniqueness_margin, [0.0]
     if sigma > 1e-9 * (1 + scale):  # resolved beyond the margins' 1e-12 (1 + scale) gap
         tols += [sigma * (1 - 1e-3), sigma * (1 + 1e-3)]
@@ -672,9 +678,9 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         assert abs(member.residual - dense) <= 1e-9 * (1 + dense)
 
 
-def test_predict_on_a_factored_record_makes_no_svd_until_the_margin_is_read(monkeypatch):
-    # the verdict reads the floor 1/|T^-1|_F of the known rows' triangle, not its SVD; the
-    # margin, sigma_r of that r x r triangle, is one values-only SVD on its first read
+def test_predict_on_a_factored_record_makes_no_r_by_r_svd_until_the_margin_is_read(monkeypatch):
+    # the verdict reads the singular values of the kernel fit's m x m triangle; the margin,
+    # sigma_r of the known rows' r x r triangle, is one values-only SVD on its first read
     rec, q = _record(400), _query(seed=3)
     rec.lifted(q.u_ini.length + q.u_r.length).pe  # factor the record and its input rows
     svd, calls = np.linalg.svd, []
@@ -685,11 +691,12 @@ def test_predict_on_a_factored_record_makes_no_svd_until_the_margin_is_read(monk
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    assert res.verdict == "ok" and calls == []
+    m = rec.n_y * q.u_r.length
+    assert res.verdict == "ok" and calls == [((m, m), {"compute_uv": False})]
     r = res.diagnostics["hankel"].rank
     margin = res.output_uniqueness_margin
-    assert calls == [((r, r), {"compute_uv": False})]
-    assert res.output_uniqueness_margin == margin and len(calls) == 1
+    assert calls[1:] == [((r, r), {"compute_uv": False})]
+    assert res.output_uniqueness_margin == margin and len(calls) == 2
     assert margin > 2 * lpvdd.analysis.TOL
 
 
@@ -729,22 +736,28 @@ def test_consistent_rows_are_the_specification_blocks(model, T, L):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(H, 2)
 
 
-def _factor_shapes(monkeypatch, fn, names=("svd", "qr")):
-    """Operand shapes of the ``np.linalg`` calls ``names`` (``svd`` and ``qr``) of ``fn()``."""
-    shapes = {name: [] for name in names}
+def _linalg_calls(monkeypatch, fn, names):
+    """``(operand shapes, keywords)`` of each ``np.linalg`` call ``names`` of ``fn()``."""
+    calls = {name: [] for name in names}
 
     def recording(name, real):
-        def call(a, *args, **kwargs):
-            shapes[name].append(np.shape(a))
-            return real(a, *args, **kwargs)
+        def call(*args, **kwargs):
+            calls[name].append((tuple(np.shape(a) for a in args), kwargs))
+            return real(*args, **kwargs)
 
         return call
 
-    for name in shapes:
+    for name in calls:
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     fn()
     monkeypatch.undo()
-    return shapes
+    return calls
+
+
+def _factor_shapes(monkeypatch, fn, names=("svd", "qr")):
+    """Operand shapes of the ``np.linalg`` calls ``names`` (``svd`` and ``qr``) of ``fn()``."""
+    calls = _linalg_calls(monkeypatch, fn, names)
+    return {name: [shapes[0] for shapes, _ in calls[name]] for name in names}
 
 
 def _wide_svd_calls(monkeypatch, fn, cols):
@@ -870,9 +883,9 @@ def test_membership_on_a_factored_record_makes_one_small_qr(monkeypatch, n_p):
 def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkeypatch, n_p):
     # the m = n_y T_r future outputs are the unknowns of a window read against the
     # complement of M(p) U_r S_r: one QR of [Y F b] (R x (d + m + 1), d = n_y L - n_x
-    # whatever n_p) and the fit on its top d rows, one d x (m + 1) QR and an m x m solve;
-    # no SVD and nothing with r columns.  The known-row fit runs on the first read of the
-    # margin or of g, once
+    # whatever n_p) and the fit on its top d rows, one d x (m + 1) QR, the values-only SVD
+    # of its m x m triangle and one solve; nothing with r columns.  The known-row fit runs
+    # on the first read of the margin or of g, once
     model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
     L, m = 7, 4
     rec, q = generate_record(model, 4 * 2 * (1 + n_p) * L + L, 1), generate_query(model, 3, m, 2)
@@ -882,16 +895,20 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
     d = R - r
     assert d == L - 2
     results, names = [], ("svd", "qr", "solve")
-    shapes = _factor_shapes(monkeypatch, lambda: results.append(
+    calls = _linalg_calls(monkeypatch, lambda: results.append(
         predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)), names)
     res = results[0]
     assert res.verdict == "ok"
-    assert shapes == {"svd": [], "qr": [(R, d + m + 1), (d, m + 1)], "solve": [(m, m)]}
+    qr = {"mode": "r"}
+    assert calls == {"svd": [(((m, m),), {"compute_uv": False})],
+                     "qr": [(((R, d + m + 1),), qr), (((d, m + 1),), qr)],
+                     "solve": [(((m, m), (m,)), {})]}
     assert "_known" not in vars(res)
-    # the first read runs the known-row fit: the QR of [A b] and the r x r LU solve of its
-    # floor, then the margin's values-only SVD; g and a second read reuse it
-    shapes = _factor_shapes(monkeypatch, lambda: res.output_uniqueness_margin, names)
-    assert shapes == {"svd": [(r, r)], "qr": [(R - m, r + 1)], "solve": [(r, r)]}
+    # the first read runs the known-row fit: the QR of [A b], the values-only SVD of its
+    # r x r triangle and one solve against a vector; g and a second read reuse it
+    calls = _linalg_calls(monkeypatch, lambda: res.output_uniqueness_margin, names)
+    assert calls == {"svd": [(((r, r),), {"compute_uv": False})],
+                     "qr": [(((R - m, r + 1),), qr)], "solve": [(((r, r), (r,)), {})]}
     shapes = _factor_shapes(monkeypatch, lambda: (res.g, res.output_uniqueness_margin), names)
     assert shapes == {"svd": [], "qr": [], "solve": []}
     assert res.output_uniqueness_margin > 2 * lpvdd.analysis.TOL
