@@ -42,9 +42,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidShape
 from .rng import stream
-from .signals import Trajectory, _check_windows, _windows, kron_extend
+from .signals import Trajectory, _check_int, _check_windows, _windows, kron_extend
 
 if TYPE_CHECKING:
     from .coeffs import CoeffMatrix
@@ -108,15 +107,17 @@ def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     is tall), summed by ``hypot``, which cannot overflow.  ``s`` are those of ``T``, and the
     rank is cut on them (Golub and Van Loan, Matrix Computations, section 5.5): at full
     column rank ``z`` is the LU solve of the square ``T``, below it the minimum-norm SVD
-    solve."""
+    solve.  A wide ``T`` (fewer than ``n`` rows) is never of full column rank: its one
+    SVD, with vectors, gives ``s`` and the cut."""
     n = Ab.shape[1] - 1
     R = np.linalg.qr(Ab, mode="r")
     T, c = R[:n, :n], R[:n, n]
-    s = np.linalg.svd(T, compute_uv=False)
-    if 0 < (k := _cut(s)) == n == len(T):
+    if len(T) == n and 0 < (k := _cut(s := np.linalg.svd(T, compute_uv=False))) == n:
         z = np.linalg.solve(T, c)
     else:
         U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
+        if len(T) < n:
+            s, k = s_T, _cut(s_T)
         z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
     return z, s, math.hypot(*(T @ z - c), *R[n:, n])
 
@@ -218,12 +219,6 @@ def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:
     return Lifted(shape, U, s, inputs)
 
 
-def _check_order(n: int) -> None:
-    """:class:`InvalidShape` unless the order ``n`` of a window map is at least 1."""
-    if n < 1:
-        raise InvalidShape(f"n must be >= 1, got {n}")
-
-
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     """n-step observability matrix function: block rows ``o_1, ..., o_n``.
 
@@ -232,9 +227,8 @@ def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     ``k + i - 1`` back through the state transitions.
     """
     from .coeffs import CoeffMatrix
-    _check_order(n)
     blocks = [model.C]
-    for _ in range(n - 1):
+    for _ in range(_check_int("n", n) - 1):
         blocks.append(blocks[-1].shift(1) @ model.A)
     return CoeffMatrix.vstack(blocks)
 
@@ -246,9 +240,8 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     backward-shifted ``r_i``.
     """
     from .coeffs import CoeffMatrix
-    _check_order(n)
     blocks = [model.B]
-    for _ in range(n - 1):
+    for _ in range(_check_int("n", n) - 1):
         blocks.append(model.A @ blocks[-1].shift(-1))
     return CoeffMatrix.hstack(blocks)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidShape
 from .models import LpvIoModel, LpvSsModel
 from .rng import stream
-from .signals import DataRecord, Trajectory
+from .signals import DataRecord, Trajectory, _check_int
 from .simulation import simulate_io, simulate_ss
 
 __all__ = ["Query", "generate_record", "generate_query"]
@@ -53,13 +53,6 @@ def _boxes(box, dim: int, name: str):
     return [tuple(b) for b in box]
 
 
-def _check_horizons(**horizons) -> None:
-    """:class:`InvalidShape` naming the first horizon that is not an integer ``>= 1``."""
-    for name, T in horizons.items():
-        if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
-            raise InvalidShape(f"{name} must be an integer >= 1, got {T!r}")
-
-
 def _simulate(model, u: Trajectory, p: Trajectory, init):
     """Outputs and, of a state-space model, the states (``None`` for IO form) from the
     initial condition ``init(shape)``, of the shape of ``y_init`` or of ``x0``."""
@@ -74,7 +67,7 @@ def _simulate(model, u: Trajectory, p: Trajectory, init):
 def _record_and_states(model, T, seed, input_box=None, scheduling_box=None):
     """:func:`generate_record` and the states of its one simulation run (``None`` for
     IO form), which ``lpvdd simulate`` writes to ``x.csv``."""
-    _check_horizons(T=T)
+    T = _check_int("T", T)
     u = _uniform_traj(stream(seed, "input"), _boxes(input_box, model.n_u, "input_box"), T)
     p = _uniform_traj(stream(seed, "scheduling"),
                       _boxes(scheduling_box, model.n_p, "scheduling_box"), T)
@@ -109,7 +102,7 @@ def generate_query(model, T_ini: int, T_r: int, seed: int, input_box=None,
     of the behaviour rather than the zero response.  :class:`InvalidShape` names a
     horizon that is not an integer ``>= 1``.
     """
-    _check_horizons(T_ini=T_ini, T_r=T_r)
+    T_ini, T_r = _check_int("T_ini", T_ini), _check_int("T_r", T_r)
     L = T_ini + T_r
     boxes = _boxes(input_box, model.n_u, "input_box")
     u = _uniform_traj(stream(seed, "query_input"), boxes, L)

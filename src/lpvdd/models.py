@@ -28,7 +28,8 @@ import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
 from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
-from .signals import Trajectory, _check_windows, _json_number, _json_text, _read, _write
+from .signals import (Trajectory, _check_int, _check_windows, _json_number, _json_text, _read,
+                      _write)
 
 __all__ = [
     "LpvSsModel",
@@ -270,13 +271,11 @@ def random_affine_ss(
 
     The state matrix family is scaled so that short-horizon simulations stay
     numerically tame; generic draws are structurally observable/reachable.
-    :class:`DimensionMismatch` naming the dimension unless ``n_x``, ``n_u`` and ``n_y``
-    are at least 1 and ``n_p`` at least 0.
+    :class:`InvalidShape` naming the dimension unless ``n_x``, ``n_u`` and ``n_y``
+    are integers of at least 1 and ``n_p`` one of at least 0.
     """
-    for name, dim, least in (("n_x", n_x, 1), ("n_u", n_u, 1), ("n_y", n_y, 1),
-                             ("n_p", n_p, 0)):
-        if dim < least:
-            raise DimensionMismatch(f"{name} must be >= {least}, got {dim}")
+    n_x, n_u, n_y, n_p = (_check_int(name, dim, least) for name, dim, least in (
+        ("n_x", n_x, 1), ("n_u", n_u, 1), ("n_y", n_y, 1), ("n_p", n_p, 0)))
 
     def affine_mat(rows, cols, scale=1.0):
         const = rng.uniform(-1, 1, (rows, cols)) * scale

@@ -311,5 +311,5 @@ def left_nullspace(data: DataRecord, L: int) -> LeftNullspace:
     """Orthonormal basis of the left null space of ``H_L(col(w, p (x) w))``."""
     lifted = data.lifted(L)
     hankel = lifted.hankel
-    return LeftNullspace(basis=lifted.U[:, hankel.rank:].T, hankel=hankel, L=L,
+    return LeftNullspace(basis=lifted.U[:, hankel.rank:].T, hankel=hankel, L=lifted.shape[0],
                          n_w=data.n_u + data.n_y, n_p=data.n_p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidShape
+from .signals import _check_int
 
 GENERATOR_NAME = "philox4x64-10"
 
@@ -29,9 +30,7 @@ STREAMS = {
 def stream(seed: int, role: str) -> np.random.Generator:
     """Generator for the ``role`` named in ``STREAMS`` under ``seed``, a Philox key word:
     an integer, not a ``bool``, in ``[0, 2**64)``."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidShape(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
+    if (seed := _check_int("seed", seed, 0)) >= 2**64:
         raise InvalidShape(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, STREAMS[role]], np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -54,6 +54,17 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, least: int | None = 1) -> int:
+    """The one check of an integer argument: ``int(value)``, else :class:`InvalidShape`
+    naming ``name`` unless ``value`` is an ``int`` or ``np.integer``, not a ``bool``, and
+    at least ``least`` (``None``: any, as a time index)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidShape(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidShape(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A finite signal ``w_[t_start, t_end]`` with one real vector per step.
@@ -73,7 +84,7 @@ class Trajectory:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise InvalidShape(f"samples must be (T, dim) with T >= 1, got {arr.shape}")
-        object.__setattr__(self, "t_start", int(self.t_start))
+        object.__setattr__(self, "t_start", _check_int("t_start", self.t_start, None))
         if not np.isfinite(arr).all():
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
             raise InvalidShape(f"non-finite sample at time step {self.t_start + bad}")
@@ -107,6 +118,7 @@ class Trajectory:
 
     def value(self, k: int) -> np.ndarray:
         """Sample at absolute time ``k``."""
+        k = _check_int("k", k, None)
         if not self.covers(k, k):
             raise IntervalMismatch(
                 f"time {k} outside trajectory interval [{self.t_start}, {self.t_end}]"
@@ -118,6 +130,7 @@ class Trajectory:
 
     def restrict(self, t1: int, t2: int) -> "Trajectory":
         """Restriction to ``[t1, t2]`` (must lie inside the interval)."""
+        t1, t2 = _check_int("t1", t1, None), _check_int("t2", t2, None)
         if not (t1 <= t2 and self.covers(t1, t2)):
             raise IntervalMismatch(
                 f"[{t1}, {t2}] not inside [{self.t_start}, {self.t_end}]"
@@ -162,33 +175,18 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
     ``i + j - 2`` from the trajectory start, so column ``j`` stacks the
     window of ``t1`` samples starting there.
     """
-    _check_depth(t1, w.length)
-    cols = w.length - t1 + 1
-    # One slice copy per block row: t1 steps, each vectorised over the columns.
-    d = w.dim
-    data = np.empty((t1, d, cols))
-    for i in range(t1):
-        data[i] = w.samples[i : i + cols].T
-    return data.reshape(t1 * d, cols)
-
-
-def _check_depth(L, T: int) -> None:
-    """The one check of a depth ``L`` of ``T`` samples: :class:`InvalidShape` unless it is
-    an ``int`` or ``np.integer``, not a ``bool``, in ``[1, T]``."""
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
-        raise InvalidShape(f"order L must be an integer, got {L!r}")
-    if not 1 <= L <= T:
-        raise InvalidShape(f"data length {T} shorter than order L={L}" if L >= 1
-                           else f"order L must be >= 1, got {L}")
+    return _windows(w.samples, t1).T.copy()
 
 
 def _windows(X: np.ndarray, t1: int) -> np.ndarray:
     """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
-    row ``j`` is the window ``X[j : j + t1]``, flattened."""
-    _check_depth(t1, len(X))
-    X = np.ascontiguousarray(X)
+    row ``j`` is the window ``X[j : j + t1]``, flattened.  :class:`InvalidShape` unless
+    ``t1`` is an integer in ``[1, len(X)]``: the one upper bound of a depth."""
+    if (t1 := _check_int("order L", t1)) > len(X):
+        raise InvalidShape(f"data length {len(X)} shorter than order L={t1}")
+    X = np.ascontiguousarray(X)  # one channel may have stride 0, as Trajectory(t, 1-D) has
     return np.lib.stride_tricks.as_strided(
-        X, (len(X) - t1 + 1, t1 * X.shape[1]), X.strides, writeable=False)
+        X, (len(X) - t1 + 1, t1 * X.shape[1]), (X.strides[0], X.itemsize), writeable=False)
 
 
 def kron_signal(w: Trajectory, p: Trajectory) -> Trajectory:
@@ -391,7 +389,7 @@ class DataRecord:
     def lifted(self, L: int) -> Lifted:
         """The :class:`~lpvdd.analysis.Lifted` factor of ``H_L(col(w, p (x) w))``, made
         once per ``L``; it holds no array with an axis of length ``N`` once ``N >= 4 R``."""
-        _check_depth(L, len(self.lifted_samples))  # before the memo reads L
+        L = _check_int("order L", L)  # before the memo reads L; _windows bounds it
         if L not in self._lifted:
             from .analysis import _lifted_factor
             self._lifted[L] = _lifted_factor(self.lifted_samples, L, self.n_p, self.n_u)

@@ -42,7 +42,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .models import LpvIoModel, LpvSsModel
-from .signals import Trajectory, _check_windows, _finite, vec
+from .signals import Trajectory, _check_int, _check_windows, _finite, vec
 
 if TYPE_CHECKING:
     from .analysis import RankRecord
@@ -124,20 +124,26 @@ def _affine_recursion(A, b, x0) -> np.ndarray:
     return X.reshape(-1, n + 1)[: T + 1, :n]
 
 
+def _states(model: LpvSsModel, x0, u: Trajectory, p: Trajectory, names=("x0", "u")):
+    """States ``x(t_start .. t_end + 1)`` from ``x(t_start) = x0`` under ``u``: the one state
+    pass of :func:`simulate_ss` and :func:`propagate_state`, whose errors name ``x0`` and
+    ``u`` by ``names``."""
+    x0 = _initial(names[0], x0, (model.n_x,))
+    _check_windows((names[1], u, model.n_u, None))
+    A, B = (M.eval_range(p, *u.interval) for M in (model.A, model.B))
+    return _affine_recursion(A, np.einsum("kij,kj->ki", B, u.samples), x0)
+
+
 # No overflow warnings: a diverging run fails once, where its output Trajectory is made.
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_ss(
     model: LpvSsModel, x0, u: Trajectory, p: Trajectory
 ) -> SimResult:
     """Run the state recursion from ``x(t_start) = x0`` over ``u``'s interval."""
-    x0 = _initial("x0", x0, (model.n_x,))
-    _check_windows(("u", u, model.n_u, None))
-    t1, t2 = u.interval
-    A, B, C, D = (M.eval_range(p, t1, t2) for M in (model.A, model.B, model.C, model.D))
-    Bu = np.einsum("kij,kj->ki", B, u.samples)
-    xs = _affine_recursion(A, Bu, x0)
+    xs = _states(model, x0, u, p)
+    C, D = (M.eval_range(p, *u.interval) for M in (model.C, model.D))
     ys = np.einsum("kij,kj->ki", C, xs[:-1]) + np.einsum("kij,kj->ki", D, u.samples)
-    return SimResult(y=Trajectory(t1, ys), x=Trajectory(t1, xs))
+    return SimResult(y=Trajectory(u.t_start, ys), x=Trajectory(u.t_start, xs))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in simulate_ss
@@ -170,7 +176,7 @@ def impulse_coeff(model: LpvSsModel, n: int) -> CoeffMatrix:
     of the ``n``-step-ahead output map with the shifted state maps down to
     the injection instant.
     """
-    if n < 0:
+    if (n := _check_int("n", n, None)) < 0:
         return CoeffMatrix.zeros(model.n_y, model.n_u, model.n_p)
     if n == 0:
         return model.D
@@ -180,12 +186,6 @@ def impulse_coeff(model: LpvSsModel, n: int) -> CoeffMatrix:
     return acc @ model.B
 
 
-def _check_t1(t1: int) -> None:
-    """:class:`DimensionMismatch` unless the Toeplitz window ``t1`` is at least 1 step."""
-    if t1 < 1:
-        raise DimensionMismatch(f"t1 must be >= 1, got {t1}")
-
-
 def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     """Lower block-triangular matrix of impulse-response coefficients.
 
@@ -193,7 +193,7 @@ def toeplitz(model: LpvSsModel, t1: int) -> CoeffMatrix:
     forward-shifted ``j - 1`` times, so that evaluation at window start maps
     ``vec(u)`` to the zero-state response ``vec(y)``.
     """
-    _check_t1(t1)
+    t1 = _check_int("t1", t1)
     h = [impulse_coeff(model, n) for n in range(t1)]
     zero = CoeffMatrix.zeros(model.n_y, model.n_u, model.n_p)
     rows = []
@@ -230,16 +230,13 @@ def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     ``n_x`` columns: block row ``i`` is ``C(k+i-1) A(k+i-2) ... A(k)``.  Unscaled, unlike
     the recursion of :func:`~lpvdd.analysis.minimality_report`: least squares on it
     (:func:`estimate_initial_state`) would weigh scaled block rows differently."""
-    from .analysis import _check_order
-    _check_order(n)
-    return _window(model, n, p, k, inputs=False)
+    return _window(model, _check_int("n", n), p, _check_int("k", k, None), inputs=False)
 
 
 @_finite
 def toeplitz_eval(model: LpvSsModel, t1: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated impulse-response Toeplitz matrix at ``k``: the window map past ``n_x``."""
-    _check_t1(t1)
-    return _window(model, t1, p, k)[:, model.n_x :]
+    return _window(model, _check_int("t1", t1), p, _check_int("k", k, None))[:, model.n_x :]
 
 
 @_finite
@@ -311,10 +308,5 @@ def propagate_state(
     model: LpvSsModel, x1, u_ini: Trajectory, p_ini: Trajectory
 ) -> np.ndarray:
     """State ``x(t_end + 1)`` reached from ``x(t_start) = x1`` under the window: the
-    last state of :func:`simulate_ss`, bit for bit (the same coefficients and recursion)."""
-    x1 = _initial("x1", x1, (model.n_x,))
-    _check_windows(("u_ini", u_ini, model.n_u, None))
-    t1, t2 = u_ini.interval
-    A = model.A.eval_range(p_ini, t1, t2)
-    Bu = np.einsum("kij,kj->ki", model.B.eval_range(p_ini, t1, t2), u_ini.samples)
-    return _affine_recursion(A, Bu, x1)[-1]
+    last state of :func:`simulate_ss`, bit for bit: both run the one state pass."""
+    return _states(model, x1, u_ini, p_ini, ("x1", "u_ini"))[-1]

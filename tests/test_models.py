@@ -11,6 +11,7 @@ from lpvdd import (
     CoeffMatrix,
     DimensionMismatch,
     InvalidModel,
+    InvalidShape,
     KernelRep,
     LpvIoModel,
     LpvSsModel,
@@ -260,8 +261,9 @@ def test_empty_models_are_not_made():
 ])
 def test_random_affine_ss_names_a_dimension_out_of_range(dims, message):
     # n_x = 0 raised ZeroDivisionError, n_x = -1 numpy's ValueError, n_u = 0 a
-    # DimensionMismatch that named no argument
-    with pytest.raises(DimensionMismatch) as exc:
+    # DimensionMismatch that named no argument; InvalidShape names it, as it names every
+    # integer argument
+    with pytest.raises(InvalidShape) as exc:
         random_affine_ss(np.random.default_rng(0), *dims)
     assert str(exc.value) == message
 

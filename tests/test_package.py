@@ -11,15 +11,18 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lpvdd
-from lpvdd import (Trajectory, build_predictor, estimate_initial_state, example_verhoek,
-                   generate_query, generate_record, io_to_kernel, left_nullspace,
-                   model_from_dict, model_to_dict, predict, random_affine_ss, simulate_ss,
-                   write_trajectory_csv)
+from lpvdd import (InvalidShape, Trajectory, build_predictor, check_pe, estimate_initial_state,
+                   example_verhoek, generate_query, generate_record, hankel, impulse_coeff,
+                   io_to_kernel, left_nullspace, minimality_report, model_from_dict,
+                   model_to_dict, obsv_eval, obsv_matrix, predict, random_affine_ss,
+                   reach_matrix, simulate_ss, toeplitz, toeplitz_eval, write_trajectory_csv)
+from lpvdd.rng import stream
 
 SRC = str(Path(lpvdd.__file__).resolve().parents[1])
 
@@ -372,6 +375,92 @@ def test_only_analysis_calls_linalg():
         if path.name != "analysis.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert _linalg_calls(tree) == [], path.name
+
+
+def _integer_checks(tree, exempt=frozenset()) -> list[int]:
+    """Lines of the ``isinstance`` calls of ``tree`` outside ``exempt`` that test for an
+    integer type: ``np.integer``, ``numpy.integer`` or ``numbers.Integral``."""
+    return [node.lineno for node in ast.walk(tree)
+            if node not in exempt and isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+            and any(getattr(n, "attr", None) in ("integer", "Integral")
+                    or getattr(n, "id", None) == "Integral" for n in ast.walk(node.args[1]))]
+
+
+def test_only_the_one_check_tests_for_an_integer():
+    # signals._check_int decides every integer argument; a second check would drift from
+    # its wording, its exception class or its bool test
+    for code in ("isinstance(v, (int, np.integer))", "isinstance(v, numpy.integer)",
+                 "ok = not isinstance(n, (np.integer, int)) or n < 1",
+                 "isinstance(n, numbers.Integral)", "isinstance(n, Integral)"):
+        assert _integer_checks(ast.parse(code)) == [1], code
+    for code in ("isinstance(v, (int, float))", "isinstance(v, bool)",
+                 "isinstance(v, int if integer else float)",
+                 "np.issubdtype(a.dtype, np.integer)", "isinstance(v, types)"):
+        assert _integer_checks(ast.parse(code)) == [], code
+    for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "signals.py":
+            (check,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "_check_int"]
+            assert _integer_checks(check)
+            exempt = set(ast.walk(check))
+        assert _integer_checks(tree, exempt) == [], path.name
+
+
+# Every integer argument of the library: its name and a call that passes it the value v.
+_INTEGER_ARGUMENTS = {
+    "check_pe L": ("order L", lambda c, v: check_pe(c.rec.u, c.rec.p, v)),
+    "lifted L": ("order L", lambda c, v: c.rec.lifted(v).s),
+    "left_nullspace L": ("order L", lambda c, v: left_nullspace(c.rec, v).basis),
+    "hankel t1": ("order L", lambda c, v: hankel(c.w, v)),
+    "generate_record T": ("T", lambda c, v: generate_record(c.model, v, 1)),
+    "generate_query T_ini": ("T_ini", lambda c, v: generate_query(c.model, v, 2, 1)),
+    "generate_query T_r": ("T_r", lambda c, v: generate_query(c.model, 2, v, 1)),
+    "obsv_matrix n": ("n", lambda c, v: obsv_matrix(c.ss, v)),
+    "reach_matrix n": ("n", lambda c, v: reach_matrix(c.ss, v)),
+    "obsv_eval n": ("n", lambda c, v: obsv_eval(c.ss, v, c.p, 1)),
+    "impulse_coeff n": ("n", lambda c, v: impulse_coeff(c.ss, v)),
+    "toeplitz t1": ("t1", lambda c, v: toeplitz(c.ss, v)),
+    "toeplitz_eval t1": ("t1", lambda c, v: toeplitz_eval(c.ss, v, c.p, 1)),
+    "obsv_eval k": ("k", lambda c, v: obsv_eval(c.ss, 2, c.p, v)),
+    "toeplitz_eval k": ("k", lambda c, v: toeplitz_eval(c.ss, 2, c.p, v)),
+    "Trajectory t_start": ("t_start", lambda c, v: Trajectory(v, [1.0])),
+    "restrict t1": ("t1", lambda c, v: c.w.restrict(v, 4)),
+    "restrict t2": ("t2", lambda c, v: c.w.restrict(1, v)),
+    "value k": ("k", lambda c, v: c.w.value(v)),
+    "random_affine_ss n_x": ("n_x", lambda c, v: random_affine_ss(c.rng(), v)),
+    "random_affine_ss n_u": ("n_u", lambda c, v: random_affine_ss(c.rng(), 2, v)),
+    "random_affine_ss n_y": ("n_y", lambda c, v: random_affine_ss(c.rng(), 2, 1, v)),
+    "random_affine_ss n_p": ("n_p", lambda c, v: random_affine_ss(c.rng(), 2, 1, 1, v)),
+    "stream seed": ("seed", lambda c, v: stream(v, "input").random(3)),
+    "generate_record seed": ("seed", lambda c, v: generate_record(c.model, 5, v)),
+    "minimality_report seed": ("seed", lambda c, v: minimality_report(c.ss, seed=v)),
+}
+
+
+@pytest.fixture(scope="module")
+def arguments():
+    """What the calls of ``_INTEGER_ARGUMENTS`` read: a record, models and signals."""
+    model = example_verhoek()
+    return SimpleNamespace(model=model, rec=generate_record(model, 20, 0),
+                           ss=random_affine_ss(np.random.default_rng(0), 2),
+                           w=Trajectory(1, np.arange(6.0)), p=Trajectory(-2, np.zeros(9)),
+                           rng=lambda: np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS)
+def test_every_integer_argument_is_checked_as_one(call, arguments):
+    # a float, a bool or a string is named, where it was truncated, ran as 1 or failed
+    # inside numpy; a numpy integer runs as the int (here 2, valid for every argument)
+    name, run = _INTEGER_ARGUMENTS[call]
+    for value in (2.0, 2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(InvalidShape) as exc:
+            run(arguments, value)
+        assert str(exc.value) == f"{name} must be an integer, got {value!r}", value
+    got, want = run(arguments, np.int64(2)), run(arguments, 2)
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def _perfbench(name):

@@ -202,6 +202,31 @@ def test_trajectory_accessors_and_restrict():
         w.restrict(4, 6)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-2**80, 2**80))
+def test_an_integer_t_start_round_trips(t):
+    # t_start is held as the int given, a numpy integer as its int, and reads back
+    # through the time axis and the CSV file format
+    w = Trajectory(t, [1.0, 2.0])
+    assert type(w.t_start) is int and w.interval == (t, t + 1) and w.value(t + 1) == 2.0
+    assert w.restrict(t + 1, t + 1) == Trajectory(t + 1, [2.0])
+    assert trajectory_from_csv(trajectory_to_csv(w)) == w
+    if -2**63 <= t < 2**63:
+        v = Trajectory(np.int64(t), [1.0, 2.0])
+        assert type(v.t_start) is int and v == w and hash(v) == hash(w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(), st.floats().map(np.float64), st.fractions(), st.decimals(),
+                 st.booleans(), st.complex_numbers(), st.text(max_size=3)))
+def test_a_non_integral_t_start_raises(t):
+    # a float was truncated onto the time axis (2.7 started at 2), a bool or a string
+    # taken as its int
+    with pytest.raises(InvalidShape) as exc:
+        Trajectory(t, [1.0])
+    assert str(exc.value) == f"t_start must be an integer, got {t!r}"
+
+
 def test_trajectory_samples_are_immutable():
     w = Trajectory(1, [1.0, 2.0])
     with pytest.raises(ValueError):

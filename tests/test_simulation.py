@@ -266,11 +266,12 @@ def test_toeplitz_eval_matches_symbolic():
 
 @pytest.mark.parametrize("t1", [0, -2])
 def test_toeplitz_maps_reject_a_window_below_one_step(t1):
-    # toeplitz_eval gave a 0 x 0 array at 0 and numpy's ValueError at -2
+    # toeplitz_eval gave a 0 x 0 array at 0 and numpy's ValueError at -2; it is an
+    # integer argument, so InvalidShape names it
     m = random_affine_ss(np.random.default_rng(10), 2, 1, 1, 1)
     p = rand_traj(np.random.default_rng(10), 1, 6, t_start=-2)
     for evaluate in (lambda: toeplitz(m, t1), lambda: toeplitz_eval(m, t1, p, 1)):
-        with pytest.raises(DimensionMismatch, match=f"^t1 must be >= 1, got {t1}$"):
+        with pytest.raises(InvalidShape, match=f"^t1 must be >= 1, got {t1}$"):
             evaluate()
 
 
@@ -616,6 +617,9 @@ def test_stream_rejects_a_seed_past_one_key_word():
     with pytest.raises(InvalidShape) as exc:
         stream(2**64, "input")
     assert str(exc.value) == f"seed must be in [0, 2**64), got {2**64}"
+    with pytest.raises(InvalidShape) as exc:
+        stream(-1, "input")
+    assert str(exc.value) == "seed must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.9, -0.5, 0.7, True, "1", np.float64(1.0)])
@@ -646,10 +650,12 @@ _HORIZONS = {
 @pytest.mark.parametrize("name", sorted(_HORIZONS))
 @pytest.mark.parametrize("value", [0, -3, 2.5, True])
 def test_a_horizon_that_is_not_a_positive_integer_is_named(name, value):
-    # a horizon off the integers >= 1 fails before any draw, naming the argument
+    # a horizon off the integers >= 1 fails before any draw, naming the argument in the
+    # two wordings of every integer check
     with pytest.raises(InvalidShape) as exc:
         _HORIZONS[name](value)
-    assert str(exc.value) == f"{name} must be an integer >= 1, got {value}"
+    assert str(exc.value) == (f"{name} must be >= 1, got {value}" if type(value) is int
+                              else f"{name} must be an integer, got {value}")
 
 
 def test_generate_query_takes_per_channel_input_boxes():
