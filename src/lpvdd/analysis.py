@@ -36,7 +36,7 @@ judged against, the singular values it cut and the ``RANK_CUT`` it read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -74,6 +74,8 @@ TOL = 1e-7
 
 def _cut(s: np.ndarray):
     """Count of the singular values above ``RANK_CUT`` times the first, on the last axis."""
+    if s.ndim == 1 and len(s):
+        return int(np.count_nonzero(s > RANK_CUT * s[0]))
     return (s > RANK_CUT * s[..., :1]).sum(axis=-1).tolist()
 
 
@@ -156,6 +158,7 @@ class Lifted:
     U: np.ndarray
     s: np.ndarray
     inputs: np.ndarray
+    _templates: dict = field(default_factory=dict, init=False, repr=False)  # kept by complete
 
     @property
     def hankel(self) -> RankRecord:
@@ -188,21 +191,25 @@ class Lifted:
         span of :meth:`consistent`.  ``M(p) = I - E``, ``E^2 = 0``, so
         ``Y = M(p)^-T U[:, rank:]`` (each ``w`` row plus ``p_j(k)`` times its ``p_j (x) w``
         row) spans its complement, and ``b + F x`` (``F``: a unit column per unknown row)
-        lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F b] = Q R`` gives ``Q_Y^T [F b]`` as
-        ``R[:d, d:]``, ``d = R - rank``, where :func:`_lstsq` fits ``x``: ``sigma`` is the
-        ``sigma_min`` of its ``m x m`` triangle, 0 if ``m > d``, and a window known in
-        full (``m = 0``) needs no fit."""
-        shape, d, m = self.shape[:3], len(self.U) - rank, int(unknown.sum())
+        lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F -b] = Q R`` gives ``Q_Y^T [F -b]`` as
+        ``R[:d, d:]``, ``d = R - rank``, above the diagonal of the raw QR, where
+        :func:`_lstsq` fits ``x``: ``sigma`` is the ``sigma_min`` of its ``m x m`` triangle,
+        0 if ``m > d``, and a window known in full (``m = 0``) needs no fit.  All of
+        ``[Y F -b]`` but ``-b`` and the ``w`` rows of ``Y`` is kept per rank and mask."""
+        shape, d, m = self.shape[:3], len(self.U) - rank, int(np.count_nonzero(unknown))
         if m > d:  # no m x m triangle
             return None, 0.0, math.inf
-        Yb = np.zeros(shape + (d + m + 1,))
-        Yb[..., :d] = self.U[:, rank:].reshape(shape + (d,))
+        if (Yb := self._templates.get(key := (rank, unknown.tobytes()))) is None:
+            Yb = self._templates[key] = np.zeros(shape + (d + m + 1,))
+            Yb[..., :d] = self.U[:, rank:].reshape(shape + (d,))
+            Yb[:, 0, :, d:d + m][unknown] = np.eye(m)
+            Yb.setflags(write=False)
+        Yb = Yb.copy()
         Yb[:, 0, :, :d] += np.einsum("lj,ljwd->lwd", p, Yb[:, 1:, :, :d])
-        Yb[:, 0, :, d:d + m][unknown], Yb[:, 0, :, -1] = np.eye(m), w
-        G = np.linalg.qr(Yb.reshape(len(self.U), -1), mode="r")[:d, d:]
+        Yb[:, 0, :, -1] = -w  # min |Q_Y^T F x - Q_Y^T (-b)|; negation is exact
+        G = np.linalg.qr(Yb.reshape(len(self.U), -1), mode="raw")[0][d:, :d].T
         if not m:
             return np.zeros(0), 0.0, math.hypot(*G[:, 0])
-        G[:, m] *= -1  # min |Q_Y^T F x - (-Q_Y^T b)|
         x, s, residual = _lstsq(G)
         return x, float(s[-1]), residual
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
-from .signals import Trajectory
+from .signals import Trajectory, _check_int
 
 __all__ = [
     "PolyCoeff",
@@ -91,7 +91,7 @@ class PolyCoeff:
     @classmethod
     def var(cls, component: int, n_p: int, offset: int = 0) -> "PolyCoeff":
         """The coordinate function ``p_component(k + offset)``."""
-        return cls.monomial(1.0, [(component, offset, 1)], n_p)
+        return cls.monomial(1.0, [(component, _check_int("offset", offset, None), 1)], n_p)
 
     @classmethod
     def monomial(cls, coeff: float, variables, n_p: int) -> "PolyCoeff":
@@ -116,6 +116,7 @@ class PolyCoeff:
 
     def eval(self, p: Trajectory, k: int) -> float:
         """Value of the coefficient along scheduling ``p`` at time ``k``."""
+        k = _check_int("k", k, None)
         if p.dim != self.n_p:
             raise DimensionMismatch(f"scheduling dim {p.dim} does not match coefficient "
                                     f"n_p {self.n_p}")
@@ -139,7 +140,7 @@ class PolyCoeff:
 
     def shift(self, d: int) -> "PolyCoeff":
         """Add ``d`` to every offset (time re-indexing of all arguments)."""
-        if d == 0:
+        if (d := _check_int("d", d, None)) == 0:
             return self
         return PolyCoeff(self.n_p, tuple((c, tuple((j, off + d, pw) for j, off, pw in mono))
                                          for c, mono in self.terms))
@@ -268,6 +269,7 @@ class CoeffMatrix:
             if m.shape != c0.shape:
                 raise DimensionMismatch(f"linear part shape {m.shape} differs from "
                                         f"constant {c0.shape}")
+        offset = _check_int("offset", offset, None)
         terms = {((j + 1, offset, 1),): m for j, m in enumerate(lin)}
         return cls._of({(): c0, **terms}, c0.shape[0], c0.shape[1], len(lin))
 
@@ -311,6 +313,7 @@ class CoeffMatrix:
         return CoeffMatrix._of(terms, self.rows, self.cols, self.n_p)
 
     def shift(self, d: int) -> "CoeffMatrix":
+        d = _check_int("d", d, None)
         return self._with({tuple((comp, off + d, pw) for comp, off, pw in mono): C
                            for mono, C in self.terms.items()})
 
@@ -344,13 +347,14 @@ class CoeffMatrix:
 
     def eval(self, p: Trajectory, k: int) -> np.ndarray:
         """Real matrix obtained by evaluating every entry along ``p`` at ``k``."""
-        return self.eval_range(p, k, k)[0]
+        return self.eval_range(p, _check_int("k", k, None), k)[0]
 
     def eval_range(self, p: Trajectory, k1: int, k2: int) -> np.ndarray:
         """Evaluations along ``p`` at ``k = k1, ..., k2``, shape ``(k2 - k1 + 1, rows, cols)``.
 
         Empty when ``k2 < k1``.
         """
+        k1, k2 = _check_int("k1", k1, None), _check_int("k2", k2, None)
         if p.dim != self.n_p:
             raise DimensionMismatch(f"scheduling dim {p.dim} does not match coefficient "
                                     f"n_p {self.n_p}")

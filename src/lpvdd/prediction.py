@@ -25,9 +25,11 @@ known rows of ``K`` gives ``g = V_r z``.  ``H`` is factored once
 per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifted` that
 gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).  Only its
 left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR first
-and no factor has an axis of length ``N``.  A query costs a ``d x m`` fit on ``Y``
-(``d = R - r``) and no work that grows with ``N``, ``r`` or ``n_p``: ``g`` is formed the
-first time it is read, by one pass over a view of the record's lifted samples.
+and no factor has an axis of length ``N``.  A query costs one QR of ``[Y F -b]``
+(``R x (d + m + 1)``, ``d = R - r``; all but the query's rows kept on the factor) and a
+``d x m`` fit on its raw block ``Q_Y^T [F -b]``, with no work that grows with ``N`` or
+``r``: ``g`` is formed the first time it is read, by one pass over a view of the record's
+lifted samples.
 
 Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singular
 value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.

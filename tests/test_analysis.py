@@ -1,6 +1,7 @@
 """Structural rank analysis and persistence-of-excitation checks."""
 
 import json
+import math
 import re
 from dataclasses import asdict
 from functools import lru_cache
@@ -9,8 +10,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import minimal_random_ss, rand_traj, random_io
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lpvdd import (
     CoeffMatrix,
@@ -330,6 +332,65 @@ def test_check_pe_rejects_non_finite_samples(name):
     samples[7, 0] = np.nan
     with pytest.raises(InvalidShape, match="^non-finite sample at time step 8$"):
         check_pe(L=5, **{**args, name: Trajectory(1, samples)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+              elements=st.floats(0.0, 1e300)))
+@example(np.zeros(0))
+@example(np.zeros(4))
+@example(np.zeros((2, 3)))
+@example(np.array([1.0, 1e-9, 2e-9, 0.0]))
+def test_cut_is_the_broadcast_count_of_values_above_the_cut(s):
+    # one vector is counted on its first value, a stack broadcast on each first value:
+    # both give the sum of s > RANK_CUT s[..., :1] on the last axis, an int for a vector
+    # (0 if empty) and a list for a stack
+    want = (s > analysis.RANK_CUT * s[..., :1]).sum(-1).tolist()
+    got = analysis._cut(s)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("mask", ["future outputs", "scattered", "none"])
+def test_complete_fits_the_block_of_the_r_mode_qr_bit_for_bit(monkeypatch, mask):
+    # complete reads Q_Y^T [F -b] off the raw QR of [Y F -b]: the block np.linalg.qr's
+    # mode="r" returns, bit for bit, and the one the QR of [Y F b] gives with its last
+    # column negated; the kept template changes no bit of a second query
+    model = example_verhoek()
+    rec, q = generate_record(model, 400, 1), generate_query(model, 3, 7, 2)
+    lifted = rec.lifted(10)
+    rank = lifted.hankel.rank
+    d = len(lifted.U) - rank
+    p = np.concatenate([q.p_ini.samples, q.p_r.samples])
+    w = np.hstack([np.concatenate([q.u_ini.samples, q.u_r.samples]),
+                   np.concatenate([q.y_ini.samples, q.y_r_truth.samples])])
+    unknown = np.zeros(w.shape, dtype=bool)
+    if mask == "future outputs":
+        unknown[3:, 1:] = True
+    elif mask == "scattered":
+        unknown[[0, 4, 5, 9], [1, 0, 1, 0]] = True
+    w[unknown] = 0.0
+    m = int(unknown.sum())
+    operands, blocks = [], []
+    qr, lstsq = np.linalg.qr, analysis._lstsq
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, mode: operands.append((mode, a.copy())) or qr(a, mode))
+    monkeypatch.setattr(analysis, "_lstsq", lambda G: blocks.append(G.copy()) or lstsq(G))
+    first, second = (lifted.complete(p, rank, w, unknown) for _ in range(2))
+    monkeypatch.undo()
+    Yb, again = (a for mode, a in operands if mode == "raw")  # the [Y F -b] of each query
+    assert again.tobytes() == Yb.tobytes()
+    assert np.array_equal(Yb[:, -1].reshape(10, 3, 2)[:, 0], -w)
+    want = np.linalg.qr(Yb, mode="r")[:d, d:]
+    Yb[:, -1] *= -1
+    negated = np.linalg.qr(Yb, mode="r")[:d, d:]
+    negated[:, m] *= -1
+    assert want.tobytes() == negated.tobytes()
+    if m:
+        assert blocks[0].tobytes() == blocks[-1].tobytes() == want.tobytes()
+        assert lstsq(want)[0].tobytes() == first[0].tobytes() == second[0].tobytes()
+    else:
+        assert blocks == [] and first[2] == second[2] == math.hypot(*want[:, 0])
+    assert first[1:] == second[1:]
 
 
 def _ranked(rows, cols, rank, seed):

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 import lpvdd
-from lpvdd import (InvalidShape, Trajectory, build_predictor, check_pe, estimate_initial_state,
-                   example_verhoek, generate_query, generate_record, hankel, impulse_coeff,
-                   io_to_kernel, left_nullspace, minimality_report, model_from_dict,
-                   model_to_dict, obsv_eval, obsv_matrix, predict, random_affine_ss,
-                   reach_matrix, simulate_ss, toeplitz, toeplitz_eval, write_trajectory_csv)
+from lpvdd import (CoeffMatrix, InvalidShape, PolyCoeff, Trajectory, build_predictor, check_pe,
+                   estimate_initial_state, example_verhoek, generate_query, generate_record,
+                   hankel, impulse_coeff, io_to_kernel, left_nullspace, minimality_report,
+                   model_from_dict, model_to_dict, obsv_eval, obsv_matrix, predict,
+                   random_affine_ss, reach_matrix, simulate_ss, toeplitz, toeplitz_eval,
+                   write_trajectory_csv)
 from lpvdd.rng import stream
 
 SRC = str(Path(lpvdd.__file__).resolve().parents[1])
@@ -437,6 +438,14 @@ _INTEGER_ARGUMENTS = {
     "stream seed": ("seed", lambda c, v: stream(v, "input").random(3)),
     "generate_record seed": ("seed", lambda c, v: generate_record(c.model, 5, v)),
     "minimality_report seed": ("seed", lambda c, v: minimality_report(c.ss, seed=v)),
+    "CoeffMatrix.shift d": ("d", lambda c, v: c.coeff.shift(v)),
+    "CoeffMatrix.affine offset": ("offset", lambda c, v: CoeffMatrix.affine(1.0, [2.0], v)),
+    "CoeffMatrix.eval k": ("k", lambda c, v: c.coeff.eval(c.p, v)),
+    "CoeffMatrix.eval_range k1": ("k1", lambda c, v: c.coeff.eval_range(c.p, v, 4)),
+    "CoeffMatrix.eval_range k2": ("k2", lambda c, v: c.coeff.eval_range(c.p, 0, v)),
+    "PolyCoeff.shift d": ("d", lambda c, v: c.coeff.entry(0, 0).shift(v)),
+    "PolyCoeff.var offset": ("offset", lambda c, v: PolyCoeff.var(1, 1, v)),
+    "PolyCoeff.eval k": ("k", lambda c, v: c.coeff.entry(0, 0).eval(c.p, v)),
 }
 
 
@@ -447,6 +456,7 @@ def arguments():
     return SimpleNamespace(model=model, rec=generate_record(model, 20, 0),
                            ss=random_affine_ss(np.random.default_rng(0), 2),
                            w=Trajectory(1, np.arange(6.0)), p=Trajectory(-2, np.zeros(9)),
+                           coeff=CoeffMatrix.affine([[1.0, 2.0]], [[[3.0, 4.0]]], -1),
                            rng=lambda: np.random.default_rng(0))
 
 

@@ -901,7 +901,7 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
     assert res.verdict == "ok"
     qr = {"mode": "r"}
     assert calls == {"svd": [(((m, m),), {"compute_uv": False})],
-                     "qr": [(((R, d + m + 1),), qr), (((d, m + 1),), qr)],
+                     "qr": [(((R, d + m + 1),), {"mode": "raw"}), (((d, m + 1),), qr)],
                      "solve": [(((m, m), (m,)), {})]}
     assert "_known" not in vars(res)
     # the first read runs the known-row fit: the QR of [A b], the values-only SVD of its
@@ -912,6 +912,63 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
     shapes = _factor_shapes(monkeypatch, lambda: (res.g, res.output_uniqueness_margin), names)
     assert shapes == {"svd": [], "qr": [], "solve": []}
     assert res.output_uniqueness_margin > 2 * lpvdd.analysis.TOL
+
+
+def _ledger(monkeypatch, fn):
+    """``{name: [(operand shapes, keywords), ...]}`` of the ``np.linalg`` calls of
+    ``fn()``, over every function of ``np.linalg``; a name with no call is left out."""
+    names = [name for name in np.linalg.__all__
+             if callable(f := getattr(np.linalg, name)) and not isinstance(f, type)]
+    return {name: c for name, c in _linalg_calls(monkeypatch, fn, names).items() if c}
+
+
+def _query_ledgers(monkeypatch, model, T, T_ini=3, T_r=7):
+    """Ledgers of a warm certified ``predict`` on a ``T``-step record of ``model`` and of
+    ``span_membership`` of the query's true window: the record is factored by a first
+    query before either is recorded."""
+    rec = generate_record(model, T, 1)
+    warm, q = (generate_query(model, T_ini, T_r, seed) for seed in (2, 3))
+    predict(rec, warm.u_ini, warm.p_ini, warm.y_ini, warm.u_r, warm.p_r)
+    w = _stack(concat(q.u_ini, q.u_r), concat(q.y_ini, q.y_r_truth))
+    results = []
+    ledgers = (_ledger(monkeypatch, lambda: results.append(
+                   predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r))),
+               _ledger(monkeypatch, lambda: results.append(
+                   span_membership(rec, w, concat(q.p_ini, q.p_r)))))
+    certified, membership = results
+    assert certified.verdict == "ok" and "_known" not in vars(certified)
+    assert membership.member
+    return ledgers
+
+
+def test_certified_query_ledger_is_the_same_at_every_record_length(monkeypatch):
+    # a warm certified query and a membership read make the same np.linalg calls on the
+    # same shapes at every T (the built-in model, L = 10: R = 60 rows, d = n_y L - n_x = 8
+    # kernel columns, m = 7 unknowns); T enters only the factor
+    model = example_verhoek()
+    ledgers = [_query_ledgers(monkeypatch, model, T) for T in (70, 500, 2000, 4000, 20000)]
+    assert all(ledger == ledgers[0] for ledger in ledgers)
+    assert ledgers[0] == (
+        {"qr": [(((60, 16),), {"mode": "raw"}), (((8, 8),), {"mode": "r"})],
+         "svd": [(((7, 7),), {"compute_uv": False})], "solve": [(((7, 7), (7,)), {})]},
+        {"qr": [(((60, 9),), {"mode": "raw"})]})
+
+
+def test_certified_query_ledger_moves_with_n_p_only_in_the_kernel_qr_rows(monkeypatch):
+    # SISO random_io models of order 2 at T = 4000: the lifted Hankel has
+    # R = 2 (1 + n_p) L rows, and its left kernel n_y L - n_x columns whatever n_p, so of
+    # both ledgers only the row count of the first QR, the one of [Y F -b], changes
+    def rows_out(ledger):
+        (((rows, cols),), keywords), *rest = ledger["qr"]
+        return rows, {**ledger, "qr": [(((cols,),), keywords), *rest]}
+
+    built_in = _query_ledgers(monkeypatch, example_verhoek(), 4000)
+    want = [rows_out(ledger)[1] for ledger in built_in]
+    for n_p in (1, 4, 16):
+        model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
+        for ledger, same in zip(_query_ledgers(monkeypatch, model, 4000), want):
+            rows, rest = rows_out(ledger)
+            assert rows == 2 * (1 + n_p) * 10 and rest == same, n_p
 
 
 @pytest.mark.parametrize("T", [70, 400])
