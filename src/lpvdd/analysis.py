@@ -194,7 +194,10 @@ class Lifted:
         lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F -b] = Q R`` gives ``Q_Y^T [F -b]`` as
         ``R[:d, d:]``, ``d = R - rank``, above the diagonal of the raw QR, where
         :func:`_lstsq` fits ``x``: ``sigma`` is the ``sigma_min`` of its ``m x m`` triangle,
-        0 if ``m > d``, and a window known in full (``m = 0``) needs no fit.  All of
+        0 if ``m > d``, and a window known in full (``m = 0``) needs no fit.  By the CS
+        decomposition it is also that of the known rows of an orthonormal basis of the span,
+        so ``sigma s_rank / (1 + max_k |p(k)|)`` bounds ``sigma_rank`` of the known rows of
+        :meth:`consistent` from below (:func:`~lpvdd.prediction.predict`'s margin).  All of
         ``[Y F -b]`` but ``-b`` and the ``w`` rows of ``Y`` is kept per rank and mask."""
         shape, d, m = self.shape[:3], len(self.U) - rank, int(np.count_nonzero(unknown))
         if m > d:  # no m x m triangle

@@ -31,23 +31,22 @@ and no factor has an axis of length ``N``.  A query costs one QR of ``[Y F -b]``
 ``r``: ``g`` is formed the first time it is read, by one pass over a view of the record's
 lifted samples.
 
-Uniqueness of the recovered outputs is certified by a margin: the ``r``-th singular
-value of the known rows of ``K``, and 0 when there are fewer than ``r`` known rows.
-``K`` has full column rank ``r``, so a column combination that changes no known row
-changes the future output rows; the future outputs are determined by the data exactly
-when the margin is positive.  The verdict needs only a bound on it.  The margin is at
-least ``sigma_min(K) sigma_min(Q_Y^T F) >= sigma s_r / (1 + max_k |p(k)|)``, ``F`` the
-unit columns of the unknown rows and ``sigma`` the least singular value of the ``m x m``
-triangle of the kernel's fit (:func:`~lpvdd.analysis._lstsq`), which decides a query
-with no ``r x r`` work where the bound exceeds twice ``margin_tol``.  Otherwise
-:func:`predict` runs the minimum-norm fit ``z`` on the known rows of ``K``, and its
-margin decides; that fit also gives ``g`` and the margin itself, each formed the first
-time it is read.
+Uniqueness of the recovered outputs is certified by a margin.  ``K`` has full column
+rank ``r``, so a column combination that changes no known row changes the future output
+rows; the future outputs are determined by the data exactly when the ``r``-th singular
+value of the known rows of ``K`` is positive.  It is at least
+``sigma_min(K) sigma_min(Q_Y^T F) >= sigma s_r / (1 + max_k |p(k)|)``, ``F`` the unit
+columns of the unknown rows and ``sigma`` the least singular value of the ``m x m``
+triangle of the kernel's fit (:func:`~lpvdd.analysis._lstsq`); the margin is that last
+bound, 0 at rank 0 and where ``m > d``.  A query is ``ambiguous`` when the record fails the excitation check or the
+margin is at most ``margin_tol``; only then does :func:`predict` run the minimum-norm fit
+``z`` on the known rows of ``K``, which fills in the outputs the data do not pin.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -123,37 +122,28 @@ class PredictionResult:
     uniqueness margin or the data excitation collapses, and ``"infeasible"``
     when the query is not consistent with the span of the data.
 
-    ``diagnostics`` holds the :class:`~lpvdd.analysis.RankRecord` of the lifted Hankel
-    matrix (``hankel``) and of its input rows (``pe``).  ``g``, the ``N``-long column
-    combination with ``H g`` the lifted query window, and ``output_uniqueness_margin``
-    are formed the first time they are read, so ``==`` compares neither, from the
-    known-row fit that ``_from`` holds or can run: the record's lifted samples, the fit's
-    inputs and, where ``predict`` ran it, the fit.  The fit is one QR, the values-only
-    SVD of its ``r x r`` triangle and one solve (a second SVD, with vectors, below rank
-    ``r``).
+    ``output_uniqueness_margin`` is the module docstring's lower bound on ``sigma_r`` of
+    the known rows of ``K``.  ``diagnostics`` holds the
+    :class:`~lpvdd.analysis.RankRecord` of the lifted Hankel matrix (``hankel``) and of its
+    input rows (``pe``).  ``g``, the ``N``-long column combination with ``H g`` the lifted
+    query window, is formed the first time it is read, so ``==`` does not compare it, from
+    the known-row fit that ``_from`` holds or can run: the record's lifted samples, the
+    fit's inputs and, where ``predict`` ran it (an ``ambiguous`` query), the fit.
     """
 
     y_r: Trajectory
     residual: float
+    output_uniqueness_margin: float
     verdict: str
     diagnostics: dict = field(default_factory=dict)
     _from: tuple = field(default=(), compare=False, repr=False)
     __hash__ = None  # diagnostics is a dict
 
     @cached_property
-    def _known(self) -> tuple:
-        """``(K, z, margin, residual)``: the known-row fit ``predict`` ran, else run now."""
-        return self._from[2] or _known_fit(*self._from[1])
-
-    @cached_property
-    def output_uniqueness_margin(self) -> float:
-        """``sigma_r`` of the known rows of ``K``, 0 when there are fewer than ``r``."""
-        return self._known[2]
-
-    @cached_property
     def g(self) -> np.ndarray:
         """``g = V_r z`` with ``V_r = H^T U_r S_r^-1``; ``H^T`` is a view of the samples."""
-        X, lifted, z = self._from[0], self._from[1][0], self._known[1]
+        X, fit_from, fitted = self._from
+        lifted, z = fit_from[0], (fitted or _known_fit(*fit_from))[1]
         c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
         return np.einsum("nk,k->n", _windows(X, lifted.shape[0]), c)
 
@@ -190,9 +180,13 @@ def predict(
     continuation to be unique, and the record must be long and exciting
     enough for its Hankel span to cover the query; shortfalls surface as the
     ``ambiguous``/``infeasible`` verdicts and in the diagnostics.  ``tol`` and
-    ``margin_tol`` lie in ``[0, inf)``, else :class:`InvalidShape` names them.
+    ``margin_tol`` are real numbers in ``[0, inf)``, else :class:`InvalidShape` names them.
     """
     for name, value in (("tol", tol), ("margin_tol", margin_tol)):
+        # a float first: the ABC check alone costs about 1% of a certified query
+        if type(value) is not float and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+            raise InvalidShape(f"{name} must be a real number, got {value!r}")
         if not 0 <= value < np.inf:  # NaN fails too
             raise InvalidShape(f"{name} must be in [0, inf), got {value}")
     T_ini, T_r, t, n_u = u_ini.length, u_r.length, u_ini.t_end, data.n_u
@@ -208,15 +202,14 @@ def predict(
     w[:, :n_u], w[:T_ini, n_u:] = np.concatenate([u_ini.samples, u_r.samples]), y_ini.samples
     unknown = np.zeros(w.shape, dtype=bool)
     unknown[T_ini:, n_u:] = True
+    y, sigma, residual = lifted.complete(p, rank, w, unknown)
     # sigma_min(M(p)) >= 1 / (1 + max_k |p(k)|), summed by hypot: no overflow, no warning
-    bound = rank and lifted.s[rank - 1] / (1 + max(math.hypot(*pk) for pk in p.tolist()))
-    fit_from, fitted, sigma, ambiguous = (lifted, p, rank, w, unknown), (), 0.0, False
-    if pe.verdict and bound > 2 * margin_tol:  # else no sigma <= 1 can certify
-        y, sigma, residual = lifted.complete(p, rank, w, unknown)
-    if sigma * bound <= 2 * margin_tol:  # not certified: the known-row fit decides
-        K, z, margin, residual = fitted = _known_fit(*fit_from)
+    margin = float(rank and sigma * lifted.s[rank - 1]
+                   / (1 + max(math.hypot(*pk) for pk in p.tolist())))
+    fit_from, fitted = (lifted, p, rank, w, unknown), ()
+    if ambiguous := not pe.verdict or margin <= margin_tol:  # the known-row fit fills in
+        K, z, residual = fitted = _known_fit(*fit_from)
         y = K[T_ini:, 0, n_u:] @ z
-        ambiguous = not pe.verdict or margin <= margin_tol
 
     warnings = [] if pe.verdict else [f"data not persistently exciting at order {L}: "
                                       f"extended input rank {pe.rank} < {pe.required}"]
@@ -225,21 +218,21 @@ def predict(
                    "known_row_count": len(lifted.U) - data.n_y * T_r, "hankel": hankel,
                    "pe": pe, "warnings": warnings}
     return PredictionResult(y_r=Trajectory(u_r.t_start, np.reshape(y, (T_r, -1))),
-                            residual=residual, verdict=verdict, diagnostics=diagnostics,
+                            residual=residual, output_uniqueness_margin=margin,
+                            verdict=verdict, diagnostics=diagnostics,
                             _from=(data.lifted_samples, fit_from, fitted))
 
 
 def _known_fit(lifted: Lifted, p: np.ndarray, rank: int, w: np.ndarray, unknown: np.ndarray):
     """``K = M(p) U_r S_r`` and :func:`~lpvdd.analysis._lstsq` of its known rows (all but
-    the window's ``unknown``) against those of ``col(w, 0)``: ``(K, z, margin, residual)``,
-    the margin ``sigma_r`` of those rows, 0 when there are fewer than ``r``."""
+    the window's ``unknown``) against those of ``col(w, 0)``: ``(K, z, residual)``."""
     K = lifted.consistent(p, rank)
     known = np.ones(K.shape[:3], dtype=bool)
     known[:, 0] = ~unknown
     Kb = np.zeros(K.shape[:3] + (rank + 1,))  # [A b] is Kb[known]
     Kb[..., :rank], Kb[:, 0, :, rank] = K, w
-    z, s, residual = _lstsq(Kb[known])
-    return K, z, float(s[-1]) if 0 < len(s) == rank else 0.0, residual
+    z, _, residual = _lstsq(Kb[known])
+    return K, z, residual
 
 
 @dataclass(frozen=True)

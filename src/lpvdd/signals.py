@@ -71,15 +71,18 @@ class Trajectory:
 
     ``samples`` has shape ``(length, dim)``.  ``dim == 0`` is allowed and
     stands for an empty (e.g. scheduling-free) channel set.  Instances are
-    immutable; the sample array is stored read-only.  Every sample is finite:
-    :class:`InvalidShape` names the first step that holds a NaN or an infinity.
+    immutable; the sample array is stored read-only.  Every sample is a finite real, else
+    :class:`InvalidShape` (naming the first step that holds a NaN or an infinity).
     """
 
     t_start: int
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        try:
+            arr = np.asarray(self.samples, dtype=float)
+        except (TypeError, ValueError) as err:  # not numbers, or rows of unequal length
+            raise InvalidShape(f"samples must be a (T, dim) array of reals: {err}") from None
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:

@@ -18,6 +18,7 @@ from lpvdd import (
     generate_record,
     load_model,
     model_to_dict,
+    predict,
     random_affine_ss,
     read_trajectory_csv,
     save_model,
@@ -176,6 +177,33 @@ def test_predict_end_to_end_with_truth(tmp_path, capsys):
     assert len(plot) == 1 + 7
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("T_ini, extra, verdict, code", [
+    (3, (), "ok", 0),
+    (1, (), "ambiguous", 4),  # below the lag 2: more unknowns than kernel columns, margin 0
+    (3, ("--margin-tol", "1"), "ambiguous", 4),  # a positive margin at or below the tolerance
+])
+def test_predict_reports_the_library_margin_everywhere(tmp_path, capsys, T_ini, extra,
+                                                        verdict, code):
+    # the stderr line, the stdout summary and prediction.json hold predict's one margin
+    _simulate(tmp_path, T=70)
+    _write_query(tmp_path / "query", T_ini=T_ini)
+    capsys.readouterr()
+    assert main(["predict", "--data-dir", str(tmp_path / "data"), "--query-dir",
+                 str(tmp_path / "query"), "--out-dir", str(tmp_path / "out"), *extra]) == code
+    out, err = capsys.readouterr()
+    query = {name: read_trajectory_csv(tmp_path / "query" / f"{name}.csv")
+             for name in QUERY_NAMES}
+    margin_tol = float(extra[1]) if extra else analysis.TOL
+    result = predict(DataRecord.from_csv_dir(tmp_path / "data"), **query,
+                     margin_tol=margin_tol)
+    margin = result.output_uniqueness_margin
+    assert result.verdict == verdict and (margin > 0) == (T_ini > 1)
+    payload = json.loads((tmp_path / "out" / "prediction.json").read_text())
+    assert payload["verdict"] == verdict and payload["output_uniqueness_margin"] == margin
+    assert json.loads(out.splitlines()[-1])["margin"] == margin
+    assert f" margin={margin:.3e} " in err
 
 
 def test_predict_writes_the_query_times(tmp_path):

@@ -11,6 +11,7 @@ T = 61; several tests below pin it.
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -451,21 +452,17 @@ def test_left_nullspace_of_tall_hankel_is_complete():
     assert np.max(np.abs(ns.basis @ H)) <= 1e-9
 
 
-def test_margin_is_sigma_min_of_known_rows_on_full_row_space():
+def test_margin_is_the_kernel_bound_on_sigma_min_of_known_rows():
+    # sigma_min(Q_Y^T F) s_r / (1 + max_k |p(k)|), read off the dense stack: at most the
+    # r-th singular value of its known rows on the stack's row space, and positive
     rec = _record(70)
     for seed in range(5):
         q = _query(seed=seed + 900)
         res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-        p_bar = concat(Trajectory(1, q.p_ini.samples),
-                       Trajectory(q.u_ini.length + 1, q.p_r.samples))
-        system = build_predictor(rec, p_bar)
-        M = system.matrix
-        _, s, Vt = np.linalg.svd(M, full_matrices=True)
-        V = Vt[: int(np.sum(s > 1e-9 * s[0]))].T
-        A = _known_rows(system, rec.n_y * q.u_ini.length)
-        oracle = np.linalg.svd(A @ V, compute_uv=False)[-1]
-        assert oracle > 0
-        assert abs(res.output_uniqueness_margin - oracle) <= 1e-12 * oracle
+        _, _, margin, verdict, _, sigma_r = _dense_oracle(rec, q)
+        assert res.verdict == verdict == "ok"
+        assert 0 < margin <= sigma_r
+        assert abs(res.output_uniqueness_margin - margin) <= 1e-12 * margin
 
 
 def test_predict_svd_outputs_do_not_grow_with_column_count_squared(monkeypatch):
@@ -520,8 +517,27 @@ def test_predict_reads_the_excitation_report_of_check_pe():
 # -- factor against the dense stacked system ------------------------------------
 
 
+def _verdict(margin, residual, pe, tol=1e-7, margin_tol=1e-7):
+    """``predict``'s one verdict rule."""
+    return ("ambiguous" if not pe or margin <= margin_tol
+            else "infeasible" if residual > tol else "ok")
+
+
+def _kernel_bound(complement, unknown, s_r, p):
+    """``sigma s_r / (1 + max_k |p(k)|)``, ``sigma`` the least singular value of the rows
+    ``unknown`` of the orthonormal ``complement``; 0 where they are none or outnumber its
+    columns."""
+    B = complement[unknown]
+    if not 0 < len(B) <= B.shape[1]:
+        return 0.0
+    sigma = np.linalg.svd(B, compute_uv=False)[-1]
+    return float(sigma * s_r / (1 + np.linalg.norm(p, axis=1).max()))
+
+
 def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
-    """``predict`` on the literal :func:`build_predictor` stack."""
+    """``predict`` on the literal :func:`build_predictor` stack: ``(y_r, residual, margin,
+    verdict, scale, sigma_r)``, ``sigma_r`` the ``r``-th singular value of the known rows
+    on the stack's row space, which the margin bounds from below."""
     T_ini, T_r = q.u_ini.length, q.u_r.length
     L = T_ini + T_r
     p_bar = concat(Trajectory(1, q.p_ini.samples), Trajectory(T_ini + 1, q.p_r.samples))
@@ -533,20 +549,19 @@ def _dense_oracle(rec, q, tol=1e-7, margin_tol=1e-7, rtol=1e-9):
                         np.zeros(len(system.py))])
     g = np.linalg.pinv(A, rcond=rtol) @ b
     residual = float(np.linalg.norm(A @ g - b))
-    _, s, Vt = np.linalg.svd(M)
+    U, s, Vt = np.linalg.svd(M)
     rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
     # sigma_r of the known rows: they pin the r coordinates only at rank r
     s_known = np.linalg.svd(A @ Vt[:rank].T, compute_uv=False)
-    margin = float(s_known[rank - 1]) if 0 < rank <= s_known.size else 0.0
-    pe = check_pe(rec.u, rec.p, L)
-    if margin <= margin_tol or not pe.verdict:
-        verdict = "ambiguous"
-    elif residual > tol:
-        verdict = "infeasible"
-    else:
-        verdict = "ok"
+    sigma_r = float(s_known[rank - 1]) if 0 < rank <= s_known.size else 0.0
+    # the margin: the left complement of the stack on its unknown rows, and s_r of H
+    top = len(system.u) + len(system.pu) + ini
+    s_H = np.linalg.svd(hankel(kron_extend(rec.w, rec.p), L), compute_uv=False)
+    margin = _kernel_bound(U[:, rank:], slice(top, top + rec.n_y * T_r),
+                           s_H[rank - 1] if rank else 0.0, p_bar.samples)
+    verdict = _verdict(margin, residual, check_pe(rec.u, rec.p, L).verdict, tol, margin_tol)
     y_r = (system.y[ini:] @ g).reshape(T_r, rec.n_y)
-    return y_r, residual, margin, verdict, float(np.linalg.norm(M, 2))
+    return y_r, residual, margin, verdict, float(np.linalg.norm(M, 2)), sigma_r
 
 
 def _dense_membership_residual(rec, w, p, rtol=1e-9):
@@ -560,20 +575,23 @@ def _dense_membership_residual(rec, w, p, rtol=1e-9):
 
 def _cut_fit(rec, w, p, unknown, cut):
     """Distance of ``col(w, 0)``, less its ``unknown`` samples, to the span of the known
-    rows ``A`` of ``M(p) U_r S_r``, the span ``H``'s own cut keeps, and ``sigma_r(A)``: the
-    projection off the QR of ``A``, or with a ``cut`` the fit on a ``pinv`` at ``RANK_CUT``."""
+    rows ``A`` of ``K = M(p) U_r S_r``, the span ``H``'s own cut keeps, ``sigma_r(A)`` and
+    the margin on that span: the projection off the QR of ``A``, or with a ``cut`` the fit
+    on a ``pinv`` at ``RANK_CUT``."""
     lifted = rec.lifted(len(w))
     K = lifted.consistent(p, rank := lifted.hankel.rank)
     b, known = np.zeros(K.shape[:3]), np.ones(K.shape[:3], dtype=bool)
     b[:, 0], known[:, 0] = w, ~unknown
     A, b = K[known], b[known]
     s = np.linalg.svd(A, compute_uv=False)
-    margin = float(s[rank - 1]) if 0 < rank <= s.size else 0.0
+    sigma_r = float(s[rank - 1]) if 0 < rank <= s.size else 0.0
+    complement = np.linalg.svd(K.reshape(-1, rank))[0][:, rank:]
+    margin = _kernel_bound(complement, ~known.ravel(), lifted.s[rank - 1] if rank else 0.0, p)
     if cut:
         z = np.linalg.pinv(A, rcond=analysis.RANK_CUT) @ b
-        return float(np.linalg.norm(A @ z - b)), margin
+        return float(np.linalg.norm(A @ z - b)), sigma_r, margin
     Q = np.linalg.qr(A)[0]
-    return float(np.linalg.norm(b - Q @ (Q.T @ b))), margin
+    return float(np.linalg.norm(b - Q @ (Q.T @ b))), sigma_r, margin
 
 
 _LTI = LpvIoModel(
@@ -620,7 +638,8 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
             q = dataclasses.replace(q, p_ini=Trajectory(1, 10 * q.p_ini.samples),
                                     p_r=Trajectory(q.p_r.t_start, 10 * q.p_r.samples))
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    y_r, residual, margin, verdict, scale = _dense_oracle(rec, q)
+    y_r, residual, margin, verdict, scale, sigma_r = _dense_oracle(rec, q)
+    pe = check_pe(rec.u, rec.p, L).verdict
     # noise of 1e-8 puts the record's noise directions at the cut, where the dense stack's
     # pinv (rcond 1e-9) and RANK_CUT on H keep different spans: residuals then differ by
     # about 1e-8 and margins by up to 2e-8, so both are checked against a dense fit on the
@@ -632,22 +651,19 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
     unknown = np.zeros(w.shape, dtype=bool)
     unknown[T_ini:, rec.n_u:] = True
     p = np.concatenate([q.p_ini.samples, q.p_r.samples])
-    # the certificate is sound: sigma_min(Q_Y^T F) s_r / (1 + max_k |p(k)|) bounds the margin
-    lifted, rank = rec.lifted(L), res.diagnostics["hankel"].rank
-    if rank:
-        sigma = lifted.complete(p, rank, w, unknown)[1]
-        bound = sigma * lifted.s[rank - 1] / (1 + np.linalg.norm(p, axis=1).max())
-        assert bound <= res.output_uniqueness_margin * (1 + 1e-12)
     if near_cut:
         # the known rows pin the outputs unless ambiguous, which cuts them as the fit does
-        residual, margin = _cut_fit(rec, w, p, unknown, cut=verdict == "ambiguous")
+        residual, sigma_r, margin = _cut_fit(rec, w, p, unknown, cut=verdict == "ambiguous")
     assert abs(res.residual - residual) <= 1e-9 * (1 + residual)
     assert abs(res.output_uniqueness_margin - margin) <= 1e-12 * (1 + scale)
+    # the margin is sound: it never exceeds sigma_r of the known rows
+    assert res.output_uniqueness_margin <= sigma_r + 1e-12 * (1 + scale)
     if verdict == "ok":
         assert np.max(np.abs(res.y_r.samples - y_r)) <= 1e-9 * (1 + np.max(np.abs(y_r)))
     if kind.startswith("noise") and res.diagnostics["hankel"].rank == 6 * L:
-        # no left kernel (d = 0): predict ran today's known-row fit, and y_r is its own
-        K, z = res._known[:2]
+        # no left kernel (d = 0): the margin is 0, and y_r is the known-row fit's own
+        assert res.output_uniqueness_margin == 0.0 and res.verdict == "ambiguous"
+        K, z, _ = res._from[2]
         assert np.array_equal(res.y_r.samples, K[T_ini:, 0, 1:] @ z)
     if kind == "zero":
         assert res.diagnostics["hankel"].rank == 0
@@ -655,14 +671,14 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         assert res.residual == pytest.approx(
             np.linalg.norm(np.concatenate([q.u_ini.samples, q.u_r.samples, q.y_ini.samples]))
         )
-    # the verdict skips the known-row fit only where that bound exceeds twice margin_tol:
-    # at margin_tol = sigma_r (1 +- 1e-3) it cannot, so those queries read the margin
+    # one verdict rule: at margin_tol = margin (1 +- 1e-3) the verdict flips where the
+    # oracle's does, and the margin does not move
     sigma, tols = res.output_uniqueness_margin, [0.0]
     if sigma > 1e-9 * (1 + scale):  # resolved beyond the margins' 1e-12 (1 + scale) gap
         tols += [sigma * (1 - 1e-3), sigma * (1 + 1e-3)]
     for margin_tol in tols:
         at_tol = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r, margin_tol=margin_tol)
-        assert at_tol.verdict == _dense_oracle(rec, q, margin_tol=margin_tol)[3], margin_tol
+        assert at_tol.verdict == _verdict(margin, residual, pe, margin_tol=margin_tol)
         assert at_tol.output_uniqueness_margin == sigma
 
     # the true window (a member once the record saturates) and a non-member: any residual
@@ -678,9 +694,9 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
         assert abs(member.residual - dense) <= 1e-9 * (1 + dense)
 
 
-def test_predict_on_a_factored_record_makes_no_r_by_r_svd_until_the_margin_is_read(monkeypatch):
-    # the verdict reads the singular values of the kernel fit's m x m triangle; the margin,
-    # sigma_r of the known rows' r x r triangle, is one values-only SVD on its first read
+def test_certified_predict_and_its_margin_make_no_r_by_r_svd(monkeypatch):
+    # the verdict and the margin read the singular values of the kernel fit's m x m
+    # triangle; reading the margin makes no SVD
     rec, q = _record(400), _query(seed=3)
     rec.lifted(q.u_ini.length + q.u_r.length).pe  # factor the record and its input rows
     svd, calls = np.linalg.svd, []
@@ -693,11 +709,7 @@ def test_predict_on_a_factored_record_makes_no_r_by_r_svd_until_the_margin_is_re
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
     m = rec.n_y * q.u_r.length
     assert res.verdict == "ok" and calls == [((m, m), {"compute_uv": False})]
-    r = res.diagnostics["hankel"].rank
-    margin = res.output_uniqueness_margin
-    assert calls[1:] == [((r, r), {"compute_uv": False})]
-    assert res.output_uniqueness_margin == margin and len(calls) == 2
-    assert margin > 2 * lpvdd.analysis.TOL
+    assert res.output_uniqueness_margin > lpvdd.analysis.TOL and len(calls) == 1
 
 
 def test_membership_with_an_empty_left_kernel_is_exact():
@@ -884,8 +896,8 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
     # the m = n_y T_r future outputs are the unknowns of a window read against the
     # complement of M(p) U_r S_r: one QR of [Y F b] (R x (d + m + 1), d = n_y L - n_x
     # whatever n_p) and the fit on its top d rows, one d x (m + 1) QR, the values-only SVD
-    # of its m x m triangle and one solve; nothing with r columns.  The known-row fit runs
-    # on the first read of the margin or of g, once
+    # of its m x m triangle and one solve; nothing with r columns.  The margin is read off
+    # that triangle, and the known-row fit runs on the first read of g, once
     model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
     L, m = 7, 4
     rec, q = generate_record(model, 4 * 2 * (1 + n_p) * L + L, 1), generate_query(model, 3, m, 2)
@@ -903,15 +915,17 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
     assert calls == {"svd": [(((m, m),), {"compute_uv": False})],
                      "qr": [(((R, d + m + 1),), {"mode": "raw"}), (((d, m + 1),), qr)],
                      "solve": [(((m, m), (m,)), {})]}
-    assert "_known" not in vars(res)
-    # the first read runs the known-row fit: the QR of [A b], the values-only SVD of its
-    # r x r triangle and one solve against a vector; g and a second read reuse it
-    calls = _linalg_calls(monkeypatch, lambda: res.output_uniqueness_margin, names)
+    assert res._from[2] == ()  # no known-row fit
+    shapes = _factor_shapes(monkeypatch, lambda: res.output_uniqueness_margin, names)
+    assert shapes == {"svd": [], "qr": [], "solve": []}
+    # the first read of g runs the known-row fit: the QR of [A b], the values-only SVD of
+    # its r x r triangle and one solve against a vector; a second read reuses g
+    calls = _linalg_calls(monkeypatch, lambda: res.g, names)
     assert calls == {"svd": [(((r, r),), {"compute_uv": False})],
                      "qr": [(((R - m, r + 1),), qr)], "solve": [(((r, r), (r,)), {})]}
-    shapes = _factor_shapes(monkeypatch, lambda: (res.g, res.output_uniqueness_margin), names)
+    shapes = _factor_shapes(monkeypatch, lambda: res.g, names)
     assert shapes == {"svd": [], "qr": [], "solve": []}
-    assert res.output_uniqueness_margin > 2 * lpvdd.analysis.TOL
+    assert res.output_uniqueness_margin > lpvdd.analysis.TOL
 
 
 def _ledger(monkeypatch, fn):
@@ -936,7 +950,7 @@ def _query_ledgers(monkeypatch, model, T, T_ini=3, T_r=7):
                _ledger(monkeypatch, lambda: results.append(
                    span_membership(rec, w, concat(q.p_ini, q.p_r)))))
     certified, membership = results
-    assert certified.verdict == "ok" and "_known" not in vars(certified)
+    assert certified.verdict == "ok" and certified._from[2] == ()
     assert membership.member
     return ledgers
 
@@ -969,6 +983,25 @@ def test_certified_query_ledger_moves_with_n_p_only_in_the_kernel_qr_rows(monkey
         for ledger, same in zip(_query_ledgers(monkeypatch, model, 4000), want):
             rows, rest = rows_out(ledger)
             assert rows == 2 * (1 + n_p) * 10 and rest == same, n_p
+
+
+def test_reading_the_margin_makes_no_linalg_call(monkeypatch):
+    # the margin is a field of the result: a certified query, an ambiguous one (T_ini = 1,
+    # below the lag) and a query on a noisy record of full row rank (d = 0, margin 0) read
+    # it with no np.linalg call; an ambiguous query's g reuses the fit predict ran
+    rec = _record(400)
+    noise = 1e-8 * np.random.default_rng(0).normal(size=(rec.T, 1))
+    noisy = DataRecord(rec.u, rec.p, Trajectory(1, rec.y.samples + noise))
+    assert noisy.lifted(10).hankel.rank == 60
+    for data, q, verdict in ((rec, _query(seed=3), "ok"),
+                             (rec, _query(seed=3, T_ini=1), "ambiguous"),
+                             (noisy, _query(seed=3), "ambiguous")):
+        res = predict(data, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        assert res.verdict == verdict
+        assert _ledger(monkeypatch, lambda: res.output_uniqueness_margin) == {}
+        assert (res.output_uniqueness_margin > 0) == (data is rec and verdict == "ok")
+        if verdict == "ambiguous":
+            assert _ledger(monkeypatch, lambda: res.g) == {}
 
 
 @pytest.mark.parametrize("T", [70, 400])
@@ -1091,12 +1124,15 @@ def test_predict_rejects_non_finite_queries(name, value):
         predict(rec, **{**args, name: _poisoned(args[name], value)})
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, "1", None, [1e-7], True])
 @pytest.mark.parametrize("name", ["tol", "margin_tol"])
 def test_predict_rejects_a_tolerance_outside_zero_to_inf(name, value):
-    # a NaN tol read an infeasible query "ok", a NaN margin_tol skipped the margin test
+    # a NaN tol read an infeasible query "ok", a NaN margin_tol skipped the margin test; a
+    # string, None or a list raised a bare TypeError, and tol=True ran as 1.0
     rec, q = _record(100), _query(seed=3)
-    with pytest.raises(InvalidShape, match=f"^{name} must be in \\[0, inf\\), got {value}$"):
+    message = (f"must be in \\[0, inf\\), got {value}" if isinstance(value, float)
+               else re.escape(f"must be a real number, got {value!r}"))
+    with pytest.raises(InvalidShape, match=f"^{name} {message}$"):
         predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r, **{name: value})
 
 
@@ -1252,15 +1288,22 @@ def test_blocked_triangle_matches_the_direct_qr(monkeypatch, kind):
 
 
 def test_g_is_formed_on_first_read():
-    rec, q = _record(400), _query(seed=3)
-    result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    assert "g" not in vars(result)
-    L = q.u_ini.length + q.u_r.length
-    lifted, z = rec.lifted(L), result._known[1]  # the known-row fit, run on this read
-    c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
-    eager = np.einsum("nk,k->n", signals._windows(rec.lifted_samples, L), c)
-    assert np.array_equal(result.g, eager)
-    assert result.to_dict()["g"] == result.g.tolist()
+    # g = V_r z, z the known-row fit's solution: run on this read for a certified query,
+    # and the fit predict ran for an ambiguous one (T_ini = 1 is below the lag)
+    rec = _record(400)
+    for q, verdict in ((_query(seed=3), "ok"), (_query(seed=3, T_ini=1), "ambiguous")):
+        result = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+        assert result.verdict == verdict and "g" not in vars(result)
+        L = q.u_ini.length + q.u_r.length
+        fit_from, fitted = result._from[1:]
+        lifted, z = rec.lifted(L), prediction._known_fit(*fit_from)[1]
+        assert (verdict == "ambiguous") == (len(fitted) == 3)
+        if fitted:
+            assert np.array_equal(fitted[1], z)
+        c = lifted.U[:, :z.size] @ (z / lifted.s[:z.size])
+        eager = np.einsum("nk,k->n", signals._windows(rec.lifted_samples, L), c)
+        assert np.array_equal(result.g, eager)
+        assert result.to_dict()["g"] == result.g.tolist()
 
 
 def test_next_query_allocates_less_than_g():

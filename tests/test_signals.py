@@ -46,6 +46,13 @@ def test_trajectory_needs_a_step():
         Trajectory(1, np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("samples", [["a"], [[1, 2], [3]], [1j], [{"a": 1}]])
+def test_trajectory_rejects_samples_that_are_not_one_real_array(samples):
+    # a bare ValueError or TypeError from numpy, naming no signal rule
+    with pytest.raises(InvalidShape, match=r"^samples must be a \(T, dim\) array of reals: "):
+        Trajectory(1, samples)
+
+
 def test_concat_basic_and_errors():
     w1 = Trajectory(1, [1.0, 2.0])
     w2 = Trajectory(3, [3.0])
