@@ -23,7 +23,9 @@ is put at unit norm before the cut.  That keeps the rank and stops the decay of
 the products in stable models of order >= 24 from reading as rank loss (Paige,
 IEEE TAC 1981).  A product that cancels to below the cut, relative to its
 factors, is set to zero instead: its remainder is rounding, and scaled up it
-would read as rank.
+would read as rank.  The evaluated ``C``, ``A`` and ``B`` are first scaled, each by
+a power of two, to a largest entry below 1: that is exact, and no norm over- or
+underflows, so the report is the same at every scale of the coefficients.
 
 Persistence of excitation is checked for the shifted-affine dependency
 class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
@@ -351,6 +353,9 @@ def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
     B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
     A_r = A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
     A = np.concatenate([A_o, A_r])  # observability trials, then reachability trials
+    # each stack by the power of two at its largest entry: exact, and _unit's squares of
+    # its entries then neither over- nor underflow
+    C, A, B = (np.ldexp(X, -np.frexp(np.abs(X).max(initial=0.0))[1]) for X in (C, A, B))
     blocks, prod = ([C[:, 0]], [B[:, 0]]), np.eye(n)
     for j in range(n - 1):
         prod = _unit(A[:, j] @ prod, A[:, j])

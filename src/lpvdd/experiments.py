@@ -24,14 +24,14 @@ from .simulation import simulate_io, simulate_ss
 __all__ = ["Query", "generate_record", "generate_query"]
 
 
-def _uniform_traj(rng, box_per_dim, T: int, t_start: int = 1) -> Trajectory:
+def _uniform_traj(rng, box_per_dim, T: int) -> Trajectory:
     # row-major draws so that a longer horizon extends a shorter one sample
     # for sample under the same seed
     dim = len(box_per_dim)
     base = rng.random((T, dim))
     lo = np.array([b[0] for b in box_per_dim], dtype=float)
     hi = np.array([b[1] for b in box_per_dim], dtype=float)
-    return Trajectory(t_start, lo + (hi - lo) * base)
+    return Trajectory(1, lo + (hi - lo) * base)
 
 
 def _boxes(box, dim: int, name: str):

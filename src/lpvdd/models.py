@@ -192,30 +192,17 @@ class KernelRep:
     def n_w(self) -> int:
         return self.coeffs[0].cols
 
-    @property
-    def n_r(self) -> int:
-        return self.coeffs[0].rows
-
-    def admissible_range(self, w: Trajectory, p: Trajectory) -> tuple[int, int]:
-        """Times ``k`` at which the residual is fully defined on the data."""
-        k_lo = w.t_start
-        k_hi = w.t_end - self.order
-        for s, r in enumerate(self.coeffs):
-            win = r.window
-            if win is None:
-                continue
-            k_lo = max(k_lo, p.t_start - win[0])
-            k_hi = min(k_hi, p.t_end - win[1])
-        return (k_lo, k_hi)
-
     def residual(self, w: Trajectory, p: Trajectory) -> np.ndarray:
-        """Residual ``(R(q) . p) w`` at every admissible time, stacked rowwise;
-        :class:`DimensionMismatch` naming ``w`` unless it has ``n_w`` channels."""
+        """Residual ``(R(q) . p) w`` at every time ``k`` where it is defined on the data,
+        stacked rowwise; :class:`DimensionMismatch` naming ``w`` unless it has ``n_w``
+        channels."""
         _check_windows(("w", w, self.n_w, None))
-        k_lo, k_hi = self.admissible_range(w, p)
+        wins = [r.window for r in self.coeffs if r.window is not None]
+        k_lo = max([w.t_start] + [p.t_start - win[0] for win in wins])
+        k_hi = min([w.t_end - self.order] + [p.t_end - win[1] for win in wins])
         if k_hi < k_lo:
             raise WindowOutOfRange("no admissible evaluation times for kernel residual")
-        out = np.zeros((k_hi - k_lo + 1, self.n_r))
+        out = np.zeros((k_hi - k_lo + 1, self.coeffs[0].rows))
         for s, r in enumerate(self.coeffs):
             out += np.einsum("kij,kj->ki", r.eval_range(p, k_lo, k_hi),
                              w.restrict(k_lo + s, k_hi + s).samples)
@@ -336,31 +323,21 @@ def _matrix_from_lists(data, n_p: int, name: str) -> CoeffMatrix:
         raise InvalidModel(f"{name}{e}") from None
 
 
+# The dimensions each model form declares beside n_p: model_to_dict writes them, and
+# model_from_dict checks each one a file gives against the model it reads.
+_DIMS = {"ss": ("n_x", "n_u", "n_y"), "io": ("n_u", "n_y", "n_a", "n_b")}
+
+
 def model_to_dict(model) -> dict:
     if isinstance(model, LpvSsModel):
-        return {
-            "kind": "ss",
-            "n_x": model.n_x,
-            "n_u": model.n_u,
-            "n_y": model.n_y,
-            "n_p": model.n_p,
-            "A": _matrix_to_lists(model.A),
-            "B": _matrix_to_lists(model.B),
-            "C": _matrix_to_lists(model.C),
-            "D": _matrix_to_lists(model.D),
-        }
-    if isinstance(model, LpvIoModel):
-        return {
-            "kind": "io",
-            "n_u": model.n_u,
-            "n_y": model.n_y,
-            "n_p": model.n_p,
-            "n_a": model.n_a,
-            "n_b": model.n_b,
-            "a_coeffs": [_matrix_to_lists(m) for m in model.a_coeffs],
-            "b_coeffs": [_matrix_to_lists(m) for m in model.b_coeffs],
-        }
-    raise InvalidModel(f"cannot serialize {type(model).__name__}")
+        kind, fields = "ss", {name: _matrix_to_lists(getattr(model, name)) for name in "ABCD"}
+    elif isinstance(model, LpvIoModel):
+        kind, fields = "io", {key: [_matrix_to_lists(m) for m in getattr(model, key)]
+                              for key in ("a_coeffs", "b_coeffs")}
+    else:
+        raise InvalidModel(f"cannot serialize {type(model).__name__}")
+    dims = {key: getattr(model, key) for key in ("n_p",) + _DIMS[kind]}
+    return {"kind": kind, **dims, **fields}
 
 
 def model_from_dict(data: dict):
@@ -369,20 +346,15 @@ def model_from_dict(data: dict):
     if n_p < 0:
         raise InvalidModel(f"n_p must be >= 0, got {n_p}")
     if kind == "ss":
-        model = LpvSsModel(
-            **{name: _matrix_from_lists(data[name], n_p, name) for name in "ABCD"}
-        )
-        dims = ("n_x", "n_u", "n_y")
+        model = LpvSsModel(**{name: _matrix_from_lists(data[name], n_p, name)
+                              for name in "ABCD"})
     elif kind == "io":
-        model = LpvIoModel(
-            **{key: tuple(_matrix_from_lists(m, n_p, f"{key}[{i}]")
-                          for i, m in enumerate(data[key]))
-               for key in ("a_coeffs", "b_coeffs")}
-        )
-        dims = ("n_u", "n_y", "n_a", "n_b")
+        model = LpvIoModel(**{key: tuple(_matrix_from_lists(m, n_p, f"{key}[{i}]")
+                                         for i, m in enumerate(data[key]))
+                              for key in ("a_coeffs", "b_coeffs")})
     else:
         raise InvalidModel(f"unknown model kind {kind!r}")
-    for key in dims:  # optional, but a declared dimension must be the model's
+    for key in _DIMS[kind]:  # optional, but a declared dimension must be the model's
         if key in data and _json_number(data[key], key, InvalidModel,
                                         integer=True) != getattr(model, key):
             raise InvalidModel(f"{key} is declared {data[key]}, "

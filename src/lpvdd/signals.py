@@ -79,8 +79,13 @@ class Trajectory:
     samples: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.samples, dtype=float)
+        try:  # numpy would parse text as numbers, and drop the imaginary part of complex
+            arr = np.asarray(self.samples)
+            if arr.dtype.kind not in "biufO":
+                raise TypeError(f"got dtype {arr.dtype}")
+            if arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+                raise TypeError("got text")
+            arr = np.asarray(arr, dtype=float)
         except (TypeError, ValueError) as err:  # not numbers, or rows of unequal length
             raise InvalidShape(f"samples must be a (T, dim) array of reals: {err}") from None
         if arr.ndim == 1:
@@ -184,10 +189,11 @@ def hankel(w: Trajectory, t1: int) -> np.ndarray:
 def _windows(X: np.ndarray, t1: int) -> np.ndarray:
     """``hankel(w, t1).T`` of the samples ``X`` of ``w``, as a read-only view of ``X``:
     row ``j`` is the window ``X[j : j + t1]``, flattened.  :class:`InvalidShape` unless
-    ``t1`` is an integer in ``[1, len(X)]``: the one upper bound of a depth."""
+    ``t1`` is an integer in ``[1, len(X)]``: the one upper bound of a depth.  ``X`` is
+    C-contiguous, as a trajectory's samples are; the column step is ``X.itemsize``, since
+    one channel may carry stride 0, as ``Trajectory(t, 1-D)`` has."""
     if (t1 := _check_int("order L", t1)) > len(X):
         raise InvalidShape(f"data length {len(X)} shorter than order L={t1}")
-    X = np.ascontiguousarray(X)  # one channel may have stride 0, as Trajectory(t, 1-D) has
     return np.lib.stride_tricks.as_strided(
         X, (len(X) - t1 + 1, t1 * X.shape[1]), (X.strides[0], X.itemsize), writeable=False)
 
@@ -412,8 +418,7 @@ class DataRecord:
                 samples = np.asarray(d["samples"], dtype=object)
                 for v in samples.flat:
                     _json_number(v, "samples", InvalidShape)
-                t_start = _json_number(d["t_start"], "t_start", InvalidShape, integer=True)
-                return Trajectory(t_start, samples)
+                return Trajectory(d["t_start"], samples)
             except InvalidShape as exc:
                 raise InvalidShape(f"{name}: {exc}") from None
 

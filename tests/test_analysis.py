@@ -568,6 +568,28 @@ def test_minimality_report_equals_the_per_map_recursion(n_x, n_u, n_y, n_p, form
     assert minimality_report(m, seed) == _per_map_report(m, seed)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n_x=st.integers(1, 5), n_u=st.integers(1, 2), n_y=st.integers(1, 2),
+       n_p=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+       k=st.tuples(*[st.integers(-1000, 1000)] * 3))
+@example(n_x=3, n_u=1, n_y=1, n_p=1, seed=0, k=(0, 600, 600))
+@example(n_x=3, n_u=1, n_y=1, n_p=1, seed=0, k=(0, -600, -600))
+def test_minimality_report_reads_the_same_at_every_coefficient_scale(n_x, n_u, n_y, n_p,
+                                                                     seed, k):
+    # A, B and C scaled by 2^k: the same ranks.  Squared inside _unit, entries of B and C
+    # at 2^600 overflowed and at 2^-600 underflowed, and each trial read rank loss
+    def scaled(M, e):
+        return M._with({mono: np.ldexp(C, e) for mono, C in M.terms.items()})
+
+    m = random_affine_ss(np.random.default_rng(seed), n_x, n_u, n_y, n_p)
+    want = minimality_report(m, seed)
+    got = minimality_report(LpvSsModel(*(scaled(M, e) for M, e in zip((m.A, m.B, m.C), k)),
+                                       m.D), seed)
+    assert (got.observable.passes, got.reachable.passes) == (want.observable.passes,
+                                                             want.reachable.passes)
+    assert got.minimal == want.minimal
+
+
 def test_minimality_report_takes_one_svd_per_map(monkeypatch):
     m = random_affine_ss(np.random.default_rng(21), n_x=5, n_u=2, n_y=2, n_p=2)
     calls = []

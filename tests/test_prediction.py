@@ -39,6 +39,7 @@ from lpvdd import (
     kron_extend,
     kron_signal,
     left_nullspace,
+    minimality_report,
     predict,
     random_affine_ss,
     sched_block_diag,
@@ -291,6 +292,29 @@ def test_left_nullspace_dimension_at_saturation():
         ns = left_nullspace(rec, L)
         assert ns.hankel.rank == 5 * L + 2
         assert ns.dimension == (1 + 2) * (1 + 1) * L - (5 * L + 2) == L - 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_y=st.integers(1, 2), n_a=st.integers(1, 3), b_less=st.integers(0, 2),
+       n_u=st.integers(1, 2), n_p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_the_lemma_holds_on_random_io_models(n_y, n_a, b_less, n_u, n_p, seed):
+    # the lifted Hankel of a shifted-affine IO record spans the m_lift L free lifted inputs
+    # and the n_a n_y initial outputs from depth n_a on, so its left kernel has n_y (L - n_a)
+    # directions, and a query with T_ini = n_a is predicted exactly; the record has 20
+    # windows more than the rank at the deepest L = n_a + 3
+    rng = np.random.default_rng(seed)
+    model = random_io(rng, n_y, n_a, max(1, n_a - b_less), n_u, n_p)
+    m_lift, T_r = (1 + n_p) * n_u + n_p * n_y, 3
+    rec = generate_record(model, (m_lift + 1) * (n_a + T_r) + n_a * n_y + 19, seed)
+    for L in range(n_a, n_a + T_r + 1):
+        assert rec.lifted(L).hankel.rank == m_lift * L + n_a * n_y, L
+        assert left_nullspace(rec, L).dimension == n_y * (L - n_a), L
+    q = generate_query(model, n_a, T_r, seed + 1)
+    res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
+    assert res.verdict == "ok"
+    error = np.linalg.norm(res.y_r.samples - q.y_r_truth.samples)
+    assert error <= 1e-10 * np.linalg.norm(q.y_r_truth.samples)
+    assert minimality_report(model.realization, seed).minimal
 
 
 def test_left_nullspace_rows_annihilate_fresh_trajectories():
@@ -983,6 +1007,29 @@ def test_certified_query_ledger_moves_with_n_p_only_in_the_kernel_qr_rows(monkey
         for ledger, same in zip(_query_ledgers(monkeypatch, model, 4000), want):
             rows, rest = rows_out(ledger)
             assert rows == 2 * (1 + n_p) * 10 and rest == same, n_p
+
+
+@pytest.mark.parametrize("T,want", [
+    (70, {"svd": [(((60, 61),), {"full_matrices": False}),
+                  (((30, 61),), {"compute_uv": False})]}),
+    *((T, {"qr": [(((T - 9, 60),), {"mode": "r"})],
+           "svd": [(((60, 60),), {"full_matrices": False}),
+                   (((30, 60),), {"compute_uv": False})]}) for T in (500, 2000, 4000)),
+    (20000, {"qr": [*[(((4096, 60),), {"mode": "r"})] * 4, (((3607, 60),), {"mode": "r"}),
+                    (((300, 60),), {"mode": "r"})],
+             "svd": [(((60, 60),), {"full_matrices": False}),
+                     (((30, 60),), {"compute_uv": False})]}),
+])
+def test_factor_ledger_of_a_fresh_record(monkeypatch, T, want):
+    # the built-in model at L = 10 (R = 60 rows, N = T - 9 windows): below 4 R windows the
+    # Hankel matrix itself takes the SVD; from there one QR of the windows, or of blocks of
+    # BLOCK windows and then of their stacked triangles, leaves a 60 x 60 triangle for the
+    # SVD, and the excitation record reads the singular values of its 30 input rows
+    rec = generate_record(example_verhoek(), T, 1)
+    ledger = _ledger(monkeypatch, lambda: rec.lifted(10).pe)
+    assert ledger == want
+    assert max(shape[0] for calls in ledger.values() for (shape,), _ in calls) <= \
+        analysis.BLOCK
 
 
 def test_reading_the_margin_makes_no_linalg_call(monkeypatch):

@@ -46,11 +46,23 @@ def test_trajectory_needs_a_step():
         Trajectory(1, np.zeros((0, 1)))
 
 
-@pytest.mark.parametrize("samples", [["a"], [[1, 2], [3]], [1j], [{"a": 1}]])
+@pytest.mark.parametrize("samples", [
+    ["a"], [[1, 2], [3]], [1j], [{"a": 1}], np.array([1j]),
+    ["1.5", " 2 "], [b"3"], [1.0, "2"], np.array(["1.5"]),
+    np.array([1.0, "2"], dtype=object), np.array([[1.0], [b"3"]], dtype=object)])
 def test_trajectory_rejects_samples_that_are_not_one_real_array(samples):
-    # a bare ValueError or TypeError from numpy, naming no signal rule
+    # a bare ValueError or TypeError from numpy, naming no signal rule; numpy parses text
+    # as a number and drops the imaginary part of a complex array
     with pytest.raises(InvalidShape, match=r"^samples must be a \(T, dim\) array of reals: "):
         Trajectory(1, samples)
+
+
+def test_trajectory_reads_numbers_of_every_real_dtype_and_of_object_arrays():
+    want = np.array([[1.0], [2.0], [3.0]])
+    for samples in ([1, 2, 3], [1.0, 2, 3.0], np.arange(1, 4), np.arange(1, 4, dtype=np.uint8),
+                    np.array([1, 2, 3], dtype=np.float32), np.array([1, 2.0, 3], dtype=object)):
+        assert np.array_equal(Trajectory(1, samples).samples, want)
+    assert np.array_equal(Trajectory(1, [True, False]).samples, [[1.0], [0.0]])
 
 
 def test_concat_basic_and_errors():

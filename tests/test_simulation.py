@@ -682,8 +682,8 @@ _DIVERGING_MAPS = {
 
 @pytest.mark.parametrize("name", _DIVERGING_MAPS)
 def test_window_maps_fail_once_on_a_diverging_model(name):
-    # a numpy warning is an error here: each map fails once, naming itself, as the
-    # simulators do
+    # a numpy warning is an error here: each map fails once, naming itself (a simulator
+    # fails once too, at its output Trajectory, naming the first non-finite step)
     one = CoeffMatrix.constant([[1.0]], 1)
     model = LpvSsModel(A=CoeffMatrix.affine([[3.0]], ([[0.5]],)), B=one, C=one,
                        D=CoeffMatrix.zeros(1, 1, 1))
