@@ -313,8 +313,9 @@ def structural_rank(M: CoeffMatrix, required: int, seed: int = 0) -> StructuralR
 
     Evaluates ``M`` at ``k = 0`` for ``TRIALS`` scheduling windows drawn
     i.i.d. uniform on ``[-1, 1]`` (per component, per needed offset).  The
-    verdict requires the numeric rank to reach ``required`` on every trial.
+    verdict requires the numeric rank to reach ``required`` (>= 0) on every trial.
     """
+    required = _check_int("required", required, 0)
     P, i = _draw(M.window or (0, 0), M.n_p, seed)
     return _report(M._eval_rows(P, i, 1)[:, 0], required)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
-from .signals import Trajectory, _check_int
+from .signals import Trajectory, _check_int, _check_real, _check_reals
 
 __all__ = [
     "PolyCoeff",
@@ -65,40 +65,45 @@ class PolyCoeff:
     ``terms`` is a sorted tuple of ``(coefficient, monomial)`` pairs with no
     zero coefficients and no duplicate monomials; the zero polynomial has no
     terms.  ``n_p`` is the scheduling dimension the polynomial lives over.
+    :class:`InvalidShape` names a coefficient that is not a real and an ``n_p``, component,
+    offset or power that is not an integer; :class:`DimensionMismatch` one out of range.
     """
 
     n_p: int
     terms: tuple[tuple[float, Monomial], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_p", n_p := _check_int("n_p", self.n_p, 0))
         acc: dict[Monomial, float] = {}
         for coeff, mono in self.terms:
-            key = _mono_mul(mono, ())  # sorts and merges repeated variables
-            for comp, off, pw in key:
-                if comp < 1 or comp > self.n_p:
-                    raise DimensionMismatch(f"component {comp} outside [1, {self.n_p}]")
+            mono = tuple((_check_int("comp", comp, None), _check_int("offset", off, None),
+                          _check_int("power", pw, None)) for comp, off, pw in mono)
+            for comp, _, pw in mono:
+                if comp < 1 or comp > n_p:
+                    raise DimensionMismatch(f"component {comp} outside [1, {n_p}]")
                 if pw < 1:
                     raise DimensionMismatch(f"power must be >= 1, got {pw}")
-            acc[key] = acc.get(key, 0.0) + float(coeff)
+            key = _mono_mul(mono, ())  # sorts and merges repeated variables
+            acc[key] = acc.get(key, 0.0) + _check_real("coeff", coeff)
         object.__setattr__(self, "terms", _normalize(acc))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, value: float, n_p: int) -> "PolyCoeff":
-        return cls(n_p, ((float(value), ()),))
+        return cls(n_p, ((value, ()),))
 
     @classmethod
     def var(cls, component: int, n_p: int, offset: int = 0) -> "PolyCoeff":
         """The coordinate function ``p_component(k + offset)``."""
-        return cls.monomial(1.0, [(component, _check_int("offset", offset, None), 1)], n_p)
+        return cls.monomial(1.0, [(component, offset, 1)], n_p)
 
     @classmethod
     def monomial(cls, coeff: float, variables, n_p: int) -> "PolyCoeff":
         """Single term ``coeff * prod(variables)`` of ``(component, offset, power)``
         triples; repeats multiply.
         """
-        return cls(n_p, ((float(coeff), tuple(map(tuple, variables))),))
+        return cls(n_p, ((coeff, variables),))
 
     # -- structure -----------------------------------------------------------
 
@@ -145,15 +150,15 @@ class PolyCoeff:
         return PolyCoeff(self.n_p, tuple((c, tuple((j, off + d, pw) for j, off, pw in mono))
                                          for c, mono in self.terms))
 
-    def _check_np(self, other: "PolyCoeff") -> None:
+    def _operand(self, other) -> "PolyCoeff":
+        """``other`` over this ``n_p``: a scalar is its constant polynomial."""
+        other = other if isinstance(other, PolyCoeff) else self.constant(other, self.n_p)
         if self.n_p != other.n_p:
             raise DimensionMismatch(f"n_p differs: {self.n_p} vs {other.n_p}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = PolyCoeff.constant(other, self.n_p)
-        self._check_np(other)
-        return PolyCoeff(self.n_p, self.terms + other.terms)
+        return PolyCoeff(self.n_p, self.terms + self._operand(other).terms)
 
     __radd__ = __add__
 
@@ -161,14 +166,10 @@ class PolyCoeff:
         return PolyCoeff(self.n_p, tuple((-c, m) for c, m in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = PolyCoeff.constant(other, self.n_p)
-        return self + (-other)
+        return self + -self._operand(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return PolyCoeff(self.n_p, tuple((c * float(other), m) for c, m in self.terms))
-        self._check_np(other)
+        other = self._operand(other)
         acc: dict[Monomial, float] = {}
         for c1, m1 in self.terms:
             for c2, m2 in other.terms:
@@ -217,10 +218,10 @@ class CoeffMatrix:
 
     def _hold(self, terms, rows: int, cols: int, n_p: int) -> None:
         """Keep ``terms`` in monomial order as rows of one private, read-only stack,
-        without -0.0 and without all-zero arrays; :class:`InvalidModel` names a
-        non-finite entry."""
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch("CoeffMatrix must have at least one entry")
+        without -0.0 and without all-zero arrays; :class:`InvalidShape` names a bad size
+        or ``n_p``, :class:`InvalidModel` a non-finite entry."""
+        rows, cols = _check_int("rows", rows), _check_int("cols", cols)
+        n_p = _check_int("n_p", n_p, 0)
         monos = sorted(terms)
         stack = np.array([terms[mono] for mono in monos], dtype=float).reshape(-1, rows, cols)
         stack += 0.0
@@ -245,7 +246,7 @@ class CoeffMatrix:
 
     @classmethod
     def constant(cls, values, n_p: int) -> "CoeffMatrix":
-        arr = np.atleast_2d(np.asarray(values, dtype=float))
+        arr = np.atleast_2d(_check_reals("values", values))
         return cls._of({(): arr}, arr.shape[0], arr.shape[1], n_p)
 
     @classmethod
@@ -254,7 +255,7 @@ class CoeffMatrix:
 
     @classmethod
     def identity(cls, n: int, n_p: int) -> "CoeffMatrix":
-        return cls.constant(np.eye(n), n_p)
+        return cls.constant(np.eye(_check_int("n", n)), n_p)
 
     @classmethod
     def affine(cls, const, linear=(), offset: int = 0) -> "CoeffMatrix":
@@ -263,8 +264,8 @@ class CoeffMatrix:
         ``linear`` is a sequence of arrays, one per scheduling component;
         its length fixes ``n_p``.
         """
-        c0 = np.atleast_2d(np.asarray(const, dtype=float))
-        lin = [np.atleast_2d(np.asarray(m, dtype=float)) for m in linear]
+        c0 = np.atleast_2d(_check_reals("const", const))
+        lin = [np.atleast_2d(_check_reals("linear", m)) for m in linear]
         for m in lin:
             if m.shape != c0.shape:
                 raise DimensionMismatch(f"linear part shape {m.shape} differs from "

@@ -11,14 +11,13 @@ initial condition, queries from a random one.  A record is a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidShape
 from .models import LpvIoModel, LpvSsModel
 from .rng import stream
-from .signals import DataRecord, Trajectory, _check_int
+from .signals import DataRecord, Trajectory, _check_int, _check_real
 from .simulation import simulate_io, simulate_ss
 
 __all__ = ["Query", "generate_record", "generate_query"]
@@ -27,28 +26,24 @@ __all__ = ["Query", "generate_record", "generate_query"]
 def _uniform_traj(rng, box_per_dim, T: int) -> Trajectory:
     # row-major draws so that a longer horizon extends a shorter one sample
     # for sample under the same seed
-    dim = len(box_per_dim)
-    base = rng.random((T, dim))
-    lo = np.array([b[0] for b in box_per_dim], dtype=float)
-    hi = np.array([b[1] for b in box_per_dim], dtype=float)
-    return Trajectory(1, lo + (hi - lo) * base)
+    lo, hi = np.array(box_per_dim, dtype=float).reshape(-1, 2).T
+    return Trajectory(1, lo + (hi - lo) * rng.random((T, len(lo))))
 
 
 def _boxes(box, dim: int, name: str):
     """``dim`` ``(lo, hi)`` pairs from one ``[lo, hi]`` box or one box per channel
     (``None``: ``[-1, 1]``); :class:`InvalidShape` naming ``name`` for a box that is
-    not two finite numbers with ``lo <= hi``."""
+    not two finite reals with ``lo <= hi``."""
     if box is None:
         return [(-1.0, 1.0)] * dim
     box = list(box)
-    if box and np.isscalar(box[0]):
+    if box and not isinstance(box[0], (list, tuple, np.ndarray)):
         box = [box] * dim
     if len(box) != dim:
         raise DimensionMismatch(f"{name}: need {dim} boxes, got {len(box)}")
     for b in box:
         if not (isinstance(b, (list, tuple, np.ndarray)) and len(b) == 2
-                and all(isinstance(v, Real) and not isinstance(v, bool) for v in b)
-                and -np.inf < b[0] <= b[1] < np.inf):
+                and -np.inf < _check_real(name, b[0]) <= _check_real(name, b[1]) < np.inf):
             raise InvalidShape(f"{name}: bad box {b!r}, expected [lo, hi] with lo <= hi")
     return [tuple(b) for b in box]
 

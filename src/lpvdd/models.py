@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import CoeffMatrix, PolyCoeff
-from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
-from .signals import (Trajectory, _check_int, _check_windows, _json_number, _json_text, _read,
-                      _write)
+from .errors import DimensionMismatch, InvalidModel, InvalidShape, WindowOutOfRange
+from .signals import Trajectory, _check_int, _check_windows, _json_text, _read, _write
 
 __all__ = [
     "LpvSsModel",
@@ -298,15 +297,11 @@ def _poly_to_entry(c: PolyCoeff) -> list:
 
 
 def _entry_to_poly(entry, n_p: int, where: str) -> PolyCoeff:
-    terms = []
-    for term in entry:
-        mono = tuple(tuple(_json_number(v[k], f"{where}: {k}", InvalidModel, integer=True)
-                           for k in ("comp", "offset", "power"))
-                     for v in term.get("vars", []))
-        terms.append((_json_number(term["coeff"], f"{where}: coeff", InvalidModel), mono))
+    terms = tuple((term["coeff"], tuple((v["comp"], v["offset"], v["power"])
+                                        for v in term.get("vars", []))) for term in entry)
     try:
-        return PolyCoeff(n_p, tuple(terms))
-    except DimensionMismatch as e:  # a component or power out of range
+        return PolyCoeff(n_p, terms)
+    except (DimensionMismatch, InvalidShape) as e:  # a bad number, or one out of range
         raise InvalidModel(f"{where}: {e}") from None
 
 
@@ -342,23 +337,24 @@ def model_to_dict(model) -> dict:
 
 def model_from_dict(data: dict):
     kind = data.get("kind")
-    n_p = _json_number(data["n_p"], "n_p", InvalidModel, integer=True)
-    if n_p < 0:
-        raise InvalidModel(f"n_p must be >= 0, got {n_p}")
+    if kind not in ("ss", "io"):
+        raise InvalidModel(f"unknown model kind {kind!r}")
+    try:  # n_p, and each dimension the file declares (optional, but it must be the model's)
+        n_p = _check_int("n_p", data["n_p"], 0)
+        declared = {key: _check_int(key, data[key], None) for key in _DIMS[kind]
+                    if key in data}
+    except InvalidShape as e:
+        raise InvalidModel(str(e)) from None
     if kind == "ss":
         model = LpvSsModel(**{name: _matrix_from_lists(data[name], n_p, name)
                               for name in "ABCD"})
-    elif kind == "io":
+    else:
         model = LpvIoModel(**{key: tuple(_matrix_from_lists(m, n_p, f"{key}[{i}]")
                                          for i, m in enumerate(data[key]))
                               for key in ("a_coeffs", "b_coeffs")})
-    else:
-        raise InvalidModel(f"unknown model kind {kind!r}")
-    for key in _DIMS[kind]:  # optional, but a declared dimension must be the model's
-        if key in data and _json_number(data[key], key, InvalidModel,
-                                        integer=True) != getattr(model, key):
-            raise InvalidModel(f"{key} is declared {data[key]}, "
-                               f"but the model has {getattr(model, key)}")
+    for key, value in declared.items():
+        if value != (has := getattr(model, key)):
+            raise InvalidModel(f"{key} is declared {value}, but the model has {has}")
     return model
 
 

@@ -46,7 +46,6 @@ margin is at most ``margin_tol``; only then does :func:`predict` run the minimum
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -58,6 +57,8 @@ from .errors import InvalidShape
 from .signals import (
     DataRecord,
     Trajectory,
+    _check_int,
+    _check_real,
     _check_windows,
     _windows,
     hankel,
@@ -183,11 +184,7 @@ def predict(
     ``margin_tol`` are real numbers in ``[0, inf)``, else :class:`InvalidShape` names them.
     """
     for name, value in (("tol", tol), ("margin_tol", margin_tol)):
-        # a float first: the ABC check alone costs about 1% of a certified query
-        if type(value) is not float and (isinstance(value, bool)
-                                         or not isinstance(value, numbers.Real)):
-            raise InvalidShape(f"{name} must be a real number, got {value!r}")
-        if not 0 <= value < np.inf:  # NaN fails too
+        if not 0 <= _check_real(name, value) < np.inf:  # NaN fails too
             raise InvalidShape(f"{name} must be in [0, inf), got {value}")
     T_ini, T_r, t, n_u = u_ini.length, u_r.length, u_ini.t_end, data.n_u
     L, ini, r = T_ini + T_r, u_ini.interval, (t + 1, t + T_r)
@@ -286,9 +283,11 @@ class LeftNullspace:
         return len(self.basis)
 
     def annihilator(self, i: int) -> KernelRep:
-        """Basis row ``i`` as a polynomial-in-shift kernel row over ``w``."""
+        """Basis row ``i``, an integer in ``[0, dimension)``, as a kernel row over ``w``."""
         from .coeffs import CoeffMatrix
         from .models import KernelRep
+        if (i := _check_int("i", i, 0)) >= self.dimension:
+            raise InvalidShape(f"i must be < {self.dimension}, got {i}")
         blocks = self.basis[i].reshape(self.L, 1 + self.n_p, 1, self.n_w)
         return KernelRep(
             tuple(CoeffMatrix.affine(b[0], b[1:], offset=s) for s, b in enumerate(blocks))

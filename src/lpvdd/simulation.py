@@ -42,7 +42,7 @@ from .errors import (
     WindowOutOfRange,
 )
 from .models import LpvIoModel, LpvSsModel
-from .signals import Trajectory, _check_int, _check_windows, _finite, vec
+from .signals import Trajectory, _check_int, _check_reals, _check_windows, _finite, vec
 
 if TYPE_CHECKING:
     from .analysis import RankRecord
@@ -73,8 +73,8 @@ class SimResult:
 def _initial(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """The initial condition ``value`` as a float array of ``shape``:
     :class:`DimensionMismatch` naming it unless it has that many entries,
-    :class:`InvalidShape` naming it unless they are finite."""
-    value = np.asarray(value, dtype=float)
+    :class:`InvalidShape` naming it unless they are finite reals."""
+    value = _check_reals(name, value)
     if value.size != math.prod(shape):
         raise DimensionMismatch(f"{name} has {value.size} entries, expected {shape}")
     if not np.isfinite(value).all():

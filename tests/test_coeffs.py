@@ -1,5 +1,7 @@
 """Coefficient calculus: evaluation, shifts, ring laws, canonical form."""
 
+import operator
+
 import numpy as np
 import pytest
 from conftest import rand_coeff_matrix, rand_poly, rand_traj, traj_covering
@@ -10,6 +12,7 @@ from lpvdd import (
     CoeffMatrix,
     DimensionMismatch,
     InvalidModel,
+    InvalidShape,
     PolyCoeff,
     Trajectory,
     WindowOutOfRange,
@@ -229,6 +232,45 @@ def test_poly_minus_a_number_subtracts_a_constant():
     c = PolyCoeff.var(1, n_p=1)
     assert c - 2 == c + PolyCoeff.constant(-2.0, 1)
     assert (c - 2.5).eval(Trajectory(1, [[4.0]]), 1) == 1.5
+
+
+def _bits(c: PolyCoeff) -> list:
+    return [(coeff.hex(), mono) for coeff, mono in c.terms]
+
+
+def test_poly_arithmetic_with_a_scalar_is_with_its_constant():
+    # a numpy scalar runs as the equal float, where it failed bare on .n_p; an int or a
+    # float gives the bits that scaling each term gave
+    c = PolyCoeff(2, ((0.1, ((1, 0, 1),)), (-3.0, ()), (1e-300, ((2, -1, 2),))))
+    for s in (2, 2.5, 0.3, 1e-300, -0.0, 0):
+        scaled = PolyCoeff(2, tuple((x * float(s), m) for x, m in c.terms))
+        assert _bits(c * s) == _bits(s * c) == _bits(scaled), s
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _bits(op(c, s)) == _bits(op(c, PolyCoeff.constant(s, 2))), (op, s)
+    assert _bits(c * np.float32(2)) == _bits(c * 2.0)
+    assert _bits(c + np.int64(1)) == _bits(c + 1)
+    with pytest.raises(InvalidShape, match="^coeff must be a real number, got True$"):
+        c + True
+
+
+def test_poly_repr_names_each_term():
+    assert repr(PolyCoeff.constant(2.5, 1)) == "PolyCoeff<2.5; n_p=1>"
+    assert repr(PolyCoeff.var(2, 2, offset=-1)) == "PolyCoeff<1.0*p2[k-1]; n_p=2>"
+    assert (repr(PolyCoeff.monomial(3.0, [(1, 0, 2)], 1) - 1)
+            == "PolyCoeff<-1.0 + 3.0*p1[k+0]^2; n_p=1>")
+    assert repr(PolyCoeff(1)) == "PolyCoeff<0; n_p=1>"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CoeffMatrix.zeros(0, 2, 1), "rows must be >= 1, got 0"),
+    (lambda: CoeffMatrix.constant(np.zeros((0, 2)), 1), "rows must be >= 1, got 0"),
+    (lambda: CoeffMatrix.constant(np.zeros((2, 0)), 1), "cols must be >= 1, got 0"),
+    (lambda: CoeffMatrix.identity(0, 1), "n must be >= 1, got 0"),
+    (lambda: CoeffMatrix.zeros(1, 1, -1), "n_p must be >= 0, got -1"),
+])
+def test_coefficient_matrices_of_no_entry_are_refused(make, message):
+    with pytest.raises(InvalidShape, match=f"^{message}$"):
+        make()
 
 
 # -- compiled evaluation -------------------------------------------------------

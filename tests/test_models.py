@@ -105,8 +105,8 @@ def test_model_from_dict_checks_declared_dims(kind, key):
     assert model_from_dict({k: v for k, v in data.items() if k != key}) == model  # optional
     with pytest.raises(InvalidModel, match=f"^{key} is declared 7"):
         model_from_dict({**data, key: 7})
-    with pytest.raises(InvalidModel, match=f"^{key} must be a JSON integer"):
-        model_from_dict({**data, key: float(data[key])})
+    with pytest.raises(InvalidModel, match=f"^{key} must be an integer, got 7.0$"):
+        model_from_dict({**data, key: 7.0})
 
 
 def test_json_round_trip_io():
@@ -201,8 +201,9 @@ def test_save_load_file_round_trip(tmp_path):
 def test_model_from_dict_rejects_unknown_kind():
     from lpvdd import InvalidModel
 
-    with pytest.raises(InvalidModel):
-        model_from_dict({"kind": "lorenz", "n_p": 1})
+    for kind in ("lorenz", ["ss"], None):  # a list, which no dict key can be, too
+        with pytest.raises(InvalidModel, match=f"^unknown model kind {re.escape(repr(kind))}$"):
+            model_from_dict({"kind": kind, "n_p": 1})
 
 
 def test_model_from_dict_rejects_negative_scheduling_dim():
@@ -211,15 +212,17 @@ def test_model_from_dict_rejects_negative_scheduling_dim():
     data = model_to_dict(random_affine_ss(np.random.default_rng(0), 2, 1, 1, 1))
     with pytest.raises(InvalidModel, match="n_p must be >= 0, got -1"):
         model_from_dict({**data, "n_p": -1})
-    # JSON numbers only: each of these was truncated or cast
+    # integers and reals only: each of these was truncated or cast
     for key, value in [("n_p", 2.9), ("comp", 1.6), ("offset", "-1"), ("power", True),
                        ("coeff", True), ("coeff", "0.5")]:
         bad = json.loads(json.dumps(data))
         term = bad["A"][0][0][1]  # a p_1 term: its one var has comp, offset and power
         {"n_p": bad, "coeff": term}.get(key, term["vars"][0])[key] = value
         named = key if key == "n_p" else f"A[0][0]: {key}"
-        with pytest.raises(InvalidModel, match=re.escape(f"{named} must be a JSON")):
+        kind = "a real number" if key == "coeff" else "an integer"
+        with pytest.raises(InvalidModel) as exc:
             model_from_dict(bad)
+        assert str(exc.value) == f"{named} must be {kind}, got {value!r}"
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 import lpvdd
-from lpvdd import (CoeffMatrix, InvalidShape, PolyCoeff, Trajectory, build_predictor, check_pe,
-                   estimate_initial_state, example_verhoek, generate_query, generate_record,
-                   hankel, impulse_coeff, io_to_kernel, left_nullspace, minimality_report,
-                   model_from_dict, model_to_dict, obsv_eval, obsv_matrix, predict,
-                   random_affine_ss, reach_matrix, simulate_ss, toeplitz, toeplitz_eval,
-                   write_trajectory_csv)
+from lpvdd import (CoeffMatrix, DataRecord, InvalidModel, InvalidShape, PolyCoeff, Trajectory,
+                   build_predictor, check_pe, estimate_initial_state, example_verhoek,
+                   generate_query, generate_record, hankel, impulse_coeff, io_to_kernel,
+                   left_nullspace, minimality_report, model_from_dict, model_to_dict,
+                   obsv_eval, obsv_matrix, predict, propagate_state, random_affine_ss,
+                   reach_matrix, response_map, simulate_io, simulate_ss, structural_rank,
+                   toeplitz, toeplitz_eval, write_trajectory_csv)
 from lpvdd.rng import stream
 
 SRC = str(Path(lpvdd.__file__).resolve().parents[1])
@@ -378,36 +379,78 @@ def test_only_analysis_calls_linalg():
             assert _linalg_calls(tree) == [], path.name
 
 
-def _integer_checks(tree, exempt=frozenset()) -> list[int]:
-    """Lines of the ``isinstance`` calls of ``tree`` outside ``exempt`` that test for an
-    integer type: ``np.integer``, ``numpy.integer`` or ``numbers.Integral``."""
-    return [node.lineno for node in ast.walk(tree)
-            if node not in exempt and isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
-            and any(getattr(n, "attr", None) in ("integer", "Integral")
-                    or getattr(n, "id", None) == "Integral" for n in ast.walk(node.args[1]))]
+# The names and attributes that make a type test one for an integer or for a real.
+_NUMBER_TYPES = {"integer": ({"int", "Integral"}, {"integer", "Integral"}),
+                 "real": ({"float", "Real"}, {"floating", "Real"})}
 
 
-def test_only_the_one_check_tests_for_an_integer():
-    # signals._check_int decides every integer argument; a second check would drift from
-    # its wording, its exception class or its bool test
-    for code in ("isinstance(v, (int, np.integer))", "isinstance(v, numpy.integer)",
-                 "ok = not isinstance(n, (np.integer, int)) or n < 1",
-                 "isinstance(n, numbers.Integral)", "isinstance(n, Integral)"):
-        assert _integer_checks(ast.parse(code)) == [1], code
-    for code in ("isinstance(v, (int, float))", "isinstance(v, bool)",
-                 "isinstance(v, int if integer else float)",
-                 "np.issubdtype(a.dtype, np.integer)", "isinstance(v, types)"):
-        assert _integer_checks(ast.parse(code)) == [], code
+def _number_checks(tree, kind: str, exempt=frozenset()) -> list[int]:
+    """Lines of the type tests of ``tree`` outside ``exempt`` against a ``kind`` type of
+    ``_NUMBER_TYPES``: ``isinstance(v, T)`` or ``type(v) is T`` with ``T`` naming one."""
+    names, attrs = _NUMBER_TYPES[kind]
+    lines = []
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            types = node.args[1:]
+        elif isinstance(node, ast.Compare) and getattr(
+                getattr(node.left, "func", None), "id", None) == "type":
+            types = node.comparators
+        else:
+            continue
+        if any(getattr(n, "id", None) in names or getattr(n, "attr", None) in attrs
+               for t in types for n in ast.walk(t)):
+            lines.append(node.lineno)
+    return lines
+
+
+def _only_one_check(kind: str, name: str) -> ast.FunctionDef:
+    """``signals.<name>``, after asserting that it tests for a ``kind`` type and that no
+    other code in ``src/lpvdd`` does."""
     for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exempt = set()
         if path.name == "signals.py":
             (check,) = [node for node in tree.body
-                        if isinstance(node, ast.FunctionDef) and node.name == "_check_int"]
-            assert _integer_checks(check)
+                        if isinstance(node, ast.FunctionDef) and node.name == name]
+            assert _number_checks(check, kind)
             exempt = set(ast.walk(check))
-        assert _integer_checks(tree, exempt) == [], path.name
+        assert _number_checks(tree, kind, exempt) == [], path.name
+    return check
+
+
+def test_only_the_one_check_tests_for_an_integer():
+    # signals._check_int decides every integer argument; a second check would drift from
+    # its wording, its exception class or its bool test, as a JSON-only one did
+    for code in ("isinstance(v, (int, np.integer))", "isinstance(v, numpy.integer)",
+                 "ok = not isinstance(n, (np.integer, int)) or n < 1",
+                 "isinstance(n, numbers.Integral)", "isinstance(n, Integral)",
+                 "isinstance(v, int if integer else float)", "isinstance(v, (int, float))",
+                 "type(v) is not int"):
+        assert _number_checks(ast.parse(code), "integer") == [1], code
+    for code in ("isinstance(v, bool)", "isinstance(v, float)", "isinstance(v, types)",
+                 "np.issubdtype(a.dtype, np.integer)", "type(v) is Trajectory"):
+        assert _number_checks(ast.parse(code), "integer") == [], code
+    _only_one_check("integer", "_check_int")
+
+
+def test_only_the_one_check_tests_for_a_real():
+    # signals._check_real decides every real argument, and signals alone imports numbers
+    for code in ("isinstance(v, numbers.Real)", "isinstance(v, Real) and not b",
+                 "isinstance(v, (int, float))", "type(value) is not float",
+                 "isinstance(v, np.floating)"):
+        assert _number_checks(ast.parse(code), "real") == [1], code
+    for code in ("isinstance(v, bool)", "isinstance(b, (list, tuple, np.ndarray))",
+                 "isinstance(value, types)", "a.dtype.kind in 'iuf'", "isinstance(v, int)"):
+        assert _number_checks(ast.parse(code), "real") == [], code
+    check = _only_one_check("real", "_check_real")
+    assert "isinstance(value, numbers.Real)" in ast.unparse(check)
+    importers = [path.name for path in sorted(Path(lpvdd.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names]
+                 or isinstance(node, ast.ImportFrom) and node.module == "numbers"]
+    assert importers == ["signals.py"]
 
 
 # Every integer argument of the library: its name and a call that passes it the value v.
@@ -446,14 +489,28 @@ _INTEGER_ARGUMENTS = {
     "PolyCoeff.shift d": ("d", lambda c, v: c.coeff.entry(0, 0).shift(v)),
     "PolyCoeff.var offset": ("offset", lambda c, v: PolyCoeff.var(1, 1, v)),
     "PolyCoeff.eval k": ("k", lambda c, v: c.coeff.entry(0, 0).eval(c.p, v)),
+    "PolyCoeff n_p": ("n_p", lambda c, v: PolyCoeff.constant(1.0, v)),
+    "PolyCoeff comp": ("comp", lambda c, v: PolyCoeff.monomial(1.0, [(v, 0, 1)], 2)),
+    "PolyCoeff power": ("power", lambda c, v: PolyCoeff.monomial(1.0, [(1, 0, v)], 1)),
+    "CoeffMatrix.zeros rows": ("rows", lambda c, v: CoeffMatrix.zeros(v, 1, 1)),
+    "CoeffMatrix.zeros cols": ("cols", lambda c, v: CoeffMatrix.zeros(1, v, 1)),
+    "CoeffMatrix.zeros n_p": ("n_p", lambda c, v: CoeffMatrix.zeros(1, 1, v)),
+    "CoeffMatrix.constant n_p": ("n_p", lambda c, v: CoeffMatrix.constant([[1.0]], v)),
+    "CoeffMatrix.identity n": ("n", lambda c, v: CoeffMatrix.identity(v, 1)),
+    "CoeffMatrix.identity n_p": ("n_p", lambda c, v: CoeffMatrix.identity(1, v)),
+    "structural_rank required": ("required", lambda c, v: structural_rank(c.coeff, v)),
+    "annihilator i": ("i", lambda c, v: left_nullspace(c.rec, 4).annihilator(v)),
 }
 
 
 @pytest.fixture(scope="module")
 def arguments():
-    """What the calls of ``_INTEGER_ARGUMENTS`` read: a record, models and signals."""
+    """What the calls of ``_INTEGER_ARGUMENTS`` and ``_REAL_ARGUMENTS`` read: a record, a
+    query, models and signals."""
     model = example_verhoek()
+    q = generate_query(model, 3, 2, 1)
     return SimpleNamespace(model=model, rec=generate_record(model, 20, 0),
+                           query=(q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r),
                            ss=random_affine_ss(np.random.default_rng(0), 2),
                            w=Trajectory(1, np.arange(6.0)), p=Trajectory(-2, np.zeros(9)),
                            coeff=CoeffMatrix.affine([[1.0, 2.0]], [[[3.0, 4.0]]], -1),
@@ -471,6 +528,65 @@ def test_every_integer_argument_is_checked_as_one(call, arguments):
         assert str(exc.value) == f"{name} must be an integer, got {value!r}", value
     got, want = run(arguments, np.int64(2)), run(arguments, 2)
     assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def _with_coeff(data: dict, v) -> dict:
+    """A copy of the model file ``data`` with the coefficient of the first term of
+    ``A[0][0]`` set to ``v``."""
+    entry = [dict(term) for term in data["A"][0][0]]
+    entry[0]["coeff"] = v
+    return {**data, "A": [[entry, *data["A"][0][1:]], *data["A"][1:]]}
+
+
+def _with_sample(data: dict, v) -> dict:
+    """A copy of the record file ``data`` with the first sample of ``u`` set to ``v``."""
+    u = data["u"]
+    return {**data, "u": {**u, "samples": [[v], *u["samples"][1:]]}}
+
+
+# Every real argument of the library: its name and a call that passes it the value v.
+_REAL_ARGUMENTS = {
+    "Trajectory samples": ("samples", lambda c, v: Trajectory(1, [v, 0.0])),
+    "DataRecord.from_dict samples": (
+        "u: samples", lambda c, v: DataRecord.from_dict(_with_sample(c.rec.to_dict(), v))),
+    "simulate_ss x0": ("x0", lambda c, v: simulate_ss(c.ss, [v, 0.0], c.w, c.p)),
+    "simulate_io y_init": (
+        "y_init", lambda c, v: simulate_io(c.model, c.rec.u, c.rec.p, [[v], [0.0]])),
+    "response_map x_tilde": ("x_tilde", lambda c, v: response_map(c.ss, [v, 0.0], c.w, c.p)),
+    "propagate_state x1": ("x1", lambda c, v: propagate_state(c.ss, [v, 0.0], c.w, c.p)),
+    "CoeffMatrix.constant values": ("values", lambda c, v: CoeffMatrix.constant([[v, 1.0]], 1)),
+    "CoeffMatrix.affine const": ("const", lambda c, v: CoeffMatrix.affine([[v]], [[[1.0]]])),
+    "CoeffMatrix.affine linear": ("linear", lambda c, v: CoeffMatrix.affine([[1.0]], [[[v]]])),
+    "PolyCoeff.constant": ("coeff", lambda c, v: PolyCoeff.constant(v, 1)),
+    "PolyCoeff.monomial": ("coeff", lambda c, v: PolyCoeff.monomial(v, [(1, 0, 1)], 1)),
+    "PolyCoeff +": ("coeff", lambda c, v: c.coeff.entry(0, 0) + v),
+    "PolyCoeff -": ("coeff", lambda c, v: c.coeff.entry(0, 0) - v),
+    "PolyCoeff *": ("coeff", lambda c, v: c.coeff.entry(0, 0) * v),
+    "predict tol": ("tol", lambda c, v: predict(c.rec, *c.query, tol=v)),
+    "predict margin_tol": ("margin_tol", lambda c, v: predict(c.rec, *c.query, margin_tol=v)),
+    "generate_record input_box": (
+        "input_box", lambda c, v: generate_record(c.model, 5, 1, input_box=[v, 1.0])),
+    "generate_query scheduling_box": ("scheduling_box", lambda c, v: generate_query(
+        c.model, 2, 2, 1, scheduling_box=[[v, 1.0], [-1.0, 1.0]])),
+    "model_from_dict coeff": (
+        "A[0][0]: coeff", lambda c, v: model_from_dict(_with_coeff(model_to_dict(c.ss), v))),
+}
+
+
+@pytest.mark.parametrize("call", _REAL_ARGUMENTS)
+def test_every_real_argument_is_checked_as_one(call, arguments):
+    # text, a bool, None and a complex value are named, where numpy parsed the text, read
+    # the bool as 1.0 or failed bare; so is an int past the float range, where float()
+    # overflowed.  A numpy real runs as the equal float.
+    name, run = _REAL_ARGUMENTS[call]
+    error = InvalidModel if call.startswith("model_from_dict") else InvalidShape
+    for value in ("1.5", b"3", True, np.True_, None, 1 + 2j, 10**400):
+        with pytest.raises(error) as exc:
+            run(arguments, value)
+        assert str(exc.value) == f"{name} must be a real number, got {value!r}", value
+    for value, equal in ((np.float32(0.5), 0.5), (np.int64(1), 1.0)):
+        got, want = run(arguments, value), run(arguments, equal)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def _perfbench(name):

@@ -409,6 +409,20 @@ def test_annihilator_reconstruction_agrees_with_raw_functional():
     assert np.max(np.abs(res.ravel() - raw)) <= 1e-12
 
 
+def test_annihilator_names_a_row_outside_the_basis():
+    # 99 and 1.0 raised a bare IndexError and True a ValueError from reshape; -1 read the
+    # last row
+    ns = left_nullspace(_record(70), 5)
+    n = ns.dimension
+    for i, message in ((n, f"i must be < {n}, got {n}"), (-1, "i must be >= 0, got -1"),
+                       (1.0, "i must be an integer, got 1.0"),
+                       (True, "i must be an integer, got True")):
+        with pytest.raises(InvalidShape) as exc:
+            ns.annihilator(i)
+        assert str(exc.value) == message
+    assert ns.annihilator(np.int64(n - 1)) == ns.annihilator(n - 1)
+
+
 # -- data record interchange ---------------------------------------------------
 
 

@@ -46,23 +46,33 @@ def test_trajectory_needs_a_step():
         Trajectory(1, np.zeros((0, 1)))
 
 
-@pytest.mark.parametrize("samples", [
-    ["a"], [[1, 2], [3]], [1j], [{"a": 1}], np.array([1j]),
-    ["1.5", " 2 "], [b"3"], [1.0, "2"], np.array(["1.5"]),
-    np.array([1.0, "2"], dtype=object), np.array([[1.0], [b"3"]], dtype=object)])
+@pytest.mark.parametrize("samples", [  # each input, and its first entry that is not a real
+    (["a"], "a"), ([[1, 2], [3]], [1, 2]), ([1j], 1j), ([{"a": 1}], {"a": 1}),
+    (np.array([1j]), 1j), (["1.5", " 2 "], "1.5"), ([b"3"], b"3"), ([1.0, "2"], "2"),
+    (np.array(["1.5"]), "1.5"), (np.array([1.0, "2"], dtype=object), "2"),
+    (np.array([[1.0], [b"3"]], dtype=object), b"3"), ([2.0, None], None),
+    ([1.0, 10**400], 10**400), ([True], True), ([np.False_], np.False_),
+    (np.array([False]), False)])
 def test_trajectory_rejects_samples_that_are_not_one_real_array(samples):
-    # a bare ValueError or TypeError from numpy, naming no signal rule; numpy parses text
-    # as a number and drops the imaginary part of a complex array
-    with pytest.raises(InvalidShape, match=r"^samples must be a \(T, dim\) array of reals: "):
+    # a bare ValueError, TypeError or OverflowError from numpy, naming no signal rule; numpy
+    # parses text as a number, drops the imaginary part of a complex array and reads a
+    # bool as 1.0.  The first entry that is not a real is named.
+    samples, bad = samples
+    with pytest.raises(InvalidShape) as exc:
         Trajectory(1, samples)
+    assert str(exc.value) == f"samples must be a real number, got {bad!r}"
+    with pytest.raises(InvalidShape, match="^samples must be one array: "):
+        Trajectory(1, [np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 def test_trajectory_reads_numbers_of_every_real_dtype_and_of_object_arrays():
     want = np.array([[1.0], [2.0], [3.0]])
     for samples in ([1, 2, 3], [1.0, 2, 3.0], np.arange(1, 4), np.arange(1, 4, dtype=np.uint8),
-                    np.array([1, 2, 3], dtype=np.float32), np.array([1, 2.0, 3], dtype=object)):
+                    np.array([1, 2, 3], dtype=np.float32), np.array([1, 2.0, 3], dtype=object),
+                    [np.int64(1), np.float32(2), 3]):
         assert np.array_equal(Trajectory(1, samples).samples, want)
-    assert np.array_equal(Trajectory(1, [True, False]).samples, [[1.0], [0.0]])
+    with pytest.raises(InvalidShape, match="^samples must be a real number, got True$"):
+        Trajectory(1, [True, False])
 
 
 def test_concat_basic_and_errors():
