@@ -78,12 +78,12 @@ class PolyCoeff:
         for coeff, mono in self.terms:
             mono = tuple((_check_int("comp", comp, None), _check_int("offset", off, None),
                           _check_int("power", pw, None)) for comp, off, pw in mono)
-            for comp, _, pw in mono:
+            key = _mono_mul(mono, ())  # sorts and merges repeated variables
+            for comp, _, pw in key:
                 if comp < 1 or comp > n_p:
                     raise DimensionMismatch(f"component {comp} outside [1, {n_p}]")
                 if pw < 1:
                     raise DimensionMismatch(f"power must be >= 1, got {pw}")
-            key = _mono_mul(mono, ())  # sorts and merges repeated variables
             acc[key] = acc.get(key, 0.0) + _check_real("coeff", coeff)
         object.__setattr__(self, "terms", _normalize(acc))
 

@@ -34,9 +34,7 @@ def _boxes(box, dim: int, name: str):
     """``dim`` ``(lo, hi)`` pairs from one ``[lo, hi]`` box or one box per channel
     (``None``: ``[-1, 1]``); :class:`InvalidShape` naming ``name`` for a box that is
     not two finite reals with ``lo <= hi``."""
-    if box is None:
-        return [(-1.0, 1.0)] * dim
-    box = list(box)
+    box = [(-1.0, 1.0)] * dim if box is None else list(box)
     if box and not isinstance(box[0], (list, tuple, np.ndarray)):
         box = [box] * dim
     if len(box) != dim:

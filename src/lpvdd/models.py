@@ -341,8 +341,7 @@ def model_from_dict(data: dict):
         raise InvalidModel(f"unknown model kind {kind!r}")
     try:  # n_p, and each dimension the file declares (optional, but it must be the model's)
         n_p = _check_int("n_p", data["n_p"], 0)
-        declared = {key: _check_int(key, data[key], None) for key in _DIMS[kind]
-                    if key in data}
+        declared = {k: _check_int(k, data[k], None) for k in _DIMS[kind] if k in data}
     except InvalidShape as e:
         raise InvalidModel(str(e)) from None
     if kind == "ss":

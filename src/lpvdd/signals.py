@@ -86,10 +86,13 @@ def _check_reals(name: str, values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return np.asarray(values, dtype=float)
     try:
-        arr = np.asarray(values, dtype=object)
-    except ValueError as exc:  # nested arrays of unequal shapes
-        raise InvalidShape(f"{name} must be one array: {exc}") from None
-    return np.array([_check_real(name, v) for v in arr.flat], dtype=float).reshape(arr.shape)
+        arr = np.asarray(values, dtype=object)  # a ValueError: nested arrays of unequal shapes
+        return np.array([_check_real(name, v) for v in arr.flat], dtype=float).reshape(arr.shape)
+    except (ValueError, InvalidShape) as exc:  # InvalidShape: a bad number, or a ragged row
+        if isinstance(exc, InvalidShape) and not any(
+                isinstance(v, (list, tuple, np.ndarray)) for v in arr.flat):
+            raise
+        raise InvalidShape(f"{name} must be one array: rows of unequal length") from None
 
 
 @dataclass(frozen=True)

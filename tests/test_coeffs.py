@@ -39,6 +39,8 @@ def test_monomial_constructor_takes_triples():
     # repeated variables collapse into powers
     sq = PolyCoeff.monomial(1.0, [(1, 0, 1), (1, 0, 1)], n_p=1)
     assert sq == PolyCoeff.monomial(1.0, [(1, 0, 2)], n_p=1)
+    # the power range is read after the merge
+    assert PolyCoeff.monomial(1.0, [(1, 0, 2), (1, 0, -1)], n_p=1) == PolyCoeff.var(1, n_p=1)
     assert PolyCoeff.var(2, n_p=2, offset=-1) == PolyCoeff.monomial(1.0, [(2, -1, 1)], 2)
     with pytest.raises(DimensionMismatch, match=r"component 0 outside \[1, 1\]"):
         PolyCoeff.var(0, n_p=1)

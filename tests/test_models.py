@@ -105,8 +105,9 @@ def test_model_from_dict_checks_declared_dims(kind, key):
     assert model_from_dict({k: v for k, v in data.items() if k != key}) == model  # optional
     with pytest.raises(InvalidModel, match=f"^{key} is declared 7"):
         model_from_dict({**data, key: 7})
-    with pytest.raises(InvalidModel, match=f"^{key} must be an integer, got 7.0$"):
-        model_from_dict({**data, key: 7.0})
+    for v in (float(data[key]), 7.0):  # the model's own dimension as a float too
+        with pytest.raises(InvalidModel, match=f"^{key} must be an integer, got {v}$"):
+            model_from_dict({**data, key: v})
 
 
 def test_json_round_trip_io():
