@@ -99,31 +99,21 @@ class RankRecord:
         return self.rank >= self.required
 
 
-def _rank(s: np.ndarray, required: int) -> RankRecord:
-    """:class:`RankRecord` of the singular values ``s``, cut at the ``RANK_CUT`` of now."""
-    return RankRecord(_cut(s), required, tuple(s.tolist()), RANK_CUT)
+def _rank(s: np.ndarray, required: int, values: tuple = ()) -> RankRecord:
+    """:class:`RankRecord` of the singular values ``s`` (``values``, their tuple if made
+    already), cut at the ``RANK_CUT`` of now."""
+    return RankRecord(_cut(s), required, values or tuple(s.tolist()), RANK_CUT)
 
 
 def _lstsq(Ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Minimum-norm ``z`` minimising ``|A z - b|``, the singular values ``s`` of ``A`` and
-    the residual ``|A z - b|``, from the triangle of ``Ab = [A b] = Q [T c; 0 rho]``:
-    ``|A z - b|^2 = |T z - c|^2 + |rho|^2`` for every ``z`` (``rho`` is empty unless ``A``
-    is tall), summed by ``hypot``, which cannot overflow.  ``s`` are those of ``T``, and the
-    rank is cut on them (Golub and Van Loan, Matrix Computations, section 5.5): at full
-    column rank ``z`` is the LU solve of the square ``T``, below it the minimum-norm SVD
-    solve.  A wide ``T`` (fewer than ``n`` rows) is never of full column rank: its one
-    SVD, with vectors, gives ``s`` and the cut."""
-    n = Ab.shape[1] - 1
-    R = np.linalg.qr(Ab, mode="r")
-    T, c = R[:n, :n], R[:n, n]
-    if len(T) == n and 0 < (k := _cut(s := np.linalg.svd(T, compute_uv=False))) == n:
-        z = np.linalg.solve(T, c)
-    else:
-        U, s_T, Vt = np.linalg.svd(T, full_matrices=False)
-        if len(T) < n:
-            s, k = s_T, _cut(s_T)
-        z = Vt[:k].T @ ((U[:, :k].T @ c) / s_T[:k])
-    return z, s, math.hypot(*(T @ z - c), *R[n:, n])
+    """Minimum-norm ``z`` minimising ``|A z - b|`` for ``Ab = [A b]``, the singular values
+    ``s`` of ``A`` and the residual ``|A z - b|`` (summed by ``hypot``: no overflow), from
+    one thin SVD ``A = U S V^T`` at every shape and rank: ``z = V_k S_k^-1 U_k^T b``, ``k``
+    the rank cut on ``s`` (Golub and Van Loan, Matrix Computations, section 5.5)."""
+    A, b = Ab[:, :-1], Ab[:, -1]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    z = Vt[:(k := _cut(s))].T @ ((U[:, :k].T @ b) / s[:k])
+    return z, s, math.hypot(*(A @ z - b))
 
 
 # Windows per QR block of _triangle: every benchmark record fits one, the direct QR.
@@ -151,14 +141,15 @@ class Lifted:
     :func:`kron_extend`: window step, then ``w`` (0) or ``p_j (x) w`` (``1 + j``), then
     the channel of ``w``.  ``U`` (``R x R``) is its complete left basis (``U_r`` spans its
     image, ``U[:, r:]`` its left kernel, read by :meth:`complete`), ``s`` its singular
-    values.  ``inputs`` are its ``u``, ``p (x) u`` rows after :func:`_triangle`: they have
-    the singular values of the input Hankel matrix, and exactly-zero inputs stay exactly
-    zero in them, where those rows of ``U S`` would turn them into rounding.
+    values and ``values`` their tuple.  ``inputs`` are its ``u``, ``p (x) u`` rows after
+    :func:`_triangle`: they have the singular values of the input Hankel matrix, and
+    exactly-zero inputs stay exactly zero in them, where ``U S`` would make them rounding.
     """
 
     shape: tuple[int, int, int, int]
     U: np.ndarray
     s: np.ndarray
+    values: tuple[float, ...]
     inputs: np.ndarray
     _templates: dict = field(default_factory=dict, init=False, repr=False)  # kept by complete
 
@@ -166,17 +157,18 @@ class Lifted:
     def hankel(self) -> RankRecord:
         """:class:`RankRecord` of ``s`` against the ``R`` rows of ``H``, at the
         ``RANK_CUT`` of each read."""
-        return _rank(self.s, len(self.U))
+        return _rank(self.s, len(self.U), self.values)
 
     @cached_property
-    def _input_s(self) -> np.ndarray:
-        """Singular values of ``inputs``, computed on first read."""
-        return np.linalg.svd(self.inputs, compute_uv=False)
+    def _input_s(self) -> tuple[np.ndarray, tuple[float, ...]]:
+        """Singular values of ``inputs``, and their tuple, computed on first read."""
+        s = np.linalg.svd(self.inputs, compute_uv=False)
+        return s, tuple(s.tolist())
 
     @property
     def pe(self) -> RankRecord:
         """Excitation record of the input rows, at the ``RANK_CUT`` of each read."""
-        return _rank(self._input_s, len(self.inputs))
+        return _rank(self._input_s[0], len(self.inputs), self._input_s[1])
 
     def consistent(self, p: np.ndarray, rank: int) -> np.ndarray:
         """``M(p) U_r S_r`` in the row blocks of ``H``, for the ``(L, n_p)`` scheduling
@@ -194,15 +186,15 @@ class Lifted:
         ``Y = M(p)^-T U[:, rank:]`` (each ``w`` row plus ``p_j(k)`` times its ``p_j (x) w``
         row) spans its complement, and ``b + F x`` (``F``: a unit column per unknown row)
         lies at ``|Q_Y^T (b + F x)|``.  The QR ``[Y F -b] = Q R`` gives ``Q_Y^T [F -b]`` as
-        ``R[:d, d:]``, ``d = R - rank``, above the diagonal of the raw QR, where
-        :func:`_lstsq` fits ``x``: ``sigma`` is the ``sigma_min`` of its ``m x m`` triangle,
-        0 if ``m > d``, and a window known in full (``m = 0``) needs no fit.  By the CS
+        ``R[:d, d:]``, ``d = R - rank``, above the diagonal of the raw QR, where the SVD of
+        :func:`_lstsq` fits ``x``: ``sigma`` is the ``sigma_min`` of ``Q_Y^T F``, 0 if
+        ``m > d``, and a window known in full (``m = 0``) needs no fit.  By the CS
         decomposition it is also that of the known rows of an orthonormal basis of the span,
         so ``sigma s_rank / (1 + max_k |p(k)|)`` bounds ``sigma_rank`` of the known rows of
         :meth:`consistent` from below (:func:`~lpvdd.prediction.predict`'s margin).  All of
         ``[Y F -b]`` but ``-b`` and the ``w`` rows of ``Y`` is kept per rank and mask."""
         shape, d, m = self.shape[:3], len(self.U) - rank, int(np.count_nonzero(unknown))
-        if m > d:  # no m x m triangle
+        if m > d:  # Q_Y^T F is d x m, of rank below m
             return None, 0.0, math.inf
         if (Yb := self._templates.get(key := (rank, unknown.tobytes()))) is None:
             Yb = self._templates[key] = np.zeros(shape + (d + m + 1,))
@@ -228,7 +220,7 @@ def _lifted_factor(X: np.ndarray, L: int, n_p: int, n_u: int) -> Lifted:
     inputs = F.reshape(shape[:3] + (-1,))[:, :, :n_u].reshape(-1, F.shape[-1])
     for a in (U, s, inputs):
         a.setflags(write=False)
-    return Lifted(shape, U, s, inputs)
+    return Lifted(shape, U, s, tuple(s.tolist()), inputs)
 
 
 def obsv_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:

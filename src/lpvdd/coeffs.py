@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidModel, WindowOutOfRange
+from .errors import DimensionMismatch, InvalidModel, InvalidShape, WindowOutOfRange
 from .signals import Trajectory, _check_int, _check_real, _check_reals
 
 __all__ = [
@@ -192,6 +192,13 @@ class PolyCoeff:
         return f"PolyCoeff<{' + '.join(parts)}; n_p={self.n_p}>"
 
 
+def _matrix(name: str, values) -> np.ndarray:
+    """``values`` as a float matrix, else :class:`InvalidShape` naming ``name``."""
+    if (arr := np.atleast_2d(_check_reals(name, values))).ndim > 2:
+        raise InvalidShape(f"{name} must be a matrix, got shape {arr.shape}")
+    return arr
+
+
 class CoeffMatrix:
     """Matrix polynomial ``sum_m C_m * phi_m`` in shifted scheduling samples.
 
@@ -246,7 +253,7 @@ class CoeffMatrix:
 
     @classmethod
     def constant(cls, values, n_p: int) -> "CoeffMatrix":
-        arr = np.atleast_2d(_check_reals("values", values))
+        arr = _matrix("values", values)
         return cls._of({(): arr}, arr.shape[0], arr.shape[1], n_p)
 
     @classmethod
@@ -264,8 +271,8 @@ class CoeffMatrix:
         ``linear`` is a sequence of arrays, one per scheduling component;
         its length fixes ``n_p``.
         """
-        c0 = np.atleast_2d(_check_reals("const", const))
-        lin = [np.atleast_2d(_check_reals("linear", m)) for m in linear]
+        c0 = _matrix("const", const)
+        lin = [_matrix("linear", m) for m in linear]
         for m in lin:
             if m.shape != c0.shape:
                 raise DimensionMismatch(f"linear part shape {m.shape} differs from "

@@ -26,21 +26,21 @@ per record and depth (:meth:`DataRecord.lifted`, a :class:`~lpvdd.analysis.Lifte
 gives ``U``, ``S``, ``K`` and the rank records of ``H`` and of its input rows).  Only its
 left side is read, so a wide ``H`` is reduced to the ``R x R`` triangle of its QR first
 and no factor has an axis of length ``N``.  A query costs one QR of ``[Y F -b]``
-(``R x (d + m + 1)``, ``d = R - r``; all but the query's rows kept on the factor) and a
-``d x m`` fit on its raw block ``Q_Y^T [F -b]``, with no work that grows with ``N`` or
-``r``: ``g`` is formed the first time it is read, by one pass over a view of the record's
-lifted samples.
+(``R x (d + m + 1)``, ``d = R - r``; all but the query's rows kept on the factor) and one
+SVD of the ``d x m`` block ``Q_Y^T F`` of its raw factor, with no work that grows with
+``N`` or ``r``: ``g`` is formed the first time it is read, by one pass over a view of the
+record's lifted samples.
 
 Uniqueness of the recovered outputs is certified by a margin.  ``K`` has full column
 rank ``r``, so a column combination that changes no known row changes the future output
 rows; the future outputs are determined by the data exactly when the ``r``-th singular
 value of the known rows of ``K`` is positive.  It is at least
 ``sigma_min(K) sigma_min(Q_Y^T F) >= sigma s_r / (1 + max_k |p(k)|)``, ``F`` the unit
-columns of the unknown rows and ``sigma`` the least singular value of the ``m x m``
-triangle of the kernel's fit (:func:`~lpvdd.analysis._lstsq`); the margin is that last
-bound, 0 at rank 0 and where ``m > d``.  A query is ``ambiguous`` when the record fails the excitation check or the
-margin is at most ``margin_tol``; only then does :func:`predict` run the minimum-norm fit
-``z`` on the known rows of ``K``, which fills in the outputs the data do not pin.
+columns of the unknown rows and ``sigma`` the least singular value of ``Q_Y^T F`` (from
+the SVD of :func:`~lpvdd.analysis._lstsq`); the margin is that last bound, 0 at rank 0 and
+where ``m > d``.  A query is ``ambiguous`` when the record fails the excitation check or
+the margin is at most ``margin_tol``; only then does :func:`predict` run the minimum-norm
+fit ``z`` on the known rows of ``K``, which fills in the outputs the data do not pin.
 """
 
 from __future__ import annotations

@@ -75,15 +75,16 @@ def _check_real(name: str, value) -> float:
         return value
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         with suppress(OverflowError):  # an int or a fraction past the float range
-            return float(value)
+            if abs(f := float(value)) != np.inf or f == value:  # a longdouble past it: inf
+                return f
     raise InvalidShape(f"{name} must be a real number, got {value!r}")
 
 
 def _check_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array of :func:`_check_real` entries.  An int, uint or float
-    ndarray pays only a dtype test; anything else is read entry by entry, where numpy
-    would parse text, drop an imaginary part and read a bool as 1.0."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+    ndarray of at most 8-byte entries pays only a dtype test; anything else is read entry by
+    entry, where numpy would parse text, drop an imaginary part or read a bool as 1.0."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and values.itemsize <= 8:
         return np.asarray(values, dtype=float)
     try:
         arr = np.asarray(values, dtype=object)  # a ValueError: nested arrays of unequal shapes

@@ -437,21 +437,19 @@ def test_lstsq_matches_the_svd_min_norm_solve(rows, cols, rank, seed):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(**_SHAPES)
 def test_lstsq_solves_at_full_rank_and_cuts_below_it(rows, cols, rank, seed):
-    # the rank of a square T is cut on its values-only SVD: at full column rank
-    # (condition <= 10 here) z is one LU solve, below it the minimum-norm solve takes a
-    # second SVD with vectors; a wide T (fewer rows than columns) is never of full rank
-    # and takes the one SVD with vectors; at every scale, with the same rank, z and s
-    # scaled with the data
+    # one thin SVD of A, with vectors, decides every shape and rank: the rank is cut on
+    # its values and z is the minimum-norm solve on the kept ones, with no QR, no second
+    # SVD and no LU solve; at every scale, with the same rank, z and s scaled with the data
     A, b, r = _ranked(rows, cols, rank, seed)
     z_ref, s_ref, _ = analysis._lstsq(np.column_stack([A, b]))
-    full, wide = r == cols <= rows, rows < cols
     for k in (0, 600, -600):
         with (mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+              mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr,
               mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve):
             z, s, _ = analysis._lstsq(np.ldexp(np.column_stack([A, b]), k))
-        assert svd.call_count == 1 + (not (full or wide)) and solve.call_count == full, k
-        assert svd.call_args_list[0].kwargs == (
-            {"full_matrices": False} if wide else {"compute_uv": False})
+        assert svd.call_count == 1 and qr.call_count == solve.call_count == 0, k
+        assert svd.call_args.args[0].shape == (rows, cols)
+        assert svd.call_args.kwargs == {"full_matrices": False}
         assert analysis._cut(s) == r
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))

@@ -267,6 +267,11 @@ def test_poly_repr_names_each_term():
     (lambda: CoeffMatrix.zeros(0, 2, 1), "rows must be >= 1, got 0"),
     (lambda: CoeffMatrix.constant(np.zeros((0, 2)), 1), "rows must be >= 1, got 0"),
     (lambda: CoeffMatrix.constant(np.zeros((2, 0)), 1), "cols must be >= 1, got 0"),
+    (lambda: CoeffMatrix.constant(np.ones((2, 2, 3)), 1),
+     r"values must be a matrix, got shape \(2, 2, 3\)"),
+    (lambda: CoeffMatrix.affine(np.ones((1, 1, 2))), r"const must be a matrix, got shape \(1, 1, 2\)"),
+    (lambda: CoeffMatrix.affine(np.eye(2), [np.ones((2, 2, 1))]),
+     r"linear must be a matrix, got shape \(2, 2, 1\)"),
     (lambda: CoeffMatrix.identity(0, 1), "n must be >= 1, got 0"),
     (lambda: CoeffMatrix.zeros(1, 1, -1), "n_p must be >= 0, got -1"),
 ])

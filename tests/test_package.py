@@ -349,34 +349,37 @@ def test_each_rank_decision_is_cut_and_reported_in_analysis():
             assert _rank_outside_analysis(tree) == [], path.name
 
 
-def _linalg_calls(tree) -> list[int]:
-    """Lines of the nodes of ``tree`` that call a ``linalg`` function or import from
-    ``linalg``; naming one, as ``except np.linalg.LinAlgError`` does, is no call."""
-    lines = []
+def _linalg_calls(tree) -> list[tuple[int, str]]:
+    """``(line, name)`` of the nodes of ``tree`` that call the ``linalg`` function ``name``
+    or import ``name`` from ``linalg`` (or ``linalg`` itself); naming one, as
+    ``except np.linalg.LinAlgError`` does, is no call."""
+    calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
                 ast.unparse(node.func.value).split(".")[-1] == "linalg"):
-            lines.append(node.lineno)
+            calls.append((node.lineno, node.func.attr))
         if isinstance(node, ast.ImportFrom) and "linalg" in [
                 *(node.module or "").split("."), *(a.name for a in node.names)]:
-            lines.append(node.lineno)
-    return lines
+            calls += [(node.lineno, a.name) for a in node.names]
+    return calls
 
 
 def test_only_analysis_calls_linalg():
     # lpvdd.analysis holds the one least-squares/rank helper; every other module reaches
-    # LAPACK through it and names np.linalg only to catch its error
-    for code in ("np.linalg.solve(A, b)", "z = numpy.linalg.qr(A)[0]",
-                 "f(np.linalg.svd(A, compute_uv=False))", "from numpy.linalg import svd",
-                 "from numpy import linalg"):
-        assert _linalg_calls(ast.parse(code)), code
+    # LAPACK through it and names np.linalg only to catch its error.  analysis itself
+    # calls only the two factorizations qr and svd, so a solve, lstsq, pinv or eigh
+    # brought back fails here
+    for code, name in (("np.linalg.solve(A, b)", "solve"), ("z = numpy.linalg.qr(A)[0]", "qr"),
+                       ("f(np.linalg.svd(A, compute_uv=False))", "svd"),
+                       ("from numpy.linalg import pinv", "pinv"),
+                       ("from numpy import linalg", "linalg")):
+        assert _linalg_calls(ast.parse(code)) == [(1, name)], code
     for code in ("try:\n    f()\nexcept np.linalg.LinAlgError:\n    pass",
                  "solve(A, b)", "np.dot(A, b)", "from .analysis import _lstsq"):
         assert _linalg_calls(ast.parse(code)) == [], code
     for path in sorted(Path(lpvdd.__file__).parent.glob("*.py")):
-        if path.name != "analysis.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            assert _linalg_calls(tree) == [], path.name
+        names = {name for _, name in _linalg_calls(ast.parse(path.read_text(encoding="utf-8")))}
+        assert names == ({"qr", "svd"} if path.name == "analysis.py" else set()), path.name
 
 
 # The names and attributes that make a type test one for an integer or for a real.
@@ -576,11 +579,12 @@ _REAL_ARGUMENTS = {
 @pytest.mark.parametrize("call", _REAL_ARGUMENTS)
 def test_every_real_argument_is_checked_as_one(call, arguments):
     # text, a bool, None and a complex value are named, where numpy parsed the text, read
-    # the bool as 1.0 or failed bare; so is an int past the float range, where float()
-    # overflowed.  A numpy real runs as the equal float.
+    # the bool as 1.0 or failed bare; so are an int past the float range, where float()
+    # overflowed, and a longdouble past it, which float() read as inf.  A numpy real runs
+    # as the equal float.
     name, run = _REAL_ARGUMENTS[call]
     error = InvalidModel if call.startswith("model_from_dict") else InvalidShape
-    for value in ("1.5", b"3", True, np.True_, None, 1 + 2j, 10**400):
+    for value in ("1.5", b"3", True, np.True_, None, 1 + 2j, 10**400, np.longdouble("1e400")):
         with pytest.raises(error) as exc:
             run(arguments, value)
         assert str(exc.value) == f"{name} must be a real number, got {value!r}", value

@@ -733,10 +733,11 @@ def test_factor_matches_dense_stack(kind, seed, T_ini, T_r, extra):
 
 
 def test_certified_predict_and_its_margin_make_no_r_by_r_svd(monkeypatch):
-    # the verdict and the margin read the singular values of the kernel fit's m x m
-    # triangle; reading the margin makes no SVD
+    # the verdict and the margin read the singular values of the kernel fit's d x m
+    # block Q_Y^T F, from its one SVD, with vectors; reading the margin makes no SVD
     rec, q = _record(400), _query(seed=3)
-    rec.lifted(q.u_ini.length + q.u_r.length).pe  # factor the record and its input rows
+    lifted = rec.lifted(q.u_ini.length + q.u_r.length)
+    lifted.pe  # factor the record and its input rows
     svd, calls = np.linalg.svd, []
 
     def recording(a, *args, **kwargs):
@@ -745,8 +746,8 @@ def test_certified_predict_and_its_margin_make_no_r_by_r_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     res = predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)
-    m = rec.n_y * q.u_r.length
-    assert res.verdict == "ok" and calls == [((m, m), {"compute_uv": False})]
+    m, d = rec.n_y * q.u_r.length, len(lifted.U) - lifted.hankel.rank
+    assert res.verdict == "ok" and calls == [((d, m), {"full_matrices": False})]
     assert res.output_uniqueness_margin > lpvdd.analysis.TOL and len(calls) == 1
 
 
@@ -933,9 +934,9 @@ def test_membership_on_a_factored_record_makes_one_small_qr(monkeypatch, n_p):
 def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkeypatch, n_p):
     # the m = n_y T_r future outputs are the unknowns of a window read against the
     # complement of M(p) U_r S_r: one QR of [Y F b] (R x (d + m + 1), d = n_y L - n_x
-    # whatever n_p) and the fit on its top d rows, one d x (m + 1) QR, the values-only SVD
-    # of its m x m triangle and one solve; nothing with r columns.  The margin is read off
-    # that triangle, and the known-row fit runs on the first read of g, once
+    # whatever n_p) and the fit on its top d rows, one SVD, with vectors, of its d x m
+    # block Q_Y^T F; no second QR, no solve, nothing with r columns.  The margin is read
+    # off that SVD, and the known-row fit runs on the first read of g, once
     model = random_io(np.random.default_rng(n_p), n_y=1, n_a=2, n_b=2, n_u=1, n_p=n_p)
     L, m = 7, 4
     rec, q = generate_record(model, 4 * 2 * (1 + n_p) * L + L, 1), generate_query(model, 3, m, 2)
@@ -949,18 +950,16 @@ def test_certified_predict_on_a_factored_record_solves_on_the_left_kernel(monkey
         predict(rec, q.u_ini, q.p_ini, q.y_ini, q.u_r, q.p_r)), names)
     res = results[0]
     assert res.verdict == "ok"
-    qr = {"mode": "r"}
-    assert calls == {"svd": [(((m, m),), {"compute_uv": False})],
-                     "qr": [(((R, d + m + 1),), {"mode": "raw"}), (((d, m + 1),), qr)],
-                     "solve": [(((m, m), (m,)), {})]}
+    thin = {"full_matrices": False}
+    assert calls == {"svd": [(((d, m),), thin)], "qr": [(((R, d + m + 1),), {"mode": "raw"})],
+                     "solve": []}
     assert res._from[2] == ()  # no known-row fit
     shapes = _factor_shapes(monkeypatch, lambda: res.output_uniqueness_margin, names)
     assert shapes == {"svd": [], "qr": [], "solve": []}
-    # the first read of g runs the known-row fit: the QR of [A b], the values-only SVD of
-    # its r x r triangle and one solve against a vector; a second read reuses g
+    # the first read of g runs the known-row fit: one SVD, with vectors, of the known
+    # rows A (R - m x r) of M(p) U_r S_r; a second read reuses g
     calls = _linalg_calls(monkeypatch, lambda: res.g, names)
-    assert calls == {"svd": [(((r, r),), {"compute_uv": False})],
-                     "qr": [(((R - m, r + 1),), qr)], "solve": [(((r, r), (r,)), {})]}
+    assert calls == {"svd": [(((R - m, r),), thin)], "qr": [], "solve": []}
     shapes = _factor_shapes(monkeypatch, lambda: res.g, names)
     assert shapes == {"svd": [], "qr": [], "solve": []}
     assert res.output_uniqueness_margin > lpvdd.analysis.TOL
@@ -996,13 +995,14 @@ def _query_ledgers(monkeypatch, model, T, T_ini=3, T_r=7):
 def test_certified_query_ledger_is_the_same_at_every_record_length(monkeypatch):
     # a warm certified query and a membership read make the same np.linalg calls on the
     # same shapes at every T (the built-in model, L = 10: R = 60 rows, d = n_y L - n_x = 8
-    # kernel columns, m = 7 unknowns); T enters only the factor
+    # kernel columns, m = 7 unknowns); T enters only the factor.  The query makes two: the
+    # raw QR of [Y F -b] (R x (d + m + 1)) and one SVD of its d x m block Q_Y^T F
     model = example_verhoek()
     ledgers = [_query_ledgers(monkeypatch, model, T) for T in (70, 500, 2000, 4000, 20000)]
     assert all(ledger == ledgers[0] for ledger in ledgers)
     assert ledgers[0] == (
-        {"qr": [(((60, 16),), {"mode": "raw"}), (((8, 8),), {"mode": "r"})],
-         "svd": [(((7, 7),), {"compute_uv": False})], "solve": [(((7, 7), (7,)), {})]},
+        {"qr": [(((60, 16),), {"mode": "raw"})],
+         "svd": [(((8, 7),), {"full_matrices": False})]},
         {"qr": [(((60, 9),), {"mode": "raw"})]})
 
 

@@ -57,13 +57,16 @@ _RAGGED = "samples must be one array: rows of unequal length"
     (np.array(["1.5"]), _NOT_REAL("1.5")), (np.array([1.0, "2"], dtype=object), _NOT_REAL("2")),
     (np.array([[1.0], [b"3"]], dtype=object), _NOT_REAL(b"3")), ([2.0, None], _NOT_REAL(None)),
     ([1.0, 10**400], _NOT_REAL(10**400)), ([True], _NOT_REAL(True)),
+    ([np.longdouble("1e400")], _NOT_REAL(np.longdouble("1e400"))),
+    (np.array([1.0, np.longdouble("-1e400")]), _NOT_REAL(np.longdouble("-1e400"))),
     ([np.False_], _NOT_REAL(np.False_)), (np.array([False]), _NOT_REAL(False)),
     ([1.0, [2, 3]], _RAGGED), ([np.zeros((2, 2)), np.zeros((2, 3))], _RAGGED)])
 def test_trajectory_rejects_samples_that_are_not_one_real_array(samples):
     # a bare ValueError, TypeError or OverflowError from numpy, naming no signal rule; numpy
     # parses text as a number, drops the imaginary part of a complex array and reads a
-    # bool as 1.0.  The first entry that is not a real is named; rows of unequal length
-    # are a shape fault.
+    # bool as 1.0; a longdouble past the float range read as an infinity, and an array of
+    # them warned of the cast.  The first entry that is not a real is named; rows of
+    # unequal length are a shape fault.
     samples, message = samples
     with pytest.raises(InvalidShape) as exc:
         Trajectory(1, samples)
@@ -74,7 +77,8 @@ def test_trajectory_reads_numbers_of_every_real_dtype_and_of_object_arrays():
     want = np.array([[1.0], [2.0], [3.0]])
     for samples in ([1, 2, 3], [1.0, 2, 3.0], np.arange(1, 4), np.arange(1, 4, dtype=np.uint8),
                     np.array([1, 2, 3], dtype=np.float32), np.array([1, 2.0, 3], dtype=object),
-                    [np.int64(1), np.float32(2), 3]):
+                    [np.int64(1), np.float32(2), 3], np.array([1, 2, 3], dtype=np.longdouble),
+                    [np.longdouble(1), 2, 3]):
         assert np.array_equal(Trajectory(1, samples).samples, want)
     with pytest.raises(InvalidShape, match="^samples must be a real number, got True$"):
         Trajectory(1, [True, False])
