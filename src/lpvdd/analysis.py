@@ -1,38 +1,27 @@
 """Structural observability/reachability, minimality, and excitation checks.
 
-"Structural" rank properties hold in the generic (almost-everywhere) sense
-over scheduling trajectories.  They are decided here by randomized sampling:
-the coefficient matrix function is evaluated at a batch of independently
-drawn scheduling windows and the numeric rank is inspected at each draw.  A
-generic full-rank property fails only on a measure-zero set of draws, so the
-verdict demands success on every trial; a single structured failure is worth
-surfacing rather than averaging away.  All trials run as one stack: one
-draw, one evaluation with a leading trial axis, one SVD per map.
+"Structural" rank properties hold generically over scheduling trajectories:
+each is the generic rank of a matrix polynomial in the scheduling samples,
+decided here exactly over GF(``Q``).  A float coefficient is a dyadic rational,
+so it reduces exactly mod ``Q``.  A map is evaluated mod ``Q`` at two
+independent draws and ranked by elimination; a draw reads below the generic
+rank only at a root of a nonzero minor, with probability at most ``deg / Q``
+(Schwartz, J. ACM 27(4), 1980; Zippel, EUROSAM 1979).  A report keeps the
+larger rank of its two draws, so a full-rank reading proves full generic rank.
+No singular value, scaling or cut enters: a model is decided exactly as it is
+stored, and a map that vanishes only to rounding has rank.
 
-The symbolic observability and reachability matrices (:func:`obsv_matrix`,
-:func:`reach_matrix`) are the specification; their entries have up to
-``(1 + n_p)^(n - 1)`` terms.  Along one given trajectory the observability map
-is a window map of :mod:`lpvdd.simulation` (:func:`~lpvdd.simulation.obsv_eval`).
-:func:`minimality_report` evaluates the same maps by their numeric recursion at
-the same drawn windows, since shifting a coefficient commutes with evaluating
-it.  Both maps run through one recursion: the running ``A(k)`` products of the
-observability trials and of the (transposed) reachability trials form one
-stack, and each map then takes its own blocks and its one SVD.  The running
-product, then each block row (observability) or block column (reachability),
-is put at unit norm before the cut.  That keeps the rank and stops the decay of
-the products in stable models of order >= 24 from reading as rank loss (Paige,
-IEEE TAC 1981).  A product that cancels to below the cut, relative to its
-factors, is set to zero instead: its remainder is rounding, and scaled up it
-would read as rank.  The evaluated ``C``, ``A`` and ``B`` are first scaled, each by
-a power of two, to a largest entry below 1: that is exact, and no norm over- or
-underflows, so the report is the same at every scale of the coefficients.
+The symbolic :func:`obsv_matrix` and :func:`reach_matrix` are the specification;
+their entries have up to ``(1 + n_p)^(n - 1)`` terms.  :func:`minimality_report`
+evaluates the same maps at the same draws by their recursion (a shift commutes
+with evaluation), with the ``A(k)`` products of both maps, and their ranks, as
+one stack.
 
-Persistence of excitation is checked for the shifted-affine dependency
-class: the scheduling-extended input ``col(u, p (x) u)`` must produce a
-Hankel matrix of full row rank ``(1 + n_p) n_u L``.
-
-Every rank decision reports one :class:`RankRecord`: the rank, the count it is
-judged against, the singular values it cut and the ``RANK_CUT`` it read.
+Persistence of excitation is checked for the shifted-affine dependency class:
+the scheduling-extended input ``col(u, p (x) u)`` must produce a Hankel matrix
+of full row rank ``(1 + n_p) n_u L``.  Every float rank decision reports one
+:class:`RankRecord`: the rank, the count it is judged against, the singular
+values it cut and the ``RANK_CUT`` it read.
 """
 
 from __future__ import annotations
@@ -67,27 +56,25 @@ __all__ = [
 # The relative rank cut of every rank decision: a singular value counts when it
 # exceeds RANK_CUT times the largest.  Read at call time, never bound as a default.
 RANK_CUT = 1e-9
-# Scheduling windows drawn per structural rank test.
-TRIALS = 20
+# The prime of the structural tests, below 2^26: a product of two residues is below
+# 2^52, so a sum of up to 2^11 of them fits int64.
+Q = 67_108_859
 # The residual tolerance of span_membership and estimate_initial_state, and the
 # default of predict's tol and margin_tol.
 TOL = 1e-7
 
 
-def _cut(s: np.ndarray):
-    """Count of the singular values above ``RANK_CUT`` times the first, on the last axis."""
-    if s.ndim == 1 and len(s):
-        return int(np.count_nonzero(s > RANK_CUT * s[0]))
-    return (s > RANK_CUT * s[..., :1]).sum(axis=-1).tolist()
+def _cut(s: np.ndarray) -> int:
+    """Count of the singular values ``s`` above ``RANK_CUT`` times the first."""
+    return int(np.count_nonzero(s > RANK_CUT * s[:1]))
 
 
 @dataclass(frozen=True)
 class RankRecord:
     """One rank decision: ``rank`` of the ``singular_values`` exceed ``cut`` times the
     first, and the decision holds when ``rank`` reaches ``required``.  ``required`` is
-    the row count of an input Hankel matrix (excitation), ``n_x`` (a structural map),
-    the row count ``R`` of the lifted Hankel matrix or the column count of a
-    least-squares solve."""
+    the row count of an input Hankel matrix (excitation), the row count ``R`` of the
+    lifted Hankel matrix or the column count of a least-squares solve."""
 
     rank: int
     required: int
@@ -250,66 +237,90 @@ def reach_matrix(model: LpvSsModel, n: int) -> CoeffMatrix:
     return CoeffMatrix.hstack(blocks)
 
 
-def _unit(X: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Each matrix of ``X = F G``, ``|G|_2 <= 1``, at unit Frobenius norm, or zero where
-    its norm is at most ``RANK_CUT |F|``: a product that cancels below the cut is rounding."""
-    norm = np.sqrt(np.einsum("...ij,...ij->...", X, X))[..., None, None]
-    scale = np.sqrt(np.einsum("...ij,...ij->...", F, F))[..., None, None]
-    return X * ((norm > RANK_CUT * scale) / np.where(norm > 0, norm, 1.0))
+def _residues(x: np.ndarray) -> np.ndarray:
+    """Exact ``x mod Q`` of the floats ``x``: each is its 53-bit integer mantissa times
+    ``2^e``, and ``2^e mod Q`` is formed only for the exponents present."""
+    f, e = np.frexp(x)
+    twos = np.zeros(e.max(initial=0) - (lo := e.min(initial=0)) + 1, dtype=np.int64)
+    for k in set(e.ravel().tolist()):
+        twos[k - lo] = pow(2, k - 53, Q)
+    return np.ldexp(f, 53).astype(np.int64) % Q * twos[e - lo] % Q
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``X @ Y`` over GF(Q), summed in chunks of at most 2^11 products: no int64 overflows."""
+    out = X[..., :2048] @ Y[..., :2048, :] % Q
+    for k in range(2048, X.shape[-1], 2048):
+        out = (out + X[..., k:k + 2048] @ Y[..., k:k + 2048, :]) % Q
+    return out
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """``x^e`` over GF(Q), ``e >= 1``, by squaring."""
+    return x if e == 1 else _power(x * x % Q, e // 2) * (x if e % 2 else 1) % Q
+
+
+def _eval_mod(M: CoeffMatrix, P: np.ndarray, start: int, n: int) -> np.ndarray:
+    """``M._eval_rows`` over GF(Q), at the scheduling residues ``P`` ``(..., W, n_p)``: the
+    monomial values times the residues of ``M``'s stack."""
+    phi = np.ones(P.shape[:-2] + (n, len(M.terms)), dtype=np.int64)
+    for m, mono in enumerate(M.terms):
+        for comp, off, pw in mono:
+            phi[..., m] = phi[..., m] * _power(P[..., start + off:start + off + n, comp - 1],
+                                               pw) % Q
+    return _mul(phi, _residues(M._stack)).reshape(phi.shape[:-1] + (M.rows, M.cols))
+
+
+def _rank_mod(X: np.ndarray) -> np.ndarray:
+    """Ranks over GF(Q) of the residue matrices ``X`` ``(draws, rows, cols)``, by elimination
+    along the shorter axis.  A column's pivot is its first nonzero in a row not yet a pivot;
+    every row is scaled by it, which keeps the rank, so no pivot is inverted."""
+    X = X.swapaxes(-1, -2) if X.shape[-1] > X.shape[-2] else X
+    free, at = np.ones(X.shape[:2], dtype=bool), np.arange(len(X))
+    for j in range(X.shape[-1]):
+        col = X[:, :, j] * free
+        i = col.astype(bool).argmax(axis=1)
+        v = col[at, i]  # the pivot, or 0 where a draw has none left
+        free[at, i] &= v == 0
+        col[at, i] = 0
+        X = (X * (v + (v == 0))[:, None, None] - col[..., None] * X[at, i][:, None]) % Q
+    return (~free).sum(axis=1)
 
 
 def _shifted_hull(*parts) -> tuple[int, int]:
-    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the
-    ``(M, shifts)`` pairs; ``(0, 0)`` when no ``M`` depends on scheduling.
-
-    This is the window of a product of shifted copies of the ``M``s unless
-    terms cancel exactly."""
+    """Hull of ``M.window`` shifted by every ``d`` in ``shifts``, over the ``(M, shifts)``
+    pairs, ``(0, 0)`` when no ``M`` depends on scheduling: the window of a product of
+    shifted copies of the ``M``s unless terms cancel exactly."""
     spans = [(w[0] + d, w[1] + d) for M, shifts in parts if (w := M.window) for d in shifts]
-    if not spans:
-        return (0, 0)
-    return (min(s[0] for s in spans), max(s[1] for s in spans))
+    return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else (0, 0)
 
 
 @dataclass(frozen=True)
 class StructuralRankReport:
-    """Outcome of a randomized functional-rank test: ``passes`` of the ``trials`` reach
-    the required rank, and ``weakest`` is the :class:`RankRecord` of the first trial of
-    least rank, the one that decides the verdict."""
+    """Outcome of an exact generic-rank test: ``rank`` over GF(Q), the larger of two
+    independent draws, against ``required``."""
 
-    trials: int
-    passes: int
-    weakest: RankRecord
+    rank: int
+    required: int
 
     @property
     def verdict(self) -> bool:
-        return self.passes == self.trials
+        return self.rank >= self.required
 
 
-def _draw(window: tuple[int, int], n_p: int, seed: int) -> tuple[np.ndarray, int]:
-    """The ``TRIALS`` scheduling windows ``P`` of a structural test, drawn in one call
-    (the values of one draw per trial), and the row of ``P`` that is time 0."""
-    lo, hi = window
-    return stream(seed, "trials").uniform(-1.0, 1.0, (TRIALS, hi - lo + 1, n_p)), -lo
-
-
-def _report(maps: np.ndarray, required: int) -> StructuralRankReport:
-    """:class:`StructuralRankReport` of the ``TRIALS`` stacked ``maps``: one SVD."""
-    s = np.linalg.svd(maps, compute_uv=False)
-    ranks = _cut(s)
-    return StructuralRankReport(TRIALS, sum(rank >= required for rank in ranks),
-                                _rank(s[ranks.index(min(ranks))], required))
+def _draw(n_p: int, seed: int, *parts) -> tuple[np.ndarray, int]:
+    """The two scheduling windows ``P`` over the :func:`_shifted_hull` of ``parts``, drawn
+    uniform on GF(Q) in one call, and the row of ``P`` that is time 0."""
+    lo, hi = _shifted_hull(*parts)
+    return stream(seed, "trials").integers(0, Q, (2, hi - lo + 1, n_p)), -lo
 
 
 def structural_rank(M: CoeffMatrix, required: int, seed: int = 0) -> StructuralRankReport:
-    """Randomized check that ``M`` has rank >= ``required`` generically.
-
-    Evaluates ``M`` at ``k = 0`` for ``TRIALS`` scheduling windows drawn
-    i.i.d. uniform on ``[-1, 1]`` (per component, per needed offset).  The
-    verdict requires the numeric rank to reach ``required`` (>= 0) on every trial.
-    """
+    """Exact check that ``M`` has rank >= ``required`` (>= 0) generically: its larger rank
+    over GF(Q) at ``k = 0`` at two scheduling windows drawn uniform on GF(Q)."""
     required = _check_int("required", required, 0)
-    P, i = _draw(M.window or (0, 0), M.n_p, seed)
-    return _report(M._eval_rows(P, i, 1)[:, 0], required)
+    P, i = _draw(M.n_p, seed, (M, (0,)))
+    return StructuralRankReport(int(_rank_mod(_eval_mod(M, P, i, 1)[:, 0]).max()), required)
 
 
 @dataclass(frozen=True)
@@ -329,34 +340,24 @@ class MinimalityReport:
 
 
 def minimality_report(model: LpvSsModel, seed: int = 0) -> MinimalityReport:
-    """Structural observability and reachability of ``model``: the draws of
-    ``structural_rank(obsv_matrix(model, n_x), n_x)`` and of the same test of
-    :func:`reach_matrix`, evaluated by the recursion of
-    :func:`~lpvdd.simulation.obsv_eval` (on the transposed ``B`` and ``A`` for
-    reachability, which keeps the singular values) with the running product and each
-    block at unit norm.  The ``A(k)`` products of both
-    maps' trials run as one stack; each map keeps its own blocks and SVD, since padding
-    the narrower blocks to stack them would move singular values."""
+    """Structural observability and reachability of ``model``: ``structural_rank`` of
+    :func:`obsv_matrix` and of :func:`reach_matrix` at ``n_x``, at the same draws, by the
+    recursion of :func:`~lpvdd.simulation.obsv_eval` (on the transposed ``B`` and ``A`` for
+    reachability), which runs both maps, and their ranks, as one stack."""
     n, A = model.n_x, model.A
-    P, i = _draw(_shifted_hull((model.C, range(n)), (A, range(n - 1))), model.n_p, seed)
-    C, A_o = model.C._eval_rows(P, i, n), A._eval_rows(P, i, n - 1)
-    P, i = _draw(_shifted_hull((model.B, range(0, -n, -1)), (A, range(0, 1 - n, -1))),
-                 model.n_p, seed)
-    # B[:, j] is B(-j)^T and A_r[:, j] is A(-j)^T
-    B = model.B._eval_rows(P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
-    A_r = A._eval_rows(P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)
-    A = np.concatenate([A_o, A_r])  # observability trials, then reachability trials
-    # each stack by the power of two at its largest entry: exact, and _unit's squares of
-    # its entries then neither over- nor underflow
-    C, A, B = (np.ldexp(X, -np.frexp(np.abs(X).max(initial=0.0))[1]) for X in (C, A, B))
-    blocks, prod = ([C[:, 0]], [B[:, 0]]), np.eye(n)
+    # C(j) and A(j), then B(-j)^T and A(-j)^T; the shorter blocks of CB get zero rows
+    CB = np.zeros((4, n, max(model.n_y, model.n_u), n), dtype=np.int64)
+    P, i = _draw(model.n_p, seed, (model.C, range(n)), (A, range(n - 1)))
+    CB[:2, :, :model.n_y], A_o = _eval_mod(model.C, P, i, n), _eval_mod(A, P, i, n - 1)
+    P, i = _draw(model.n_p, seed, (model.B, range(0, -n, -1)), (A, range(0, 1 - n, -1)))
+    CB[2:, :, :model.n_u] = _eval_mod(model.B, P, i - n + 1, n)[:, ::-1].swapaxes(-1, -2)
+    A = np.concatenate([A_o, _eval_mod(A, P, i - n + 2, n - 1)[:, ::-1].swapaxes(-1, -2)])
+    blocks, prod = [CB[:, 0]], np.eye(n, dtype=np.int64)
     for j in range(n - 1):
-        prod = _unit(A[:, j] @ prod, A[:, j])
-        blocks[0].append(C[:, j + 1] @ prod[:TRIALS])
-        blocks[1].append(B[:, j + 1] @ prod[TRIALS:])
-    observable, reachable = (_report(_unit(np.stack(b, axis=1), M).reshape(TRIALS, -1, n), n)
-                             for b, M in zip(blocks, (C, B)))
-    return MinimalityReport(observable, reachable)
+        prod = _mul(A[:, j], prod)
+        blocks.append(_mul(CB[:, j + 1], prod))
+    ranks = _rank_mod(np.concatenate(blocks, axis=1))
+    return MinimalityReport(*(StructuralRankReport(int(ranks[k:k + 2].max()), n) for k in (0, 2)))
 
 
 def check_pe(u: Trajectory, p: Trajectory, L: int) -> RankRecord:

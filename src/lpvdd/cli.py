@@ -236,7 +236,7 @@ def cmd_check(args) -> int:
         "required": pe.required,
     }
     if args.model:
-        from .analysis import minimality_report
+        from .analysis import Q, minimality_report
         from .models import LpvIoModel
         model = _resolve_model(args.model)
         for key in ("n_u", "n_y", "n_p"):
@@ -247,7 +247,8 @@ def cmd_check(args) -> int:
             summary["lag"] = model.n_a
             model = model.realization
         report = minimality_report(model, seed=args.seed)
-        payload["structural"] = dict(asdict(report), minimal=report.minimal)
+        payload["structural"] = dict(asdict(report), minimal=report.minimal, q=Q,
+                                     seed=args.seed)
         summary["minimal"] = report.minimal
     if args.out_dir:
         _write(Path(args.out_dir) / "check.json", _json_text(payload))

@@ -227,9 +227,7 @@ def _window(model: LpvSsModel, T: int, p: Trajectory, k: int, inputs=True) -> np
 @_finite
 def obsv_eval(model: LpvSsModel, n: int, p: Trajectory, k: int) -> np.ndarray:
     """Evaluated ``n``-step observability map at time ``k``, the window map's first
-    ``n_x`` columns: block row ``i`` is ``C(k+i-1) A(k+i-2) ... A(k)``.  Unscaled, unlike
-    the recursion of :func:`~lpvdd.analysis.minimality_report`: least squares on it
-    (:func:`estimate_initial_state`) would weigh scaled block rows differently."""
+    ``n_x`` columns: block row ``i`` is ``C(k+i-1) A(k+i-2) ... A(k)``."""
     return _window(model, _check_int("n", n), p, _check_int("k", k, None), inputs=False)
 
 

@@ -391,7 +391,7 @@ def test_check_io_model_reports_its_realization_and_lag(tmp_path, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "chk" / "check.json").read_text())
     assert payload["structural"]["minimal"] is True
-    assert payload["structural"]["observable"]["weakest"]["required"] == 2
+    assert payload["structural"]["observable"] == {"rank": 2, "required": 2}
     summary = json.loads(capsys.readouterr().out)
     assert summary["minimal"] is True and summary["lag"] == 2
 
@@ -406,8 +406,10 @@ def test_check_ss_model_reports_structural(tmp_path):
     ])
     assert code == 0
     payload = json.loads((tmp_path / "chk" / "check.json").read_text())
-    assert "structural" in payload
-    assert payload["structural"]["observable"]["trials"] == 20
+    # exact ranks over GF(q) at the draws of the seed, which the file names
+    assert payload["structural"] == {"observable": {"rank": 2, "required": 2},
+                                     "reachable": {"rank": 2, "required": 2},
+                                     "minimal": True, "q": analysis.Q, "seed": 0}
 
 
 @pytest.mark.parametrize("model", [None, "ss-file", "builtin:verhoek"])
@@ -429,10 +431,9 @@ def test_check_json_tree_is_fixed_and_deterministic(tmp_path, model):
     if model is None:
         assert tree == {}
     else:
-        assert tree == {"structural": {"observable", "reachable", "minimal"}}
+        assert tree == {"structural": {"observable", "reachable", "minimal", "q", "seed"}}
         for test in ("observable", "reachable"):
-            assert set(payload["structural"][test]) == {"trials", "passes", "weakest"}
-            assert set(payload["structural"][test]["weakest"]) == RECORD_KEYS
+            assert set(payload["structural"][test]) == {"rank", "required"}
 
 
 def _rank_records(tree) -> list[dict]:
@@ -447,8 +448,9 @@ def _rank_records(tree) -> list[dict]:
     ("check", None, 0, 2), ("check", "builtin:verhoek", 0, 4), ("check", "ss-file", 0, 4),
     ("predict", "ok", 0, 2), ("predict", "ambiguous", 4, 2)])
 def test_every_rank_record_in_the_artifacts_is_one_cut(tmp_path, command, kind, code, count):
-    # each rank decision is written as one record: its rank is the count of its
-    # singular values above its cut times the first, at the one RANK_CUT
+    # each rank decision is written as one record: a float one's rank is the count of its
+    # singular values above its cut times the first, at the one RANK_CUT; a structural
+    # one is an exact rank over GF(q), with no singular value and no cut
     _simulate(tmp_path, T={"ok": 70, "ambiguous": 25}.get(kind, 40))
     argv = [command, "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out")]
     if command == "predict":
@@ -461,9 +463,16 @@ def test_every_rank_record_in_the_artifacts_is_one_cut(tmp_path, command, kind, 
         argv += ["--model", kind]
     assert main(argv) == code
     name = {"check": "check.json", "predict": "prediction.json"}[command]
-    records = _rank_records(json.loads((tmp_path / "out" / name).read_text()))
+    tree = json.loads((tmp_path / "out" / name).read_text())
+    records = _rank_records(tree)
     assert len(records) == count
+    exact = [tree["structural"][test] for test in ("observable", "reachable")
+             if "structural" in tree]
+    assert len(exact) == (2 if kind and command == "check" else 0)
     for record in records:
+        if any(record is r for r in exact):
+            assert set(record) == {"rank", "required"}
+            continue
         assert set(record) == RECORD_KEYS
         s = np.array(record["singular_values"])
         assert record["cut"] == analysis.RANK_CUT
